@@ -156,10 +156,12 @@ def cmd_fisher(cfg: ExperimentConfig) -> int:
     f_classical = classical_fisher(
         basis, state, rho_prime, probability_floor=cfg.tolerances.probability_floor
     )
-    f_quantum = quantum_fisher(state, rho_prime)
-    report = check_saturation(basis, state, rho_prime, tol=cfg.tolerances.saturation)
-    l_op = sld_from_state(state, rho_prime, tol=cfg.tolerances.kernel_tol).operator
-    spectrum = lambda_spectrum(basis, state, rho_prime, l_op)
+    sld = sld_from_state(state, rho_prime, tol=cfg.tolerances.kernel_tol)
+    f_quantum = quantum_fisher(state, rho_prime, sld=sld)
+    report = check_saturation(
+        basis, state, rho_prime, tol=cfg.tolerances.saturation, sld=sld
+    )
+    spectrum = lambda_spectrum(basis, state, rho_prime, sld.operator)
     bound = (
         cramer_rao_bound(f_classical, cfg.shots) if f_classical > 0 else math.inf
     )
@@ -221,7 +223,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     basis = basis_from_config(cfg)
     model = MeasurementModel(generator, state, basis)
     rho_prime = state_derivative(generator, state)
-    f_classical = classical_fisher(basis, state, rho_prime)
+    f_classical = classical_fisher(
+        basis, state, rho_prime, probability_floor=cfg.tolerances.probability_floor
+    )
     outcome = uncertainty_run(model, cfg.x_true, cfg.shots, cfg.trials, cfg.seed)
     result = {
         "x_true": outcome.x_true,
@@ -256,6 +260,7 @@ def cmd_scaling(cfg: ExperimentConfig) -> int:
         cfg.trials,
         cfg.seed,
         x_true=cfg.x_true,
+        sign=int(state_spec.get("sign", 1)),
     )
     fmt = cfg.output_format or "csv"
     if fmt == "csv":

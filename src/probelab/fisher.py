@@ -15,6 +15,12 @@ attained exactly when every outcome ratio tr(E L rho)/tr(E rho) is real and
 the projectors are compatible with L on the support of rho, i.e.
 E (L - Re(ratio)) rho = 0 for every outcome.  Both conditions are measured by
 :func:`check_saturation`.
+
+Every per-outcome number here is a readout diagonal <k|A|k> taken by
+:meth:`ReadoutBasis.diagonal`: O(d^2) for the per-qubit |+>/|-> readout, one
+d^3 BLAS product for any other basis.  The SLD itself costs one d x d
+eigendecomposition; callers that need it more than once build it with
+:func:`sld_from_state` and pass it on through the ``sld`` arguments.
 """
 
 from __future__ import annotations
@@ -176,11 +182,9 @@ def lambda_spectrum(
     """
     if basis.dim != rho.dim:
         raise DimensionError("basis and state dimensions differ")
-    rho_l = rho.matrix @ l_op
-    kets = basis.kets
-    numerators = np.einsum("ik,ij,jk->k", kets.conj(), rho_l, kets)
-    probs = np.real(np.einsum("ik,ij,jk->k", kets.conj(), rho.matrix, kets))
-    dprobs = np.real(np.einsum("ik,ij,jk->k", kets.conj(), rho_prime, kets))
+    numerators = basis.diagonal(rho.matrix @ l_op)
+    probs = np.real(basis.diagonal(rho.matrix))
+    dprobs = np.real(basis.diagonal(rho_prime))
     values = np.zeros(basis.n_outcomes, dtype=complex)
     unconstrained = []
     for k, label in enumerate(basis.labels):
@@ -213,21 +217,24 @@ def check_saturation(
     rho_prime: np.ndarray,
     *,
     tol: float = SATURATION_TOL,
+    sld: SLDResult | None = None,
 ) -> SaturationReport:
     """Evaluate both saturation conditions for a fixed projective readout.
 
-    Builds L from the state and derivative, then measures (a) the largest
+    Takes L from ``sld``, or builds it from the state and derivative with the
+    default kernel threshold, then measures (a) the largest
     imaginary part of tr(rho E L) over outcomes and (b) the projector
     compatibility residual sqrt(sum_outcomes ||E (L - Re(1/lambda)) rho||_F^2),
     which vanishes exactly when the readout projects onto an eigenbasis of an
     SLD with real eigenvalue ratios on the support of rho.
     """
-    sld = sld_from_state(rho, rho_prime)
+    if sld is None:
+        sld = sld_from_state(rho, rho_prime)
     spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
     kets = basis.kets
     l_rho = sld.operator @ rho.matrix
     # tr(rho E L) = <theta| L rho |theta> by cyclicity.
-    traces = np.einsum("ik,ij,jk->k", kets.conj(), l_rho, kets)
+    traces = basis.diagonal(l_rho)
     im_max = float(np.max(np.abs(np.imag(traces))))
     # Row vectors <theta| (L - Re(1/lambda)) rho for every outcome.
     rows = kets.conj().T @ l_rho - np.real(spectrum.values)[:, None] * (
@@ -255,9 +262,8 @@ def classical_fisher(
     """
     if basis.dim != rho.dim:
         raise DimensionError("basis and state dimensions differ")
-    kets = basis.kets
-    probs = np.real(np.einsum("ik,ij,jk->k", kets.conj(), rho.matrix, kets))
-    dprobs = np.real(np.einsum("ik,ij,jk->k", kets.conj(), rho_prime, kets))
+    probs = np.real(basis.diagonal(rho.matrix))
+    dprobs = np.real(basis.diagonal(rho_prime))
     total = 0.0
     for label, p, dp in zip(basis.labels, probs, dprobs):
         if p <= probability_floor:
@@ -270,9 +276,15 @@ def classical_fisher(
     return float(total)
 
 
-def quantum_fisher(rho: DensityMatrix, rho_prime: np.ndarray) -> float:
-    """tr(L^2 rho): the maximum of the classical Fisher information."""
-    sld = sld_from_state(rho, rho_prime)
+def quantum_fisher(
+    rho: DensityMatrix, rho_prime: np.ndarray, *, sld: SLDResult | None = None
+) -> float:
+    """tr(L^2 rho): the maximum of the classical Fisher information.
+
+    L is ``sld`` when given, else built with the default kernel threshold.
+    """
+    if sld is None:
+        sld = sld_from_state(rho, rho_prime)
     l2 = sld.operator @ sld.operator
     return float(np.real(np.trace(l2 @ rho.matrix)))
 

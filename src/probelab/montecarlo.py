@@ -296,11 +296,11 @@ OPTIMAL_TENSOR_FAMILY = "optimal_single_tensor"
 CAT_FAMILY = "cat"
 
 
-def _family_state(family: str, n: int) -> DensityMatrix:
+def _family_state(family: str, n: int, sign: int) -> DensityMatrix:
     if family == OPTIMAL_TENSOR_FAMILY:
-        return tensor_power(optimal_single_qubit(+1), n)
+        return tensor_power(optimal_single_qubit(sign), n)
     if family == CAT_FAMILY:
-        return cat_state(n)
+        return cat_state(n, sign)
     raise ValidationError(f"unknown state family {family!r}")
 
 
@@ -314,8 +314,12 @@ def scaling_experiment(
     seed: int,
     *,
     x_true: float = 0.3,
+    sign: int = +1,
 ) -> list[ScalingRow]:
     """Fisher information and empirical uncertainty across probe sizes.
+
+    ``sign`` selects the family member: the tensor power of
+    (1 + sign*sigma_2)/2, or the cat state with relative sign ``sign``.
 
     Rows whose readout carries no information (classical Fisher information at
     the preparation point ~ 0) are flagged degenerate: their bound is infinite
@@ -329,7 +333,7 @@ def scaling_experiment(
             generator = entangling_generator(n)
         else:
             generator = nonentangling_generator(n)
-        state = _family_state(state_family, n)
+        state = _family_state(state_family, n, sign)
         basis = product_pm_readout(n)
         rho_prime = state_derivative(generator, state)
         f_classical = classical_fisher(basis, state, rho_prime)

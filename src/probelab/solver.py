@@ -475,11 +475,11 @@ def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport
     generator = entangling_generator(n, cap)
     basis = product_pm_readout(n, cap)
     rho_prime = state_derivative(generator, state)
-    l_op = sld_from_state(state, rho_prime).operator
-    spectrum = lambda_spectrum(basis, state, rho_prime, l_op)
+    sld = sld_from_state(state, rho_prime)
+    spectrum = lambda_spectrum(basis, state, rho_prime, sld.operator)
     mask = ~np.array(spectrum.unconstrained)
     values = spectrum.values[mask]
-    report = check_saturation(basis, state, rho_prime)
+    report = check_saturation(basis, state, rho_prime, sld=sld)
     return ParityReport(
         n_qubits=n,
         max_abs_real=float(np.max(np.abs(np.real(values)))),

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from probelab import cli, operators
+from probelab import cli, dynamics, fisher, montecarlo, operators, states
 from probelab.config import parse_config_text
+from probelab.report import round_float
 from probelab.errors import ConfigError
 
 
@@ -106,6 +107,39 @@ def test_fisher_report_entangling_three_qubits(tmp_path, capsys):
     assert result["quantum_fisher"] == pytest.approx(1.0)
 
 
+def test_fisher_report_applies_kernel_tol_to_every_sld(tmp_path, capsys):
+    # (1 - eps)|psi><psi| + eps|phi><phi|: kernel_tol = 2 eps drops the
+    # (eps, 0) eigenvalue pairs, which moves the QFI in the ninth digit and
+    # opens a ~1e-9 projector-compatibility residual.
+    eps, kernel_tol = 1e-9, 2e-9
+    plus_y = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    minus_y = np.array([1.0, -1.0j]) / np.sqrt(2.0)
+    psi, phi = np.kron(plus_y, plus_y), np.kron(plus_y, minus_y)
+    matrix = (1 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj())
+    state_path = tmp_path / "state.json"
+    state_path.write_text(
+        json.dumps({"matrix_real": matrix.real.tolist(), "matrix_imag": matrix.imag.tolist()})
+    )
+    path = write_config(
+        tmp_path,
+        {
+            "n_qubits": 2,
+            "state": {"kind": "file", "path": str(state_path)},
+            "tolerances": {"kernel_tol": kernel_tol},
+        },
+    )
+    code, out, _ = run_cli(capsys, ["fisher", path])
+    assert code == 0
+    result = json.loads(out)["result"]
+    rho = states.density_matrix(matrix)
+    rho_prime = dynamics.state_derivative(dynamics.nonentangling_generator(2), rho)
+    sld = fisher.sld_from_state(rho, rho_prime, tol=kernel_tol)
+    f_quantum = fisher.quantum_fisher(rho, rho_prime, sld=sld)
+    assert round_float(f_quantum) != round_float(fisher.quantum_fisher(rho, rho_prime))
+    assert result["quantum_fisher"] == round_float(f_quantum)
+    assert result["diagonal_residual"] == pytest.approx(np.sqrt(2.0) * eps, rel=1e-3)
+
+
 def test_solve_single_qubit(tmp_path, capsys):
     path = write_config(tmp_path, {"n_qubits": 1, "seed": 3, "solver": {"n_starts": 8}})
     code, out, _ = run_cli(capsys, ["solve", path])
@@ -125,6 +159,48 @@ def test_simulate_report(tmp_path, capsys):
     bound = 1.0 / np.sqrt(4000)
     assert result["delta_x"] == pytest.approx(bound, rel=0.15)
     assert result["x_true"] == 0.3
+
+
+def test_simulate_applies_probability_floor(tmp_path, capsys):
+    # Both outcomes of the single-qubit probe have p = 1/2 and |dp/dx| = 1/2:
+    # below a floor of 0.6 the Fisher sum has no finite value.
+    path = write_config(
+        tmp_path,
+        {"n_qubits": 1, "shots": 500, "trials": 20, "seed": 1,
+         "tolerances": {"probability_floor": 0.6}},
+    )
+    code, out, err = run_cli(capsys, ["simulate", path])
+    assert code == 2 and out == ""
+    assert "has probability" in err
+
+
+@pytest.mark.parametrize(
+    "family, generator, build",
+    [
+        ("optimal_single_tensor", "nonentangling",
+         lambda n: states.tensor_power(states.optimal_single_qubit(-1), n)),
+        ("cat", "entangling", lambda n: states.cat_state(n, -1)),
+    ],
+)
+def test_scaling_builds_the_configured_sign(tmp_path, capsys, monkeypatch, family, generator, build):
+    probes = []
+    original = montecarlo.quantum_fisher
+
+    def spy(rho, rho_prime, **kwargs):
+        probes.append(rho.matrix)
+        return original(rho, rho_prime, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "quantum_fisher", spy)
+    path = write_config(
+        tmp_path,
+        {"n_list": [2, 3], "generator": generator, "state": {"kind": family, "sign": -1},
+         "shots": 200, "trials": 10, "seed": 4},
+    )
+    code, _, _ = run_cli(capsys, ["scaling", path])
+    assert code == 0
+    assert len(probes) == 2
+    for n, matrix in zip((2, 3), probes):
+        assert np.array_equal(matrix, build(n).matrix)
 
 
 def test_scaling_csv_columns(tmp_path, capsys):
