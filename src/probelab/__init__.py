@@ -34,9 +34,11 @@ from .errors import (
     ValidationError,
 )
 from .fisher import (
+    Analysis,
     LambdaSpectrum,
     SaturationReport,
     SLDResult,
+    analyze,
     check_saturation,
     classical_fisher,
     cramer_rao_bound,
@@ -58,6 +60,7 @@ from .montecarlo import (
 from .operators import (
     HermitianEigen,
     MAX_QUBITS,
+    Tolerances,
     anticommutator,
     commutator,
     hermitian_eigen,

@@ -10,8 +10,8 @@ internal error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import (
@@ -24,17 +24,10 @@ from .config import (
 )
 from .dynamics import state_derivative
 from .errors import ConfigError, ProbeLabError
-from .fisher import (
-    check_saturation,
-    classical_fisher,
-    cramer_rao_bound,
-    lambda_spectrum,
-    quantum_fisher,
-    sld_from_state,
-)
+from .fisher import analyze, classical_fisher, cramer_rao_bound
 from .montecarlo import MeasurementModel, scaling_experiment, uncertainty_run
 from .report import csv_table, dumps_report, round_float
-from .solver import SearchConfig, search_optimal_state
+from .solver import search_optimal_state
 from .verify import run_golden_suite
 
 EXIT_OK = 0
@@ -82,18 +75,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     cfg = parse_config_text(text, task=args.command)
     if args.seed is not None:
-        cfg = _replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     if args.format is not None:
-        cfg = _replace(cfg, output_format=args.format)
+        cfg = replace(cfg, output_format=args.format)
     if args.out is not None:
-        cfg = _replace(cfg, output_path=args.out)
+        cfg = replace(cfg, output_path=args.out)
     return cfg
-
-
-def _replace(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kwargs)
 
 
 def _emit(cfg: ExperimentConfig, text: str) -> None:
@@ -152,27 +139,16 @@ def cmd_fisher(cfg: ExperimentConfig) -> int:
     state = state_from_config(cfg)
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
-    rho_prime = state_derivative(generator, state)
-    f_classical = classical_fisher(
-        basis, state, rho_prime, probability_floor=cfg.tolerances.probability_floor
-    )
-    sld = sld_from_state(state, rho_prime, tol=cfg.tolerances.kernel_tol)
-    f_quantum = quantum_fisher(state, rho_prime, sld=sld)
-    report = check_saturation(
-        basis, state, rho_prime, tol=cfg.tolerances.saturation, sld=sld
-    )
-    spectrum = lambda_spectrum(basis, state, rho_prime, sld.operator)
-    bound = (
-        cramer_rao_bound(f_classical, cfg.shots) if f_classical > 0 else math.inf
-    )
+    analysis = analyze(generator, state, basis, cfg.tolerances)
+    report = analysis.saturation
     result = {
-        "classical_fisher": f_classical,
-        "quantum_fisher": f_quantum,
+        "classical_fisher": analysis.classical_fisher,
+        "quantum_fisher": analysis.quantum_fisher,
         "saturated": report.saturated,
         "im_condition_max": report.im_condition_max,
         "diagonal_residual": report.diagonal_residual,
-        "inv_lambdas": _spectrum_entries(spectrum),
-        "bound": bound,
+        "inv_lambdas": _spectrum_entries(analysis.spectrum),
+        "bound": cramer_rao_bound(analysis.classical_fisher, cfg.shots),
     }
     _emit(cfg, dumps_report(_report_envelope(cfg, result)))
     return EXIT_OK
@@ -181,15 +157,8 @@ def cmd_fisher(cfg: ExperimentConfig) -> int:
 def cmd_solve(cfg: ExperimentConfig) -> int:
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
-    search_cfg = SearchConfig(
-        n_starts=cfg.solver.n_starts,
-        max_evals=cfg.solver.max_evals,
-        simplex_tol=cfg.solver.simplex_tol,
-        penalty_weight=cfg.solver.penalty_weight,
-        residual_tol=cfg.tolerances.solution_residual,
-        tie_tol=cfg.solver.tie_tol,
-        mixed_states=cfg.solver.mixed_states,
-        seed=cfg.seed,
+    search_cfg = replace(
+        cfg.solver, residual_tol=cfg.tolerances.solution_residual, seed=cfg.seed
     )
     outcome = search_optimal_state(generator, basis, cfg.n_qubits, search_cfg)
     solutions = []
@@ -233,7 +202,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         "delta_x": outcome.delta_x,
         "slope": outcome.slope,
         "classical_fisher": f_classical,
-        "bound": cramer_rao_bound(f_classical, cfg.shots) if f_classical > 0 else math.inf,
+        "bound": cramer_rao_bound(f_classical, cfg.shots),
         "shots": cfg.shots,
         "trials": cfg.trials,
     }
@@ -261,6 +230,7 @@ def cmd_scaling(cfg: ExperimentConfig) -> int:
         cfg.seed,
         x_true=cfg.x_true,
         sign=int(state_spec.get("sign", 1)),
+        tol=cfg.tolerances,
     )
     fmt = cfg.output_format or "csv"
     if fmt == "csv":

@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON document, strictly validated.
 
 Unknown fields are rejected with a dotted field path; JSON syntax errors are
-reported with their line and column.  Tolerance defaults live here so every
-threshold the tool applies is inspectable and overridable.
+reported with their line and column.  The ``tolerances`` block overrides the
+defaults of :class:`~probelab.operators.Tolerances`, so every threshold the
+tool applies is inspectable and overridable.
 """
 
 from __future__ import annotations
@@ -15,46 +16,14 @@ import numpy as np
 
 from . import dynamics, states
 from .errors import ConfigError
+from .operators import Tolerances
+from .solver import SearchConfig
 
 GENERATOR_KINDS = ("nonentangling", "entangling")
 TASKS = ("verify", "fisher", "solve", "simulate", "scaling")
 STATE_KINDS = ("optimal_single_tensor", "cat", "two_qubit_entangling", "bloch", "file")
 READOUT_KINDS = ("product_pm",)
 OUTPUT_FORMATS = ("json", "csv")
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Every threshold applied by the tool, with its default."""
-
-    kernel_tol: float = 1e-10
-    sld_residual: float = 1e-8
-    saturation: float = 1e-8
-    solution_residual: float = 1e-7
-    psd_min_eigenvalue: float = -1e-9
-    probability_floor: float = 1e-12
-
-    @staticmethod
-    def from_mapping(raw: Mapping[str, Any] | None) -> "Tolerances":
-        if raw is None:
-            return Tolerances()
-        known = {f.name for f in fields(Tolerances)}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"config.tolerances: unknown field {key!r}")
-            if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
-                raise ConfigError(f"config.tolerances.{key}: expected a number")
-        return Tolerances(**{k: float(v) for k, v in raw.items()})
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    n_starts: int = 64
-    max_evals: int = 5000
-    simplex_tol: float = 1e-9
-    penalty_weight: float = 1e4
-    tie_tol: float = 1e-6
-    mixed_states: bool = False
 
 
 @dataclass(frozen=True)
@@ -70,7 +39,7 @@ class ExperimentConfig:
     seed: int = 0
     x_true: float = 0.3
     n_list: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    solver: SolverOptions = SolverOptions()
+    solver: SearchConfig = SearchConfig()
     tolerances: Tolerances = Tolerances()
     output_format: str | None = None
     output_path: str | None = None
@@ -167,7 +136,7 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
     n_list = tuple(_check_int(v, "config.n_list[*]", minimum=1) for v in n_list_raw)
 
     solver_opts = _normalize_solver(raw.get("solver"))
-    tolerances = Tolerances.from_mapping(raw.get("tolerances"))
+    tolerances = _normalize_tolerances(raw.get("tolerances"))
 
     output_format, output_path = _normalize_output(raw.get("output"))
 
@@ -217,14 +186,16 @@ def _normalize_state(raw) -> dict | None:
     return dict(raw)
 
 
-def _normalize_solver(raw) -> SolverOptions:
+#: SearchConfig's ``residual_tol`` and ``seed`` come from the tolerances and seed.
+_SOLVER_KEYS = ("n_starts", "max_evals", "simplex_tol", "penalty_weight", "tie_tol", "mixed_states")
+
+
+def _normalize_solver(raw) -> SearchConfig:
     if raw is None:
-        return SolverOptions()
+        return SearchConfig()
     _require(isinstance(raw, dict), "config.solver: expected an object")
-    known = {f.name for f in fields(SolverOptions)}
     for key in raw:
-        _require(key in known, f"config.solver: unknown field {key!r}")
-    opts = SolverOptions()
+        _require(key in _SOLVER_KEYS, f"config.solver: unknown field {key!r}")
     updates: dict[str, Any] = {}
     for key, value in raw.items():
         if key in ("n_starts", "max_evals"):
@@ -234,7 +205,19 @@ def _normalize_solver(raw) -> SolverOptions:
             updates[key] = value
         else:
             updates[key] = _check_number(value, f"config.solver.{key}")
-    return replace(opts, **updates)
+    return replace(SearchConfig(), **updates)
+
+
+def _normalize_tolerances(raw) -> Tolerances:
+    if raw is None:
+        return Tolerances()
+    _require(isinstance(raw, dict), "config.tolerances: expected an object")
+    known = {f.name for f in fields(Tolerances)}
+    for key in raw:
+        _require(key in known, f"config.tolerances: unknown field {key!r}")
+    return Tolerances(
+        **{key: _check_number(value, f"config.tolerances.{key}") for key, value in raw.items()}
+    )
 
 
 def _normalize_output(raw) -> tuple[str | None, str | None]:
@@ -267,9 +250,12 @@ def basis_from_config(cfg: ExperimentConfig, n: int | None = None) -> dynamics.R
 
 
 def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:
+    """The configured probe; ``tolerances.psd_min_eigenvalue`` applies to the
+    kinds built from config numbers: bloch, two_qubit_entangling and file."""
     spec = cfg.state or {"kind": "optimal_single_tensor"}
     kind = spec["kind"]
     n = cfg.n_qubits
+    psd = cfg.tolerances.psd_min_eigenvalue
     if kind == "optimal_single_tensor":
         single = states.optimal_single_qubit(int(spec.get("sign", 1)))
         return states.tensor_power(single, n, cap=cfg.max_qubits)
@@ -278,16 +264,17 @@ def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:
     if kind == "two_qubit_entangling":
         _require(n == 2, "config.state: two_qubit_entangling requires n_qubits = 2")
         return states.two_qubit_entangling_candidate(
-            float(spec.get("c11", 0.0)), float(spec.get("c23", 0.0)), float(spec.get("c32", 0.0))
+            float(spec.get("c11", 0.0)), float(spec.get("c23", 0.0)), float(spec.get("c32", 0.0)),
+            min_eigenvalue=psd,
         )
     if kind == "bloch":
-        return states.from_bloch(spec["a"], spec.get("b"), spec.get("c"))
+        return states.from_bloch(spec["a"], spec.get("b"), spec.get("c"), min_eigenvalue=psd)
     if kind == "file":
-        return _state_from_file(spec["path"], n)
+        return _state_from_file(spec["path"], n, psd)
     raise ConfigError(f"config.state.kind: unsupported kind {kind!r}")
 
 
-def _state_from_file(path: str, n_qubits: int) -> states.DensityMatrix:
+def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.DensityMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -308,7 +295,7 @@ def _state_from_file(path: str, n_qubits: int) -> states.DensityMatrix:
     imag = np.asarray(payload.get("matrix_imag", np.zeros_like(real)), dtype=float)
     _require(real.shape == imag.shape, "state file: real and imaginary shapes differ")
     matrix = real + 1j * imag
-    rho = states.density_matrix(matrix)
+    rho = states.density_matrix(matrix, min_eigenvalue=min_eigenvalue)
     _require(
         rho.n_qubits == n_qubits,
         f"state file: {rho.n_qubits}-qubit state but config.n_qubits = {n_qubits}",

@@ -19,8 +19,8 @@ E (L - Re(ratio)) rho = 0 for every outcome.  Both conditions are measured by
 Every per-outcome number here is a readout diagonal <k|A|k> taken by
 :meth:`ReadoutBasis.diagonal`: O(d^2) for the per-qubit |+>/|-> readout, one
 d^3 BLAS product for any other basis.  The SLD itself costs one d x d
-eigendecomposition; callers that need it more than once build it with
-:func:`sld_from_state` and pass it on through the ``sld`` arguments.
+eigendecomposition.  :func:`analyze` computes all of the above for one probe
+from one derivative, one SLD and one spectrum, under one :class:`Tolerances`.
 """
 
 from __future__ import annotations
@@ -30,29 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReadoutBasis
+from .dynamics import Generator, ReadoutBasis, state_derivative
 from .errors import (
     DimensionError,
     SingularOutcomeError,
     SLDInconsistencyError,
     UndefinedLambdaError,
 )
-from .operators import hermitian_eigen, is_hermitian
+from .operators import Tolerances, hermitian_eigen, is_hermitian
 from .states import DensityMatrix
 
 EIGENBASIS_FORMULA = "eigenbasis-formula"
 READOUT_DIAGONAL = "readout-diagonal"
-
-#: p_j + p_k at or below this is treated as the kernel of the defining equation.
-KERNEL_TOL = 1e-10
-
-#: Residual thresholds: defining equation and saturation flags.
-SLD_RESIDUAL_TOL = 1e-8
-SATURATION_TOL = 1e-8
-
-#: Probabilities at or below this are "zero" for lambda ratios and Fisher sums.
-PROBABILITY_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class SLDResult:
@@ -104,13 +93,17 @@ class SaturationReport:
 
 
 def sld_from_state(
-    rho: DensityMatrix, rho_prime: np.ndarray, tol: float = KERNEL_TOL
+    rho: DensityMatrix,
+    rho_prime: np.ndarray,
+    tol: float = Tolerances.kernel_tol,
+    *,
+    residual_tol: float = Tolerances.sld_residual,
 ) -> SLDResult:
     """Solve (L rho + rho L)/2 = rho_prime for Hermitian L.
 
     ``tol`` is the kernel threshold on eigenvalue sums p_j + p_k.  Raises
     :class:`SLDInconsistencyError` if the defining equation cannot be met to
-    within ``SLD_RESIDUAL_TOL`` after kernel handling (the derivative then has
+    within ``residual_tol`` after kernel handling (the derivative then has
     support where the state has none).
     """
     rho_prime = np.asarray(rho_prime, dtype=complex)
@@ -132,10 +125,10 @@ def sld_from_state(
     residual = float(
         np.linalg.norm(0.5 * (l_op @ rho.matrix + rho.matrix @ l_op) - rho_prime)
     )
-    if residual > SLD_RESIDUAL_TOL:
+    if residual > residual_tol:
         raise SLDInconsistencyError(
             f"defining-equation residual {residual:.3e} exceeds "
-            f"{SLD_RESIDUAL_TOL:.1e}: derivative has support outside the state"
+            f"{residual_tol:.1e}: derivative has support outside the state"
         )
     return SLDResult(
         operator=l_op, route=EIGENBASIS_FORMULA, kernel_dim=int(np.sum(kernel))
@@ -171,7 +164,7 @@ def lambda_spectrum(
     rho_prime: np.ndarray,
     l_op: np.ndarray,
     *,
-    probability_floor: float = PROBABILITY_FLOOR,
+    probability_floor: float = Tolerances.probability_floor,
 ) -> LambdaSpectrum:
     """Per-outcome ratios tr(E L rho) / tr(E rho), kept complex.
 
@@ -216,13 +209,14 @@ def check_saturation(
     rho: DensityMatrix,
     rho_prime: np.ndarray,
     *,
-    tol: float = SATURATION_TOL,
+    tol: float = Tolerances.saturation,
     sld: SLDResult | None = None,
+    spectrum: LambdaSpectrum | None = None,
 ) -> SaturationReport:
     """Evaluate both saturation conditions for a fixed projective readout.
 
-    Takes L from ``sld``, or builds it from the state and derivative with the
-    default kernel threshold, then measures (a) the largest
+    Takes L from ``sld`` and the ratios from ``spectrum``, or builds them with
+    the default thresholds, then measures (a) the largest
     imaginary part of tr(rho E L) over outcomes and (b) the projector
     compatibility residual sqrt(sum_outcomes ||E (L - Re(1/lambda)) rho||_F^2),
     which vanishes exactly when the readout projects onto an eigenbasis of an
@@ -230,7 +224,8 @@ def check_saturation(
     """
     if sld is None:
         sld = sld_from_state(rho, rho_prime)
-    spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
+    if spectrum is None:
+        spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
     kets = basis.kets
     l_rho = sld.operator @ rho.matrix
     # tr(rho E L) = <theta| L rho |theta> by cyclicity.
@@ -253,7 +248,7 @@ def classical_fisher(
     rho: DensityMatrix,
     rho_prime: np.ndarray,
     *,
-    probability_floor: float = PROBABILITY_FLOOR,
+    probability_floor: float = Tolerances.probability_floor,
 ) -> float:
     """F = sum over outcomes of (dp/dx)^2 / p with dp/dx = tr(E rho').
 
@@ -300,3 +295,36 @@ def cramer_rao_bound(fisher: float, repetitions: int = 1) -> float:
     if fisher <= 0.0:
         return math.inf
     return 1.0 / math.sqrt(repetitions * fisher)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Both Fisher informations, the spectrum and the saturation of one probe."""
+
+    classical_fisher: float
+    quantum_fisher: float
+    spectrum: LambdaSpectrum
+    saturation: SaturationReport
+
+
+def analyze(
+    generator: Generator, state: DensityMatrix, basis: ReadoutBasis, tol: Tolerances = Tolerances()
+) -> Analysis:
+    """One pass over a probe: one derivative, one SLD and one spectrum.
+
+    Raises what the parts raise, in this order: a divergent classical Fisher
+    sum, an inconsistent SLD, then an undefined or inconsistent ratio.
+    """
+    rho_prime = state_derivative(generator, state)
+    floor = tol.probability_floor
+    f_classical = classical_fisher(basis, state, rho_prime, probability_floor=floor)
+    sld = sld_from_state(state, rho_prime, tol=tol.kernel_tol, residual_tol=tol.sld_residual)
+    spectrum = lambda_spectrum(basis, state, rho_prime, sld.operator, probability_floor=floor)
+    return Analysis(
+        classical_fisher=f_classical,
+        quantum_fisher=quantum_fisher(state, rho_prime, sld=sld),
+        spectrum=spectrum,
+        saturation=check_saturation(
+            basis, state, rho_prime, tol=tol.saturation, sld=sld, spectrum=spectrum
+        ),
+    )

@@ -36,8 +36,8 @@ from .dynamics import (
     state_derivative,
 )
 from .errors import DegenerateModelError, DimensionError, ValidationError
-from .fisher import classical_fisher, cramer_rao_bound, quantum_fisher
-from .operators import hermitian_eigen
+from .fisher import analyze, classical_fisher, cramer_rao_bound
+from .operators import Tolerances, hermitian_eigen
 from .states import DensityMatrix, cat_state, optimal_single_qubit, tensor_power
 
 #: Classical Fisher information below this leaves the model unidentifiable.
@@ -55,6 +55,14 @@ class ShotCounts:
     total: int
 
 
+def _draw_counts(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome counts of the uniforms ``u``: outcome k for each u in
+    [cum[k-1], cum[k]) of the cumulative table cum of ``probs``."""
+    cum = np.cumsum(probs / probs.sum())
+    cum[-1] = 1.0
+    return np.bincount(np.searchsorted(cum, u, side="right"), minlength=len(cum))
+
+
 def sample_readout(
     state_at_x: DensityMatrix, basis: ReadoutBasis, shots: int, seed: int
 ) -> ShotCounts:
@@ -62,9 +70,7 @@ def sample_readout(
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     probs = probability_vector(basis, state_at_x)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs)
+    drawn = _draw_counts(probs, np.random.default_rng(seed).random(shots))
     return ShotCounts(
         counts={label: int(c) for label, c in zip(basis.labels, drawn)},
         total=int(shots),
@@ -248,23 +254,14 @@ def uncertainty_run(
         search_interval = (x_true - math.pi / 2.0, x_true + math.pi / 2.0)
     machine = _LikelihoodMachine(model, search_interval, grid_points)
     offsets = (x_true - slope_step, x_true, x_true + slope_step)
-    cumulative = []
-    for x in offsets:
-        p = model.probabilities(x)
-        cum = np.cumsum(p / p.sum())
-        cum[-1] = 1.0
-        cumulative.append(cum)
-    n_outcomes = len(model.labels)
+    probs = [model.probabilities(x) for x in offsets]
     estimates = np.empty((3, trials))
     base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(base + [t]))
         u = rng.random(shots)
-        for i, cum in enumerate(cumulative):
-            counts = np.bincount(
-                np.searchsorted(cum, u, side="right"), minlength=n_outcomes
-            ).astype(float)
-            estimates[i, t] = machine.estimate(counts)
+        for i, p in enumerate(probs):
+            estimates[i, t] = machine.estimate(_draw_counts(p, u).astype(float))
     slope = float(
         (np.mean(estimates[2]) - np.mean(estimates[0])) / (2.0 * slope_step)
     )
@@ -315,11 +312,13 @@ def scaling_experiment(
     *,
     x_true: float = 0.3,
     sign: int = +1,
+    tol: Tolerances = Tolerances(),
 ) -> list[ScalingRow]:
     """Fisher information and empirical uncertainty across probe sizes.
 
     ``sign`` selects the family member: the tensor power of
     (1 + sign*sigma_2)/2, or the cat state with relative sign ``sign``.
+    Each probe is analyzed with :func:`~probelab.fisher.analyze` under ``tol``.
 
     Rows whose readout carries no information (classical Fisher information at
     the preparation point ~ 0) are flagged degenerate: their bound is infinite
@@ -335,9 +334,8 @@ def scaling_experiment(
             generator = nonentangling_generator(n)
         state = _family_state(state_family, n, sign)
         basis = product_pm_readout(n)
-        rho_prime = state_derivative(generator, state)
-        f_classical = classical_fisher(basis, state, rho_prime)
-        f_quantum = quantum_fisher(state, rho_prime)
+        analysis = analyze(generator, state, basis, tol)
+        f_classical, f_quantum = analysis.classical_fisher, analysis.quantum_fisher
         bound = cramer_rao_bound(f_classical, shots) if f_classical > FISHER_FLOOR else math.inf
         if f_classical <= FISHER_FLOOR:
             rows.append(

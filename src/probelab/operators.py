@@ -23,6 +23,32 @@ from .errors import DimensionError, ValidationError
 #: Largest probe size handled by dense constructors (2**10 = 1024 dims).
 MAX_QUBITS = 10
 
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Every threshold the tool applies, with its default.
+
+    It lives here, below every other module, so that each can import it.
+    Functions take the value they need as a keyword defaulting to the class
+    attribute; whole-task entry points take the object.
+
+    * ``kernel_tol``: SLD eigenvalue sums p_j + p_k at or below this are the
+      kernel of the defining equation.
+    * ``sld_residual``: largest accepted residual of the SLD equation.
+    * ``saturation``: largest saturation residuals (im-condition, diagonal).
+    * ``solution_residual``: largest accepted optimality-equation residual.
+    * ``psd_min_eigenvalue``: smallest eigenvalue a state may have.
+    * ``probability_floor``: outcome probabilities at or below this are zero.
+    """
+
+    kernel_tol: float = 1e-10
+    sld_residual: float = 1e-8
+    saturation: float = 1e-8
+    solution_residual: float = 1e-7
+    psd_min_eigenvalue: float = -1e-9
+    probability_floor: float = 1e-12
+
+
 _PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

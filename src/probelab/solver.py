@@ -31,16 +31,9 @@ from .dynamics import (
     entangling_generator,
     nonentangling_generator,
     product_pm_readout,
-    state_derivative,
 )
 from .errors import DimensionError, UnsupportedClosedFormError, ValidationError
-from .fisher import (
-    LambdaSpectrum,
-    check_saturation,
-    sld_from_spectrum,
-    sld_from_state,
-    lambda_spectrum,
-)
+from .fisher import LambdaSpectrum, analyze, sld_from_spectrum
 from .states import (
     BlochCoefficients,
     DensityMatrix,
@@ -54,8 +47,8 @@ from .states import (
 CLOSED_FORM = "closed-form"
 NUMERIC_SEARCH = "numeric-search"
 
-#: Default acceptance threshold on the operator-equation residual.
-SOLUTION_RESIDUAL_TOL = 1e-7
+#: Decimals of the Pauli coefficients that key duplicate search solutions.
+DEDUP_DECIMALS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +431,7 @@ def closed_form_solution(
     )
 
 
-def _require_verified(solution: Solution, tol: float = SOLUTION_RESIDUAL_TOL) -> None:
+def _require_verified(solution: Solution, tol: float = ops.Tolerances.solution_residual) -> None:
     if solution.residual > tol:
         raise ValidationError(
             f"closed-form solution failed verification: residual "
@@ -474,17 +467,14 @@ def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport
     state = tensor_power(optimal_single_qubit(+1), n, cap)
     generator = entangling_generator(n, cap)
     basis = product_pm_readout(n, cap)
-    rho_prime = state_derivative(generator, state)
-    sld = sld_from_state(state, rho_prime)
-    spectrum = lambda_spectrum(basis, state, rho_prime, sld.operator)
-    mask = ~np.array(spectrum.unconstrained)
-    values = spectrum.values[mask]
-    report = check_saturation(basis, state, rho_prime, sld=sld)
+    analysis = analyze(generator, state, basis)
+    spectrum = analysis.spectrum
+    values = spectrum.values[~np.array(spectrum.unconstrained)]
     return ParityReport(
         n_qubits=n,
         max_abs_real=float(np.max(np.abs(np.real(values)))),
         max_abs_imag=float(np.max(np.abs(np.imag(values)))),
-        saturated=report.saturated,
+        saturated=analysis.saturation.saturated,
         spectrum=spectrum,
     )
 
@@ -496,15 +486,15 @@ def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the multi-start search; every constant is overridable."""
+    """Settings of the multi-start search: the config's ``solver`` block, plus
+    ``residual_tol`` (``tolerances.solution_residual``) and the config seed."""
 
     n_starts: int = 64
     max_evals: int = 5000
     simplex_tol: float = 1e-9
     penalty_weight: float = 1e4
-    residual_tol: float = SOLUTION_RESIDUAL_TOL
+    residual_tol: float = ops.Tolerances.solution_residual
     tie_tol: float = 1e-6
-    round_decimals: int = 6
     mixed_states: bool = False
     seed: int = 0
 
@@ -667,7 +657,7 @@ def search_optimal_state(
             spectrum.real_values(), spectrum.unconstrained,
         )
         key = tuple(
-            round(c, config.round_decimals)
+            round(c, DEDUP_DECIMALS)
             for c in _full_coefficient_vector(state)
         )
         existing = found.get(key)

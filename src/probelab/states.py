@@ -14,9 +14,6 @@ import numpy as np
 from . import operators as ops
 from .errors import DimensionError, PSDViolationError, ValidationError
 
-#: Smallest eigenvalue tolerated before a state is rejected as non-PSD.
-PSD_MIN_EIGENVALUE = -1e-9
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -42,7 +39,7 @@ def density_matrix(
     *,
     hermitian_atol: float = 1e-10,
     trace_atol: float = 1e-10,
-    min_eigenvalue: float = PSD_MIN_EIGENVALUE,
+    min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue,
 ) -> DensityMatrix:
     """Validate a matrix as a density matrix and wrap it.
 
@@ -135,7 +132,7 @@ def hermitian_from_bloch(coeffs: BlochCoefficients) -> np.ndarray:
 
 
 def from_bloch(
-    a, b=None, c=None, *, min_eigenvalue: float = PSD_MIN_EIGENVALUE
+    a, b=None, c=None, *, min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue
 ) -> DensityMatrix:
     """Build a state from Bloch coefficients; rejects PSD violations."""
     coeffs = BlochCoefficients(
@@ -184,7 +181,9 @@ def cat_state(n: int, sign: int = +1, cap: int = ops.MAX_QUBITS) -> DensityMatri
     return pure_state(ket)
 
 
-def two_qubit_entangling_candidate(c11: float, c23: float, c32: float) -> DensityMatrix:
+def two_qubit_entangling_candidate(
+    c11: float, c23: float, c32: float, *, min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue
+) -> DensityMatrix:
     """Two-qubit state (1x1 + c11 XX + c23 YZ + c32 ZY) / 4.
 
     Pure exactly when c11 = c23 = c32 = 1 (or the sign-flipped variant with
@@ -194,7 +193,7 @@ def two_qubit_entangling_candidate(c11: float, c23: float, c32: float) -> Densit
     c[0, 0] = c11
     c[1, 2] = c23
     c[2, 1] = c32
-    return from_bloch(np.zeros(3), np.zeros(3), c)
+    return from_bloch(np.zeros(3), np.zeros(3), c, min_eigenvalue=min_eigenvalue)
 
 
 def random_pure_state(

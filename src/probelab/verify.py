@@ -240,18 +240,13 @@ def _check_single_qubit_sld() -> CheckResult:
 def _check_single_qubit_lambda() -> CheckResult:
     gen = dynamics.nonentangling_generator(1)
     basis = dynamics.product_pm_readout(1)
-    rho = states.optimal_single_qubit(+1)
-    rho_prime = dynamics.state_derivative(gen, rho)
-    l_op = fisher.sld_from_state(rho, rho_prime).operator
-    spectrum = fisher.lambda_spectrum(basis, rho, rho_prime, l_op)
-    f_c = fisher.classical_fisher(basis, rho, rho_prime)
-    f_q = fisher.quantum_fisher(rho, rho_prime)
-    report = fisher.check_saturation(basis, rho, rho_prime)
+    analysis = fisher.analyze(gen, states.optimal_single_qubit(+1), basis)
+    spectrum, report = analysis.spectrum, analysis.saturation
     err = max(
         abs(spectrum["+"] - (-1.0)),
         abs(spectrum["-"] - 1.0),
-        abs(f_c - 1.0),
-        abs(f_q - 1.0),
+        abs(analysis.classical_fisher - 1.0),
+        abs(analysis.quantum_fisher - 1.0),
         report.im_condition_max,
         report.diagonal_residual,
     )
@@ -317,11 +312,11 @@ def _check_fisher_scaling() -> CheckResult:
         gen = dynamics.nonentangling_generator(n)
         basis = dynamics.product_pm_readout(n)
         rho = states.tensor_power(states.optimal_single_qubit(+1), n)
-        rho_prime = dynamics.state_derivative(gen, rho)
-        f_c = fisher.classical_fisher(basis, rho, rho_prime)
-        f_q = fisher.quantum_fisher(rho, rho_prime)
-        worst = max(worst, abs(f_c - n), abs(f_q - n))
-        saturated_all &= fisher.check_saturation(basis, rho, rho_prime).saturated
+        analysis = fisher.analyze(gen, rho, basis)
+        worst = max(
+            worst, abs(analysis.classical_fisher - n), abs(analysis.quantum_fisher - n)
+        )
+        saturated_all &= analysis.saturation.saturated
     return _result(
         "fisher-scaling-product-states", worst <= 1e-8 and saturated_all,
         "classical and quantum Fisher information both equal n, saturated",

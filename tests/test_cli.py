@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from probelab import cli, dynamics, fisher, montecarlo, operators, states
+from probelab import cli, dynamics, fisher, montecarlo, operators, solver, states
 from probelab.config import parse_config_text
+from probelab.operators import Tolerances
 from probelab.report import round_float
 from probelab.errors import ConfigError
 
@@ -45,6 +47,74 @@ def test_config_tolerance_overrides():
     assert cfg.tolerances.kernel_tol == 1e-10  # untouched default
     with pytest.raises(ConfigError, match="tolerances: unknown field"):
         parse_config_text('{"tolerances": {"wobble": 1}}', task="fisher")
+
+
+def test_config_solver_block_parses_into_search_config():
+    block = {"n_starts": 3, "max_evals": 40, "simplex_tol": -1, "penalty_weight": 5,
+             "tie_tol": 0.5, "mixed_states": True}
+    cfg = parse_config_text(json.dumps({"solver": block}), task="solve")
+    assert cfg.solver == solver.SearchConfig(**block)
+    assert isinstance(cfg.solver.simplex_tol, float)
+    # residual_tol and seed come from the tolerances and the seed; the dedup
+    # rounding is a module constant.
+    for key in ("residual_tol", "seed", "round_decimals"):
+        with pytest.raises(ConfigError, match=f"config.solver: unknown field '{key}'"):
+            parse_config_text(json.dumps({"solver": {key: 1}}), task="solve")
+    with pytest.raises(ConfigError, match="config.solver.n_starts: must be >= 1"):
+        parse_config_text('{"solver": {"n_starts": 0}}', task="solve")
+    with pytest.raises(ConfigError, match="config.solver.mixed_states: expected a boolean"):
+        parse_config_text('{"solver": {"mixed_states": 1}}', task="solve")
+
+
+_SCALING = {"n_list": [1, 2], "shots": 200, "trials": 10, "seed": 1}
+
+#: For each Tolerances field, an extreme value and a task whose report or exit
+#: code it must change.
+EXTREME_TOLERANCES = [
+    ("kernel_tol", 1.5, "scaling", _SCALING),
+    ("sld_residual", 1e-30, "fisher", {"n_qubits": 1}),
+    ("saturation", -1.0, "fisher", {"n_qubits": 2}),
+    ("solution_residual", -1.0, "solve",
+     {"n_qubits": 1, "seed": 3, "solver": {"n_starts": 2, "max_evals": 200}}),
+    ("psd_min_eigenvalue", 0.5, "fisher",
+     {"n_qubits": 1, "state": {"kind": "bloch", "a": [0, 1, 0]}}),
+    ("probability_floor", 0.6, "scaling", _SCALING),
+    ("probability_floor", 0.3, "fisher",
+     {"n_qubits": 3, "generator": "entangling", "state": "cat"}),
+]
+
+
+def test_extreme_tolerance_table_covers_every_field():
+    assert {row[0] for row in EXTREME_TOLERANCES} == {f.name for f in fields(Tolerances)}
+
+
+@pytest.mark.parametrize("field, value, command, config", EXTREME_TOLERANCES)
+def test_every_tolerance_changes_a_report(tmp_path, capsys, field, value, command, config):
+    def outcome(payload):
+        code, out, _ = run_cli(capsys, [command, write_config(tmp_path, payload), "--format", "json"])
+        return code, json.loads(out)["result"] if code == 0 else None
+
+    assert outcome({**config, "tolerances": {field: value}}) != outcome(config)
+
+
+def test_psd_threshold_applies_to_every_state_built_from_config_numbers(tmp_path, capsys):
+    ket = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    matrix = np.outer(ket, ket.conj())
+    state_path = tmp_path / "state.json"
+    state_path.write_text(
+        json.dumps({"matrix_real": matrix.real.tolist(), "matrix_imag": matrix.imag.tolist()})
+    )
+    for n, state in (
+        (1, {"kind": "bloch", "a": [0, 1, 0]}),
+        (2, {"kind": "two_qubit_entangling", "c11": 1, "c23": 1, "c32": 1}),
+        (1, {"kind": "file", "path": str(state_path)}),
+    ):
+        config = {"n_qubits": n, "generator": "entangling", "state": state}
+        code, _, _ = run_cli(capsys, ["fisher", write_config(tmp_path, config)])
+        assert code == 0
+        config["tolerances"] = {"psd_min_eigenvalue": 0.5}
+        code, out, err = run_cli(capsys, ["fisher", write_config(tmp_path, config)])
+        assert code == 2 and out == "" and "positive semidefinite" in err
 
 
 def test_scaling_json_format(tmp_path, capsys):
@@ -184,13 +254,13 @@ def test_simulate_applies_probability_floor(tmp_path, capsys):
 )
 def test_scaling_builds_the_configured_sign(tmp_path, capsys, monkeypatch, family, generator, build):
     probes = []
-    original = montecarlo.quantum_fisher
+    original = montecarlo.analyze
 
-    def spy(rho, rho_prime, **kwargs):
-        probes.append(rho.matrix)
-        return original(rho, rho_prime, **kwargs)
+    def spy(generator, state, basis, tol):
+        probes.append(state.matrix)
+        return original(generator, state, basis, tol)
 
-    monkeypatch.setattr(montecarlo, "quantum_fisher", spy)
+    monkeypatch.setattr(montecarlo, "analyze", spy)
     path = write_config(
         tmp_path,
         {"n_list": [2, 3], "generator": generator, "state": {"kind": family, "sign": -1},

@@ -217,3 +217,21 @@ def test_cramer_rao_bound():
     assert np.isinf(fisher.cramer_rao_bound(0.0, 5))
     with pytest.raises(ValueError):
         fisher.cramer_rao_bound(1.0, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_analyze_matches_its_parts(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed
+    rho = states.random_mixed_state(n, rng) if seed else states.optimal_single_qubit(+1)
+    gen = dynamics.entangling_generator(n)
+    basis = dynamics.product_pm_readout(n)
+    rho_prime = dynamics.state_derivative(gen, rho)
+    sld = fisher.sld_from_state(rho, rho_prime)
+    spectrum = fisher.lambda_spectrum(basis, rho, rho_prime, sld.operator)
+    analysis = fisher.analyze(gen, rho, basis)
+    assert analysis.classical_fisher == fisher.classical_fisher(basis, rho, rho_prime)
+    assert analysis.quantum_fisher == fisher.quantum_fisher(rho, rho_prime)
+    assert np.array_equal(analysis.spectrum.values, spectrum.values)
+    assert analysis.spectrum.unconstrained == spectrum.unconstrained
+    assert analysis.saturation == fisher.check_saturation(basis, rho, rho_prime)
