@@ -158,7 +158,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
     search_cfg = replace(
-        cfg.solver, residual_tol=cfg.tolerances.solution_residual, seed=cfg.seed
+        cfg.solver,
+        residual_tol=cfg.tolerances.solution_residual,
+        psd_min_eigenvalue=cfg.tolerances.psd_min_eigenvalue,
+        seed=cfg.seed,
     )
     outcome = search_optimal_state(generator, basis, cfg.n_qubits, search_cfg)
     solutions = []

@@ -7,7 +7,20 @@ E(outcome) and the per-outcome inverse eigenvalues u = 1/lambda together:
 
 For a fixed state the equation is linear in the u, so the inner problem is an
 exact least-squares solve; the outer search over pure states is a seeded
-multi-start simplex method.  For two qubits the equation is equivalent to
+multi-start simplex method.
+
+For a pure probe psi the least squares has a closed form in the readout
+amplitudes phi = V^dagger psi and chi = V^dagger H psi:
+u_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2 = p'_k / p_k, the classical score,
+so the diagonal QFI tr(L^2 rho) = sum_k u_k^2 p_k of a pure probe is the
+classical Fisher information of the readout.  The residual is taken as the
+sum of two non-negative terms, so it keeps its digits near a solution.  The
+search objective uses this form: one O(d^2) matvec and O(d) work per
+evaluation, against the dense route's (2 d^2 x d) least squares and d x d
+products.  The dense route (``_lstsq_lambdas``) checks each start's end point,
+serves ``solve_lambdas_given_state`` and the mixed-state search.
+
+For two qubits the equation is equivalent to
 sixteen bilinear relations between the K combinations of the u and the Pauli
 coefficients (a_i, b_j, c_ij) of the state; both the explicit sixteen-equation
 systems and the dense operator route are implemented so each can check the
@@ -16,6 +29,7 @@ other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -294,6 +308,45 @@ def _lstsq_lambdas(
     return u, unconstrained, residual
 
 
+def _amplitude_map(basis: ReadoutBasis, generator: Generator) -> np.ndarray:
+    """V^dagger stacked over V^dagger H: one matvec gives (phi, chi) of a ket."""
+    kets_h = basis.kets.conj().T
+    return np.vstack([kets_h, kets_h @ generator.matrix])
+
+
+def _pure_state_score(
+    ket: np.ndarray, amplitude_map: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Closed-form least squares of the equation for the pure state |ket><ket|.
+
+    Returns (u, unconstrained mask, diagonal QFI, residual), the values
+    ``_lstsq_lambdas`` and ``_diagonal_qfi`` give for rho = |ket><ket|, in
+    O(d^2) and without forming rho.  With phi = V^dagger ket and
+    chi = V^dagger H ket the normal equations are solved by the classical
+    score u_k = p'_k / p_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2, so the QFI
+    sum_k u_k^2 p_k is the classical Fisher information of the readout.  With
+    a = u phi / 2 + i chi and c = phi^dagger a the residual operator is
+    a phi^dagger + phi a^dagger, whose squared norm is taken as
+    4 Re(c)^2 + 2 |a - c phi|^2: both terms are non-negative, so no digits
+    cancel near a solution.
+    """
+    dim = ket.shape[0]
+    amplitudes = amplitude_map @ ket
+    phi, chi = amplitudes[:dim], amplitudes[dim:]
+    phi_c = phi.conj()
+    p = (phi_c * phi).real
+    # ||(E_k rho + rho E_k) / 2||_F, the column norm of the dense system
+    col_norms = np.sqrt(0.5 * (p + p * p))
+    unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
+    u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(dim), where=~unconstrained)
+    qfi = float(u * u @ p)
+    a = 0.5 * u * phi + 1j * chi
+    c = phi_c @ a
+    perp = a - c * phi
+    residual = math.sqrt(4.0 * c.real * c.real + 2.0 * (perp.conj() @ perp).real)
+    return u, unconstrained, qfi, residual
+
+
 def solve_lambdas_given_state(
     state: DensityMatrix, basis: ReadoutBasis, generator: Generator
 ) -> tuple[LambdaSpectrum, float]:
@@ -326,8 +379,8 @@ class Solution:
 
 
 def _diagonal_qfi(basis: ReadoutBasis, u: np.ndarray, rho: np.ndarray) -> float:
-    l_op = (basis.kets * u) @ basis.kets.conj().T
-    return float(np.real(np.trace(l_op @ l_op @ rho)))
+    """tr(L^2 rho) for L = sum_k u_k E_k, as sum_k u_k^2 Re<k|rho|k>."""
+    return float(u * u @ np.real(basis.diagonal(rho)))
 
 
 def _solution_from_state(
@@ -487,13 +540,16 @@ def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of the multi-start search: the config's ``solver`` block, plus
-    ``residual_tol`` (``tolerances.solution_residual``) and the config seed."""
+    ``residual_tol`` (``tolerances.solution_residual``), ``psd_min_eigenvalue``
+    (``tolerances.psd_min_eigenvalue``, applied to each start's end point) and
+    the config seed."""
 
     n_starts: int = 64
     max_evals: int = 5000
     simplex_tol: float = 1e-9
     penalty_weight: float = 1e4
     residual_tol: float = ops.Tolerances.solution_residual
+    psd_min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue
     tie_tol: float = 1e-6
     mixed_states: bool = False
     seed: int = 0
@@ -524,14 +580,10 @@ class SearchResult:
 
 def _state_from_angles(params: np.ndarray, dim: int) -> np.ndarray:
     thetas = params[: dim - 1]
-    phis = params[dim - 1 :]
-    amps = np.empty(dim)
-    running = 1.0
-    for k in range(dim - 1):
-        amps[k] = running * np.cos(thetas[k])
-        running *= np.sin(thetas[k])
-    amps[dim - 1] = running
-    phases = np.exp(1j * np.concatenate([[0.0], phis]))
+    # amplitude k is cos(theta_k) times the running product of sin(theta_j), j < k
+    running = np.cumprod(np.concatenate(([1.0], np.sin(thetas))))
+    amps = running * np.concatenate((np.cos(thetas), [1.0]))
+    phases = np.exp(1j * np.concatenate(([0.0], params[dim - 1 :])))
     return amps * phases
 
 
@@ -586,7 +638,10 @@ def search_optimal_state(
 
     Multi-start penalized simplex search: the outer loop walks pure-state
     angles (2**(n+1) - 2 of them), the inner step solves the eigenvalues
-    exactly by least squares.  Starts draw seeded random states, so results
+    exactly by least squares (in closed form for pure states, densely with
+    ``mixed_states``); each start's end point is re-checked by the dense
+    least squares and must pass ``psd_min_eigenvalue`` and ``residual_tol``
+    to count as a solution.  Starts draw seeded random states, so results
     are reproducible and independent of any parallel scheduling; ties within
     ``tie_tol`` of the best objective are all reported, sorted by their
     rounded Pauli coefficients.  Global optimality is never claimed.
@@ -602,23 +657,28 @@ def search_optimal_state(
         def build(params: np.ndarray) -> np.ndarray:
             return _mixed_state_matrix(params, n_qubits)
 
+        def objective(params: np.ndarray) -> float:
+            rho = build(params)
+            penalty = 0.0
+            smallest = float(np.linalg.eigvalsh(rho)[0])
+            if smallest < 0.0:
+                penalty += 1e6 * smallest * smallest
+            u, _, residual = _lstsq_lambdas(rho, basis, generator)
+            qfi = _diagonal_qfi(basis, u, rho)
+            return -qfi + config.penalty_weight * residual * residual + penalty
+
     else:
         n_params = 2 * dim - 2
+        amplitude_map = _amplitude_map(basis, generator)
 
         def build(params: np.ndarray) -> np.ndarray:
             ket = _state_from_angles(params, dim)
             return np.outer(ket, ket.conj())
 
-    def objective(params: np.ndarray) -> float:
-        rho = build(params)
-        penalty = 0.0
-        if config.mixed_states:
-            smallest = float(np.linalg.eigvalsh(rho)[0])
-            if smallest < 0.0:
-                penalty += 1e6 * smallest * smallest
-        u, _, residual = _lstsq_lambdas(rho, basis, generator)
-        qfi = _diagonal_qfi(basis, u, rho)
-        return -qfi + config.penalty_weight * residual * residual + penalty
+        def objective(params: np.ndarray) -> float:
+            ket = _state_from_angles(params, dim)
+            _, _, qfi, residual = _pure_state_score(ket, amplitude_map)
+            return -qfi + config.penalty_weight * residual * residual
 
     rng_root = np.random.SeedSequence(config.seed)
     found: dict[tuple, Solution] = {}
@@ -645,7 +705,7 @@ def search_optimal_state(
         if config.mixed_states:
             rho = _shrink_to_psd(rho)
         try:
-            state = density_matrix(rho)
+            state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue)
         except ValidationError:
             continue
         spectrum, residual = solve_lambdas_given_state(state, basis, generator)
