@@ -64,11 +64,13 @@ from .operators import (
     anticommutator,
     commutator,
     hermitian_eigen,
+    inverse_pauli_transform,
     pauli_dense,
     pauli_expand,
     pauli_labels,
     pauli_matrix,
     pauli_terms_dense,
+    pauli_transform,
     unitary_evolution,
 )
 from .solver import (

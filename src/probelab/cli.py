@@ -234,6 +234,7 @@ def cmd_scaling(cfg: ExperimentConfig) -> int:
         x_true=cfg.x_true,
         sign=int(state_spec.get("sign", 1)),
         tol=cfg.tolerances,
+        cap=cfg.max_qubits,
     )
     fmt = cfg.output_format or "csv"
     if fmt == "csv":

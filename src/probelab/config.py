@@ -67,9 +67,10 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_int(value, path: str, minimum: int = 0) -> int:
+def _check_int(value, path: str, minimum: int = 0, cap: int | None = None) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool), f"{path}: expected an integer")
     _require(value >= minimum, f"{path}: must be >= {minimum}")
+    _require(cap is None or value <= cap, f"{path}: {value} exceeds the dimension cap of {cap}")
     return int(value)
 
 
@@ -111,12 +112,8 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
     resolved_task = task or doc_task
     _require(resolved_task is not None, "config.task: missing (no subcommand context)")
 
-    n_qubits = _check_int(raw.get("n_qubits", 1), "config.n_qubits", minimum=1)
     max_qubits = _check_int(raw.get("max_qubits", 10), "config.max_qubits", minimum=1)
-    _require(
-        n_qubits <= max_qubits,
-        f"config.n_qubits: {n_qubits} exceeds the dimension cap of {max_qubits}",
-    )
+    n_qubits = _check_int(raw.get("n_qubits", 1), "config.n_qubits", minimum=1, cap=max_qubits)
 
     generator = raw.get("generator", "nonentangling")
     _require(generator in GENERATOR_KINDS, f"config.generator: must be one of {GENERATOR_KINDS}")
@@ -133,7 +130,7 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
 
     n_list_raw = raw.get("n_list", [1, 2, 3, 4, 5, 6])
     _require(isinstance(n_list_raw, list) and n_list_raw, "config.n_list: expected a nonempty list")
-    n_list = tuple(_check_int(v, "config.n_list[*]", minimum=1) for v in n_list_raw)
+    n_list = tuple(_check_int(v, "config.n_list[*]", minimum=1, cap=max_qubits) for v in n_list_raw)
 
     solver_opts = _normalize_solver(raw.get("solver"))
     tolerances = _normalize_tolerances(raw.get("tolerances"))
@@ -239,15 +236,14 @@ def _normalize_output(raw) -> tuple[str | None, str | None]:
 # ---------------------------------------------------------------------------
 
 
-def generator_from_config(cfg: ExperimentConfig, n: int | None = None) -> dynamics.Generator:
-    n = cfg.n_qubits if n is None else n
+def generator_from_config(cfg: ExperimentConfig) -> dynamics.Generator:
     if cfg.generator == "entangling":
-        return dynamics.entangling_generator(n, cap=cfg.max_qubits)
-    return dynamics.nonentangling_generator(n, cap=cfg.max_qubits)
+        return dynamics.entangling_generator(cfg.n_qubits, cap=cfg.max_qubits)
+    return dynamics.nonentangling_generator(cfg.n_qubits, cap=cfg.max_qubits)
 
 
-def basis_from_config(cfg: ExperimentConfig, n: int | None = None) -> dynamics.ReadoutBasis:
-    return dynamics.product_pm_readout(cfg.n_qubits if n is None else n, cap=cfg.max_qubits)
+def basis_from_config(cfg: ExperimentConfig) -> dynamics.ReadoutBasis:
+    return dynamics.product_pm_readout(cfg.n_qubits, cap=cfg.max_qubits)
 
 
 def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:

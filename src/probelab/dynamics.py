@@ -37,26 +37,27 @@ class Generator:
     matrix: np.ndarray
 
 
+def _bit_counts(n: int) -> np.ndarray:
+    """popcount(k) for every basis index k < 2**n."""
+    return sum((np.arange(2**n) >> q) & 1 for q in range(n))
+
+
 def nonentangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     """Sum of single-qubit terms, H = (1/2) sum_j Z_j.
 
     Cannot create entanglement between the probe qubits; eigenvalues are
-    (n - 2k)/2 with binomial multiplicities.
+    (n - 2k)/2 with binomial multiplicities: <k|H|k> = (n - 2 popcount(k))/2.
     """
     ops.check_cap(n, cap)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for j in range(n):
-        labels = ["I"] * n
-        labels[j] = "Z"
-        h += 0.5 * ops.pauli_dense("".join(labels))
+    h = np.diag(0.5 * (n - 2 * _bit_counts(n))).astype(complex)
     h.setflags(write=False)
     return Generator(kind=NONENTANGLING, n_qubits=n, matrix=h)
 
 
 def entangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
-    """Single n-body string, H = (1/2) Z^(tensor n); eigenvalues +/- 1/2."""
+    """Single n-body string, H = (1/2) Z^(tensor n); <k|H|k> = (-1)^popcount(k) / 2."""
     ops.check_cap(n, cap)
-    h = 0.5 * ops.pauli_dense("Z" * n)
+    h = np.diag(0.5 * (-1.0) ** _bit_counts(n)).astype(complex)
     h.setflags(write=False)
     return Generator(kind=ENTANGLING, n_qubits=n, matrix=h)
 

@@ -37,7 +37,7 @@ from .dynamics import (
 )
 from .errors import DegenerateModelError, DimensionError, ValidationError
 from .fisher import analyze, classical_fisher, cramer_rao_bound
-from .operators import Tolerances, hermitian_eigen
+from .operators import MAX_QUBITS, Tolerances, hermitian_eigen
 from .states import DensityMatrix, cat_state, optimal_single_qubit, tensor_power
 
 #: Classical Fisher information below this leaves the model unidentifiable.
@@ -293,11 +293,11 @@ OPTIMAL_TENSOR_FAMILY = "optimal_single_tensor"
 CAT_FAMILY = "cat"
 
 
-def _family_state(family: str, n: int, sign: int) -> DensityMatrix:
+def _family_state(family: str, n: int, sign: int, cap: int) -> DensityMatrix:
     if family == OPTIMAL_TENSOR_FAMILY:
-        return tensor_power(optimal_single_qubit(sign), n)
+        return tensor_power(optimal_single_qubit(sign), n, cap=cap)
     if family == CAT_FAMILY:
-        return cat_state(n, sign)
+        return cat_state(n, sign, cap=cap)
     raise ValidationError(f"unknown state family {family!r}")
 
 
@@ -313,6 +313,7 @@ def scaling_experiment(
     x_true: float = 0.3,
     sign: int = +1,
     tol: Tolerances = Tolerances(),
+    cap: int = MAX_QUBITS,
 ) -> list[ScalingRow]:
     """Fisher information and empirical uncertainty across probe sizes.
 
@@ -328,12 +329,10 @@ def scaling_experiment(
         raise ValidationError(f"unknown readout kind {basis_kind!r}")
     rows = []
     for n in n_list:
-        if generator_kind == ENTANGLING:
-            generator = entangling_generator(n)
-        else:
-            generator = nonentangling_generator(n)
-        state = _family_state(state_family, n, sign)
-        basis = product_pm_readout(n)
+        build = entangling_generator if generator_kind == ENTANGLING else nonentangling_generator
+        generator = build(n, cap=cap)
+        state = _family_state(state_family, n, sign, cap)
+        basis = product_pm_readout(n, cap=cap)
         analysis = analyze(generator, state, basis, tol)
         f_classical, f_quantum = analysis.classical_fisher, analysis.quantum_fisher
         bound = cramer_rao_bound(f_classical, shots) if f_classical > FISHER_FLOOR else math.inf

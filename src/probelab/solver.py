@@ -45,6 +45,7 @@ from .dynamics import (
     entangling_generator,
     nonentangling_generator,
     product_pm_readout,
+    state_derivative,
 )
 from .errors import DimensionError, UnsupportedClosedFormError, ValidationError
 from .fisher import LambdaSpectrum, analyze, sld_from_spectrum
@@ -354,12 +355,16 @@ def solve_lambdas_given_state(
     if basis.dim != state.dim:
         raise DimensionError("basis and state dimensions differ")
     u, unconstrained, residual = _lstsq_lambdas(state.matrix, basis, generator)
-    values = u.astype(complex)
+    return _real_spectrum(basis, u, unconstrained), residual
+
+
+def _real_spectrum(
+    basis: ReadoutBasis, u: np.ndarray, unconstrained: Sequence[bool] | None = None
+) -> LambdaSpectrum:
+    values = np.asarray(u, dtype=float).astype(complex)
     values.setflags(write=False)
-    spectrum = LambdaSpectrum(
-        labels=basis.labels, values=values, unconstrained=tuple(bool(f) for f in unconstrained)
-    )
-    return spectrum, residual
+    flags = (False,) * len(values) if unconstrained is None else tuple(map(bool, unconstrained))
+    return LambdaSpectrum(basis.labels, values, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +401,8 @@ def _solution_from_state(
         u = spectrum.real_values()
     else:
         u = np.asarray(inv_lambdas, dtype=float)
-        values = u.astype(complex)
-        values.setflags(write=False)
-        spectrum = LambdaSpectrum(
-            labels=basis.labels,
-            values=values,
-            unconstrained=tuple(unconstrained) if unconstrained is not None
-            else (False,) * basis.n_outcomes,
-        )
-        residual = sol1_residual(state, {l: v for l, v in zip(basis.labels, u)}, basis, generator)
+        spectrum = _real_spectrum(basis, u, unconstrained)
+        residual = sol1_residual(state, u, basis, generator)
     qfi = _diagonal_qfi(basis, u, state.matrix)
     return Solution(
         state=state,
@@ -440,7 +438,6 @@ def closed_form_solution(
     Raises :class:`UnsupportedClosedFormError` for entangling n divisible by 4
     (no stored base solution to build the tensor power from).
     """
-    ops.check_cap(n, cap)
     basis = product_pm_readout(n, cap)
     if generator_kind == NONENTANGLING:
         generator = nonentangling_generator(n, cap)
@@ -516,7 +513,6 @@ def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport
     bound with the product readout); odd n is the real-valued control case.
     Only outcomes with nonzero probability enter the maxima.
     """
-    ops.check_cap(n, cap)
     state = tensor_power(optimal_single_qubit(+1), n, cap)
     generator = entangling_generator(n, cap)
     basis = product_pm_readout(n, cap)
@@ -619,13 +615,9 @@ def _shrink_to_psd(rho: np.ndarray) -> np.ndarray:
     return (1.0 - s) * np.eye(dim) / dim + s * rho
 
 
-def _mixed_state_matrix(params: np.ndarray, n_qubits: int) -> np.ndarray:
-    labels = ops.pauli_labels(n_qubits)[1:]
-    dim = 2**n_qubits
-    out = np.eye(dim, dtype=complex)
-    for coeff, label in zip(params, labels):
-        out += coeff * ops.pauli_dense(label)
-    return out / dim
+def _dedup_key(state: DensityMatrix) -> tuple[float, ...]:
+    """All 4**n Pauli coefficients of the state, rounded to DEDUP_DECIMALS."""
+    return tuple(round(c, DEDUP_DECIMALS) for c in ops.pauli_transform(state.matrix).real)
 
 
 def search_optimal_state(
@@ -641,10 +633,12 @@ def search_optimal_state(
     exactly by least squares (in closed form for pure states, densely with
     ``mixed_states``); each start's end point is re-checked by the dense
     least squares and must pass ``psd_min_eigenvalue`` and ``residual_tol``
-    to count as a solution.  Starts draw seeded random states, so results
-    are reproducible and independent of any parallel scheduling; ties within
-    ``tie_tol`` of the best objective are all reported, sorted by their
-    rounded Pauli coefficients.  Global optimality is never claimed.
+    to count as a solution; one whose ||-i[H, rho]||_F is within ``residual_tol``
+    carries no information (u = 0 solves the equation) and is dropped.  Starts
+    draw seeded random states, so results are reproducible and independent of
+    any parallel scheduling; ties within ``tie_tol`` of the best objective are
+    all reported, sorted by their rounded Pauli coefficients.  Global
+    optimality is never claimed.
     """
     config = config or SearchConfig()
     if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
@@ -655,7 +649,7 @@ def search_optimal_state(
         n_params = 4**n_qubits - 1
 
         def build(params: np.ndarray) -> np.ndarray:
-            return _mixed_state_matrix(params, n_qubits)
+            return ops.inverse_pauli_transform(np.concatenate(([1.0], params)) / dim)
 
         def objective(params: np.ndarray) -> float:
             rho = build(params)
@@ -710,16 +704,14 @@ def search_optimal_state(
             continue
         spectrum, residual = solve_lambdas_given_state(state, basis, generator)
         best_residual = min(best_residual, residual)
-        if residual > config.residual_tol:
+        drift = np.linalg.norm(state_derivative(generator, state))
+        if residual > config.residual_tol or drift <= config.residual_tol:
             continue
         solution = _solution_from_state(
             state, basis, generator, NUMERIC_SEARCH,
             spectrum.real_values(), spectrum.unconstrained,
         )
-        key = tuple(
-            round(c, DEDUP_DECIMALS)
-            for c in _full_coefficient_vector(state)
-        )
+        key = _dedup_key(state)
         existing = found.get(key)
         if existing is None or solution.qfi > existing.qfi:
             found[key] = solution
@@ -740,7 +732,3 @@ def search_optimal_state(
         solutions=kept, n_starts=config.n_starts, best_residual=float(best_residual)
     )
 
-
-def _full_coefficient_vector(state: DensityMatrix) -> np.ndarray:
-    terms = state.pauli_coefficients(drop_tol=0.0)
-    return np.array([terms[label] for label in ops.pauli_labels(state.n_qubits)])

@@ -91,18 +91,12 @@ class BlochCoefficients:
     def from_state(rho: DensityMatrix) -> "BlochCoefficients":
         # rho = (1/2**n)(1 + a_i s_i + ...), so the conventional coefficients
         # are 2**n times the raw Pauli-expansion weights.
-        terms = rho.pauli_coefficients(drop_tol=0.0)
-        scale = float(2**rho.n_qubits)
-        axes = "XYZ"
+        if rho.n_qubits not in (1, 2):
+            raise DimensionError("Bloch coefficients are defined for one or two qubits")
+        table = 2**rho.n_qubits * ops.pauli_transform(rho.matrix).real.reshape((4,) * rho.n_qubits)
         if rho.n_qubits == 1:
-            a = scale * np.array([terms.get(p, 0.0) for p in axes])
-            return BlochCoefficients(a=a)
-        if rho.n_qubits == 2:
-            a = scale * np.array([terms.get(p + "I", 0.0) for p in axes])
-            b = scale * np.array([terms.get("I" + p, 0.0) for p in axes])
-            c = scale * np.array([[terms.get(p + q, 0.0) for q in axes] for p in axes])
-            return BlochCoefficients(a=a, b=b, c=c)
-        raise DimensionError("Bloch coefficients are defined for one or two qubits")
+            return BlochCoefficients(a=table[1:])
+        return BlochCoefficients(a=table[1:, 0], b=table[0, 1:], c=table[1:, 1:])
 
 
 def hermitian_from_bloch(coeffs: BlochCoefficients) -> np.ndarray:
@@ -113,22 +107,13 @@ def hermitian_from_bloch(coeffs: BlochCoefficients) -> np.ndarray:
     if (coeffs.b is None) != (coeffs.c is None):
         raise ValidationError("two-qubit coefficients need both b and c")
     if coeffs.n_qubits == 1:
-        out = np.eye(2, dtype=complex)
-        for i, axis in enumerate("XYZ"):
-            out += a[i] * ops.pauli_matrix(axis)
-        return out / 2.0
+        return ops.inverse_pauli_transform(np.concatenate(([1.0], a)) / 2.0)
     b = np.asarray(coeffs.b, dtype=float)
     c = np.asarray(coeffs.c, dtype=float)
     if b.shape != (3,) or c.shape != (3, 3):
         raise ValidationError("two-qubit coefficients need a(3), b(3) and c(3,3)")
-    eye2 = np.eye(2, dtype=complex)
-    out = np.kron(eye2, eye2)
-    for i, p in enumerate("XYZ"):
-        out += a[i] * np.kron(ops.pauli_matrix(p), eye2)
-        out += b[i] * np.kron(eye2, ops.pauli_matrix(p))
-        for j, q in enumerate("XYZ"):
-            out += c[i, j] * np.kron(ops.pauli_matrix(p), ops.pauli_matrix(q))
-    return out / 4.0
+    table = np.block([[np.ones((1, 1)), b[None, :]], [a[:, None], c]])  # rows: first qubit
+    return ops.inverse_pauli_transform(table / 4.0)
 
 
 def from_bloch(
@@ -189,10 +174,7 @@ def two_qubit_entangling_candidate(
     Pure exactly when c11 = c23 = c32 = 1 (or the sign-flipped variant with
     c23 = c32 = -1); rejects parameter choices that break positivity.
     """
-    c = np.zeros((3, 3))
-    c[0, 0] = c11
-    c[1, 2] = c23
-    c[2, 1] = c32
+    c = np.array([[c11, 0.0, 0.0], [0.0, 0.0, c23], [0.0, c32, 0.0]], dtype=float)
     return from_bloch(np.zeros(3), np.zeros(3), c, min_eigenvalue=min_eigenvalue)
 
 

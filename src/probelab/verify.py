@@ -288,11 +288,8 @@ def _check_nqubit_sld() -> CheckResult:
         sol = solver.closed_form_solution(dynamics.NONENTANGLING, n)
         basis = dynamics.product_pm_readout(n)
         l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas).operator
-        expect = np.zeros((2**n, 2**n), dtype=complex)
-        for j in range(n):
-            labels = ["I"] * n
-            labels[j] = "X"
-            expect -= operators.pauli_dense("".join(labels))
+        x_terms = {"I" * j + "X" + "I" * (n - 1 - j): -1.0 for j in range(n)}
+        expect = operators.pauli_terms_dense(x_terms)
         worst_l = max(worst_l, _close(l_dense, expect, 0))
         worst_qfi = max(worst_qfi, abs(sol.qfi - n))
         worst_res = max(worst_res, sol.residual)

@@ -41,6 +41,42 @@ def test_config_dimension_cap():
     assert cfg.n_qubits == 11
 
 
+def test_config_n_list_obeys_the_dimension_cap():
+    with pytest.raises(ConfigError, match=r"config.n_list\[\*\]: 11 exceeds the dimension cap of 10"):
+        parse_config_text('{"n_list": [2, 11]}', task="scaling")
+    cfg = parse_config_text('{"n_list": [2, 11], "max_qubits": 11}', task="scaling")
+    assert cfg.n_list == (2, 11)
+
+
+@pytest.mark.parametrize(
+    "family, generator", [("optimal_single_tensor", "nonentangling"), ("cat", "entangling")]
+)
+def test_scaling_passes_max_qubits_to_every_constructor(
+    tmp_path, capsys, monkeypatch, family, generator
+):
+    caps = {}
+    for name in ("nonentangling_generator", "entangling_generator", "product_pm_readout",
+                 "tensor_power", "cat_state"):
+        original = getattr(montecarlo, name)
+
+        def spy(*args, cap, _name=name, _original=original):
+            caps.setdefault(_name, set()).add(cap)
+            return _original(*args, cap=cap)
+
+        monkeypatch.setattr(montecarlo, name, spy)
+    path = write_config(
+        tmp_path,
+        {"n_list": [2, 3], "max_qubits": 12, "generator": generator, "state": family,
+         "shots": 200, "trials": 10, "seed": 4},
+    )
+    code, _, err = run_cli(capsys, ["scaling", path])
+    assert code == 0, err
+    family_constructor = "tensor_power" if family == "optimal_single_tensor" else "cat_state"
+    assert caps == {
+        f"{generator}_generator": {12}, "product_pm_readout": {12}, family_constructor: {12}
+    }
+
+
 def test_config_tolerance_overrides():
     cfg = parse_config_text('{"tolerances": {"saturation": 1e-6}}', task="fisher")
     assert cfg.tolerances.saturation == 1e-6

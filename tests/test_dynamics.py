@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import comb
 
-from probelab import dynamics, states
+from probelab import dynamics, operators, states
 from probelab.errors import DimensionError, ValidationError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -41,6 +41,15 @@ def test_entangling_generator():
     assert np.allclose(gen4.matrix @ gen4.matrix, 0.25 * np.eye(16))
     values, counts = np.unique(np.linalg.eigvalsh(gen4.matrix).round(12), return_counts=True)
     assert list(values) == [-0.5, 0.5] and list(counts) == [8, 8]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generators_equal_their_pauli_string_sums(n):
+    strings = ["I" * j + "Z" + "I" * (n - 1 - j) for j in range(n)]
+    nonentangling = sum(0.5 * operators.pauli_dense(s) for s in strings)
+    assert np.array_equal(dynamics.nonentangling_generator(n).matrix, nonentangling)
+    entangling = 0.5 * operators.pauli_dense("Z" * n)
+    assert np.array_equal(dynamics.entangling_generator(n).matrix, entangling)
 
 
 def test_state_derivative_golden_single_qubit():

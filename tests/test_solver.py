@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from probelab import dynamics, fisher, solver, states
 from probelab.errors import UnsupportedClosedFormError
@@ -301,3 +302,34 @@ def test_angle_parametrization_round_trip():
         rebuilt = solver._state_from_angles(angles, dim)
         overlap = abs(np.vdot(rebuilt, ket))
         assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+def test_search_drops_end_points_that_commute_with_the_generator(monkeypatch):
+    # |0> commutes with H = Z/2: u = 0 solves the equation exactly, and the
+    # point carries no information.  It is no solution, but its residual still
+    # counts as the best one seen.
+    end_point = solver._angles_from_state(np.array([1.0, 0.0], dtype=complex))
+    monkeypatch.setattr(
+        solver.optimize, "minimize", lambda *args, **kwargs: OptimizeResult(x=end_point)
+    )
+    result = solver.search_optimal_state(
+        dynamics.nonentangling_generator(1),
+        dynamics.product_pm_readout(1),
+        1,
+        solver.SearchConfig(n_starts=3, seed=1),
+    )
+    assert not result.feasible
+    assert result.best_residual <= 1e-15
+
+
+def test_search_reports_no_qfi_free_solutions():
+    # the benchmark's seed-108 two-qubit search: every end point within the
+    # residual tolerance commutes with H
+    result = solver.search_optimal_state(
+        dynamics.nonentangling_generator(2),
+        dynamics.product_pm_readout(2),
+        2,
+        solver.SearchConfig(n_starts=10, max_evals=1000, simplex_tol=-1.0, seed=594192489),
+    )
+    assert all(sol.qfi > 1e-9 for sol in result.solutions)
+    assert result.best_residual <= 1e-7
