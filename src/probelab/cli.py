@@ -198,7 +198,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     f_classical = classical_fisher(
         basis, state, rho_prime, probability_floor=cfg.tolerances.probability_floor
     )
-    outcome = uncertainty_run(model, cfg.x_true, cfg.shots, cfg.trials, cfg.seed)
+    outcome = uncertainty_run(
+        model, cfg.x_true, cfg.shots, cfg.trials, cfg.seed,
+        probability_floor=cfg.tolerances.probability_floor,
+    )
     result = {
         "x_true": outcome.x_true,
         "x_hat": outcome.x_hat,

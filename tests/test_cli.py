@@ -423,3 +423,24 @@ def test_verify_detects_corrupted_pauli_sign(capsys, monkeypatch):
 def test_verify_unknown_filter_is_an_error(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--filter", "no-such-check"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("simulate", {"n_qubits": 1, "shots": 200, "trials": 10, "seed": 1}), ("scaling", _SCALING)],
+)
+def test_identifiability_check_reads_the_configured_probability_floor(
+    tmp_path, capsys, monkeypatch, command, config
+):
+    floors = []
+    original = montecarlo.classical_fisher
+
+    def spy(*args, probability_floor):
+        floors.append(probability_floor)
+        return original(*args, probability_floor=probability_floor)
+
+    monkeypatch.setattr(montecarlo, "classical_fisher", spy)
+    path = write_config(tmp_path, {**config, "tolerances": {"probability_floor": 1e-6}})
+    code, _, err = run_cli(capsys, [command, path])
+    assert code == 0, err
+    assert floors and set(floors) == {1e-6}

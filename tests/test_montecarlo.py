@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probelab import dynamics, montecarlo, states
 from probelab.errors import DegenerateModelError
+from probelab.fisher import cramer_rao_bound
 from probelab.montecarlo import MeasurementModel
 
 
@@ -199,3 +202,42 @@ def test_scaling_experiment_deterministic():
         [1, 2], "nonentangling", "optimal_single_tensor", "product_pm", 1000, 50, 17,
     )
     assert montecarlo.scaling_experiment(*args) == montecarlo.scaling_experiment(*args)
+
+
+def test_uncertainty_run_near_the_fold_hits_the_bound():
+    # x_true +/- pi/2 reaches past the fold of p(+|x) = (1 - sin x)/2 at pi/2,
+    # where x and pi - x give the same distribution: the default interval
+    # stops short of it, so the estimate cannot alias to pi - x.
+    result = montecarlo.uncertainty_run(single_qubit_model(), 1.2, 10**4, 200, seed=7)
+    assert result.delta_x <= 3 * 0.01
+    assert abs(result.slope - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("x_true", [np.pi / 2, -np.pi / 2, np.pi / 2 + 1e-3])
+def test_uncertainty_run_at_a_fold_is_degenerate(x_true):
+    with pytest.raises(DegenerateModelError, match="folds within one grid step"):
+        montecarlo.uncertainty_run(single_qubit_model(), x_true, 1000, 10, seed=1)
+
+
+def test_explicit_search_interval_is_used_as_given():
+    # an interval reaching past the fold is not cut: the mirror maximum stays
+    model = single_qubit_model()
+    across = montecarlo.uncertainty_run(
+        model, 1.2, 10**4, 50, seed=7, search_interval=(1.2 - np.pi / 2, 1.2 + np.pi / 2)
+    )
+    assert across.delta_x > 10 * 0.01
+
+
+@settings(max_examples=15, deadline=None)
+@given(x_true=st.floats(-1.3, 1.3), seed=st.integers(0, 2**32 - 1))
+def test_uncertainty_run_stays_near_the_bound_across_the_identifiable_range(x_true, seed):
+    model = single_qubit_model()
+    bound = cramer_rao_bound(model.fisher_at(x_true), 10**4)
+    result = montecarlo.uncertainty_run(model, x_true, 10**4, 100, seed=seed)
+    # delta_x = rms(x_est / |slope| - x_true) carries x_true (1/|slope| - 1)
+    # from the sampling error of the 100-trial slope itself (about 0.013 here):
+    # past |x_true| ~ 1 that term alone exceeds 4x the bound on a few percent
+    # of seeds.  An aliased estimate misses by far more than either.
+    slope_term = abs(x_true) * abs(1.0 / abs(result.slope) - 1.0)
+    assert result.delta_x <= 4 * bound + slope_term
+    assert abs(result.slope - 1.0) < 0.1
