@@ -71,7 +71,6 @@ from .operators import (
     pauli_matrix,
     pauli_terms_dense,
     pauli_transform,
-    unitary_evolution,
 )
 from .solver import (
     CoefficientSystem,

@@ -2,9 +2,9 @@
 
 Subcommands: verify | fisher | solve | simulate | scaling.  Every task except
 ``verify`` reads a JSON experiment configuration from a path (or ``-`` for
-stdin); ``--seed``, ``--out``, ``--format`` and ``--filter`` override config
-fields.  Exit codes: 0 success, 1 verification failure, 2 usage/config or
-internal error.
+stdin); ``--seed``, ``--out`` and ``--format`` override config fields, and
+``verify --filter`` selects golden checks by name.  Exit codes: 0 success,
+1 verification failure, 2 usage/config or internal error.
 """
 
 from __future__ import annotations

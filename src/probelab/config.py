@@ -43,14 +43,12 @@ class ExperimentConfig:
     tolerances: Tolerances = Tolerances()
     output_format: str | None = None
     output_path: str | None = None
-    filter: str | None = None
     raw: dict | None = None
 
 
 _TOP_LEVEL_KEYS = {
     "task", "n_qubits", "max_qubits", "generator", "state", "readout", "shots",
     "trials", "seed", "x_true", "n_list", "solver", "tolerances", "output",
-    "filter",
 }
 
 _STATE_KEYS = {
@@ -137,9 +135,6 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
 
     output_format, output_path = _normalize_output(raw.get("output"))
 
-    filt = raw.get("filter")
-    _require(filt is None or isinstance(filt, str), "config.filter: expected a string")
-
     return ExperimentConfig(
         task=resolved_task,
         n_qubits=n_qubits,
@@ -156,7 +151,6 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
         tolerances=tolerances,
         output_format=output_format,
         output_path=output_path,
-        filter=filt,
         raw=dict(raw),
     )
 

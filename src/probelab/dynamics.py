@@ -1,10 +1,13 @@
-"""Parameter-dependent generators, evolved states, and projective readouts.
+"""Generators as spectra, evolved states, and projective readouts.
 
 The estimated parameter x enters through the probe Hamiltonian x * H, where H
-is one of the generators built here.  Under the conventions of
-:mod:`probelab.operators`, evolving the optimal single-qubit state gives the
-Bloch vector (-sin x, cos x, 0), so the "+" outcome of the per-qubit readout
-has probability p(+|x) = (1 - sin x) / 2.
+is one of the generators built here, stored as its real spectrum h and
+eigenframe W (none for the two built-in, diagonal ones).  The derivative
+-i [H, rho] and the evolution are one elementwise kernel K in that frame,
+W (K o W^dagger A W) W^dagger: K o A, O(d^2), for a diagonal H.  Under the
+conventions of :mod:`probelab.operators`, evolving the optimal single-qubit
+state gives the Bloch vector (-sin x, cos x, 0), so the "+" outcome of the
+per-qubit readout has probability p(+|x) = (1 - sin x) / 2.
 
 The readout quantities of a given state are diagonals <k|A|k> in the readout
 basis, computed by :meth:`ReadoutBasis.diagonal`: O(d^2) for the per-qubit
@@ -30,11 +33,25 @@ CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class Generator:
-    """Parameter-independent Hermitian generator H of the probe dynamics."""
+    """Parameter-independent Hermitian generator H = W diag(spectrum) W^dagger.
+
+    ``frame`` holds W's column eigenvectors; ``None`` means H is diagonal in
+    the computational basis.  ``matrix`` builds the dense H on demand.
+    """
 
     kind: str
     n_qubits: int
-    matrix: np.ndarray
+    spectrum: np.ndarray
+    frame: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.spectrum.setflags(write=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.frame is None:
+            return np.diag(self.spectrum).astype(complex)
+        return (self.frame * self.spectrum) @ self.frame.conj().T
 
 
 def _bit_counts(n: int) -> np.ndarray:
@@ -49,45 +66,54 @@ def nonentangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     (n - 2k)/2 with binomial multiplicities: <k|H|k> = (n - 2 popcount(k))/2.
     """
     ops.check_cap(n, cap)
-    h = np.diag(0.5 * (n - 2 * _bit_counts(n))).astype(complex)
-    h.setflags(write=False)
-    return Generator(kind=NONENTANGLING, n_qubits=n, matrix=h)
+    return Generator(NONENTANGLING, n, 0.5 * (n - 2 * _bit_counts(n)))
 
 
 def entangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     """Single n-body string, H = (1/2) Z^(tensor n); <k|H|k> = (-1)^popcount(k) / 2."""
     ops.check_cap(n, cap)
-    h = np.diag(0.5 * (-1.0) ** _bit_counts(n)).astype(complex)
-    h.setflags(write=False)
-    return Generator(kind=ENTANGLING, n_qubits=n, matrix=h)
+    return Generator(ENTANGLING, n, 0.5 * (-1.0) ** _bit_counts(n))
 
 
 def custom_generator(matrix: np.ndarray, atol: float = 1e-10) -> Generator:
-    n = ops.n_qubits_of(matrix)
-    if not ops.is_hermitian(matrix, atol):
-        raise ValidationError("generator must be Hermitian")
-    matrix = np.array(matrix, dtype=complex)
-    matrix.setflags(write=False)
-    return Generator(kind=CUSTOM, n_qubits=n, matrix=matrix)
+    """Any Hermitian H (else :class:`ValidationError`), stored through one
+    eigendecomposition."""
+    eig = ops.hermitian_eigen(matrix, atol)
+    return Generator(CUSTOM, ops.n_qubits_of(eig.vectors), eig.values, eig.vectors)
+
+
+def _in_frame(generator: Generator, kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """W (K o W^dagger A W) W^dagger, just K o A for a diagonal generator."""
+    w = generator.frame
+    if w is None:
+        return kernel * a
+    return w @ (kernel * (w.conj().T @ a @ w)) @ w.conj().T
+
+
+def _derivative(generator: Generator, a: np.ndarray) -> np.ndarray:
+    """-i [H, A], the kernel -i (h_j - h_k)."""
+    h = generator.spectrum
+    return _in_frame(generator, -1j * np.subtract.outer(h, h), a)
+
+
+def _check_dims(generator: Generator, rho: DensityMatrix) -> None:
+    if generator.n_qubits != rho.n_qubits:
+        raise DimensionError(
+            f"generator acts on {generator.n_qubits} qubits, state on {rho.n_qubits}"
+        )
 
 
 def state_derivative(generator: Generator, rho: DensityMatrix) -> np.ndarray:
     """d(rho)/dx at x = 0: -i [H, rho].  Hermitian and traceless."""
-    if generator.n_qubits != rho.n_qubits:
-        raise DimensionError(
-            f"generator acts on {generator.n_qubits} qubits, state on {rho.n_qubits}"
-        )
-    return -1j * ops.commutator(generator.matrix, rho.matrix)
+    _check_dims(generator, rho)
+    return _derivative(generator, rho.matrix)
 
 
 def evolve(rho: DensityMatrix, generator: Generator, x: float) -> DensityMatrix:
-    """U rho U^dagger with U = exp(-i x H)."""
-    if generator.n_qubits != rho.n_qubits:
-        raise DimensionError(
-            f"generator acts on {generator.n_qubits} qubits, state on {rho.n_qubits}"
-        )
-    u = ops.unitary_evolution(generator.matrix, x)
-    return density_matrix(u @ rho.matrix @ u.conj().T)
+    """U rho U^dagger with U = exp(-i x H), the kernel e^{-i x h_j} e^{i x h_k}."""
+    _check_dims(generator, rho)
+    phases = np.exp(-1j * x * generator.spectrum)
+    return density_matrix(_in_frame(generator, np.outer(phases, phases.conj()), rho.matrix))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,11 @@ The reported uncertainty is the units-corrected root-mean-squared deviation
 with the slope estimated by a central finite difference of the mean estimate
 at x_true +/- h.  No unbiasedness assumption is made.
 
-Likelihood model: for a generator with eigenvalues h_k the outcome
+Likelihood model: for a generator with stored spectrum h the outcome
 probabilities are an exact trigonometric polynomial in x,
-p(x) = Re(exp(-i x omega) @ C), over the distinct differences omega of the
-spectrum (see :class:`MeasurementModel`).  A batch of parameter values costs
-one (points x frequencies) @ (frequencies x outcomes) product.
+p(x) = Re(exp(-i x omega) @ C), over the distinct differences omega of h,
+with C built without an eigendecomposition (see :class:`MeasurementModel`).
+A batch of x costs one (points x frequencies) @ (frequencies x outcomes) product.
 
 Estimator cost per trial: one sort of the ``shots`` uniforms, one
 ``searchsorted`` of the 3 x d cumulative tables into them, and one
@@ -42,6 +42,7 @@ from .dynamics import (
     ENTANGLING,
     Generator,
     ReadoutBasis,
+    _in_frame,
     entangling_generator,
     evolve,
     nonentangling_generator,
@@ -51,7 +52,7 @@ from .dynamics import (
 )
 from .errors import DegenerateModelError, DimensionError, ValidationError
 from .fisher import analyze, classical_fisher, cramer_rao_bound
-from .operators import MAX_QUBITS, Tolerances, hermitian_eigen
+from .operators import MAX_QUBITS, Tolerances
 from .states import DensityMatrix, cat_state, optimal_single_qubit, tensor_power
 
 #: Classical Fisher information below this leaves the model unidentifiable.
@@ -100,14 +101,14 @@ def sample_readout(
 class MeasurementModel:
     """A fixed (generator, initial state, readout) triple.
 
-    With H = sum_k h_k |k><k|, the outcome probabilities are the exact
+    With H = W diag(h) W^dagger, the outcome probabilities are the exact
     trigonometric polynomial p(x) = Re(exp(-i x omega) @ C).  The frequencies
     omega are the distinct differences h_k - h_l, grouped by exact float
     equality: 2n+1 of them for the non-entangling generator, 3 for the
     entangling one and at most d^2 - d + 1 for a generic spectrum.  Row j of
-    C is <o|V rho_j V^dagger|o> in the generator eigenbasis, with rho masked
-    to the entries of frequency omega_j; it is built once.  The exact
-    derivative dp/dx multiplies C by -i omega.
+    C, built once, is the readout diagonal of W (M_j o W^dagger rho W) W^dagger
+    with M_j the mask h_k - h_l = omega_j: O(d^2) for a diagonal generator on
+    the |+>/|-> readout.  The exact derivative dp/dx multiplies C by -i omega.
     """
 
     def __init__(
@@ -118,16 +119,12 @@ class MeasurementModel:
         self.generator = generator
         self.initial_state = initial_state
         self.basis = basis
-        eig = hermitian_eigen(generator.matrix)
-        rho_eig = eig.vectors.conj().T @ initial_state.matrix @ eig.vectors
-        kets_eig = basis.kets.conj().T @ eig.vectors
-        diffs = np.subtract.outer(eig.values, eig.values)
+        h = generator.spectrum
+        diffs = np.subtract.outer(h, h)
         self._omega, group = np.unique(diffs, return_inverse=True)
         group = group.reshape(diffs.shape)
-        # <o|V rho_j V^dagger|o> as one BLAS product per frequency: the
-        # three-operand einsum "ok,kl,ol->o" would be a naive d^3 loop.
         self._coeffs = np.stack([
-            np.sum((kets_eig @ np.where(group == j, rho_eig, 0.0)) * kets_eig.conj(), axis=1)
+            basis.diagonal(_in_frame(generator, group == j, initial_state.matrix))
             for j in range(len(self._omega))
         ])
 

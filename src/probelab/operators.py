@@ -226,9 +226,3 @@ def hermitian_eigen(matrix: np.ndarray, atol: float = 1e-10) -> HermitianEigen:
     vectors.setflags(write=False)
     return HermitianEigen(values=values, vectors=vectors)
 
-
-def unitary_evolution(generator: np.ndarray, x: float) -> np.ndarray:
-    """exp(-i * x * generator) for a Hermitian generator, via eigendecomposition."""
-    eig = hermitian_eigen(generator)
-    phases = np.exp(-1j * x * eig.values)
-    return (eig.vectors * phases) @ eig.vectors.conj().T

@@ -42,6 +42,7 @@ from .dynamics import (
     NONENTANGLING,
     Generator,
     ReadoutBasis,
+    _derivative,
     entangling_generator,
     nonentangling_generator,
     product_pm_readout,
@@ -239,10 +240,8 @@ def dense_two_qubit_residuals(
         + k[2] * np.kron(paulis[0], paulis[1])
         + k[3] * np.kron(paulis[1], paulis[1])
     )
-    if system.kind == NONENTANGLING:
-        h = nonentangling_generator(2).matrix
-    else:
-        h = entangling_generator(2).matrix
+    build = nonentangling_generator if system.kind == NONENTANGLING else entangling_generator
+    h = build(2).matrix
     residual_op = 0.5 * ops.anticommutator(l_op, rho) + 1j * ops.commutator(h, rho)
     labels = "IXYZ"
     out = np.empty(16)
@@ -263,16 +262,12 @@ def sol1_residual(
 ) -> float:
     """Frobenius norm of (1/2){sum u E, rho} + i[H, rho]."""
     l_op = sld_from_spectrum(basis, inv_lambdas).operator
-    return _residual_from_l(state.matrix, l_op, generator)
+    return _residual_from_l(state.matrix, l_op, state_derivative(generator, state))
 
 
-def _residual_from_l(rho: np.ndarray, l_op: np.ndarray, generator: Generator) -> float:
-    if rho.shape != generator.matrix.shape:
-        raise DimensionError("state and generator dimensions differ")
-    residual_op = 0.5 * ops.anticommutator(l_op, rho) + 1j * ops.commutator(
-        generator.matrix, rho
-    )
-    return float(np.linalg.norm(residual_op))
+def _residual_from_l(rho: np.ndarray, l_op: np.ndarray, drho: np.ndarray) -> float:
+    """Frobenius norm of (1/2){L, rho} - drho, with drho = -i[H, rho]."""
+    return float(np.linalg.norm(0.5 * ops.anticommutator(l_op, rho) - drho))
 
 
 def _lstsq_lambdas(
@@ -287,7 +282,7 @@ def _lstsq_lambdas(
     kets = basis.kets
     dim = rho.shape[0]
     m = basis.n_outcomes
-    target = -1j * ops.commutator(generator.matrix, rho)
+    target = _derivative(generator, rho)
     columns = np.empty((dim * dim, m), dtype=complex)
     for k in range(m):
         ket = kets[:, k]
@@ -305,8 +300,7 @@ def _lstsq_lambdas(
         solution, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
         u[~unconstrained] = solution
     l_op = (kets * u) @ kets.conj().T
-    residual = _residual_from_l(rho, l_op, generator)
-    return u, unconstrained, residual
+    return u, unconstrained, _residual_from_l(rho, l_op, target)
 
 
 def _amplitude_map(basis: ReadoutBasis, generator: Generator) -> np.ndarray:
@@ -352,8 +346,8 @@ def solve_lambdas_given_state(
     state: DensityMatrix, basis: ReadoutBasis, generator: Generator
 ) -> tuple[LambdaSpectrum, float]:
     """Best real inverse eigenvalues for a fixed state, plus the residual."""
-    if basis.dim != state.dim:
-        raise DimensionError("basis and state dimensions differ")
+    if basis.dim != state.dim or generator.n_qubits != state.n_qubits:
+        raise DimensionError("basis, generator and state dimensions differ")
     u, unconstrained, residual = _lstsq_lambdas(state.matrix, basis, generator)
     return _real_spectrum(basis, u, unconstrained), residual
 
@@ -403,14 +397,7 @@ def _solution_from_state(
         u = np.asarray(inv_lambdas, dtype=float)
         spectrum = _real_spectrum(basis, u, unconstrained)
         residual = sol1_residual(state, u, basis, generator)
-    qfi = _diagonal_qfi(basis, u, state.matrix)
-    return Solution(
-        state=state,
-        inv_lambdas=spectrum,
-        residual=residual,
-        qfi=qfi,
-        provenance=provenance,
-    )
+    return Solution(state, spectrum, residual, _diagonal_qfi(basis, u, state.matrix), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +694,8 @@ def search_optimal_state(
         drift = np.linalg.norm(state_derivative(generator, state))
         if residual > config.residual_tol or drift <= config.residual_tol:
             continue
-        solution = _solution_from_state(
-            state, basis, generator, NUMERIC_SEARCH,
-            spectrum.real_values(), spectrum.unconstrained,
-        )
+        qfi = _diagonal_qfi(basis, spectrum.real_values(), state.matrix)
+        solution = Solution(state, spectrum, residual, qfi, NUMERIC_SEARCH)
         key = _dedup_key(state)
         existing = found.get(key)
         if existing is None or solution.qfi > existing.qfi:

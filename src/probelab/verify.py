@@ -55,7 +55,7 @@ def _result(name: str, passed: bool, detail: str, **measured: float) -> CheckRes
     )
 
 
-def _close(a, b, tol: float) -> float:
+def _close(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
@@ -64,8 +64,8 @@ def _check_single_qubit_optimum() -> CheckResult:
     plus = states.optimal_single_qubit(+1)
     minus = states.optimal_single_qubit(-1)
     err = max(
-        _close(plus.matrix, _EXPECT_OPTIMAL_PLUS, 0),
-        _close(minus.matrix, _EXPECT_OPTIMAL_MINUS, 0),
+        _close(plus.matrix, _EXPECT_OPTIMAL_PLUS),
+        _close(minus.matrix, _EXPECT_OPTIMAL_MINUS),
         abs(plus.purity() - 1.0),
         abs(minus.purity() - 1.0),
     )
@@ -79,7 +79,7 @@ def _check_single_qubit_optimum() -> CheckResult:
 @_check("eigenbasis-of-y")
 def _check_eigenbasis_of_y() -> CheckResult:
     eig = operators.hermitian_eigen(operators.pauli_matrix("Y"))
-    value_err = _close(eig.values, [1.0, -1.0], 0)
+    value_err = _close(eig.values, [1.0, -1.0])
     ov_plus = abs(np.vdot(eig.vectors[:, 0], _KET_I))
     ov_minus = abs(np.vdot(eig.vectors[:, 1], _KET_IBAR))
     err = max(value_err, abs(ov_plus - 1.0), abs(ov_minus - 1.0))
@@ -95,8 +95,8 @@ def _check_bloch_construction() -> CheckResult:
     rho = states.from_bloch([0.0, 1.0, 0.0])
     mixed = states.from_bloch([0.0, 0.0, 0.0])
     err = max(
-        _close(rho.matrix, _EXPECT_OPTIMAL_PLUS, 0),
-        _close(mixed.matrix, 0.5 * np.eye(2), 0),
+        _close(rho.matrix, _EXPECT_OPTIMAL_PLUS),
+        _close(mixed.matrix, 0.5 * np.eye(2)),
     )
     try:
         states.from_bloch([0.0, 1.0, 0.5])
@@ -149,10 +149,10 @@ def _check_generators() -> CheckResult:
     non2 = dynamics.nonentangling_generator(2).matrix
     ent2 = dynamics.entangling_generator(2).matrix
     err = max(
-        _close(np.sort(np.linalg.eigvalsh(non2)), [-1.0, 0.0, 0.0, 1.0], 0),
-        _close(ent2, np.diag([0.5, -0.5, -0.5, 0.5]), 0),
+        _close(np.sort(np.linalg.eigvalsh(non2)), [-1.0, 0.0, 0.0, 1.0]),
+        _close(ent2, np.diag([0.5, -0.5, -0.5, 0.5])),
         abs(np.trace(non2)),
-        _close(ent2 @ ent2, 0.25 * np.eye(4), 0),
+        _close(ent2 @ ent2, 0.25 * np.eye(4)),
     )
     return _result(
         "generator-spectra", err <= 1e-12,
@@ -165,10 +165,10 @@ def _check_generators() -> CheckResult:
 def _check_readout() -> CheckResult:
     basis = dynamics.product_pm_readout(1)
     plus = basis.projector("+")
-    err = _close(plus, np.array([[0.5, 0.5], [0.5, 0.5]]), 0)
+    err = _close(plus, np.array([[0.5, 0.5], [0.5, 0.5]]))
     basis3 = dynamics.product_pm_readout(3)
     total = sum(basis3.projectors())
-    err = max(err, _close(total, np.eye(8), 0))
+    err = max(err, _close(total, np.eye(8)))
     return _result(
         "readout-projectors", err <= 1e-12,
         "per-qubit |+>/|-> projectors are (1 +/- sigma_1)/2 and complete",
@@ -190,7 +190,7 @@ def _check_derivative_form() -> CheckResult:
             a[1] * np.array([[0.0, 1.0], [1.0, 0.0]])
             - a[0] * np.array([[0.0, -1.0j], [1.0j, 0.0]])
         )
-        worst = max(worst, _close(got, expect, 0))
+        worst = max(worst, _close(got, expect))
     return _result(
         "derivative-bloch-form", worst <= 1e-12,
         "-i[H, rho] equals -(a_2 sigma_1 - a_1 sigma_2)/2 for single qubits",
@@ -205,12 +205,12 @@ def _check_bloch_rotation() -> CheckResult:
     x = 0.7
     rho_x = dynamics.evolve(rho0, gen, x)
     coeffs = states.BlochCoefficients.from_state(rho_x)
-    err = _close(coeffs.a, [-math.sin(x), math.cos(x), 0.0], 0)
+    err = _close(coeffs.a, [-math.sin(x), math.cos(x), 0.0])
     h = 1e-6
     fd = (
         dynamics.evolve(rho0, gen, h).matrix - dynamics.evolve(rho0, gen, -h).matrix
     ) / (2.0 * h)
-    err_fd = _close(fd, dynamics.state_derivative(gen, rho0), 0)
+    err_fd = _close(fd, dynamics.state_derivative(gen, rho0))
     return _result(
         "bloch-rotation", err <= 1e-10 and err_fd <= 1e-6,
         "evolution rotates the Bloch vector to (-sin x, cos x, 0)",
@@ -226,8 +226,8 @@ def _check_single_qubit_sld() -> CheckResult:
     l_plus = fisher.sld_from_state(plus, dynamics.state_derivative(gen, plus))
     l_minus = fisher.sld_from_state(minus, dynamics.state_derivative(gen, minus))
     err = max(
-        _close(l_plus.operator, _EXPECT_MINUS_X, 0),
-        _close(l_minus.operator, -_EXPECT_MINUS_X, 0),
+        _close(l_plus.operator, _EXPECT_MINUS_X),
+        _close(l_minus.operator, -_EXPECT_MINUS_X),
     )
     return _result(
         "single-qubit-sld", err <= 1e-10,
@@ -290,7 +290,7 @@ def _check_nqubit_sld() -> CheckResult:
         l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas).operator
         x_terms = {"I" * j + "X" + "I" * (n - 1 - j): -1.0 for j in range(n)}
         expect = operators.pauli_terms_dense(x_terms)
-        worst_l = max(worst_l, _close(l_dense, expect, 0))
+        worst_l = max(worst_l, _close(l_dense, expect))
         worst_qfi = max(worst_qfi, abs(sol.qfi - n))
         worst_res = max(worst_res, sol.residual)
     return _result(
@@ -346,10 +346,10 @@ def _check_system_nonentangling() -> CheckResult:
     )
     # K values for inverse eigenvalues (-2, 0, 0, +2).
     k = solver.k_values_from_inv_lambdas([-2.0, 0.0, 0.0, 2.0])
-    err_k = _close(k, [0.0, -4.0, -4.0, 0.0], 0)
+    err_k = _close(k, [0.0, -4.0, -4.0, 0.0])
     residuals = solver.evaluate_two_qubit_system(system, coeffs, k)
     dense = solver.dense_two_qubit_residuals(system, coeffs, k)
-    err = max(float(np.max(np.abs(residuals))), _close(residuals, dense, 0), err_k)
+    err = max(float(np.max(np.abs(residuals))), _close(residuals, dense), err_k)
     return _result(
         "two-qubit-system-nonentangling", err <= 1e-9,
         "product-state K values zero all sixteen relations (dense agreement)",
@@ -368,7 +368,7 @@ def _check_system_entangling() -> CheckResult:
         k = solver.k_values_from_inv_lambdas([-1.0, c, c, 1.0])
         residuals = solver.evaluate_two_qubit_system(system, coeffs, k)
         dense = solver.dense_two_qubit_residuals(system, coeffs, k)
-        worst = max(worst, float(np.max(np.abs(residuals))), _close(residuals, dense, 0))
+        worst = max(worst, float(np.max(np.abs(residuals))), _close(residuals, dense))
     return _result(
         "two-qubit-system-entangling-family", worst <= 1e-9,
         "the entangling solution zeros all relations for any free value c",

@@ -26,6 +26,8 @@ def run_cli(capsys, argv):
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="unknown field 'bogus'"):
         parse_config_text('{"bogus": 1}', task="fisher")
+    with pytest.raises(ConfigError, match="unknown field 'filter'"):
+        parse_config_text('{"filter": "parity"}', task="fisher")
     with pytest.raises(ConfigError, match="state: unknown field"):
         parse_config_text('{"state": {"kind": "cat", "phase": 1}}', task="fisher")
     with pytest.raises(ConfigError, match="line 1 column"):

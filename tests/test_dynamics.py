@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import comb
 
 from probelab import dynamics, operators, states
@@ -88,6 +89,35 @@ def test_evolve_at_zero_is_identity():
     rho = states.optimal_single_qubit(+1)
     gen = dynamics.nonentangling_generator(1)
     assert np.allclose(dynamics.evolve(rho, gen, 0.0).matrix, rho.matrix)
+
+
+@pytest.mark.parametrize(
+    "kind", [dynamics.NONENTANGLING, dynamics.ENTANGLING, dynamics.CUSTOM]
+)
+def test_evolve_matches_expm(kind):
+    rng = np.random.default_rng(21)
+    if kind == dynamics.CUSTOM:
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = (g + g.conj().T) / 4.0
+        gen = dynamics.custom_generator(h)
+    else:
+        build = {dynamics.NONENTANGLING: dynamics.nonentangling_generator,
+                 dynamics.ENTANGLING: dynamics.entangling_generator}[kind]
+        gen = build(3)
+        h = gen.matrix
+    rho = states.random_mixed_state(3, rng)
+    np.testing.assert_allclose(dynamics.evolve(rho, gen, 0.0).matrix, rho.matrix, atol=1e-13)
+    for x in (0.37, -1.21):
+        u = expm(-1j * x * h)
+        expected = u @ rho.matrix @ u.conj().T
+        np.testing.assert_allclose(dynamics.evolve(rho, gen, x).matrix, expected, atol=1e-12)
+    two_steps = dynamics.evolve(dynamics.evolve(rho, gen, 0.37), gen, -1.21).matrix
+    np.testing.assert_allclose(two_steps, dynamics.evolve(rho, gen, 0.37 - 1.21).matrix, atol=1e-12)
+    evolved = dynamics.evolve(rho, gen, 0.9).matrix
+    assert abs(np.trace(evolved) - np.trace(rho.matrix)) <= 1e-12
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(evolved), np.linalg.eigvalsh(rho.matrix), atol=1e-12
+    )
 
 
 def test_evolve_rotates_bloch_vector():

@@ -127,29 +127,3 @@ def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         ops.hermitian_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
-
-def test_unitary_evolution_diagonal_generator():
-    u = ops.unitary_evolution(SZ / 2.0, np.pi)
-    assert np.allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]))
-
-
-def test_unitary_evolution_at_zero_is_identity():
-    assert np.allclose(ops.unitary_evolution(random_hermitian(4, 5), 0.0), np.eye(4))
-
-
-def test_unitary_evolution_group_law():
-    h = random_hermitian(4, 11)
-    u1 = ops.unitary_evolution(h, 0.37)
-    u2 = ops.unitary_evolution(h, -1.21)
-    u12 = ops.unitary_evolution(h, 0.37 - 1.21)
-    assert np.allclose(u1 @ u2, u12, atol=1e-10)
-
-
-def test_unitary_conjugation_preserves_spectrum_and_trace():
-    h = random_hermitian(4, 2)
-    a = random_hermitian(4, 9)
-    u = ops.unitary_evolution(h, 0.9)
-    b = u @ a @ u.conj().T
-    assert np.linalg.norm(b - b.conj().T) <= 1e-10 * np.linalg.norm(b)
-    assert abs(np.trace(b) - np.trace(a)) <= 1e-10
-    assert np.allclose(np.linalg.eigvalsh(b), np.linalg.eigvalsh(a), atol=1e-10)
