@@ -53,6 +53,12 @@ class Generator:
             return np.diag(self.spectrum).astype(complex)
         return (self.frame * self.spectrum) @ self.frame.conj().T
 
+    def apply(self, ket: np.ndarray) -> np.ndarray:
+        """H ket: O(d) for a diagonal generator, two d x d matvecs otherwise."""
+        if self.frame is None:
+            return self.spectrum * ket
+        return self.frame @ (self.spectrum * (self.frame.conj().T @ ket))
+
 
 def _bit_counts(n: int) -> np.ndarray:
     """popcount(k) for every basis index k < 2**n."""
@@ -167,6 +173,19 @@ class ReadoutBasis:
             xor_sums = a[rows[:, None], rows[:, None] ^ rows[None, :]].sum(axis=0)
             return _walsh_hadamard(xor_sums) / self.dim
         return np.einsum("ik,ik->k", self.kets.conj(), a @ self.kets)
+
+    def amplitudes(self, ket: np.ndarray) -> np.ndarray:
+        """V^dagger ket: the amplitude <k|ket> of every outcome k, aligned with
+        ``labels``.
+
+        For the Hadamard readout V^dagger = H^(x)n / sqrt(d) is real and
+        symmetric: one length-d fast Walsh-Hadamard transform, O(d log d), whose
+        butterflies cancel exactly where a product state's amplitudes do.  Any
+        other basis costs one d^2 matvec.
+        """
+        if self.hadamard:
+            return _walsh_hadamard(np.asarray(ket, dtype=complex)) / np.sqrt(self.dim)
+        return self.kets.conj().T @ ket
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:

@@ -16,11 +16,22 @@ the projectors are compatible with L on the support of rho, i.e.
 E (L - Re(ratio)) rho = 0 for every outcome.  Both conditions are measured by
 :func:`check_saturation`.
 
-Every per-outcome number here is a readout diagonal <k|A|k> taken by
-:meth:`ReadoutBasis.diagonal`: O(d^2) for the per-qubit |+>/|-> readout, one
-d^3 BLAS product for any other basis.  The SLD itself costs one d x d
-eigendecomposition.  :func:`analyze` computes all of the above for one probe
-from one derivative, one SLD and one spectrum, under one :class:`Tolerances`.
+:func:`analyze` computes all of the above for one probe under one
+:class:`Tolerances`, by one of two routes:
+
+* dense, for a state without a ket: one derivative, one SLD (a d x d
+  eigendecomposition plus a few d^3 products) and one spectrum, each
+  per-outcome number a readout diagonal <k|A|k> taken by
+  :meth:`ReadoutBasis.diagonal` (O(d^2) for the per-qubit |+>/|-> readout,
+  one d^3 BLAS product for any other basis);
+* closed form, for a pure state rho = |psi><psi| that carries its ket: with
+  dpsi = -i H psi the SLD is exactly L = 2 rho' (the eigenbasis formula's
+  zero-kernel choice) and F_Q = 4 Var_psi(H), so every number follows from
+  the readout amplitudes phi = V^dagger psi and chi = V^dagger H psi
+  (:meth:`ReadoutBasis.amplitudes`: O(d log d) for the per-qubit |+>/|->
+  readout, one d^2 matvec for any other basis) in O(d) more.
+
+The dense route stays the reference: ``verify`` compares the two.
 """
 
 from __future__ import annotations
@@ -42,6 +53,15 @@ from .states import DensityMatrix
 
 EIGENBASIS_FORMULA = "eigenbasis-formula"
 READOUT_DIAGONAL = "readout-diagonal"
+
+#: At an outcome whose probability is at or below ``probability_floor``, a
+#: |dp/dx| (classical Fisher sum) or |tr(E L rho)| (inverse-eigenvalue ratio)
+#: above this makes the quantity divergent or undefined.  Fixed, like
+#: ``SCORE_ATOL``: neither is a :class:`Tolerances` field.
+ZERO_OUTCOME_ATOL = 1e-10
+#: Largest accepted |Re tr(E L rho)/p - tr(E rho')/p|, a difference that the
+#: SLD equation makes zero.
+SCORE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class SLDResult:
@@ -122,17 +142,36 @@ def sld_from_state(
     l_eig = weights * drho_eig
     l_op = eig.vectors @ l_eig @ eig.vectors.conj().T
     l_op = 0.5 * (l_op + l_op.conj().T)
-    residual = float(
-        np.linalg.norm(0.5 * (l_op @ rho.matrix + rho.matrix @ l_op) - rho_prime)
+    _check_sld_residual(
+        float(np.linalg.norm(0.5 * (l_op @ rho.matrix + rho.matrix @ l_op) - rho_prime)),
+        residual_tol,
     )
+    return SLDResult(
+        operator=l_op, route=EIGENBASIS_FORMULA, kernel_dim=int(np.sum(kernel))
+    )
+
+
+def _check_sld_residual(residual: float, residual_tol: float) -> None:
     if residual > residual_tol:
         raise SLDInconsistencyError(
             f"defining-equation residual {residual:.3e} exceeds "
             f"{residual_tol:.1e}: derivative has support outside the state"
         )
-    return SLDResult(
-        operator=l_op, route=EIGENBASIS_FORMULA, kernel_dim=int(np.sum(kernel))
-    )
+
+
+def pure_sld_residual(phi: np.ndarray, chi: np.ndarray, l_psi: np.ndarray) -> float:
+    """||(L rho + rho L)/2 - rho'||_F for rho = |psi><psi| and rho' = -i[H, rho].
+
+    Takes the readout amplitudes phi = V^dagger psi, chi = V^dagger H psi and
+    l_psi = V^dagger L psi.  With a = l_psi / 2 + i chi and c = phi^dagger a
+    the residual operator is a phi^dagger + phi a^dagger, whose squared norm
+    is taken as 4 Re(c)^2 + 2 |a - c phi|^2: both terms are non-negative, so
+    no digits cancel near a solution (the equal form 2|a|^2 + 2 Re(c^2) does).
+    """
+    a = 0.5 * l_psi + 1j * chi
+    c = phi.conj() @ a
+    perp = a - c * phi
+    return math.sqrt(4.0 * c.real * c.real + 2.0 * (perp.conj() @ perp).real)
 
 
 def sld_from_spectrum(basis: ReadoutBasis, inv_lambdas) -> SLDResult:
@@ -175,14 +214,29 @@ def lambda_spectrum(
     """
     if basis.dim != rho.dim:
         raise DimensionError("basis and state dimensions differ")
-    numerators = basis.diagonal(rho.matrix @ l_op)
-    probs = np.real(basis.diagonal(rho.matrix))
-    dprobs = np.real(basis.diagonal(rho_prime))
-    values = np.zeros(basis.n_outcomes, dtype=complex)
+    return _ratio_spectrum(
+        basis.labels,
+        basis.diagonal(rho.matrix @ l_op),
+        np.real(basis.diagonal(rho.matrix)),
+        np.real(basis.diagonal(rho_prime)),
+        probability_floor,
+    )
+
+
+def _ratio_spectrum(
+    labels: tuple[str, ...],
+    numerators: np.ndarray,
+    probs: np.ndarray,
+    dprobs: np.ndarray,
+    probability_floor: float,
+) -> LambdaSpectrum:
+    """The ratios tr(E L rho)/p of :func:`lambda_spectrum`, with its rules,
+    from the per-outcome numerators, probabilities and dp/dx."""
+    values = np.zeros(len(labels), dtype=complex)
     unconstrained = []
-    for k, label in enumerate(basis.labels):
+    for k, label in enumerate(labels):
         if probs[k] <= probability_floor:
-            if abs(numerators[k]) > 1e-10:
+            if abs(numerators[k]) > ZERO_OUTCOME_ATOL:
                 raise UndefinedLambdaError(
                     f"outcome {label!r} has probability {probs[k]:.3e} but "
                     f"|tr(E L rho)| = {abs(numerators[k]):.3e}"
@@ -191,7 +245,7 @@ def lambda_spectrum(
             unconstrained.append(True)
             continue
         ratio = numerators[k] / probs[k]
-        if abs(ratio.real - dprobs[k] / probs[k]) > 1e-9:
+        if abs(ratio.real - dprobs[k] / probs[k]) > SCORE_ATOL:
             raise SLDInconsistencyError(
                 f"outcome {label!r}: Re tr(E L rho)/p = {ratio.real:.12g} does not "
                 f"match tr(E rho')/p = {dprobs[k] / probs[k]:.12g}"
@@ -199,9 +253,7 @@ def lambda_spectrum(
         values[k] = ratio
         unconstrained.append(False)
     values.setflags(write=False)
-    return LambdaSpectrum(
-        labels=basis.labels, values=values, unconstrained=tuple(unconstrained)
-    )
+    return LambdaSpectrum(labels=labels, values=values, unconstrained=tuple(unconstrained))
 
 
 def check_saturation(
@@ -257,12 +309,22 @@ def classical_fisher(
     """
     if basis.dim != rho.dim:
         raise DimensionError("basis and state dimensions differ")
-    probs = np.real(basis.diagonal(rho.matrix))
-    dprobs = np.real(basis.diagonal(rho_prime))
+    return _fisher_sum(
+        basis.labels,
+        np.real(basis.diagonal(rho.matrix)),
+        np.real(basis.diagonal(rho_prime)),
+        probability_floor,
+    )
+
+
+def _fisher_sum(
+    labels: tuple[str, ...], probs: np.ndarray, dprobs: np.ndarray, probability_floor: float
+) -> float:
+    """sum dp^2 / p with the floor rule of :func:`classical_fisher`."""
     total = 0.0
-    for label, p, dp in zip(basis.labels, probs, dprobs):
+    for label, p, dp in zip(labels, probs, dprobs):
         if p <= probability_floor:
-            if abs(dp) > 1e-10:
+            if abs(dp) > ZERO_OUTCOME_ATOL:
                 raise SingularOutcomeError(
                     f"outcome {label!r} has probability {p:.3e} but derivative {dp:.3e}"
                 )
@@ -312,9 +374,14 @@ def analyze(
 ) -> Analysis:
     """One pass over a probe: one derivative, one SLD and one spectrum.
 
-    Raises what the parts raise, in this order: a divergent classical Fisher
-    sum, an inconsistent SLD, then an undefined or inconsistent ratio.
+    A state with a ket takes the closed-form route (O(d log d) on the
+    per-qubit readout, O(d^2) on any other); any other state the dense route
+    of the parts above.  Both raise what the parts raise, in
+    this order: a divergent classical Fisher sum, an inconsistent SLD, then
+    an undefined or inconsistent ratio.
     """
+    if state.ket is not None:
+        return _analyze_pure(generator, state, basis, tol)
     rho_prime = state_derivative(generator, state)
     floor = tol.probability_floor
     f_classical = classical_fisher(basis, state, rho_prime, probability_floor=floor)
@@ -326,5 +393,48 @@ def analyze(
         spectrum=spectrum,
         saturation=check_saturation(
             basis, state, rho_prime, tol=tol.saturation, sld=sld, spectrum=spectrum
+        ),
+    )
+
+
+def _analyze_pure(
+    generator: Generator, state: DensityMatrix, basis: ReadoutBasis, tol: Tolerances
+) -> Analysis:
+    """:func:`analyze` for rho = |psi><psi| from the readout amplitudes of psi.
+
+    With phi = V^dagger psi, chi = V^dagger H psi, p_k = |phi_k|^2 and
+    h = <psi|H|psi>: dp_k = 2 Im(conj(phi_k) chi_k), and L = 2 rho' =
+    -2i (|H psi><psi| - |psi><H psi|) has L psi = -2i (H - h) psi.  Every
+    psi-kernel eigenvalue pair of rho sums to exactly 1, so ``kernel_tol`` >= 1
+    puts them in the kernel and zeroes L, as on the dense route.  Then
+    tr(E_k L rho) = phi_k conj(<k|L psi>), tr(L^2 rho) = ||L psi||^2 and each
+    saturation row <k|(L - u_k) rho is rank one, of norm |<k|L psi> - u_k phi_k|.
+    """
+    if basis.dim != state.dim or generator.n_qubits != state.n_qubits:
+        raise DimensionError("basis, generator and state dimensions differ")
+    phi = basis.amplitudes(state.ket)
+    chi = basis.amplitudes(generator.apply(state.ket))
+    phi_c = phi.conj()
+    probs = (phi_c * phi).real
+    dprobs = 2.0 * (phi_c * chi).imag
+    floor = tol.probability_floor
+    f_classical = _fisher_sum(basis.labels, probs, dprobs, floor)
+    if tol.kernel_tol < 1.0:
+        l_psi = -2j * (chi - (phi_c @ chi).real * phi)
+    else:
+        l_psi = np.zeros_like(phi)
+    _check_sld_residual(pure_sld_residual(phi, chi, l_psi), tol.sld_residual)
+    numerators = phi * l_psi.conj()
+    spectrum = _ratio_spectrum(basis.labels, numerators, probs, dprobs, floor)
+    im_max = float(np.max(np.abs(numerators.imag)))
+    diag_residual = float(np.linalg.norm(l_psi - spectrum.values.real * phi))
+    return Analysis(
+        classical_fisher=f_classical,
+        quantum_fisher=float(np.vdot(l_psi, l_psi).real),
+        spectrum=spectrum,
+        saturation=SaturationReport(
+            im_condition_max=im_max,
+            diagonal_residual=diag_residual,
+            saturated=bool(im_max <= tol.saturation and diag_residual <= tol.saturation),
         ),
     )

@@ -29,7 +29,6 @@ other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -49,7 +48,7 @@ from .dynamics import (
     state_derivative,
 )
 from .errors import DimensionError, UnsupportedClosedFormError, ValidationError
-from .fisher import LambdaSpectrum, analyze, sld_from_spectrum
+from .fisher import LambdaSpectrum, analyze, pure_sld_residual, sld_from_spectrum
 from .states import (
     BlochCoefficients,
     DensityMatrix,
@@ -319,11 +318,11 @@ def _pure_state_score(
     O(d^2) and without forming rho.  With phi = V^dagger ket and
     chi = V^dagger H ket the normal equations are solved by the classical
     score u_k = p'_k / p_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2, so the QFI
-    sum_k u_k^2 p_k is the classical Fisher information of the readout.  With
-    a = u phi / 2 + i chi and c = phi^dagger a the residual operator is
-    a phi^dagger + phi a^dagger, whose squared norm is taken as
-    4 Re(c)^2 + 2 |a - c phi|^2: both terms are non-negative, so no digits
-    cancel near a solution.
+    sum_k u_k^2 p_k is the classical Fisher information of the readout.  The
+    residual is :func:`~probelab.fisher.pure_sld_residual` of L = sum_k u_k E_k,
+    whose L psi has readout amplitudes u phi.  The amplitudes come from one
+    product with the precomputed ``amplitude_map``: at the search's small d
+    that beats the readout's own transform, and its bits steer the simplex.
     """
     dim = ket.shape[0]
     amplitudes = amplitude_map @ ket
@@ -335,11 +334,7 @@ def _pure_state_score(
     unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
     u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(dim), where=~unconstrained)
     qfi = float(u * u @ p)
-    a = 0.5 * u * phi + 1j * chi
-    c = phi_c @ a
-    perp = a - c * phi
-    residual = math.sqrt(4.0 * c.real * c.real + 2.0 * (perp.conj() @ perp).real)
-    return u, unconstrained, qfi, residual
+    return u, unconstrained, qfi, pure_sld_residual(phi, chi, u * phi)
 
 
 def solve_lambdas_given_state(
@@ -621,7 +616,10 @@ def search_optimal_state(
     ``mixed_states``); each start's end point is re-checked by the dense
     least squares and must pass ``psd_min_eigenvalue`` and ``residual_tol``
     to count as a solution; one whose ||-i[H, rho]||_F is within ``residual_tol``
-    carries no information (u = 0 solves the equation) and is dropped.  Starts
+    carries no information (u = 0 solves the equation) and is dropped.  A
+    pure solution carries its ket and reports the closed form's inverse
+    eigenvalues and QFI, which keep the small outcome probabilities that the
+    dense route loses when it forms rho.  Starts
     draw seeded random states, so results are reproducible and independent of
     any parallel scheduling; ties within ``tie_tol`` of the best objective are
     all reported, sorted by their rounded Pauli coefficients.  Global
@@ -652,10 +650,6 @@ def search_optimal_state(
         n_params = 2 * dim - 2
         amplitude_map = _amplitude_map(basis, generator)
 
-        def build(params: np.ndarray) -> np.ndarray:
-            ket = _state_from_angles(params, dim)
-            return np.outer(ket, ket.conj())
-
         def objective(params: np.ndarray) -> float:
             ket = _state_from_angles(params, dim)
             _, _, qfi, residual = _pure_state_score(ket, amplitude_map)
@@ -682,11 +676,13 @@ def search_optimal_state(
                 "disp": False,
             },
         )
-        rho = build(result.x)
         if config.mixed_states:
-            rho = _shrink_to_psd(rho)
+            rho, ket = _shrink_to_psd(build(result.x)), None
+        else:
+            ket = _state_from_angles(result.x, dim)
+            rho = np.outer(ket, ket.conj())
         try:
-            state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue)
+            state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue, ket=ket)
         except ValidationError:
             continue
         spectrum, residual = solve_lambdas_given_state(state, basis, generator)
@@ -694,7 +690,11 @@ def search_optimal_state(
         drift = np.linalg.norm(state_derivative(generator, state))
         if residual > config.residual_tol or drift <= config.residual_tol:
             continue
-        qfi = _diagonal_qfi(basis, spectrum.real_values(), state.matrix)
+        if state.ket is None:
+            qfi = _diagonal_qfi(basis, spectrum.real_values(), state.matrix)
+        else:
+            u, unconstrained, qfi, _ = _pure_state_score(state.ket, amplitude_map)
+            spectrum = _real_spectrum(basis, u, unconstrained)
         solution = Solution(state, spectrum, residual, qfi, NUMERIC_SEARCH)
         key = _dedup_key(state)
         existing = found.get(key)

@@ -14,13 +14,22 @@ import numpy as np
 from . import operators as ops
 from .errors import DimensionError, PSDViolationError, ValidationError
 
+#: Largest Frobenius distance accepted between a state's matrix and |ket><ket|.
+KET_ATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on 2**n dims."""
+    """Hermitian, unit-trace, positive-semidefinite operator on 2**n dims.
+
+    ``ket`` is a unit vector with ``matrix`` = |ket><ket| when the state is
+    known to be pure by construction, else ``None``; analyses of a state with
+    a ket work from the ket (see :func:`probelab.fisher.analyze`).
+    """
 
     matrix: np.ndarray
     n_qubits: int
+    ket: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -40,12 +49,16 @@ def density_matrix(
     hermitian_atol: float = 1e-10,
     trace_atol: float = 1e-10,
     min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue,
+    ket: np.ndarray | None = None,
 ) -> DensityMatrix:
     """Validate a matrix as a density matrix and wrap it.
 
     Raises :class:`ValidationError` for hermiticity/trace failures and
     :class:`PSDViolationError` (carrying the offending eigenvalue) if the
-    smallest eigenvalue falls below ``min_eigenvalue``.
+    smallest eigenvalue falls below ``min_eigenvalue``.  With a ``ket`` the
+    matrix must be |ket><ket| to within ``KET_ATOL`` (Frobenius norm), an
+    O(d^2) check that stands in for the eigendecomposition: the smallest
+    eigenvalue of a rank-one state is exactly 0.
     """
     matrix = np.array(matrix, dtype=complex)
     n = ops.n_qubits_of(matrix)
@@ -54,11 +67,21 @@ def density_matrix(
     trace = np.trace(matrix)
     if abs(trace - 1.0) > trace_atol:
         raise ValidationError(f"density matrix trace is {trace:.12g}, expected 1")
-    smallest = float(np.linalg.eigvalsh(matrix)[0])
+    if ket is None:
+        smallest = float(np.linalg.eigvalsh(matrix)[0])
+    else:
+        ket = np.array(ket, dtype=complex)
+        if ket.shape != matrix.shape[:1]:
+            raise DimensionError(f"ket shape {ket.shape} does not match state {matrix.shape}")
+        mismatch = float(np.linalg.norm(matrix - np.outer(ket, ket.conj())))
+        if mismatch > KET_ATOL:
+            raise ValidationError(f"density matrix differs from |ket><ket| by {mismatch:.3e}")
+        ket.setflags(write=False)
+        smallest = 0.0
     if smallest < min_eigenvalue:
         raise PSDViolationError(smallest)
     matrix.setflags(write=False)
-    return DensityMatrix(matrix=matrix, n_qubits=n)
+    return DensityMatrix(matrix=matrix, n_qubits=n, ket=ket)
 
 
 def pure_state(ket: np.ndarray) -> DensityMatrix:
@@ -68,7 +91,7 @@ def pure_state(ket: np.ndarray) -> DensityMatrix:
     if norm == 0:
         raise ValidationError("cannot normalize the zero vector")
     ket = ket / norm
-    return density_matrix(np.outer(ket, ket.conj()))
+    return density_matrix(np.outer(ket, ket.conj()), ket=ket)
 
 
 @dataclass(frozen=True)
@@ -136,16 +159,18 @@ def optimal_single_qubit(sign: int = +1) -> DensityMatrix:
     """
     if sign not in (+1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
-    return from_bloch([0.0, float(sign), 0.0])
+    matrix = hermitian_from_bloch(BlochCoefficients(a=np.array([0.0, float(sign), 0.0])))
+    return density_matrix(matrix, ket=np.array([1.0, sign * 1j]) / np.sqrt(2.0))
 
 
 def tensor_power(rho: DensityMatrix, n: int, cap: int = ops.MAX_QUBITS) -> DensityMatrix:
-    """n-fold tensor power of a state."""
+    """n-fold tensor power of a state; that of a state with a ket has a ket."""
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
     total = n * rho.n_qubits
     ops.check_cap(total, cap)
-    return density_matrix(ops.kron_all([rho.matrix] * n))
+    ket = None if rho.ket is None else ops.kron_all([rho.ket] * n)
+    return density_matrix(ops.kron_all([rho.matrix] * n), ket=ket)
 
 
 def cat_state(n: int, sign: int = +1, cap: int = ops.MAX_QUBITS) -> DensityMatrix:

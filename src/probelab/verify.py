@@ -10,7 +10,7 @@ in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -317,6 +317,52 @@ def _check_fisher_scaling() -> CheckResult:
     return _result(
         "fisher-scaling-product-states", worst <= 1e-8 and saturated_all,
         "classical and quantum Fisher information both equal n, saturated",
+        max_error=worst,
+    )
+
+
+@_check("pure-probe-closed-form-route")
+def _check_pure_route() -> CheckResult:
+    # analyze takes the closed-form route for a state with a ket; the same
+    # matrix without it takes the dense eigenbasis route, the reference here
+    rng = np.random.default_rng(2012)
+    worst = 0.0
+    flags_agree = True
+    for n in range(1, 7):
+        h = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        generators = (
+            dynamics.nonentangling_generator(n),
+            dynamics.entangling_generator(n),
+            dynamics.custom_generator(h + h.conj().T),
+        )
+        readouts = (dynamics.product_pm_readout(n), dynamics.random_projective_readout(n, rng))
+        probes = [states.tensor_power(states.optimal_single_qubit(+1), n),
+                  states.random_pure_state(n, rng)]
+        probes += [states.cat_state(n, +1)] if n > 1 else []
+        for gen in generators:
+            for basis in readouts:
+                for probe in probes:
+                    pure = fisher.analyze(gen, probe, basis)
+                    dense = fisher.analyze(gen, replace(probe, ket=None), basis)
+                    scale = max(1.0, float(np.max(np.abs(dense.spectrum.values))),
+                                dense.quantum_fisher)
+                    worst = max(
+                        worst,
+                        abs(pure.classical_fisher - dense.classical_fisher) / scale,
+                        abs(pure.quantum_fisher - dense.quantum_fisher) / scale,
+                        _close(pure.spectrum.values, dense.spectrum.values) / scale,
+                        abs(pure.saturation.im_condition_max
+                            - dense.saturation.im_condition_max) / scale,
+                        abs(pure.saturation.diagonal_residual
+                            - dense.saturation.diagonal_residual) / scale,
+                    )
+                    flags_agree &= (
+                        pure.spectrum.unconstrained == dense.spectrum.unconstrained
+                        and pure.saturation.saturated == dense.saturation.saturated
+                    )
+    return _result(
+        "pure-probe-closed-form-route", worst <= 1e-9 and flags_agree,
+        "closed-form analysis of tensor, cat and random pure probes matches the dense route",
         max_error=worst,
     )
 

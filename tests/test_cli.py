@@ -110,7 +110,8 @@ _SCALING = {"n_list": [1, 2], "shots": 200, "trials": 10, "seed": 1}
 #: code it must change.
 EXTREME_TOLERANCES = [
     ("kernel_tol", 1.5, "scaling", _SCALING),
-    ("sld_residual", 1e-30, "fisher", {"n_qubits": 1}),
+    # the closed-form SLD residual of the one-qubit optimum is exactly 0
+    ("sld_residual", -1.0, "fisher", {"n_qubits": 1}),
     ("saturation", -1.0, "fisher", {"n_qubits": 2}),
     ("solution_residual", -1.0, "solve",
      {"n_qubits": 1, "seed": 3, "solver": {"n_starts": 2, "max_evals": 200}}),
@@ -204,6 +205,52 @@ def test_fisher_report_cat_state_is_uninformative(tmp_path, capsys):
     assert abs(result["classical_fisher"]) < 1e-10
     assert result["saturated"] is False
     assert result["bound"] == float("inf")
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    original = operators.hermitian_eigen
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (operators, fisher):
+        monkeypatch.setattr(module, "hermitian_eigen", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "state, f_classical, f_quantum", [("optimal_single_tensor", 10.0, 10.0), ("cat", 0.0, 100.0)]
+)
+def test_fisher_on_ten_qubit_pure_probes_takes_no_eigensolve(
+    tmp_path, capsys, monkeypatch, state, f_classical, f_quantum
+):
+    calls = _count_eigensolves(monkeypatch)
+    path = write_config(tmp_path, {"n_qubits": 10, "generator": "nonentangling", "state": state})
+    code, out, err = run_cli(capsys, ["fisher", path])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["classical_fisher"] == pytest.approx(f_classical, abs=1e-10)
+    assert result["quantum_fisher"] == pytest.approx(f_quantum)
+    assert result["saturated"] is (state == "optimal_single_tensor")
+    assert len(result["inv_lambdas"]) == 2**10
+    assert calls == []
+
+
+def test_fisher_on_a_state_file_takes_the_dense_route(tmp_path, capsys, monkeypatch):
+    ket = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    matrix = np.kron(*[np.outer(ket, ket.conj())] * 2)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(
+        json.dumps({"matrix_real": matrix.real.tolist(), "matrix_imag": matrix.imag.tolist()})
+    )
+    calls = _count_eigensolves(monkeypatch)
+    config = {"n_qubits": 2, "state": {"kind": "file", "path": str(state_path)}}
+    code, out, err = run_cli(capsys, ["fisher", write_config(tmp_path, config)])
+    assert code == 0, err
+    assert json.loads(out)["result"]["quantum_fisher"] == pytest.approx(2.0)
+    assert len(calls) == 1
 
 
 def test_fisher_report_entangling_three_qubits(tmp_path, capsys):

@@ -148,3 +148,21 @@ def test_search_keeps_the_instrumented_calls(monkeypatch):
         assert callable(args[0]) and "fun" not in kwargs
         assert result.nfev == config.max_evals
     assert len(checks) == config.n_starts
+
+
+def test_pure_search_reports_the_closed_form_score():
+    # the dense route's QFI loses outcome probabilities near 1e-14 when it
+    # forms rho; a pure solution carries its ket and reports the closed form
+    basis, generator = dynamics.product_pm_readout(2), dynamics.nonentangling_generator(2)
+    config = solver.SearchConfig(n_starts=4, max_evals=400, seed=5)
+    result = solver.search_optimal_state(generator, basis, 2, config)
+    assert result.feasible
+    for sol in result.solutions:
+        u, unconstrained, qfi, _ = solver._pure_state_score(
+            sol.state.ket, solver._amplitude_map(basis, generator)
+        )
+        assert sol.qfi == qfi
+        assert np.array_equal(sol.inv_lambdas.real_values(), u)
+        assert sol.inv_lambdas.unconstrained == tuple(unconstrained)
+        _, residual = solver.solve_lambdas_given_state(sol.state, basis, generator)
+        assert sol.residual == residual

@@ -166,3 +166,53 @@ def test_every_constructor_output_is_valid(ctor):
     assert np.linalg.norm(m - m.conj().T) < 1e-10
     assert abs(np.trace(m) - 1.0) < 1e-10
     assert np.linalg.eigvalsh(m)[0] >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "ctor, pure",
+    [
+        (lambda: states.optimal_single_qubit(-1), True),
+        (lambda: states.tensor_power(states.optimal_single_qubit(+1), 3), True),
+        (lambda: states.cat_state(3, -1), True),
+        (lambda: states.random_pure_state(3, 7), True),
+        (lambda: states.from_bloch([0.0, 1.0, 0.0]), False),
+        (lambda: states.tensor_power(states.from_bloch([0.0, 1.0, 0.0]), 2), False),
+        (lambda: states.two_qubit_entangling_candidate(1.0, 1.0, 1.0), False),
+        (lambda: states.random_mixed_state(2, 7), False),
+    ],
+)
+def test_states_pure_by_construction_carry_their_ket(ctor, pure):
+    rho = ctor()
+    assert (rho.ket is not None) == pure
+    if pure:
+        assert np.linalg.norm(rho.matrix - np.outer(rho.ket, rho.ket.conj())) < 1e-14
+        assert not rho.ket.flags.writeable
+
+
+def test_ket_leaves_the_matrix_unchanged():
+    for sign in (+1, -1):
+        plus = states.optimal_single_qubit(sign)
+        assert np.array_equal(plus.matrix, states.from_bloch([0.0, sign, 0.0]).matrix)
+        power = states.tensor_power(plus, 4)
+        assert np.array_equal(power.matrix, np.kron(np.kron(plus.matrix, plus.matrix),
+                                                    np.kron(plus.matrix, plus.matrix)))
+
+
+def test_density_matrix_rejects_a_ket_that_does_not_match():
+    zero = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert states.density_matrix(zero, ket=[1.0, 0.0]).ket is not None
+    with pytest.raises(ValidationError, match="differs from"):
+        states.density_matrix(zero, ket=[0.0, 1.0])
+    with pytest.raises(ValidationError, match="differs from"):
+        states.density_matrix(0.5 * np.eye(2), ket=[1.0, 0.0])
+    with pytest.raises(DimensionError):
+        states.density_matrix(zero, ket=[1.0, 0.0, 0.0, 0.0])
+
+
+def test_positive_psd_threshold_rejects_a_ket_state():
+    ket = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    matrix = np.outer(ket, ket.conj())
+    states.density_matrix(matrix, ket=ket, min_eigenvalue=0.0)
+    with pytest.raises(PSDViolationError) as err:
+        states.density_matrix(matrix, ket=ket, min_eigenvalue=1e-3)
+    assert err.value.min_eigenvalue == 0.0
