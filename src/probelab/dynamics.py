@@ -30,6 +30,10 @@ NONENTANGLING = "nonentangling"
 ENTANGLING = "entangling"
 CUSTOM = "custom"
 
+#: Most negative readout probability that :func:`outcome_probabilities` clips
+#: to 0 as round-off rather than rejecting.  Fixed, not a ``Tolerances`` field.
+CLIP_FLOOR = -1e-12
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -53,11 +57,13 @@ class Generator:
             return np.diag(self.spectrum).astype(complex)
         return (self.frame * self.spectrum) @ self.frame.conj().T
 
-    def apply(self, ket: np.ndarray) -> np.ndarray:
-        """H ket: O(d) for a diagonal generator, two d x d matvecs otherwise."""
+    def apply(self, ket: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """W (v o W^dagger ket) for v = ``values``, by default the spectrum (H ket):
+        O(d) for a diagonal generator, two d x d matvecs otherwise."""
+        values = self.spectrum if values is None else values
         if self.frame is None:
-            return self.spectrum * ket
-        return self.frame @ (self.spectrum * (self.frame.conj().T @ ket))
+            return values * ket
+        return self.frame @ (values * (self.frame.conj().T @ ket))
 
 
 def _bit_counts(n: int) -> np.ndarray:
@@ -81,10 +87,10 @@ def entangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     return Generator(ENTANGLING, n, 0.5 * (-1.0) ** _bit_counts(n))
 
 
-def custom_generator(matrix: np.ndarray, atol: float = 1e-10) -> Generator:
+def custom_generator(matrix: np.ndarray) -> Generator:
     """Any Hermitian H (else :class:`ValidationError`), stored through one
     eigendecomposition."""
-    eig = ops.hermitian_eigen(matrix, atol)
+    eig = ops.hermitian_eigen(matrix)
     return Generator(CUSTOM, ops.n_qubits_of(eig.vectors), eig.values, eig.vectors)
 
 
@@ -116,10 +122,13 @@ def state_derivative(generator: Generator, rho: DensityMatrix) -> np.ndarray:
 
 
 def evolve(rho: DensityMatrix, generator: Generator, x: float) -> DensityMatrix:
-    """U rho U^dagger with U = exp(-i x H), the kernel e^{-i x h_j} e^{i x h_k}."""
+    """U rho U^dagger with U = exp(-i x H), the kernel e^{-i x h_j} e^{i x h_k};
+    a state's ket evolves with it, to U ket = W (e^{-i x h} o W^dagger ket)."""
     _check_dims(generator, rho)
     phases = np.exp(-1j * x * generator.spectrum)
-    return density_matrix(_in_frame(generator, np.outer(phases, phases.conj()), rho.matrix))
+    ket = None if rho.ket is None else generator.apply(rho.ket, phases)
+    matrix = _in_frame(generator, np.outer(phases, phases.conj()), rho.matrix)
+    return density_matrix(matrix, ket=ket)
 
 
 @dataclass(frozen=True)
@@ -174,45 +183,45 @@ class ReadoutBasis:
             return _walsh_hadamard(xor_sums) / self.dim
         return np.einsum("ik,ik->k", self.kets.conj(), a @ self.kets)
 
-    def amplitudes(self, ket: np.ndarray) -> np.ndarray:
-        """V^dagger ket: the amplitude <k|ket> of every outcome k, aligned with
+    def amplitudes(self, kets: np.ndarray) -> np.ndarray:
+        """V^dagger applied to a ket or to a (d, m) stack of column kets: the
+        amplitude <k|ket> of every outcome k along axis 0, aligned with
         ``labels``.
 
         For the Hadamard readout V^dagger = H^(x)n / sqrt(d) is real and
-        symmetric: one length-d fast Walsh-Hadamard transform, O(d log d), whose
+        symmetric: a fast Walsh-Hadamard transform, O(m d log d), whose
         butterflies cancel exactly where a product state's amplitudes do.  Any
-        other basis costs one d^2 matvec.
+        other basis costs one d x d by d x m product.
         """
         if self.hadamard:
-            return _walsh_hadamard(np.asarray(ket, dtype=complex)) / np.sqrt(self.dim)
-        return self.kets.conj().T @ ket
+            return _walsh_hadamard(np.asarray(kets, dtype=complex)) / np.sqrt(self.dim)
+        return self.kets.conj().T @ kets
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
-    """Unnormalised transform y_k = sum_m (-1)^popcount(k & m) x_m."""
-    dim, half = x.shape[0], 1
-    while half < dim:
-        pairs = x.reshape(-1, 2, half)
+    """Unnormalised transform y_k = sum_m (-1)^popcount(k & m) x_m along axis 0."""
+    shape, half = x.shape, 1
+    while half < shape[0]:
+        pairs = x.reshape(-1, 2, half, *shape[1:])
         x = np.concatenate(
             (pairs[:, :1] + pairs[:, 1:], pairs[:, :1] - pairs[:, 1:]), axis=1
         )
         half *= 2
-    return x.reshape(dim)
+    return x.reshape(shape)
 
 
-def readout_from_kets(
-    kets: np.ndarray, labels: tuple[str, ...] | None = None, atol: float = 1e-10
-) -> ReadoutBasis:
+def readout_from_kets(kets: np.ndarray, labels: tuple[str, ...] | None = None) -> ReadoutBasis:
     """Wrap a unitary matrix of column kets as a readout basis.
 
-    Checks completeness (sum of projectors is the identity) and orthogonality.
+    Checks completeness (sum of projectors is the identity) and orthogonality,
+    each to within ``operators.MATRIX_ATOL`` (Frobenius norm).
     """
     kets = np.array(kets, dtype=complex)
     ops.n_qubits_of(kets)  # validates the square power-of-two shape
     gram = kets.conj().T @ kets
-    if np.linalg.norm(gram - np.eye(kets.shape[1])) > atol:
+    if np.linalg.norm(gram - np.eye(kets.shape[1])) > ops.MATRIX_ATOL:
         raise ValidationError("readout kets are not orthonormal within tolerance")
-    if np.linalg.norm(kets @ kets.conj().T - np.eye(kets.shape[0])) > atol:
+    if np.linalg.norm(kets @ kets.conj().T - np.eye(kets.shape[0])) > ops.MATRIX_ATOL:
         raise ValidationError("readout projectors do not sum to the identity")
     if labels is None:
         labels = tuple(str(k) for k in range(kets.shape[1]))
@@ -252,12 +261,10 @@ def random_projective_readout(
     return readout_from_kets(q)
 
 
-def outcome_probabilities(
-    basis: ReadoutBasis, rho: DensityMatrix, *, clip_floor: float = -1e-12
-) -> dict[str, float]:
+def outcome_probabilities(basis: ReadoutBasis, rho: DensityMatrix) -> dict[str, float]:
     """p(outcome) = tr(E rho), clipped to [0, 1].
 
-    Values below ``clip_floor`` or a total off from 1 by more than 1e-9 signal
+    Values below ``CLIP_FLOOR`` or a total off from 1 by more than 1e-9 signal
     an invalid state/basis pairing and raise.
     """
     if basis.dim != rho.dim:
@@ -265,7 +272,7 @@ def outcome_probabilities(
             f"readout dimension {basis.dim} does not match state dimension {rho.dim}"
         )
     raw = np.real(basis.diagonal(rho.matrix))
-    if np.min(raw) < clip_floor:
+    if np.min(raw) < CLIP_FLOOR:
         raise ValidationError(
             f"outcome probability {np.min(raw):.3e} below clipping floor"
         )

@@ -85,9 +85,6 @@ class LambdaSpectrum:
     values: np.ndarray
     unconstrained: tuple[bool, ...]
 
-    def as_dict(self) -> dict[str, complex]:
-        return {label: complex(v) for label, v in zip(self.labels, self.values)}
-
     def real_values(self) -> np.ndarray:
         return np.real(self.values)
 
@@ -278,15 +275,13 @@ def check_saturation(
         sld = sld_from_state(rho, rho_prime)
     if spectrum is None:
         spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
-    kets = basis.kets
     l_rho = sld.operator @ rho.matrix
     # tr(rho E L) = <theta| L rho |theta> by cyclicity.
     traces = basis.diagonal(l_rho)
     im_max = float(np.max(np.abs(np.imag(traces))))
     # Row vectors <theta| (L - Re(1/lambda)) rho for every outcome.
-    rows = kets.conj().T @ l_rho - np.real(spectrum.values)[:, None] * (
-        kets.conj().T @ rho.matrix
-    )
+    u = np.real(spectrum.values)[:, None]
+    rows = basis.amplitudes(l_rho) - u * basis.amplitudes(rho.matrix)
     diag_residual = float(np.linalg.norm(rows))
     return SaturationReport(
         im_condition_max=im_max,

@@ -6,7 +6,7 @@ The reported uncertainty is the units-corrected root-mean-squared deviation
     delta_x = rms over trials of ( x_est / |d<x_est>/dx| - x_true ),
 
 with the slope estimated by a central finite difference of the mean estimate
-at x_true +/- h.  No unbiasedness assumption is made.
+at x_true +/- h, h = ``SLOPE_STEP``.  No unbiasedness assumption is made.
 
 Likelihood model: for a generator with stored spectrum h the outcome
 probabilities are an exact trigonometric polynomial in x,
@@ -57,6 +57,8 @@ from .states import DensityMatrix, cat_state, optimal_single_qubit, tensor_power
 
 #: Classical Fisher information below this leaves the model unidentifiable.
 FISHER_FLOOR = 1e-10
+#: Half-width h of the central difference that estimates the slope d<x_est>/dx.
+SLOPE_STEP = 0.01
 
 _LOG_FLOOR = 1e-300
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -313,7 +315,6 @@ def uncertainty_run(
     trials: int,
     seed: int | Sequence[int],
     *,
-    slope_step: float = 0.01,
     search_interval: tuple[float, float] | None = None,
     grid_points: int = 1024,
     probability_floor: float = Tolerances.probability_floor,
@@ -340,7 +341,7 @@ def uncertainty_run(
     if search_interval is None:
         search_interval = _fold_free_interval(model, x_true, grid_points)
     machine = _LikelihoodMachine(model, search_interval, grid_points, probability_floor)
-    probs = model.probability_table(np.array([x_true - slope_step, x_true, x_true + slope_step]))
+    probs = model.probability_table(np.array([x_true - SLOPE_STEP, x_true, x_true + SLOPE_STEP]))
     counts = np.empty((3, trials, probs.shape[1]))
     peaks = np.empty((3, trials), dtype=int)
     base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
@@ -350,7 +351,7 @@ def uncertainty_run(
         peaks[:, t] = machine.grid_peaks(counts[:, t])
     rows = counts.reshape(3 * trials, -1)
     estimates = machine.estimate(rows, peaks=peaks.ravel()).reshape(3, trials)
-    slope = float((np.mean(estimates[2]) - np.mean(estimates[0])) / (2.0 * slope_step))
+    slope = float((np.mean(estimates[2]) - np.mean(estimates[0])) / (2.0 * SLOPE_STEP))
     if abs(slope) < 1e-12:
         raise DegenerateModelError("estimator slope vanished; cannot correct units")
     corrected = estimates[1] / abs(slope) - x_true

@@ -23,6 +23,12 @@ from .errors import DimensionError, ValidationError
 #: Largest probe size handled by dense constructors (2**10 = 1024 dims).
 MAX_QUBITS = 10
 
+#: Fixed tolerance of the structural checks on input matrices: Hermiticity
+#: (relative to the Frobenius norm), unit trace of a density matrix and
+#: orthonormal readout kets.  Not a :class:`Tolerances` field: no report
+#: quantity depends on it.
+MATRIX_ATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -105,10 +111,10 @@ def pauli_dense(labels: str | Sequence[str], cap: int = MAX_QUBITS) -> np.ndarra
     return kron_all(pauli_matrix(c) for c in labels)
 
 
-def is_hermitian(matrix: np.ndarray, atol: float = 1e-10) -> bool:
+def is_hermitian(matrix: np.ndarray) -> bool:
     return bool(
         np.linalg.norm(matrix - matrix.conj().T)
-        <= atol * max(1.0, np.linalg.norm(matrix))
+        <= MATRIX_ATOL * max(1.0, np.linalg.norm(matrix))
     )
 
 
@@ -144,18 +150,16 @@ def inverse_pauli_transform(coefficients: np.ndarray) -> np.ndarray:
     return interleaved.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(2**n, 2**n)
 
 
-def pauli_expand(
-    matrix: np.ndarray, atol: float = 1e-10, drop_tol: float = 1e-12
-) -> dict[str, float]:
+def pauli_expand(matrix: np.ndarray, *, drop_tol: float = 1e-12) -> dict[str, float]:
     """Expand a Hermitian matrix over Pauli strings.
 
     Returns the real coefficients {string: tr(P A) / 2**n}, dropping entries
     with magnitude at most ``drop_tol``.  Raises if the input is not Hermitian
-    within ``atol`` (relative to its Frobenius norm).
+    within ``MATRIX_ATOL`` (relative to its Frobenius norm).
     """
     matrix = np.asarray(matrix, dtype=complex)
     n = n_qubits_of(matrix)
-    if not is_hermitian(matrix, atol):
+    if not is_hermitian(matrix):
         raise ValidationError("cannot expand a non-Hermitian matrix over Pauli strings")
     coefficients = pauli_transform(matrix).real
     kept = np.flatnonzero(np.abs(coefficients) > drop_tol)
@@ -212,11 +216,12 @@ class HermitianEigen:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
-def hermitian_eigen(matrix: np.ndarray, atol: float = 1e-10) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+def hermitian_eigen(matrix: np.ndarray) -> HermitianEigen:
+    """Eigendecomposition of a Hermitian matrix (within ``MATRIX_ATOL``),
+    eigenvalues descending."""
     matrix = np.asarray(matrix, dtype=complex)
     n_qubits_of(matrix)
-    if not is_hermitian(matrix, atol):
+    if not is_hermitian(matrix):
         raise ValidationError("matrix is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh(matrix)
     order = np.argsort(values)[::-1]

@@ -9,16 +9,27 @@ For a fixed state the equation is linear in the u, so the inner problem is an
 exact least-squares solve; the outer search over pure states is a seeded
 multi-start simplex method.
 
+The readout is fixed, so the solve works in its frame: with
+R = V^dagger rho V and T = V^dagger (-i[H, rho]) V the operator
+sum_k u_k E_k is diag(u) and the equation holds entry by entry,
+(u_j + u_k)/2 R_jk = T_jk.  Its least squares over real u is a d x d system
+of normal equations (``_lstsq_lambdas``), and the residual and the diagonal
+QFI tr(L^2 rho) = sum_k u_k^2 R_kk are O(d^2) sums.  Forming R and T takes
+O(d^2 log d) on the per-qubit readout (:meth:`ReadoutBasis.amplitudes` on
+d columns), two d^3 products on any other.  This route serves
+``solve_lambdas_given_state`` (each search start's end-point check),
+``sol1_residual``, the closed forms and the mixed-state search; the dense
+(2 d^2 x d) system of one outer product per outcome is kept only in
+:mod:`probelab.verify`, as the reference the frame route is checked against.
+
 For a pure probe psi the least squares has a closed form in the readout
 amplitudes phi = V^dagger psi and chi = V^dagger H psi:
 u_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2 = p'_k / p_k, the classical score,
-so the diagonal QFI tr(L^2 rho) = sum_k u_k^2 p_k of a pure probe is the
-classical Fisher information of the readout.  The residual is taken as the
-sum of two non-negative terms, so it keeps its digits near a solution.  The
+so the diagonal QFI sum_k u_k^2 p_k of a pure probe is the classical Fisher
+information of the readout.  The residual is taken as the sum of two
+non-negative terms, so it keeps its digits near a solution.  The pure-state
 search objective uses this form: one O(d^2) matvec and O(d) work per
-evaluation, against the dense route's (2 d^2 x d) least squares and d x d
-products.  The dense route (``_lstsq_lambdas``) checks each start's end point,
-serves ``solve_lambdas_given_state`` and the mixed-state search.
+evaluation.
 
 For two qubits the equation is equivalent to
 sixteen bilinear relations between the K combinations of the u and the Pauli
@@ -48,7 +59,7 @@ from .dynamics import (
     state_derivative,
 )
 from .errors import DimensionError, UnsupportedClosedFormError, ValidationError
-from .fisher import LambdaSpectrum, analyze, pure_sld_residual, sld_from_spectrum
+from .fisher import LambdaSpectrum, _inv_lambda_array, analyze, pure_sld_residual
 from .states import (
     BlochCoefficients,
     DensityMatrix,
@@ -241,7 +252,7 @@ def dense_two_qubit_residuals(
     )
     build = nonentangling_generator if system.kind == NONENTANGLING else entangling_generator
     h = build(2).matrix
-    residual_op = 0.5 * ops.anticommutator(l_op, rho) + 1j * ops.commutator(h, rho)
+    residual_op = 0.5 * (l_op @ rho + rho @ l_op) + 1j * ops.commutator(h, rho)
     labels = "IXYZ"
     out = np.empty(16)
     for m, row in enumerate(system.equations):
@@ -256,50 +267,67 @@ def dense_two_qubit_residuals(
 # ---------------------------------------------------------------------------
 
 
+def _readout_frame(
+    rho: np.ndarray, basis: ReadoutBasis, generator: Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """R = V^dagger rho V and T = V^dagger (-i[H, rho]) V.
+
+    There L = sum_k u_k E_k is diag(u), so the equation holds entry by entry:
+    (u_j + u_k)/2 R_jk = T_jk.  Each is V^dagger (V^dagger A^dagger)^dagger,
+    two applications of :meth:`ReadoutBasis.amplitudes`: O(d^2 log d) on the
+    per-qubit readout, two d^3 products on any other.
+    """
+    if not basis.dim == generator.spectrum.size == rho.shape[0]:
+        raise DimensionError("basis, generator and state dimensions differ")
+
+    def frame(a: np.ndarray) -> np.ndarray:
+        return basis.amplitudes(basis.amplitudes(a.conj().T).conj().T)
+
+    return frame(rho), frame(_derivative(generator, rho))
+
+
+def _frame_residual(u: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
+    """||(u_j + u_k)/2 R - T||_F = ||(1/2){L, rho} + i[H, rho]||_F."""
+    return float(np.linalg.norm(0.5 * np.add.outer(u, u) * r - t))
+
+
+def _frame_qfi(u: np.ndarray, r: np.ndarray) -> float:
+    """tr(L^2 rho) = sum_k u_k^2 R_kk for L = sum_k u_k E_k."""
+    return float(u * u @ r.diagonal().real)
+
+
 def sol1_residual(
     state: DensityMatrix, inv_lambdas, basis: ReadoutBasis, generator: Generator
 ) -> float:
     """Frobenius norm of (1/2){sum u E, rho} + i[H, rho]."""
-    l_op = sld_from_spectrum(basis, inv_lambdas).operator
-    return _residual_from_l(state.matrix, l_op, state_derivative(generator, state))
+    r, t = _readout_frame(state.matrix, basis, generator)
+    return _frame_residual(_inv_lambda_array(basis, inv_lambdas), r, t)
 
 
-def _residual_from_l(rho: np.ndarray, l_op: np.ndarray, drho: np.ndarray) -> float:
-    """Frobenius norm of (1/2){L, rho} - drho, with drho = -i[H, rho]."""
-    return float(np.linalg.norm(0.5 * ops.anticommutator(l_op, rho) - drho))
+def _lstsq_lambdas(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exact least-squares solve of the equation in the readout frame.
 
-
-def _lstsq_lambdas(
-    rho: np.ndarray, basis: ReadoutBasis, generator: Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact least-squares solve of the equation, linear in the u.
-
-    Returns (u, unconstrained mask, residual).  Outcomes whose projector
-    annihilates the state (zero probability) leave zero columns; they are
-    flagged unconstrained and get u = 0.
+    Returns (u, unconstrained mask, residual).  The normal equations of
+    (u_j + u_k)/2 R_jk = T_jk over real u are d x d: with W = |R|^2 the
+    matrix is (diag(W 1) + W)/2 and the right-hand side has entries
+    sum_k Re(conj(R_jk) T_jk).  The square root of the matrix's diagonal is
+    ||(E_j rho + rho E_j)/2||_F; an outcome where it vanishes (its projector
+    annihilates the state) is unconstrained and gets u = 0.  The rest are
+    solved Jacobi-scaled (unit diagonal) by ``lstsq``.
     """
-    kets = basis.kets
-    dim = rho.shape[0]
-    m = basis.n_outcomes
-    target = _derivative(generator, rho)
-    columns = np.empty((dim * dim, m), dtype=complex)
-    for k in range(m):
-        ket = kets[:, k]
-        e_rho = np.outer(ket, ket.conj() @ rho)
-        columns[:, k] = (0.5 * (e_rho + e_rho.conj().T)).ravel()
-    col_norms = np.linalg.norm(columns, axis=0)
-    scale = max(1.0, float(np.max(col_norms)))
-    unconstrained = col_norms <= 1e-12 * scale
-    a_real = np.vstack(
-        [np.real(columns[:, ~unconstrained]), np.imag(columns[:, ~unconstrained])]
-    )
-    b_real = np.concatenate([np.real(target.ravel()), np.imag(target.ravel())])
-    u = np.zeros(m)
-    if a_real.shape[1]:
-        solution, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
-        u[~unconstrained] = solution
-    l_op = (kets * u) @ kets.conj().T
-    return u, unconstrained, _residual_from_l(rho, l_op, target)
+    w = (r.conj() * r).real
+    normal = 0.5 * (np.diag(w.sum(axis=1)) + w)
+    rhs = (r.conj() * t).real.sum(axis=1)
+    norms = np.sqrt(normal.diagonal())
+    unconstrained = norms <= 1e-12 * max(1.0, float(np.max(norms)))
+    kept = ~unconstrained
+    u = np.zeros(len(rhs))
+    if kept.any():
+        scale = 1.0 / norms[kept]
+        scaled = normal[np.ix_(kept, kept)] * np.outer(scale, scale)
+        solution, *_ = np.linalg.lstsq(scaled, scale * rhs[kept], rcond=None)
+        u[kept] = scale * solution
+    return u, unconstrained, _frame_residual(u, r, t)
 
 
 def _amplitude_map(basis: ReadoutBasis, generator: Generator) -> np.ndarray:
@@ -313,11 +341,13 @@ def _pure_state_score(
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Closed-form least squares of the equation for the pure state |ket><ket|.
 
-    Returns (u, unconstrained mask, diagonal QFI, residual), the values
-    ``_lstsq_lambdas`` and ``_diagonal_qfi`` give for rho = |ket><ket|, in
-    O(d^2) and without forming rho.  With phi = V^dagger ket and
-    chi = V^dagger H ket the normal equations are solved by the classical
-    score u_k = p'_k / p_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2, so the QFI
+    Returns (u, unconstrained mask, diagonal QFI, residual) in O(d^2) and
+    without forming rho.  This is the rank-one case of ``_lstsq_lambdas``:
+    with phi = V^dagger ket and chi = V^dagger H ket, R = phi phi^dagger, so
+    W = p p^T, the normal matrix is (diag(p) + p p^T)/2 and its diagonal
+    gives the same unconstrained rule on sqrt((p + p^2)/2).  The equations
+    are solved by the classical score
+    u_k = p'_k / p_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2, so the QFI
     sum_k u_k^2 p_k is the classical Fisher information of the readout.  The
     residual is :func:`~probelab.fisher.pure_sld_residual` of L = sum_k u_k E_k,
     whose L psi has readout amplitudes u phi.  The amplitudes come from one
@@ -329,7 +359,7 @@ def _pure_state_score(
     phi, chi = amplitudes[:dim], amplitudes[dim:]
     phi_c = phi.conj()
     p = (phi_c * phi).real
-    # ||(E_k rho + rho E_k) / 2||_F, the column norm of the dense system
+    # ||(E_k rho + rho E_k) / 2||_F, the root of the normal matrix's diagonal
     col_norms = np.sqrt(0.5 * (p + p * p))
     unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
     u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(dim), where=~unconstrained)
@@ -341,9 +371,7 @@ def solve_lambdas_given_state(
     state: DensityMatrix, basis: ReadoutBasis, generator: Generator
 ) -> tuple[LambdaSpectrum, float]:
     """Best real inverse eigenvalues for a fixed state, plus the residual."""
-    if basis.dim != state.dim or generator.n_qubits != state.n_qubits:
-        raise DimensionError("basis, generator and state dimensions differ")
-    u, unconstrained, residual = _lstsq_lambdas(state.matrix, basis, generator)
+    u, unconstrained, residual = _lstsq_lambdas(*_readout_frame(state.matrix, basis, generator))
     return _real_spectrum(basis, u, unconstrained), residual
 
 
@@ -372,11 +400,6 @@ class Solution:
     provenance: str
 
 
-def _diagonal_qfi(basis: ReadoutBasis, u: np.ndarray, rho: np.ndarray) -> float:
-    """tr(L^2 rho) for L = sum_k u_k E_k, as sum_k u_k^2 Re<k|rho|k>."""
-    return float(u * u @ np.real(basis.diagonal(rho)))
-
-
 def _solution_from_state(
     state: DensityMatrix,
     basis: ReadoutBasis,
@@ -385,14 +408,14 @@ def _solution_from_state(
     inv_lambdas: np.ndarray | None = None,
     unconstrained: Sequence[bool] | None = None,
 ) -> Solution:
+    r, t = _readout_frame(state.matrix, basis, generator)
     if inv_lambdas is None:
-        spectrum, residual = solve_lambdas_given_state(state, basis, generator)
-        u = spectrum.real_values()
+        u, unconstrained, residual = _lstsq_lambdas(r, t)
     else:
         u = np.asarray(inv_lambdas, dtype=float)
-        spectrum = _real_spectrum(basis, u, unconstrained)
-        residual = sol1_residual(state, u, basis, generator)
-    return Solution(state, spectrum, residual, _diagonal_qfi(basis, u, state.matrix), provenance)
+        residual = _frame_residual(u, r, t)
+    spectrum = _real_spectrum(basis, u, unconstrained)
+    return Solution(state, spectrum, residual, _frame_qfi(u, r), provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +635,19 @@ def search_optimal_state(
 
     Multi-start penalized simplex search: the outer loop walks pure-state
     angles (2**(n+1) - 2 of them), the inner step solves the eigenvalues
-    exactly by least squares (in closed form for pure states, densely with
-    ``mixed_states``); each start's end point is re-checked by the dense
-    least squares and must pass ``psd_min_eigenvalue`` and ``residual_tol``
-    to count as a solution; one whose ||-i[H, rho]||_F is within ``residual_tol``
-    carries no information (u = 0 solves the equation) and is dropped.  A
-    pure solution carries its ket and reports the closed form's inverse
-    eigenvalues and QFI, which keep the small outcome probabilities that the
-    dense route loses when it forms rho.  Starts
-    draw seeded random states, so results are reproducible and independent of
-    any parallel scheduling; ties within ``tie_tol`` of the best objective are
-    all reported, sorted by their rounded Pauli coefficients.  Global
-    optimality is never claimed.
+    exactly by least squares (in closed form for pure states, in the readout
+    frame with ``mixed_states``); each start's end point is re-checked by
+    :func:`solve_lambdas_given_state` and must pass ``psd_min_eigenvalue``
+    and ``residual_tol`` to count as a solution; one whose ||-i[H, rho]||_F
+    is within ``residual_tol`` carries no information (u = 0 solves the
+    equation) and is dropped.  A pure solution carries its ket and reports
+    the closed form's inverse eigenvalues and QFI, which keep the small
+    outcome probabilities that a route through rho loses.  Starts draw
+    seeded random states, so results are reproducible and independent of
+    any parallel scheduling; every solution within ``tie_tol`` of the best
+    QFI is reported, ordered by its rounded Pauli coefficients alone, so
+    digits below them never decide the order.  Global optimality is never
+    claimed.
     """
     config = config or SearchConfig()
     if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
@@ -642,8 +666,9 @@ def search_optimal_state(
             smallest = float(np.linalg.eigvalsh(rho)[0])
             if smallest < 0.0:
                 penalty += 1e6 * smallest * smallest
-            u, _, residual = _lstsq_lambdas(rho, basis, generator)
-            qfi = _diagonal_qfi(basis, u, rho)
+            r, t = _readout_frame(rho, basis, generator)
+            u, _, residual = _lstsq_lambdas(r, t)
+            qfi = _frame_qfi(u, r)
             return -qfi + config.penalty_weight * residual * residual + penalty
 
     else:
@@ -691,7 +716,8 @@ def search_optimal_state(
         if residual > config.residual_tol or drift <= config.residual_tol:
             continue
         if state.ket is None:
-            qfi = _diagonal_qfi(basis, spectrum.real_values(), state.matrix)
+            r, _ = _readout_frame(state.matrix, basis, generator)
+            qfi = _frame_qfi(spectrum.real_values(), r)
         else:
             u, unconstrained, qfi, _ = _pure_state_score(state.ket, amplitude_map)
             spectrum = _real_spectrum(basis, u, unconstrained)
@@ -706,13 +732,8 @@ def search_optimal_state(
             solutions=(), n_starts=config.n_starts,
             best_residual=float(best_residual),
         )
-    ranked = sorted(
-        found.items(), key=lambda kv: (-kv[1].qfi, kv[0])
-    )
-    best_qfi = ranked[0][1].qfi
-    kept = tuple(
-        sol for _, sol in ranked if sol.qfi >= best_qfi - config.tie_tol
-    )
+    best_qfi = max(sol.qfi for sol in found.values())
+    kept = tuple(sol for _, sol in sorted(found.items()) if sol.qfi >= best_qfi - config.tie_tol)
     return SearchResult(
         solutions=kept, n_starts=config.n_starts, best_residual=float(best_residual)
     )

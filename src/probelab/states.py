@@ -46,14 +46,13 @@ class DensityMatrix:
 def density_matrix(
     matrix: np.ndarray,
     *,
-    hermitian_atol: float = 1e-10,
-    trace_atol: float = 1e-10,
     min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue,
     ket: np.ndarray | None = None,
 ) -> DensityMatrix:
     """Validate a matrix as a density matrix and wrap it.
 
-    Raises :class:`ValidationError` for hermiticity/trace failures and
+    Raises :class:`ValidationError` for hermiticity/trace failures (beyond
+    ``operators.MATRIX_ATOL``) and
     :class:`PSDViolationError` (carrying the offending eigenvalue) if the
     smallest eigenvalue falls below ``min_eigenvalue``.  With a ``ket`` the
     matrix must be |ket><ket| to within ``KET_ATOL`` (Frobenius norm), an
@@ -62,10 +61,10 @@ def density_matrix(
     """
     matrix = np.array(matrix, dtype=complex)
     n = ops.n_qubits_of(matrix)
-    if not ops.is_hermitian(matrix, hermitian_atol):
+    if not ops.is_hermitian(matrix):
         raise ValidationError("density matrix must be Hermitian")
     trace = np.trace(matrix)
-    if abs(trace - 1.0) > trace_atol:
+    if abs(trace - 1.0) > ops.MATRIX_ATOL:
         raise ValidationError(f"density matrix trace is {trace:.12g}, expected 1")
     if ket is None:
         smallest = float(np.linalg.eigvalsh(matrix)[0])

@@ -367,6 +367,88 @@ def _check_pure_route() -> CheckResult:
     )
 
 
+def dense_lstsq_lambdas(
+    rho: np.ndarray, basis: dynamics.ReadoutBasis, generator: dynamics.Generator
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Reference least squares of (1/2){sum_k u_k E_k, rho} = -i[H, rho].
+
+    The dense (2 d^2 x d) real system with one column (E_k rho + rho E_k)/2
+    per outcome, built from outer products of the readout kets and the dense
+    generator matrix; O(d^4) memory, so for small d only.  Returns
+    (u, unconstrained mask, residual) as ``solver._lstsq_lambdas`` does in
+    the readout frame: outcomes with a zero column are unconstrained, u = 0.
+    """
+    kets = basis.kets
+    dim = rho.shape[0]
+    m = basis.n_outcomes
+    target = -1j * operators.commutator(generator.matrix, rho)
+    columns = np.empty((dim * dim, m), dtype=complex)
+    for k in range(m):
+        ket = kets[:, k]
+        e_rho = np.outer(ket, ket.conj() @ rho)
+        columns[:, k] = (0.5 * (e_rho + e_rho.conj().T)).ravel()
+    col_norms = np.linalg.norm(columns, axis=0)
+    scale = max(1.0, float(np.max(col_norms)))
+    unconstrained = col_norms <= 1e-12 * scale
+    a_real = np.vstack(
+        [np.real(columns[:, ~unconstrained]), np.imag(columns[:, ~unconstrained])]
+    )
+    b_real = np.concatenate([np.real(target.ravel()), np.imag(target.ravel())])
+    u = np.zeros(m)
+    if a_real.shape[1]:
+        solution, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
+        u[~unconstrained] = solution
+    l_op = (kets * u) @ kets.conj().T
+    residual = float(np.linalg.norm(0.5 * operators.anticommutator(l_op, rho) - target))
+    return u, unconstrained, residual
+
+
+def _zero_outcome_ket(basis: dynamics.ReadoutBasis, rng: np.random.Generator) -> np.ndarray:
+    """A random ket with zero amplitude on a random half of the readout outcomes."""
+    phi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    phi[rng.permutation(basis.dim)[: basis.dim // 2]] = 0.0
+    return basis.kets @ (phi / np.linalg.norm(phi))
+
+
+@_check("optimality-equation-readout-frame")
+def _check_readout_frame() -> CheckResult:
+    # solve_lambdas_given_state solves the equation entrywise in the readout
+    # frame; the dense outer-product system above is the reference
+    rng = np.random.default_rng(4581)
+    worst_u = worst_res = 0.0
+    flags_agree = True
+    for n in range(1, 6):
+        h = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        generators = (
+            dynamics.nonentangling_generator(n),
+            dynamics.entangling_generator(n),
+            dynamics.custom_generator(h + h.conj().T),
+        )
+        readouts = (dynamics.product_pm_readout(n), dynamics.random_projective_readout(n, rng))
+        for basis in readouts:
+            probes = [
+                states.random_mixed_state(n, rng),
+                states.random_pure_state(n, rng),
+                states.pure_state(_zero_outcome_ket(basis, rng)),
+                states.tensor_power(states.optimal_single_qubit(+1), n),
+            ]
+            probes += [states.cat_state(n, +1)] if n > 1 else []
+            for gen in generators:
+                for probe in probes:
+                    spectrum, residual = solver.solve_lambdas_given_state(probe, basis, gen)
+                    u_ref, free_ref, res_ref = dense_lstsq_lambdas(probe.matrix, basis, gen)
+                    worst_u = max(worst_u, _close(spectrum.real_values(), u_ref)
+                                  / max(1.0, float(np.max(np.abs(u_ref)))))
+                    worst_res = max(worst_res, abs(residual - res_ref) / max(1.0, res_ref))
+                    flags_agree &= spectrum.unconstrained == tuple(map(bool, free_ref))
+    return _result(
+        "optimality-equation-readout-frame",
+        max(worst_u, worst_res) <= 1e-9 and flags_agree,
+        "entrywise least squares in the readout frame matches the dense outer-product system",
+        u_error=worst_u, residual_error=worst_res,
+    )
+
+
 @_check("cat-state-excluded")
 def _check_cat_excluded() -> CheckResult:
     gen = dynamics.nonentangling_generator(2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -118,6 +120,33 @@ def test_evolve_matches_expm(kind):
     np.testing.assert_allclose(
         np.linalg.eigvalsh(evolved), np.linalg.eigvalsh(rho.matrix), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("probe", ["tensor", "cat", "custom"])
+def test_evolve_keeps_the_ket_without_an_eigendecomposition(probe, monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 3
+    if probe == "custom":
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        gen = dynamics.custom_generator((g + g.conj().T) / 4.0)
+        rho = states.random_pure_state(n, rng)
+    else:
+        gen = dynamics.nonentangling_generator(n)
+        rho = (states.tensor_power(states.optimal_single_qubit(+1), n) if probe == "tensor"
+               else states.cat_state(n, +1))
+    ketless = replace(rho, ket=None)
+    expected_ket = expm(-1j * 0.37 * gen.matrix) @ rho.ket
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+
+    evolved = dynamics.evolve(rho, gen, 0.37)
+
+    assert calls == []
+    np.testing.assert_allclose(evolved.ket, expected_ket, rtol=0, atol=1e-12)
+    # the matrix is the one a ket-less state evolves to, bit for bit
+    assert np.array_equal(evolved.matrix, dynamics.evolve(ketless, gen, 0.37).matrix)
+    assert len(calls) == 1
 
 
 def test_evolve_rotates_bloch_vector():

@@ -1,0 +1,130 @@
+"""The optimality equation solved in the readout frame, against the dense system.
+
+``solver.solve_lambdas_given_state`` solves (u_j + u_k)/2 R_jk = T_jk through
+d x d normal equations; the reference is the dense (2 d^2 x d) real least
+squares ``verify.dense_lstsq_lambdas`` with the dense L = sum_k u_k E_k.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from probelab import dynamics, solver, states, verify
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _generator(kind, n, rng):
+    if kind == "nonentangling":
+        return dynamics.nonentangling_generator(n)
+    if kind == "entangling":
+        return dynamics.entangling_generator(n)
+    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    return dynamics.custom_generator(g + g.conj().T)
+
+
+def _probe(kind, basis, rng):
+    """A mixed, pure or zero-outcome probe; the last is a mixture of two kets
+    that share zero amplitude on half of the readout outcomes."""
+    n = basis.n_qubits
+    if kind == "mixed":
+        return states.random_mixed_state(n, rng)
+    if kind == "pure":
+        return states.random_pure_state(n, rng)
+    zero = rng.permutation(basis.dim)[: basis.dim // 2]
+    kets = []
+    for _ in range(2):
+        phi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        phi[zero] = 0.0
+        kets.append(basis.kets @ (phi / np.linalg.norm(phi)))
+    weight = rng.uniform(0.2, 0.8)
+    matrix = weight * np.outer(kets[0], kets[0].conj()) + (1 - weight) * np.outer(
+        kets[1], kets[1].conj()
+    )
+    return states.density_matrix(matrix)
+
+
+def _dense_l(basis, u):
+    return (basis.kets * u) @ basis.kets.conj().T
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    seed=SEEDS,
+    product_readout=st.booleans(),
+    generator_kind=st.sampled_from(["nonentangling", "entangling", "custom"]),
+    probe_kind=st.sampled_from(["mixed", "pure", "zero-outcome"]),
+)
+def test_frame_least_squares_matches_the_dense_system(
+    n, seed, product_readout, generator_kind, probe_kind
+):
+    rng = np.random.default_rng(seed)
+    basis = (
+        dynamics.product_pm_readout(n)
+        if product_readout
+        else dynamics.random_projective_readout(n, rng)
+    )
+    generator = _generator(generator_kind, n, rng)
+    state = _probe(probe_kind, basis, rng)
+
+    spectrum, residual = solver.solve_lambdas_given_state(state, basis, generator)
+    u_ref, unconstrained_ref, residual_ref = verify.dense_lstsq_lambdas(
+        state.matrix, basis, generator
+    )
+
+    assert spectrum.unconstrained == tuple(map(bool, unconstrained_ref))
+    if probe_kind == "zero-outcome":
+        assert sum(spectrum.unconstrained) == basis.dim // 2
+    u = spectrum.real_values()
+    np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(u_ref))))
+    assert residual == pytest.approx(residual_ref, rel=1e-9, abs=1e-12)
+
+    # the residual of any u and the diagonal QFI read the same frame
+    trial = rng.standard_normal(basis.dim)
+    l_op = _dense_l(basis, trial)
+    drho = -1j * (generator.matrix @ state.matrix - state.matrix @ generator.matrix)
+    dense_residual = np.linalg.norm(0.5 * (l_op @ state.matrix + state.matrix @ l_op) - drho)
+    assert solver.sol1_residual(state, trial, basis, generator) == pytest.approx(
+        dense_residual, rel=1e-9, abs=1e-12
+    )
+    l_ref = _dense_l(basis, u)
+    qfi_ref = np.trace(l_ref @ l_ref @ state.matrix).real
+    qfi = solver._solution_from_state(state, basis, generator, "test").qfi
+    assert qfi == pytest.approx(qfi_ref, rel=1e-9, abs=1e-12)
+
+
+@SETTINGS
+@given(n=st.integers(1, 6), m=st.integers(1, 5), seed=SEEDS, product_readout=st.booleans())
+def test_amplitudes_of_a_stack_are_the_amplitudes_of_its_columns(n, m, seed, product_readout):
+    rng = np.random.default_rng(seed)
+    basis = (
+        dynamics.product_pm_readout(n)
+        if product_readout
+        else dynamics.random_projective_readout(n, rng)
+    )
+    stack = rng.standard_normal((basis.dim, m)) + 1j * rng.standard_normal((basis.dim, m))
+    got = basis.amplitudes(stack)
+    columns = np.stack([basis.amplitudes(stack[:, j]) for j in range(m)], axis=1)
+    if product_readout:
+        # the transform's butterflies are the same additions column by column
+        assert np.array_equal(got, columns)
+    else:
+        np.testing.assert_allclose(got, columns, rtol=0, atol=1e-12 * basis.dim)
+    np.testing.assert_allclose(got, basis.kets.conj().T @ stack, rtol=0, atol=1e-12 * basis.dim)
+
+
+def test_ten_qubit_tensor_probe_solves_in_the_readout_frame():
+    # the dense system would need (2 * 1024**2 x 1024) reals, about 17 GB
+    n = 10
+    state = states.tensor_power(states.optimal_single_qubit(+1), n)
+    basis = dynamics.product_pm_readout(n)
+    spectrum, residual = solver.solve_lambdas_given_state(
+        state, basis, dynamics.nonentangling_generator(n)
+    )
+    expected = [label.count("-") - label.count("+") for label in basis.labels]
+    np.testing.assert_allclose(spectrum.real_values(), expected, rtol=0, atol=1e-9)
+    assert not any(spectrum.unconstrained)
+    assert residual <= 1e-10

@@ -2,7 +2,7 @@
 
 ``solver._pure_state_score`` scores a pure probe from its readout amplitudes;
 the references are the dense (2 d^2 x d) real least squares
-``solver._lstsq_lambdas`` with ``solver._diagonal_qfi`` and, near a
+``verify.dense_lstsq_lambdas`` with tr(L^2 rho) from the dense L and, near a
 zero-probability outcome, a 50-digit evaluation of the same least squares.
 """
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probelab import dynamics, solver
+from probelab import dynamics, solver, verify
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -59,8 +59,9 @@ def test_pure_state_score_matches_dense_least_squares(
     u, unconstrained, qfi, residual = solver._pure_state_score(
         ket, solver._amplitude_map(basis, generator)
     )
-    u_ref, unconstrained_ref, residual_ref = solver._lstsq_lambdas(rho, basis, generator)
-    qfi_ref = solver._diagonal_qfi(basis, u_ref, rho)
+    u_ref, unconstrained_ref, residual_ref = verify.dense_lstsq_lambdas(rho, basis, generator)
+    l_ref = (basis.kets * u_ref) @ basis.kets.conj().T
+    qfi_ref = np.trace(l_ref @ l_ref @ rho).real
 
     assert np.array_equal(unconstrained, unconstrained_ref)
     assert np.count_nonzero(unconstrained) == n_zero

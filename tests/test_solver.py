@@ -333,3 +333,19 @@ def test_search_reports_no_qfi_free_solutions():
     )
     assert all(sol.qfi > 1e-9 for sol in result.solutions)
     assert result.best_residual <= 1e-7
+
+
+def test_search_orders_tied_solutions_by_their_dedup_key_alone():
+    # two solutions tie at QFI 4 within tie_tol but differ in their last
+    # digits; ranking them by full-precision QFI first would put the second
+    # key ahead of the first
+    result = solver.search_optimal_state(
+        dynamics.nonentangling_generator(2),
+        dynamics.product_pm_readout(2),
+        2,
+        solver.SearchConfig(n_starts=6, max_evals=600, seed=16),
+    )
+    qfis = [sol.qfi for sol in result.solutions]
+    keys = [solver._dedup_key(sol.state) for sol in result.solutions]
+    assert len(qfis) == 2 and qfis[0] < qfis[1] and max(qfis) - min(qfis) <= 1e-6
+    assert keys == sorted(keys)
