@@ -22,9 +22,8 @@ from .config import (
     state_from_config,
     tolerances_dict,
 )
-from .dynamics import state_derivative
 from .errors import ConfigError, ProbeLabError
-from .fisher import analyze, classical_fisher, cramer_rao_bound
+from .fisher import analyze, cramer_rao_bound
 from .montecarlo import MeasurementModel, scaling_experiment, uncertainty_run
 from .report import csv_table, dumps_report, round_float
 from .solver import search_optimal_state
@@ -194,10 +193,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
     model = MeasurementModel(generator, state, basis)
-    rho_prime = state_derivative(generator, state)
-    f_classical = classical_fisher(
-        basis, state, rho_prime, probability_floor=cfg.tolerances.probability_floor
-    )
+    f_classical = model.fisher_at(0.0, probability_floor=cfg.tolerances.probability_floor)
     outcome = uncertainty_run(
         model, cfg.x_true, cfg.shots, cfg.trials, cfg.seed,
         probability_floor=cfg.tolerances.probability_floor,

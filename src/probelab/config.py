@@ -9,6 +9,7 @@ tool applies is inspectable and overridable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -77,6 +78,8 @@ def _check_number(value, path: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{path}: expected a number",
     )
+    # json parses NaN and +/-Infinity, which no field accepts
+    _require(math.isfinite(value), f"{path}: expected a finite number, got {value}")
     return float(value)
 
 
@@ -166,7 +169,8 @@ def _normalize_state(raw) -> dict | None:
     for key in raw:
         _require(key in _STATE_KEYS[kind], f"config.state: unknown field {key!r} for kind {kind!r}")
     if "sign" in raw:
-        _require(raw["sign"] in (1, -1), "config.state.sign: must be 1 or -1")
+        sign = raw["sign"]
+        _require(sign in (1, -1) and not isinstance(sign, bool), "config.state.sign: must be 1 or -1")
     if kind == "two_qubit_entangling":
         for key in ("c11", "c23", "c32"):
             _check_number(raw.get(key, 0.0), f"config.state.{key}")

@@ -48,10 +48,9 @@ from .dynamics import (
     nonentangling_generator,
     probability_vector,
     product_pm_readout,
-    state_derivative,
 )
 from .errors import DegenerateModelError, DimensionError, ValidationError
-from .fisher import analyze, classical_fisher, cramer_rao_bound
+from .fisher import _fisher_sum, analyze, cramer_rao_bound
 from .operators import MAX_QUBITS, Tolerances
 from .states import DensityMatrix, cat_state, optimal_single_qubit, tensor_power
 
@@ -157,10 +156,11 @@ class MeasurementModel:
     def fisher_at(
         self, x: float, *, probability_floor: float = Tolerances.probability_floor
     ) -> float:
-        """Classical Fisher information of the readout at parameter value x."""
-        rho_x = self.state_at(x)
-        drho = state_derivative(self.generator, rho_x)
-        return classical_fisher(self.basis, rho_x, drho, probability_floor=probability_floor)
+        """Classical Fisher information of the readout at parameter value x, from
+        the model's p and exact dp/dx with the floor rule of ``classical_fisher``."""
+        xs = np.array([x])
+        p, dp = self.probability_table(xs)[0], self.derivative_table(xs)[0]
+        return _fisher_sum(self.labels, p, dp, probability_floor)
 
 
 def _counts_vector(counts, labels: Sequence[str]) -> np.ndarray:

@@ -9,27 +9,27 @@ For a fixed state the equation is linear in the u, so the inner problem is an
 exact least-squares solve; the outer search over pure states is a seeded
 multi-start simplex method.
 
-The readout is fixed, so the solve works in its frame: with
-R = V^dagger rho V and T = V^dagger (-i[H, rho]) V the operator
-sum_k u_k E_k is diag(u) and the equation holds entry by entry,
-(u_j + u_k)/2 R_jk = T_jk.  Its least squares over real u is a d x d system
-of normal equations (``_lstsq_lambdas``), and the residual and the diagonal
-QFI tr(L^2 rho) = sum_k u_k^2 R_kk are O(d^2) sums.  Forming R and T takes
-O(d^2 log d) on the per-qubit readout (:meth:`ReadoutBasis.amplitudes` on
-d columns), two d^3 products on any other.  This route serves
-``solve_lambdas_given_state`` (each search start's end-point check),
-``sol1_residual``, the closed forms and the mixed-state search; the dense
-(2 d^2 x d) system of one outer product per outcome is kept only in
-:mod:`probelab.verify`, as the reference the frame route is checked against.
+The readout is fixed, so the inner solve (``_fit``, which
+``solve_lambdas_given_state``, ``sol1_residual`` and the closed forms view)
+takes one route per kind of probe:
 
-For a pure probe psi the least squares has a closed form in the readout
-amplitudes phi = V^dagger psi and chi = V^dagger H psi:
-u_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2 = p'_k / p_k, the classical score,
-so the diagonal QFI sum_k u_k^2 p_k of a pure probe is the classical Fisher
-information of the readout.  The residual is taken as the sum of two
-non-negative terms, so it keeps its digits near a solution.  The pure-state
-search objective uses this form: one O(d^2) matvec and O(d) work per
-evaluation.
+* a pure probe psi with its ket: a closed form in the readout amplitudes
+  phi = V^dagger psi and chi = V^dagger H psi, u_k = p'_k / p_k, the
+  classical score, so the diagonal QFI sum_k u_k^2 p_k is the classical
+  Fisher information of the readout.  The amplitudes cost one fast
+  Walsh-Hadamard transform each on the per-qubit readout, the rest O(d).
+  The pure-state search objective feeds the same kernel from one O(d^2)
+  matvec per evaluation.
+* any other state: with R = V^dagger rho V and T = V^dagger (-i[H, rho]) V
+  the operator sum_k u_k E_k is diag(u) and the equation holds entry by
+  entry, (u_j + u_k)/2 R_jk = T_jk: d x d normal equations and O(d^2)
+  sums for the residual and the QFI, after forming R and T in
+  O(d^2 log d) on the per-qubit readout (two d^3 products on any other).
+  The mixed-state search objective uses this route.
+
+The closed form is the rank-one case of the frame's normal equations.  The
+dense (2 d^2 x d) system of one outer product per outcome is kept only in
+:mod:`probelab.verify`, as the reference both routes are checked against.
 
 For two qubits the equation is equivalent to
 sixteen bilinear relations between the K combinations of the u and the Pauli
@@ -41,7 +41,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy import optimize
@@ -277,8 +277,6 @@ def _readout_frame(
     two applications of :meth:`ReadoutBasis.amplitudes`: O(d^2 log d) on the
     per-qubit readout, two d^3 products on any other.
     """
-    if not basis.dim == generator.spectrum.size == rho.shape[0]:
-        raise DimensionError("basis, generator and state dimensions differ")
 
     def frame(a: np.ndarray) -> np.ndarray:
         return basis.amplitudes(basis.amplitudes(a.conj().T).conj().T)
@@ -286,102 +284,106 @@ def _readout_frame(
     return frame(rho), frame(_derivative(generator, rho))
 
 
-def _frame_residual(u: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
-    """||(u_j + u_k)/2 R - T||_F = ||(1/2){L, rho} + i[H, rho]||_F."""
-    return float(np.linalg.norm(0.5 * np.add.outer(u, u) * r - t))
-
-
-def _frame_qfi(u: np.ndarray, r: np.ndarray) -> float:
-    """tr(L^2 rho) = sum_k u_k^2 R_kk for L = sum_k u_k E_k."""
-    return float(u * u @ r.diagonal().real)
-
-
 def sol1_residual(
     state: DensityMatrix, inv_lambdas, basis: ReadoutBasis, generator: Generator
 ) -> float:
     """Frobenius norm of (1/2){sum u E, rho} + i[H, rho]."""
-    r, t = _readout_frame(state.matrix, basis, generator)
-    return _frame_residual(_inv_lambda_array(basis, inv_lambdas), r, t)
+    return _fit(state, basis, generator, _inv_lambda_array(basis, inv_lambdas))[2]
 
 
-def _lstsq_lambdas(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+#: (u, unconstrained mask, residual, diagonal QFI) of one fit; a ``u`` given
+#: to a fit is scored, not solved for.
+_Fit = tuple[np.ndarray, np.ndarray, float, float]
+
+
+def _lstsq_lambdas(r: np.ndarray, t: np.ndarray, u: np.ndarray | None = None) -> _Fit:
     """Exact least-squares solve of the equation in the readout frame.
 
-    Returns (u, unconstrained mask, residual).  The normal equations of
+    The normal equations of
     (u_j + u_k)/2 R_jk = T_jk over real u are d x d: with W = |R|^2 the
     matrix is (diag(W 1) + W)/2 and the right-hand side has entries
     sum_k Re(conj(R_jk) T_jk).  The square root of the matrix's diagonal is
     ||(E_j rho + rho E_j)/2||_F; an outcome where it vanishes (its projector
     annihilates the state) is unconstrained and gets u = 0.  The rest are
-    solved Jacobi-scaled (unit diagonal) by ``lstsq``.
+    solved Jacobi-scaled (unit diagonal) by ``lstsq``.  The residual is
+    ||(u_j + u_k)/2 R - T||_F and the QFI tr(L^2 rho) = sum_k u_k^2 R_kk.
     """
     w = (r.conj() * r).real
-    normal = 0.5 * (np.diag(w.sum(axis=1)) + w)
-    rhs = (r.conj() * t).real.sum(axis=1)
-    norms = np.sqrt(normal.diagonal())
+    row_sums = w.sum(axis=1)
+    norms = np.sqrt(0.5 * (row_sums + w.diagonal()))
     unconstrained = norms <= 1e-12 * max(1.0, float(np.max(norms)))
-    kept = ~unconstrained
-    u = np.zeros(len(rhs))
-    if kept.any():
-        scale = 1.0 / norms[kept]
-        scaled = normal[np.ix_(kept, kept)] * np.outer(scale, scale)
-        solution, *_ = np.linalg.lstsq(scaled, scale * rhs[kept], rcond=None)
-        u[kept] = scale * solution
-    return u, unconstrained, _frame_residual(u, r, t)
+    if u is None:
+        kept = ~unconstrained
+        u = np.zeros(len(norms))
+        if kept.any():
+            normal = 0.5 * (np.diag(row_sums) + w)
+            rhs = (r.conj() * t).real.sum(axis=1)
+            scale = 1.0 / norms[kept]
+            scaled = normal[np.ix_(kept, kept)] * np.outer(scale, scale)
+            solution, *_ = np.linalg.lstsq(scaled, scale * rhs[kept], rcond=None)
+            u[kept] = scale * solution
+    residual = float(np.linalg.norm(0.5 * np.add.outer(u, u) * r - t))
+    return u, unconstrained, residual, float(u * u @ r.diagonal().real)
 
 
 def _amplitude_map(basis: ReadoutBasis, generator: Generator) -> np.ndarray:
-    """V^dagger stacked over V^dagger H: one matvec gives (phi, chi) of a ket."""
+    """V^dagger stacked over V^dagger H: one matvec gives (phi, chi) of a ket.
+
+    The search objective uses it: at the search's small d one matvec beats
+    the readout's own transform, and its bits steer the simplex."""
     kets_h = basis.kets.conj().T
     return np.vstack([kets_h, kets_h @ generator.matrix])
 
 
-def _pure_state_score(
-    ket: np.ndarray, amplitude_map: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Closed-form least squares of the equation for the pure state |ket><ket|.
+def _pure_fit(phi: np.ndarray, chi: np.ndarray, u: np.ndarray | None = None) -> _Fit:
+    """Closed-form least squares of the equation for a pure state psi.
 
-    Returns (u, unconstrained mask, diagonal QFI, residual) in O(d^2) and
-    without forming rho.  This is the rank-one case of ``_lstsq_lambdas``:
-    with phi = V^dagger ket and chi = V^dagger H ket, R = phi phi^dagger, so
-    W = p p^T, the normal matrix is (diag(p) + p p^T)/2 and its diagonal
-    gives the same unconstrained rule on sqrt((p + p^2)/2).  The equations
-    are solved by the classical score
+    Takes the readout amplitudes phi = V^dagger psi and chi = V^dagger H psi
+    and fits in O(d) without forming rho.  This is the rank-one case of
+    ``_lstsq_lambdas``: R = phi phi^dagger, so W = p p^T, the normal matrix
+    is (diag(p) + p p^T)/2 and its diagonal gives the same unconstrained rule
+    on sqrt((p + p^2)/2).  The equations are solved by the classical score
     u_k = p'_k / p_k = 2 Im(conj(phi_k) chi_k) / |phi_k|^2, so the QFI
     sum_k u_k^2 p_k is the classical Fisher information of the readout.  The
-    residual is :func:`~probelab.fisher.pure_sld_residual` of L = sum_k u_k E_k,
-    whose L psi has readout amplitudes u phi.  The amplitudes come from one
-    product with the precomputed ``amplitude_map``: at the search's small d
-    that beats the readout's own transform, and its bits steer the simplex.
+    residual is :func:`~probelab.fisher.pure_sld_residual` of
+    L = sum_k u_k E_k, whose L psi has readout amplitudes u phi.
     """
-    dim = ket.shape[0]
-    amplitudes = amplitude_map @ ket
-    phi, chi = amplitudes[:dim], amplitudes[dim:]
     phi_c = phi.conj()
     p = (phi_c * phi).real
     # ||(E_k rho + rho E_k) / 2||_F, the root of the normal matrix's diagonal
     col_norms = np.sqrt(0.5 * (p + p * p))
     unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
-    u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(dim), where=~unconstrained)
-    qfi = float(u * u @ p)
-    return u, unconstrained, qfi, pure_sld_residual(phi, chi, u * phi)
+    if u is None:
+        u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(len(p)), where=~unconstrained)
+    return u, unconstrained, pure_sld_residual(phi, chi, u * phi), float(u * u @ p)
+
+
+def _fit(
+    state: DensityMatrix, basis: ReadoutBasis, generator: Generator, u: np.ndarray | None = None
+) -> _Fit:
+    """The equation for a fixed state: in closed form on the readout
+    amplitudes for a state with a ket, in the readout frame otherwise."""
+    if not basis.dim == generator.spectrum.size == state.dim:
+        raise DimensionError("basis, generator and state dimensions differ")
+    if state.ket is None:
+        return _lstsq_lambdas(*_readout_frame(state.matrix, basis, generator), u)
+    phi = basis.amplitudes(state.ket)
+    return _pure_fit(phi, basis.amplitudes(generator.apply(state.ket)), u)
 
 
 def solve_lambdas_given_state(
     state: DensityMatrix, basis: ReadoutBasis, generator: Generator
-) -> tuple[LambdaSpectrum, float]:
-    """Best real inverse eigenvalues for a fixed state, plus the residual."""
-    u, unconstrained, residual = _lstsq_lambdas(*_readout_frame(state.matrix, basis, generator))
-    return _real_spectrum(basis, u, unconstrained), residual
+) -> tuple[LambdaSpectrum, float, float]:
+    """Best real inverse eigenvalues for a fixed state, with the residual and
+    the diagonal QFI tr(L^2 rho) of L = sum_k u_k E_k."""
+    u, unconstrained, residual, qfi = _fit(state, basis, generator)
+    return _real_spectrum(basis, u, unconstrained), residual, qfi
 
 
-def _real_spectrum(
-    basis: ReadoutBasis, u: np.ndarray, unconstrained: Sequence[bool] | None = None
-) -> LambdaSpectrum:
+def _real_spectrum(basis: ReadoutBasis, u: np.ndarray, unconstrained: np.ndarray) -> LambdaSpectrum:
     values = np.asarray(u, dtype=float).astype(complex)
     values.setflags(write=False)
-    flags = (False,) * len(values) if unconstrained is None else tuple(map(bool, unconstrained))
-    return LambdaSpectrum(basis.labels, values, flags)
+    return LambdaSpectrum(basis.labels, values, tuple(map(bool, unconstrained)))
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +408,9 @@ def _solution_from_state(
     generator: Generator,
     provenance: str,
     inv_lambdas: np.ndarray | None = None,
-    unconstrained: Sequence[bool] | None = None,
 ) -> Solution:
-    r, t = _readout_frame(state.matrix, basis, generator)
-    if inv_lambdas is None:
-        u, unconstrained, residual = _lstsq_lambdas(r, t)
-    else:
-        u = np.asarray(inv_lambdas, dtype=float)
-        residual = _frame_residual(u, r, t)
-    spectrum = _real_spectrum(basis, u, unconstrained)
-    return Solution(state, spectrum, residual, _frame_qfi(u, r), provenance)
+    u, unconstrained, residual, qfi = _fit(state, basis, generator, inv_lambdas)
+    return Solution(state, _real_spectrum(basis, u, unconstrained), residual, qfi, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +462,7 @@ def closed_form_solution(
     if n == 2:
         state = two_qubit_entangling_candidate(1.0, 1.0, 1.0)
         u = np.array([-1.0, 0.0, 0.0, 1.0])
-        solution = _solution_from_state(
-            state, basis, generator, CLOSED_FORM, u,
-            unconstrained=(False, True, True, False),
-        )
+        solution = _solution_from_state(state, basis, generator, CLOSED_FORM, u)
         _require_verified(solution)
         return solution
     half = n // 2
@@ -636,13 +628,14 @@ def search_optimal_state(
     Multi-start penalized simplex search: the outer loop walks pure-state
     angles (2**(n+1) - 2 of them), the inner step solves the eigenvalues
     exactly by least squares (in closed form for pure states, in the readout
-    frame with ``mixed_states``); each start's end point is re-checked by
+    frame with ``mixed_states``); each start's end point is fitted once by
     :func:`solve_lambdas_given_state` and must pass ``psd_min_eigenvalue``
     and ``residual_tol`` to count as a solution; one whose ||-i[H, rho]||_F
     is within ``residual_tol`` carries no information (u = 0 solves the
-    equation) and is dropped.  A pure solution carries its ket and reports
-    the closed form's inverse eigenvalues and QFI, which keep the small
-    outcome probabilities that a route through rho loses.  Starts draw
+    equation) and is dropped.  A pure end point carries its ket, so its
+    inverse eigenvalues, QFI and residual come from the closed form, which
+    keeps the small outcome probabilities that a route through rho loses.
+    Starts draw
     seeded random states, so results are reproducible and independent of
     any parallel scheduling; every solution within ``tie_tol`` of the best
     QFI is reported, ordered by its rounded Pauli coefficients alone, so
@@ -666,9 +659,7 @@ def search_optimal_state(
             smallest = float(np.linalg.eigvalsh(rho)[0])
             if smallest < 0.0:
                 penalty += 1e6 * smallest * smallest
-            r, t = _readout_frame(rho, basis, generator)
-            u, _, residual = _lstsq_lambdas(r, t)
-            qfi = _frame_qfi(u, r)
+            _, _, residual, qfi = _lstsq_lambdas(*_readout_frame(rho, basis, generator))
             return -qfi + config.penalty_weight * residual * residual + penalty
 
     else:
@@ -676,8 +667,8 @@ def search_optimal_state(
         amplitude_map = _amplitude_map(basis, generator)
 
         def objective(params: np.ndarray) -> float:
-            ket = _state_from_angles(params, dim)
-            _, _, qfi, residual = _pure_state_score(ket, amplitude_map)
+            amplitudes = amplitude_map @ _state_from_angles(params, dim)
+            _, _, residual, qfi = _pure_fit(amplitudes[:dim], amplitudes[dim:])
             return -qfi + config.penalty_weight * residual * residual
 
     rng_root = np.random.SeedSequence(config.seed)
@@ -710,17 +701,11 @@ def search_optimal_state(
             state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue, ket=ket)
         except ValidationError:
             continue
-        spectrum, residual = solve_lambdas_given_state(state, basis, generator)
+        spectrum, residual, qfi = solve_lambdas_given_state(state, basis, generator)
         best_residual = min(best_residual, residual)
         drift = np.linalg.norm(state_derivative(generator, state))
         if residual > config.residual_tol or drift <= config.residual_tol:
             continue
-        if state.ket is None:
-            r, _ = _readout_frame(state.matrix, basis, generator)
-            qfi = _frame_qfi(spectrum.real_values(), r)
-        else:
-            u, unconstrained, qfi, _ = _pure_state_score(state.ket, amplitude_map)
-            spectrum = _real_spectrum(basis, u, unconstrained)
         solution = Solution(state, spectrum, residual, qfi, NUMERIC_SEARCH)
         key = _dedup_key(state)
         existing = found.get(key)

@@ -412,8 +412,9 @@ def _zero_outcome_ket(basis: dynamics.ReadoutBasis, rng: np.random.Generator) ->
 
 @_check("optimality-equation-readout-frame")
 def _check_readout_frame() -> CheckResult:
-    # solve_lambdas_given_state solves the equation entrywise in the readout
-    # frame; the dense outer-product system above is the reference
+    # solve_lambdas_given_state takes the closed form for a state with a ket
+    # and the readout frame otherwise, so each pure probe runs both ways; the
+    # dense outer-product system above is the reference
     rng = np.random.default_rng(4581)
     worst_u = worst_res = 0.0
     flags_agree = True
@@ -433,9 +434,10 @@ def _check_readout_frame() -> CheckResult:
                 states.tensor_power(states.optimal_single_qubit(+1), n),
             ]
             probes += [states.cat_state(n, +1)] if n > 1 else []
+            probes += [replace(probe, ket=None) for probe in probes if probe.ket is not None]
             for gen in generators:
                 for probe in probes:
-                    spectrum, residual = solver.solve_lambdas_given_state(probe, basis, gen)
+                    spectrum, residual, _ = solver.solve_lambdas_given_state(probe, basis, gen)
                     u_ref, free_ref, res_ref = dense_lstsq_lambdas(probe.matrix, basis, gen)
                     worst_u = max(worst_u, _close(spectrum.real_values(), u_ref)
                                   / max(1.0, float(np.max(np.abs(u_ref)))))
@@ -455,7 +457,7 @@ def _check_cat_excluded() -> CheckResult:
     basis = dynamics.product_pm_readout(2)
     cat = states.cat_state(2, +1)
     rho_prime = dynamics.state_derivative(gen, cat)
-    _, residual = solver.solve_lambdas_given_state(cat, basis, gen)
+    _, residual, _ = solver.solve_lambdas_given_state(cat, basis, gen)
     f_c = fisher.classical_fisher(basis, cat, rho_prime)
     report = fisher.check_saturation(basis, cat, rho_prime)
     ok = residual > 0.1 and abs(f_c) <= 1e-10 and not report.saturated
@@ -509,7 +511,7 @@ def _check_entangling_solution() -> CheckResult:
     sol = solver.closed_form_solution(dynamics.ENTANGLING, 2)
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.entangling_generator(2)
-    spectrum, lstsq_residual = solver.solve_lambdas_given_state(sol.state, basis, gen)
+    spectrum, lstsq_residual, _ = solver.solve_lambdas_given_state(sol.state, basis, gen)
     flipped = states.two_qubit_entangling_candidate(1.0, -1.0, -1.0)
     flipped_res = solver.sol1_residual(
         flipped, {"++": 1.0, "+-": 0.0, "-+": 0.0, "--": -1.0}, basis, gen

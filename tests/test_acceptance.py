@@ -144,7 +144,7 @@ def test_criterion_4_cat_state_exclusion():
     gen = dynamics.nonentangling_generator(2)
     basis = dynamics.product_pm_readout(2)
     cat = states.cat_state(2)
-    _, residual = solver.solve_lambdas_given_state(cat, basis, gen)
+    _, residual, _ = solver.solve_lambdas_given_state(cat, basis, gen)
     f_c = fisher.classical_fisher(basis, cat, dynamics.state_derivative(gen, cat))
     _report(
         "criterion-4 cat-state exclusion",
@@ -163,7 +163,7 @@ def test_criterion_5_entangling_two_qubit_solution():
             worst,
             solver.sol1_residual(state, {"++": -1.0, "+-": c, "-+": c, "--": 1.0}, basis, gen),
         )
-    spectrum, _ = solver.solve_lambdas_given_state(state, basis, gen)
+    spectrum, _, _ = solver.solve_lambdas_given_state(state, basis, gen)
     assert spectrum.unconstrained == (False, True, True, False)
     worst = max(worst, abs(spectrum["++"] - (-1.0)), abs(spectrum["--"] - 1.0))
     sol = solver.closed_form_solution(dynamics.ENTANGLING, 2)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -48,6 +49,36 @@ def test_config_n_list_obeys_the_dimension_cap():
         parse_config_text('{"n_list": [2, 11]}', task="scaling")
     cfg = parse_config_text('{"n_list": [2, 11], "max_qubits": 11}', task="scaling")
     assert cfg.n_list == (2, 11)
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"tolerances": {"saturation": NaN}}', "config.tolerances.saturation"),
+        ('{"x_true": NaN}', "config.x_true"),
+        ('{"x_true": -Infinity}', "config.x_true"),
+        ('{"solver": {"penalty_weight": Infinity}}', "config.solver.penalty_weight"),
+        ('{"state": {"kind": "two_qubit_entangling", "c11": NaN}}', "config.state.c11"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(text, path):
+    # Python's json parses NaN and +/-Infinity
+    with pytest.raises(ConfigError, match=re.escape(path) + ": expected a finite number"):
+        parse_config_text(text, task="fisher")
+
+
+def test_nan_saturation_tolerance_cannot_unsaturate_a_saturated_probe(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"n_qubits": 2, "tolerances": {"saturation": NaN}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fisher", str(path)])
+    assert code == 2 and out == ""
+    assert "config.tolerances.saturation" in err
+
+
+def test_config_rejects_a_boolean_sign():
+    with pytest.raises(ConfigError, match="config.state.sign: must be 1 or -1"):
+        parse_config_text('{"state": {"kind": "cat", "sign": true}}', task="fisher")
+    assert parse_config_text('{"state": {"kind": "cat", "sign": -1}}', task="fisher").state["sign"] == -1
 
 
 @pytest.mark.parametrize(
@@ -482,13 +513,13 @@ def test_identifiability_check_reads_the_configured_probability_floor(
     tmp_path, capsys, monkeypatch, command, config
 ):
     floors = []
-    original = montecarlo.classical_fisher
+    original = montecarlo._fisher_sum
 
-    def spy(*args, probability_floor):
+    def spy(labels, probs, dprobs, probability_floor):
         floors.append(probability_floor)
-        return original(*args, probability_floor=probability_floor)
+        return original(labels, probs, dprobs, probability_floor)
 
-    monkeypatch.setattr(montecarlo, "classical_fisher", spy)
+    monkeypatch.setattr(montecarlo, "_fisher_sum", spy)
     path = write_config(tmp_path, {**config, "tolerances": {"probability_floor": 1e-6}})
     code, _, err = run_cli(capsys, [command, path])
     assert code == 0, err

@@ -47,8 +47,10 @@ def test_library_sketch_matches_its_comments():
     assert analysis.quantum_fisher == pytest.approx(values["pl.quantum_fisher"][0], abs=1e-12)
     assert analysis.saturation.saturated is True
 
-    (spectrum, residual), comment = values["pl.solve_lambdas_given_state"]
+    (spectrum, residual, qfi), comment = values["pl.solve_lambdas_given_state"]
     listed, _, rest = comment[1:].partition("}")
     expected = sorted(float(v) for v in listed.split(","))
     np.testing.assert_allclose(np.sort(spectrum.real_values()), expected, atol=1e-12)
-    assert rest == ", residual ~1e-16" and residual <= 1e-14
+    residual_text, _, qfi_text = rest.partition(", QFI ")
+    assert residual_text == ", residual ~1e-16" and residual <= 1e-14
+    assert qfi == pytest.approx(float(qfi_text), abs=1e-12)

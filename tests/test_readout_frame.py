@@ -2,12 +2,16 @@
 
 ``solver.solve_lambdas_given_state`` solves (u_j + u_k)/2 R_jk = T_jk through
 d x d normal equations; the reference is the dense (2 d^2 x d) real least
-squares ``verify.dense_lstsq_lambdas`` with the dense L = sum_k u_k E_k.
+squares ``verify.dense_lstsq_lambdas`` with the dense L = sum_k u_k E_k.  A
+state with a ket takes the closed form instead, checked here against the
+same matrix without its ket.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probelab import dynamics, solver, states, verify
@@ -70,7 +74,7 @@ def test_frame_least_squares_matches_the_dense_system(
     generator = _generator(generator_kind, n, rng)
     state = _probe(probe_kind, basis, rng)
 
-    spectrum, residual = solver.solve_lambdas_given_state(state, basis, generator)
+    spectrum, residual, _ = solver.solve_lambdas_given_state(state, basis, generator)
     u_ref, unconstrained_ref, residual_ref = verify.dense_lstsq_lambdas(
         state.matrix, basis, generator
     )
@@ -94,6 +98,79 @@ def test_frame_least_squares_matches_the_dense_system(
     qfi_ref = np.trace(l_ref @ l_ref @ state.matrix).real
     qfi = solver._solution_from_state(state, basis, generator, "test").qfi
     assert qfi == pytest.approx(qfi_ref, rel=1e-9, abs=1e-12)
+
+
+def _ket_probe(kind, basis, rng):
+    """A random, zero-outcome, tensor or cat probe; each carries its ket."""
+    n = basis.n_qubits
+    if kind == "pure":
+        return states.random_pure_state(n, rng)
+    if kind == "zero-outcome":
+        return states.pure_state(verify._zero_outcome_ket(basis, rng))
+    if kind == "tensor":
+        return states.tensor_power(states.optimal_single_qubit(+1), n)
+    return states.cat_state(n, +1)
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 5),
+    seed=SEEDS,
+    product_readout=st.booleans(),
+    generator_kind=st.sampled_from(["nonentangling", "entangling", "custom"]),
+    probe_kind=st.sampled_from(["pure", "zero-outcome", "tensor", "cat"]),
+)
+def test_closed_form_fit_matches_the_frame_route(
+    n, seed, product_readout, generator_kind, probe_kind
+):
+    assume(probe_kind != "cat" or n > 1)
+    rng = np.random.default_rng(seed)
+    basis = (
+        dynamics.product_pm_readout(n)
+        if product_readout
+        else dynamics.random_projective_readout(n, rng)
+    )
+    generator = _generator(generator_kind, n, rng)
+    state = _ket_probe(probe_kind, basis, rng)
+    frame_state = replace(state, ket=None)
+
+    spectrum, residual, qfi = solver.solve_lambdas_given_state(state, basis, generator)
+    spectrum_ref, residual_ref, qfi_ref = solver.solve_lambdas_given_state(
+        frame_state, basis, generator
+    )
+
+    assert spectrum.unconstrained == spectrum_ref.unconstrained
+    u_ref = spectrum_ref.real_values()
+    np.testing.assert_allclose(
+        spectrum.real_values(), u_ref, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(u_ref)))
+    )
+    assert residual == pytest.approx(residual_ref, rel=1e-9, abs=1e-12)
+    assert qfi == pytest.approx(qfi_ref, rel=1e-9, abs=1e-12)
+    trial = rng.standard_normal(basis.dim)
+    assert solver.sol1_residual(state, trial, basis, generator) == pytest.approx(
+        solver.sol1_residual(frame_state, trial, basis, generator), rel=1e-9, abs=1e-12
+    )
+
+
+def test_a_state_with_a_ket_never_reaches_the_readout_frame(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a state with a ket reached the readout frame")
+
+    monkeypatch.setattr(solver, "_readout_frame", forbidden)
+    monkeypatch.setattr(solver, "_lstsq_lambdas", forbidden)
+    n = 3
+    _, residual, qfi = solver.solve_lambdas_given_state(
+        states.tensor_power(states.optimal_single_qubit(+1), n),
+        dynamics.product_pm_readout(n),
+        dynamics.nonentangling_generator(n),
+    )
+    assert residual <= 1e-10 and qfi == pytest.approx(n)
+    assert solver.closed_form_solution(dynamics.NONENTANGLING, n).qfi == pytest.approx(n)
+    result = solver.search_optimal_state(
+        dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2), 2,
+        solver.SearchConfig(n_starts=2, max_evals=300, seed=5),
+    )
+    assert np.isfinite(result.best_residual)
 
 
 @SETTINGS
@@ -121,7 +198,7 @@ def test_ten_qubit_tensor_probe_solves_in_the_readout_frame():
     n = 10
     state = states.tensor_power(states.optimal_single_qubit(+1), n)
     basis = dynamics.product_pm_readout(n)
-    spectrum, residual = solver.solve_lambdas_given_state(
+    spectrum, residual, _ = solver.solve_lambdas_given_state(
         state, basis, dynamics.nonentangling_generator(n)
     )
     expected = [label.count("-") - label.count("+") for label in basis.labels]

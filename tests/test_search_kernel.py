@@ -1,6 +1,7 @@
 """The search's closed-form pure-state kernel against the dense least squares.
 
-``solver._pure_state_score`` scores a pure probe from its readout amplitudes;
+``solver._pure_fit`` scores a pure probe from its readout amplitudes, which
+the search objective takes from one product with ``solver._amplitude_map``;
 the references are the dense (2 d^2 x d) real least squares
 ``verify.dense_lstsq_lambdas`` with tr(L^2 rho) from the dense L and, near a
 zero-probability outcome, a 50-digit evaluation of the same least squares.
@@ -30,6 +31,11 @@ def _setup(n, seed, product_readout, entangling):
     return rng, basis, generator
 
 
+def _pure_fit(ket, basis, generator):
+    amplitudes = solver._amplitude_map(basis, generator) @ ket
+    return solver._pure_fit(amplitudes[: basis.dim], amplitudes[basis.dim :])
+
+
 def _ket_with_zero_outcomes(rng, basis, n_zero):
     """A random pure state whose first ``n_zero`` readout outcomes (in a
     random order) have zero probability in exact arithmetic."""
@@ -56,9 +62,7 @@ def test_pure_state_score_matches_dense_least_squares(
     ket = _ket_with_zero_outcomes(rng, basis, n_zero)
     rho = np.outer(ket, ket.conj())
 
-    u, unconstrained, qfi, residual = solver._pure_state_score(
-        ket, solver._amplitude_map(basis, generator)
-    )
+    u, unconstrained, residual, qfi = _pure_fit(ket, basis, generator)
     u_ref, unconstrained_ref, residual_ref = verify.dense_lstsq_lambdas(rho, basis, generator)
     l_ref = (basis.kets * u_ref) @ basis.kets.conj().T
     qfi_ref = np.trace(l_ref @ l_ref @ rho).real
@@ -109,9 +113,7 @@ def test_pure_state_score_near_a_zero_probability_outcome(product_readout):
     phi /= np.linalg.norm(phi)
     ket = basis.kets @ phi
 
-    u, unconstrained, qfi, residual = solver._pure_state_score(
-        ket, solver._amplitude_map(basis, generator)
-    )
+    u, unconstrained, residual, qfi = _pure_fit(ket, basis, generator)
     u_ref, qfi_ref, residual_ref = _mp_least_squares(ket, basis, generator)
 
     assert not unconstrained.any()
@@ -159,11 +161,11 @@ def test_pure_search_reports_the_closed_form_score():
     result = solver.search_optimal_state(generator, basis, 2, config)
     assert result.feasible
     for sol in result.solutions:
-        u, unconstrained, qfi, _ = solver._pure_state_score(
-            sol.state.ket, solver._amplitude_map(basis, generator)
+        ket = sol.state.ket
+        u, unconstrained, residual, qfi = solver._pure_fit(
+            basis.amplitudes(ket), basis.amplitudes(generator.apply(ket))
         )
         assert sol.qfi == qfi
         assert np.array_equal(sol.inv_lambdas.real_values(), u)
         assert sol.inv_lambdas.unconstrained == tuple(unconstrained)
-        _, residual = solver.solve_lambdas_given_state(sol.state, basis, generator)
         assert sol.residual == residual

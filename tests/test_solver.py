@@ -30,7 +30,7 @@ def test_sol1_residual_cat_state_stays_large():
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.nonentangling_generator(2)
     cat = states.cat_state(2)
-    spectrum, residual = solver.solve_lambdas_given_state(cat, basis, gen)
+    spectrum, residual, _ = solver.solve_lambdas_given_state(cat, basis, gen)
     assert residual > 0.1
     assert solver.sol1_residual(cat, spectrum.real_values(), basis, gen) > 0.1
 
@@ -38,7 +38,7 @@ def test_sol1_residual_cat_state_stays_large():
 def test_solve_lambdas_single_qubit():
     basis = dynamics.product_pm_readout(1)
     gen = dynamics.nonentangling_generator(1)
-    spectrum, residual = solver.solve_lambdas_given_state(
+    spectrum, residual, _ = solver.solve_lambdas_given_state(
         states.optimal_single_qubit(+1), basis, gen
     )
     assert residual < 1e-9
@@ -50,7 +50,7 @@ def test_solve_lambdas_two_qubit_product():
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.nonentangling_generator(2)
     rho = states.tensor_power(states.optimal_single_qubit(+1), 2)
-    spectrum, residual = solver.solve_lambdas_given_state(rho, basis, gen)
+    spectrum, residual, _ = solver.solve_lambdas_given_state(rho, basis, gen)
     assert residual < 1e-9
     expected = {"++": -2.0, "+-": 0.0, "-+": 0.0, "--": 2.0}
     for label, value in expected.items():
@@ -61,7 +61,7 @@ def test_solve_lambdas_entangling_product_is_infeasible():
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.entangling_generator(2)
     rho = states.tensor_power(states.optimal_single_qubit(+1), 2)
-    _, residual = solver.solve_lambdas_given_state(rho, basis, gen)
+    _, residual, _ = solver.solve_lambdas_given_state(rho, basis, gen)
     assert residual > 0.1
 
 
