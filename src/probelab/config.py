@@ -78,9 +78,22 @@ def _check_number(value, path: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{path}: expected a number",
     )
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: expected a finite number, got an integer too large") from None
     # json parses NaN and +/-Infinity, which no field accepts
-    _require(math.isfinite(value), f"{path}: expected a finite number, got {value}")
-    return float(value)
+    _require(math.isfinite(number), f"{path}: expected a finite number, got {value}")
+    return number
+
+
+def _check_numbers(value, path: str) -> None:
+    """Check each number of a (nested) list, naming it by its index."""
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _check_numbers(item, f"{path}[{index}]")
+    else:
+        _check_number(value, path)
 
 
 def parse_config_text(text: str, task: str | None = None) -> ExperimentConfig:
@@ -90,6 +103,8 @@ def parse_config_text(text: str, task: str | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw, task)
 
 
@@ -176,6 +191,9 @@ def _normalize_state(raw) -> dict | None:
             _check_number(raw.get(key, 0.0), f"config.state.{key}")
     if kind == "bloch":
         _require("a" in raw, "config.state.a: required for bloch states")
+        for key in ("a", "b", "c"):
+            if key in raw:
+                _check_numbers(raw[key], f"config.state.{key}")
     if kind == "file":
         _require(isinstance(raw.get("path"), str), "config.state.path: expected a string")
     return dict(raw)
@@ -183,7 +201,7 @@ def _normalize_state(raw) -> dict | None:
 
 #: SearchConfig's ``residual_tol``, ``psd_min_eigenvalue`` and ``seed`` come
 #: from the tolerances and seed.
-_SOLVER_KEYS = ("n_starts", "max_evals", "simplex_tol", "penalty_weight", "tie_tol", "mixed_states")
+_SOLVER_KEYS = ("n_starts", "max_evals", "simplex_tol", "penalty_weight", "tie_tol")
 
 
 def _normalize_solver(raw) -> SearchConfig:
@@ -196,9 +214,6 @@ def _normalize_solver(raw) -> SearchConfig:
     for key, value in raw.items():
         if key in ("n_starts", "max_evals"):
             updates[key] = _check_int(value, f"config.solver.{key}", minimum=1)
-        elif key == "mixed_states":
-            _require(isinstance(value, bool), "config.solver.mixed_states: expected a boolean")
-            updates[key] = value
         else:
             updates[key] = _check_number(value, f"config.solver.{key}")
     return replace(SearchConfig(), **updates)
@@ -289,6 +304,8 @@ def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.
     real = np.asarray(payload["matrix_real"], dtype=float)
     imag = np.asarray(payload.get("matrix_imag", np.zeros_like(real)), dtype=float)
     _require(real.shape == imag.shape, "state file: real and imaginary shapes differ")
+    for key, part in (("matrix_real", real), ("matrix_imag", imag)):
+        _require(np.isfinite(part).all(), f"state file: {key}: expected finite numbers")
     matrix = real + 1j * imag
     rho = states.density_matrix(matrix, min_eigenvalue=min_eigenvalue)
     _require(

@@ -25,7 +25,6 @@ takes one route per kind of probe:
   entry, (u_j + u_k)/2 R_jk = T_jk: d x d normal equations and O(d^2)
   sums for the residual and the QFI, after forming R and T in
   O(d^2 log d) on the per-qubit readout (two d^3 products on any other).
-  The mixed-state search objective uses this route.
 
 The closed form is the rank-one case of the frame's normal equations.  The
 dense (2 d^2 x d) system of one outer product per outcome is kept only in
@@ -544,7 +543,6 @@ class SearchConfig:
     residual_tol: float = ops.Tolerances.solution_residual
     psd_min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue
     tie_tol: float = 1e-6
-    mixed_states: bool = False
     seed: int = 0
 
 
@@ -597,21 +595,6 @@ def _angles_from_state(ket: np.ndarray) -> np.ndarray:
     return np.concatenate([thetas, phis])
 
 
-def _shrink_to_psd(rho: np.ndarray) -> np.ndarray:
-    """Mix a barely-invalid candidate toward the identity until it is a state.
-
-    The simplex walks an unconstrained coefficient space, so converged points
-    can sit epsilon outside the state set; the returned state is re-scored, so
-    this never fabricates a solution.
-    """
-    dim = rho.shape[0]
-    smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest >= 0.0:
-        return rho
-    s = (1.0 / dim) / ((1.0 / dim) - smallest) * (1.0 - 1e-12)
-    return (1.0 - s) * np.eye(dim) / dim + s * rho
-
-
 def _dedup_key(state: DensityMatrix) -> tuple[float, ...]:
     """All 4**n Pauli coefficients of the state, rounded to DEDUP_DECIMALS."""
     return tuple(round(c, DEDUP_DECIMALS) for c in ops.pauli_transform(state.matrix).real)
@@ -625,62 +608,40 @@ def search_optimal_state(
 ) -> SearchResult:
     """Maximize tr(L^2 rho) over probe states subject to the equation residual.
 
-    Multi-start penalized simplex search: the outer loop walks pure-state
-    angles (2**(n+1) - 2 of them), the inner step solves the eigenvalues
-    exactly by least squares (in closed form for pure states, in the readout
-    frame with ``mixed_states``); each start's end point is fitted once by
-    :func:`solve_lambdas_given_state` and must pass ``psd_min_eigenvalue``
-    and ``residual_tol`` to count as a solution; one whose ||-i[H, rho]||_F
-    is within ``residual_tol`` carries no information (u = 0 solves the
-    equation) and is dropped.  A pure end point carries its ket, so its
-    inverse eigenvalues, QFI and residual come from the closed form, which
-    keeps the small outcome probabilities that a route through rho loses.
-    Starts draw
-    seeded random states, so results are reproducible and independent of
-    any parallel scheduling; every solution within ``tie_tol`` of the best
-    QFI is reported, ordered by its rounded Pauli coefficients alone, so
-    digits below them never decide the order.  Global optimality is never
-    claimed.
+    Multi-start penalized simplex search over pure states: the outer loop
+    walks the ket's angles (2**(n+1) - 2 of them), the inner step solves the
+    eigenvalues exactly in closed form on the readout amplitudes.  Mixed
+    states are not searched: the QFI is convex and a pure state's is
+    4 Var(H), so no state exceeds (h_max - h_min)**2, a ceiling the pure
+    search reaches at n = 1 and 2.  Each start's end point is fitted once by
+    :func:`solve_lambdas_given_state` from its ket, which keeps the small
+    outcome probabilities that a route through rho loses, and must pass
+    ``psd_min_eigenvalue`` and ``residual_tol`` to count as a solution; one
+    whose ||-i[H, rho]||_F is within ``residual_tol`` carries no information
+    (u = 0 solves the equation) and is dropped.  Starts draw seeded random
+    states, so results are reproducible and independent of any parallel
+    scheduling; every solution within ``tie_tol`` of the best QFI is
+    reported, ordered by its rounded Pauli coefficients alone, so digits
+    below them never decide the order.  Global optimality is never claimed.
     """
     config = config or SearchConfig()
     if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
         raise DimensionError("generator/basis do not act on n_qubits qubits")
     dim = 2**n_qubits
+    amplitude_map = _amplitude_map(basis, generator)
 
-    if config.mixed_states:
-        n_params = 4**n_qubits - 1
-
-        def build(params: np.ndarray) -> np.ndarray:
-            return ops.inverse_pauli_transform(np.concatenate(([1.0], params)) / dim)
-
-        def objective(params: np.ndarray) -> float:
-            rho = build(params)
-            penalty = 0.0
-            smallest = float(np.linalg.eigvalsh(rho)[0])
-            if smallest < 0.0:
-                penalty += 1e6 * smallest * smallest
-            _, _, residual, qfi = _lstsq_lambdas(*_readout_frame(rho, basis, generator))
-            return -qfi + config.penalty_weight * residual * residual + penalty
-
-    else:
-        n_params = 2 * dim - 2
-        amplitude_map = _amplitude_map(basis, generator)
-
-        def objective(params: np.ndarray) -> float:
-            amplitudes = amplitude_map @ _state_from_angles(params, dim)
-            _, _, residual, qfi = _pure_fit(amplitudes[:dim], amplitudes[dim:])
-            return -qfi + config.penalty_weight * residual * residual
+    def objective(params: np.ndarray) -> float:
+        amplitudes = amplitude_map @ _state_from_angles(params, dim)
+        _, _, residual, qfi = _pure_fit(amplitudes[:dim], amplitudes[dim:])
+        return -qfi + config.penalty_weight * residual * residual
 
     rng_root = np.random.SeedSequence(config.seed)
     found: dict[tuple, Solution] = {}
     best_residual = np.inf
-    for start, child in enumerate(rng_root.spawn(config.n_starts)):
+    for child in rng_root.spawn(config.n_starts):
         rng = np.random.default_rng(child)
-        if config.mixed_states:
-            x0 = rng.uniform(-0.5, 0.5, size=n_params)
-        else:
-            ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            x0 = _angles_from_state(ket / np.linalg.norm(ket))
+        ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        x0 = _angles_from_state(ket / np.linalg.norm(ket))
         result = optimize.minimize(
             objective,
             x0,
@@ -692,11 +653,8 @@ def search_optimal_state(
                 "disp": False,
             },
         )
-        if config.mixed_states:
-            rho, ket = _shrink_to_psd(build(result.x)), None
-        else:
-            ket = _state_from_angles(result.x, dim)
-            rho = np.outer(ket, ket.conj())
+        ket = _state_from_angles(result.x, dim)
+        rho = np.outer(ket, ket.conj())
         try:
             state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue, ket=ket)
         except ValidationError:

@@ -416,7 +416,7 @@ def _check_readout_frame() -> CheckResult:
     # and the readout frame otherwise, so each pure probe runs both ways; the
     # dense outer-product system above is the reference
     rng = np.random.default_rng(4581)
-    worst_u = worst_res = 0.0
+    worst_u = worst_res = worst_qfi = 0.0
     flags_agree = True
     for n in range(1, 6):
         h = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
@@ -437,17 +437,21 @@ def _check_readout_frame() -> CheckResult:
             probes += [replace(probe, ket=None) for probe in probes if probe.ket is not None]
             for gen in generators:
                 for probe in probes:
-                    spectrum, residual, _ = solver.solve_lambdas_given_state(probe, basis, gen)
+                    spectrum, residual, qfi = solver.solve_lambdas_given_state(probe, basis, gen)
                     u_ref, free_ref, res_ref = dense_lstsq_lambdas(probe.matrix, basis, gen)
+                    # tr(L^2 rho) of L = sum_k u_k E_k is sum_k u_k^2 <k|rho|k>
+                    probs = np.einsum("jk,jl,lk->k", basis.kets.conj(), probe.matrix, basis.kets)
+                    qfi_ref = float(u_ref * u_ref @ probs.real)
                     worst_u = max(worst_u, _close(spectrum.real_values(), u_ref)
                                   / max(1.0, float(np.max(np.abs(u_ref)))))
                     worst_res = max(worst_res, abs(residual - res_ref) / max(1.0, res_ref))
+                    worst_qfi = max(worst_qfi, abs(qfi - qfi_ref) / max(1.0, qfi_ref))
                     flags_agree &= spectrum.unconstrained == tuple(map(bool, free_ref))
     return _result(
         "optimality-equation-readout-frame",
-        max(worst_u, worst_res) <= 1e-9 and flags_agree,
+        max(worst_u, worst_res, worst_qfi) <= 1e-9 and flags_agree,
         "entrywise least squares in the readout frame matches the dense outer-product system",
-        u_error=worst_u, residual_error=worst_res,
+        u_error=worst_u, residual_error=worst_res, qfi_error=worst_qfi,
     )
 
 

@@ -33,6 +33,9 @@ def test_config_rejects_unknown_fields():
         parse_config_text('{"state": {"kind": "cat", "phase": 1}}', task="fisher")
     with pytest.raises(ConfigError, match="line 1 column"):
         parse_config_text("{not json", task="fisher")
+    # past Python's integer digit limit json itself refuses the literal
+    with pytest.raises(ConfigError, match="config is not valid JSON|config.x_true"):
+        parse_config_text('{"x_true": 1' + "0" * 5000 + "}", task="simulate")
     with pytest.raises(ConfigError, match="conflicts"):
         parse_config_text('{"task": "solve"}', task="fisher")
 
@@ -59,12 +62,41 @@ def test_config_n_list_obeys_the_dimension_cap():
         ('{"x_true": -Infinity}', "config.x_true"),
         ('{"solver": {"penalty_weight": Infinity}}', "config.solver.penalty_weight"),
         ('{"state": {"kind": "two_qubit_entangling", "c11": NaN}}', "config.state.c11"),
+        # an integer beyond the float range, which float() cannot convert
+        ('{"x_true": 1' + "0" * 400 + "}", "config.x_true"),
+        ('{"state": {"kind": "bloch", "a": [NaN, 0, 0]}}', "config.state.a[0]"),
+        ('{"state": {"kind": "bloch", "a": [0, 0, 0], "b": [0, Infinity, 0], '
+         '"c": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}', "config.state.b[1]"),
+        ('{"state": {"kind": "bloch", "a": [0, 0, 0], "b": [0, 0, 0], '
+         '"c": [[0, 0, 0], [0, 0, NaN], [0, 0, 0]]}}', "config.state.c[1][2]"),
     ],
 )
 def test_config_rejects_non_finite_numbers(text, path):
     # Python's json parses NaN and +/-Infinity
     with pytest.raises(ConfigError, match=re.escape(path) + ": expected a finite number"):
         parse_config_text(text, task="fisher")
+
+
+@pytest.mark.parametrize(
+    "value, path",
+    [([0, "1", 0], "config.state.a[1]"), ([0, None, 0], "config.state.a[1]"), (True, "config.state.a")],
+)
+def test_config_rejects_bloch_entries_that_are_not_numbers(value, path):
+    text = json.dumps({"state": {"kind": "bloch", "a": value}})
+    with pytest.raises(ConfigError, match=re.escape(path) + ": expected a number"):
+        parse_config_text(text, task="fisher")
+
+
+@pytest.mark.parametrize("key", ["matrix_real", "matrix_imag"])
+def test_state_file_rejects_non_finite_entries(tmp_path, capsys, key):
+    payload = {"matrix_real": [[0.5, 0.0], [0.0, 0.5]], "matrix_imag": [[0.0, 0.0], [0.0, 0.0]]}
+    payload[key][0][1] = float("nan")
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(payload), encoding="utf-8")
+    path = write_config(tmp_path, {"n_qubits": 1, "state": {"kind": "file", "path": str(state_path)}})
+    code, out, err = run_cli(capsys, ["fisher", path])
+    assert code == 2 and out == ""
+    assert f"state file: {key}: expected finite numbers" in err
 
 
 def test_nan_saturation_tolerance_cannot_unsaturate_a_saturated_probe(tmp_path, capsys):
@@ -120,7 +152,7 @@ def test_config_tolerance_overrides():
 
 def test_config_solver_block_parses_into_search_config():
     block = {"n_starts": 3, "max_evals": 40, "simplex_tol": -1, "penalty_weight": 5,
-             "tie_tol": 0.5, "mixed_states": True}
+             "tie_tol": 0.5}
     cfg = parse_config_text(json.dumps({"solver": block}), task="solve")
     assert cfg.solver == solver.SearchConfig(**block)
     assert isinstance(cfg.solver.simplex_tol, float)
@@ -131,8 +163,8 @@ def test_config_solver_block_parses_into_search_config():
             parse_config_text(json.dumps({"solver": {key: 1}}), task="solve")
     with pytest.raises(ConfigError, match="config.solver.n_starts: must be >= 1"):
         parse_config_text('{"solver": {"n_starts": 0}}', task="solve")
-    with pytest.raises(ConfigError, match="config.solver.mixed_states: expected a boolean"):
-        parse_config_text('{"solver": {"mixed_states": 1}}', task="solve")
+    with pytest.raises(ConfigError, match="config.solver: unknown field 'mixed_states'"):
+        parse_config_text('{"solver": {"mixed_states": false}}', task="solve")
 
 
 _SCALING = {"n_list": [1, 2], "shots": 200, "trials": 10, "seed": 1}

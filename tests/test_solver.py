@@ -281,15 +281,22 @@ def test_search_determinism():
         assert sa.qfi == sb.qfi
 
 
-def test_search_mixed_mode_single_qubit():
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "build", [dynamics.nonentangling_generator, dynamics.entangling_generator]
+)
+def test_pure_search_reaches_the_qfi_ceiling(n, build):
+    # The QFI is convex and a pure state's is 4 Var(H), so no state, pure or
+    # mixed, exceeds (h_max - h_min)^2; the pure search reaches it.
+    gen = build(n)
+    ceiling = float(gen.spectrum.max() - gen.spectrum.min()) ** 2
     result = solver.search_optimal_state(
-        dynamics.nonentangling_generator(1),
-        dynamics.product_pm_readout(1),
-        1,
-        solver.SearchConfig(n_starts=8, seed=2, mixed_states=True),
+        gen, dynamics.product_pm_readout(n), n,
+        solver.SearchConfig(n_starts=4, max_evals=2000, seed=1),
     )
     assert result.feasible
-    assert result.best.qfi == pytest.approx(1.0, abs=1e-3)
+    assert result.best.qfi == pytest.approx(ceiling, abs=1e-9)
+    assert all(sol.qfi <= ceiling + 1e-9 for sol in result.solutions)
 
 
 def test_angle_parametrization_round_trip():
