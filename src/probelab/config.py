@@ -87,13 +87,17 @@ def _check_number(value, path: str) -> float:
     return number
 
 
-def _check_numbers(value, path: str) -> None:
-    """Check each number of a (nested) list, naming it by its index."""
-    if isinstance(value, list):
+def _check_numbers(value, path: str, shape: tuple[int, ...]) -> None:
+    """Check a nested list of numbers of the given shape, naming an offending
+    entry by its index."""
+    if shape and isinstance(value, list):
+        _require(len(value) == shape[0], f"{path}: expected {shape[0]} entries, got {len(value)}")
         for index, item in enumerate(value):
-            _check_numbers(item, f"{path}[{index}]")
-    else:
-        _check_number(value, path)
+            _check_numbers(item, f"{path}[{index}]", shape[1:])
+        return
+    _check_number(value, path)
+    if shape:
+        raise ConfigError(f"{path}: expected a list of {shape[0]} entries")
 
 
 def parse_config_text(text: str, task: str | None = None) -> ExperimentConfig:
@@ -191,9 +195,9 @@ def _normalize_state(raw) -> dict | None:
             _check_number(raw.get(key, 0.0), f"config.state.{key}")
     if kind == "bloch":
         _require("a" in raw, "config.state.a: required for bloch states")
-        for key in ("a", "b", "c"):
+        for key, shape in (("a", (3,)), ("b", (3,)), ("c", (3, 3))):
             if key in raw:
-                _check_numbers(raw[key], f"config.state.{key}")
+                _check_numbers(raw[key], f"config.state.{key}", shape)
     if kind == "file":
         _require(isinstance(raw.get("path"), str), "config.state.path: expected a string")
     return dict(raw)
@@ -295,17 +299,21 @@ def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.
             f"config.state.path: {path!r} is not valid JSON "
             f"({exc.msg} at line {exc.lineno} column {exc.colno})"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config.state.path: {path!r} is not valid JSON ({exc})") from exc
+    _require(isinstance(payload, dict), "state file: expected a JSON object at the top level")
     for key in payload:
         _require(
             key in ("n_qubits", "matrix_real", "matrix_imag"),
             f"state file: unknown field {key!r}",
         )
     _require("matrix_real" in payload, "state file: matrix_real is required")
-    real = np.asarray(payload["matrix_real"], dtype=float)
-    imag = np.asarray(payload.get("matrix_imag", np.zeros_like(real)), dtype=float)
+    real = _matrix_part(payload["matrix_real"], "matrix_real")
+    imag = (
+        _matrix_part(payload["matrix_imag"], "matrix_imag")
+        if "matrix_imag" in payload else np.zeros_like(real)
+    )
     _require(real.shape == imag.shape, "state file: real and imaginary shapes differ")
-    for key, part in (("matrix_real", real), ("matrix_imag", imag)):
-        _require(np.isfinite(part).all(), f"state file: {key}: expected finite numbers")
     matrix = real + 1j * imag
     rho = states.density_matrix(matrix, min_eigenvalue=min_eigenvalue)
     _require(
@@ -313,6 +321,24 @@ def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.
         f"state file: {rho.n_qubits}-qubit state but config.n_qubits = {n_qubits}",
     )
     return rho
+
+
+def _matrix_part(rows, key: str) -> np.ndarray:
+    """A state file's square matrix of finite numbers, parsed in one pass:
+    ragged rows, strings, nulls and integers past the int64 range give no
+    numeric square array."""
+    try:
+        part = np.asarray(rows)
+    except ValueError:  # ragged rows
+        part = None
+    _require(
+        part is not None and part.dtype.kind in "iuf" and part.ndim == 2
+        and part.shape[0] == part.shape[1],
+        f"state file: {key}: expected a square matrix of numbers",
+    )
+    part = part.astype(float, copy=False)
+    _require(np.isfinite(part).all(), f"state file: {key}: expected finite numbers")
+    return part
 
 
 def tolerances_dict(tol: Tolerances) -> dict[str, float]:

@@ -57,13 +57,12 @@ class Generator:
             return np.diag(self.spectrum).astype(complex)
         return (self.frame * self.spectrum) @ self.frame.conj().T
 
-    def apply(self, ket: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
-        """W (v o W^dagger ket) for v = ``values``, by default the spectrum (H ket):
-        O(d) for a diagonal generator, two d x d matvecs otherwise."""
-        values = self.spectrum if values is None else values
+    def apply(self, ket: np.ndarray) -> np.ndarray:
+        """H ket = W (h o W^dagger ket): O(d) for a diagonal generator, two
+        d x d matvecs otherwise."""
         if self.frame is None:
-            return values * ket
-        return self.frame @ (values * (self.frame.conj().T @ ket))
+            return self.spectrum * ket
+        return self.frame @ (self.spectrum * (self.frame.conj().T @ ket))
 
 
 def _bit_counts(n: int) -> np.ndarray:
@@ -123,12 +122,11 @@ def state_derivative(generator: Generator, rho: DensityMatrix) -> np.ndarray:
 
 def evolve(rho: DensityMatrix, generator: Generator, x: float) -> DensityMatrix:
     """U rho U^dagger with U = exp(-i x H), the kernel e^{-i x h_j} e^{i x h_k};
-    a state's ket evolves with it, to U ket = W (e^{-i x h} o W^dagger ket)."""
+    the evolved matrix of a pure state is pure, so it gets its ket back from
+    :func:`~probelab.states.density_matrix`."""
     _check_dims(generator, rho)
     phases = np.exp(-1j * x * generator.spectrum)
-    ket = None if rho.ket is None else generator.apply(rho.ket, phases)
-    matrix = _in_frame(generator, np.outer(phases, phases.conj()), rho.matrix)
-    return density_matrix(matrix, ket=ket)
+    return density_matrix(_in_frame(generator, np.outer(phases, phases.conj()), rho.matrix))
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,13 @@ E (L - Re(ratio)) rho = 0 for every outcome.  Both conditions are measured by
 :func:`analyze` computes all of the above for one probe under one
 :class:`Tolerances`, by one of two routes:
 
-* dense, for a state without a ket: one derivative, one SLD (a d x d
-  eigendecomposition plus a few d^3 products) and one spectrum, each
+* dense, for a state without a ket (a mixed one): one derivative, one SLD
+  (a d x d eigendecomposition plus a few d^3 products) and one spectrum, each
   per-outcome number a readout diagonal <k|A|k> taken by
   :meth:`ReadoutBasis.diagonal` (O(d^2) for the per-qubit |+>/|-> readout,
   one d^3 BLAS product for any other basis);
-* closed form, for a pure state rho = |psi><psi| that carries its ket: with
+* closed form, for a pure state rho = |psi><psi|, whose ket
+  :func:`~probelab.states.density_matrix` finds whatever built it: with
   dpsi = -i H psi the SLD is exactly L = 2 rho' (the eigenbasis formula's
   zero-kernel choice) and F_Q = 4 Var_psi(H), so every number follows from
   the readout amplitudes phi = V^dagger psi and chi = V^dagger H psi

@@ -656,7 +656,7 @@ def search_optimal_state(
         ket = _state_from_angles(result.x, dim)
         rho = np.outer(ket, ket.conj())
         try:
-            state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue, ket=ket)
+            state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue)
         except ValidationError:
             continue
         spectrum, residual, qfi = solve_lambdas_given_state(state, basis, generator)

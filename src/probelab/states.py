@@ -22,9 +22,10 @@ KET_ATOL = 1e-10
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on 2**n dims.
 
-    ``ket`` is a unit vector with ``matrix`` = |ket><ket| when the state is
-    known to be pure by construction, else ``None``; analyses of a state with
-    a ket work from the ket (see :func:`probelab.fisher.analyze`).
+    ``ket`` is a vector k with ``matrix`` = |k><k| to within ``KET_ATOL``,
+    which :func:`density_matrix` finds for every pure matrix whatever built
+    it, else ``None``; analyses of a state with a ket work from the ket (see
+    :func:`probelab.fisher.analyze`).
     """
 
     matrix: np.ndarray
@@ -44,20 +45,18 @@ class DensityMatrix:
 
 
 def density_matrix(
-    matrix: np.ndarray,
-    *,
-    min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue,
-    ket: np.ndarray | None = None,
+    matrix: np.ndarray, *, min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue
 ) -> DensityMatrix:
     """Validate a matrix as a density matrix and wrap it.
 
     Raises :class:`ValidationError` for hermiticity/trace failures (beyond
     ``operators.MATRIX_ATOL``) and
     :class:`PSDViolationError` (carrying the offending eigenvalue) if the
-    smallest eigenvalue falls below ``min_eigenvalue``.  With a ``ket`` the
-    matrix must be |ket><ket| to within ``KET_ATOL`` (Frobenius norm), an
-    O(d^2) check that stands in for the eigendecomposition: the smallest
-    eigenvalue of a rank-one state is exactly 0.
+    smallest eigenvalue falls below ``min_eigenvalue``.  A matrix that passes
+    an O(d^2) purity screen tries k = rho[:, j] / sqrt(rho_jj), j its largest
+    diagonal entry: within ``KET_ATOL`` of |k><k| (Frobenius norm) it gets k
+    as its ``ket`` and, being rank one, 0 as its smallest eigenvalue; any
+    other matrix takes ``eigvalsh``.
     """
     matrix = np.array(matrix, dtype=complex)
     n = ops.n_qubits_of(matrix)
@@ -66,21 +65,21 @@ def density_matrix(
     trace = np.trace(matrix)
     if abs(trace - 1.0) > ops.MATRIX_ATOL:
         raise ValidationError(f"density matrix trace is {trace:.12g}, expected 1")
-    if ket is None:
-        smallest = float(np.linalg.eigvalsh(matrix)[0])
-    else:
-        ket = np.array(ket, dtype=complex)
-        if ket.shape != matrix.shape[:1]:
-            raise DimensionError(f"ket shape {ket.shape} does not match state {matrix.shape}")
-        mismatch = float(np.linalg.norm(matrix - np.outer(ket, ket.conj())))
-        if mismatch > KET_ATOL:
-            raise ValidationError(f"density matrix differs from |ket><ket| by {mismatch:.3e}")
+    ket = None
+    # tr(rho^2) = ||rho||_F^2, read in place; the screen is far looser than the
+    # |tr(rho^2) - 1| <= 2 (sqrt(d) + 2) 1e-10 of any matrix that passed the
+    # trace check and lies within KET_ATOL of a pure one
+    if abs(np.vdot(matrix, matrix).real - 1.0) <= 1e-6:
+        j = int(np.argmax(matrix.diagonal().real))
+        ket = matrix[:, j] / np.sqrt(matrix[j, j].real)
         ket.setflags(write=False)
-        smallest = 0.0
+        if np.linalg.norm(matrix - np.outer(ket, ket.conj())) > KET_ATOL:
+            ket = None
+    smallest = 0.0 if ket is not None else float(np.linalg.eigvalsh(matrix)[0])
     if smallest < min_eigenvalue:
         raise PSDViolationError(smallest)
     matrix.setflags(write=False)
-    return DensityMatrix(matrix=matrix, n_qubits=n, ket=ket)
+    return DensityMatrix(matrix, n, ket)
 
 
 def pure_state(ket: np.ndarray) -> DensityMatrix:
@@ -90,7 +89,7 @@ def pure_state(ket: np.ndarray) -> DensityMatrix:
     if norm == 0:
         raise ValidationError("cannot normalize the zero vector")
     ket = ket / norm
-    return density_matrix(np.outer(ket, ket.conj()), ket=ket)
+    return density_matrix(np.outer(ket, ket.conj()))
 
 
 @dataclass(frozen=True)
@@ -158,18 +157,16 @@ def optimal_single_qubit(sign: int = +1) -> DensityMatrix:
     """
     if sign not in (+1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
-    matrix = hermitian_from_bloch(BlochCoefficients(a=np.array([0.0, float(sign), 0.0])))
-    return density_matrix(matrix, ket=np.array([1.0, sign * 1j]) / np.sqrt(2.0))
+    return from_bloch([0.0, float(sign), 0.0])
 
 
 def tensor_power(rho: DensityMatrix, n: int, cap: int = ops.MAX_QUBITS) -> DensityMatrix:
-    """n-fold tensor power of a state; that of a state with a ket has a ket."""
+    """n-fold tensor power of a state."""
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
     total = n * rho.n_qubits
     ops.check_cap(total, cap)
-    ket = None if rho.ket is None else ops.kron_all([rho.ket] * n)
-    return density_matrix(ops.kron_all([rho.matrix] * n), ket=ket)
+    return density_matrix(ops.kron_all([rho.matrix] * n))
 
 
 def cat_state(n: int, sign: int = +1, cap: int = ops.MAX_QUBITS) -> DensityMatrix:

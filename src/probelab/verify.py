@@ -324,10 +324,13 @@ def _check_fisher_scaling() -> CheckResult:
 @_check("pure-probe-closed-form-route")
 def _check_pure_route() -> CheckResult:
     # analyze takes the closed-form route for a state with a ket; the same
-    # matrix without it takes the dense eigenbasis route, the reference here
+    # matrix without it takes the dense eigenbasis route, the reference here.
+    # Every probe, the one built from Bloch numbers too, must carry its ket:
+    # a lost ket leaves every number right and only costs the dense route.
     rng = np.random.default_rng(2012)
     worst = 0.0
     flags_agree = True
+    missing_kets = 0
     for n in range(1, 7):
         h = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
         generators = (
@@ -337,8 +340,10 @@ def _check_pure_route() -> CheckResult:
         )
         readouts = (dynamics.product_pm_readout(n), dynamics.random_projective_readout(n, rng))
         probes = [states.tensor_power(states.optimal_single_qubit(+1), n),
+                  states.tensor_power(states.from_bloch([0.6, 0.0, 0.8]), n),
                   states.random_pure_state(n, rng)]
         probes += [states.cat_state(n, +1)] if n > 1 else []
+        missing_kets += sum(probe.ket is None for probe in probes)
         for gen in generators:
             for basis in readouts:
                 for probe in probes:
@@ -361,9 +366,10 @@ def _check_pure_route() -> CheckResult:
                         and pure.saturation.saturated == dense.saturation.saturated
                     )
     return _result(
-        "pure-probe-closed-form-route", worst <= 1e-9 and flags_agree,
-        "closed-form analysis of tensor, cat and random pure probes matches the dense route",
-        max_error=worst,
+        "pure-probe-closed-form-route", worst <= 1e-9 and flags_agree and not missing_kets,
+        "every pure probe carries its ket, and closed-form analysis of tensor, cat and "
+        "random pure probes matches the dense route",
+        max_error=worst, missing_kets=missing_kets,
     )
 
 

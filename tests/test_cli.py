@@ -99,6 +99,30 @@ def test_state_file_rejects_non_finite_entries(tmp_path, capsys, key):
     assert f"state file: {key}: expected finite numbers" in err
 
 
+@pytest.mark.parametrize(
+    "state, file_text, field",
+    [
+        ({"kind": "bloch", "a": [[0], 0, 0]}, None, "config.state.a[0]"),
+        ({"kind": "file"}, '{"matrix_real": [[0.5, 0.5], [0.5]]}', "matrix_real"),
+        ({"kind": "file"}, '{"matrix_real": [[0.5, "0"], [0, 0.5]]}', "matrix_real"),
+        # past Python's integer digit limit json itself refuses the literal
+        ({"kind": "file"}, '{"matrix_real": [[1' + "0" * 5000 + "]]}",
+         "config.state.path|matrix_real"),
+        ({"kind": "file"}, "[[0.5, 0], [0, 0.5]]", "state file"),
+    ],
+)
+def test_bad_state_inputs_are_config_errors(tmp_path, capsys, state, file_text, field):
+    if file_text is not None:
+        state_path = tmp_path / "state.json"
+        state_path.write_text(file_text, encoding="utf-8")
+        state = {**state, "path": str(state_path)}
+    path = write_config(tmp_path, {"n_qubits": 1, "state": state})
+    code, out, err = run_cli(capsys, ["fisher", path])
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "internal error" not in err
+    assert any(name in err for name in field.split("|"))
+
+
 def test_nan_saturation_tolerance_cannot_unsaturate_a_saturated_probe(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"n_qubits": 2, "tolerances": {"saturation": NaN}}', encoding="utf-8")
@@ -302,18 +326,23 @@ def test_fisher_on_ten_qubit_pure_probes_takes_no_eigensolve(
 
 
 def test_fisher_on_a_state_file_takes_the_dense_route(tmp_path, capsys, monkeypatch):
+    # a pure file gets its ket back and takes the closed form; a mixed one
+    # (the pure state at weight 0.9 plus white noise) takes the dense route
     ket = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    matrix = np.kron(*[np.outer(ket, ket.conj())] * 2)
-    state_path = tmp_path / "state.json"
-    state_path.write_text(
-        json.dumps({"matrix_real": matrix.real.tolist(), "matrix_imag": matrix.imag.tolist()})
-    )
+    pure = np.kron(*[np.outer(ket, ket.conj())] * 2)
     calls = _count_eigensolves(monkeypatch)
-    config = {"n_qubits": 2, "state": {"kind": "file", "path": str(state_path)}}
-    code, out, err = run_cli(capsys, ["fisher", write_config(tmp_path, config)])
-    assert code == 0, err
-    assert json.loads(out)["result"]["quantum_fisher"] == pytest.approx(2.0)
-    assert len(calls) == 1
+    for weight, qfi, eigensolves in ((1.0, 2.0, 0), (0.9, 2 * 0.81 / (0.9 + 0.05), 1)):
+        matrix = weight * pure + (1.0 - weight) * np.eye(4) / 4.0
+        state_path = tmp_path / "state.json"
+        state_path.write_text(
+            json.dumps({"matrix_real": matrix.real.tolist(), "matrix_imag": matrix.imag.tolist()})
+        )
+        config = {"n_qubits": 2, "state": {"kind": "file", "path": str(state_path)}}
+        calls.clear()
+        code, out, err = run_cli(capsys, ["fisher", write_config(tmp_path, config)])
+        assert code == 0, err
+        assert json.loads(out)["result"]["quantum_fisher"] == pytest.approx(qfi)
+        assert len(calls) == eigensolves
 
 
 def test_fisher_report_entangling_three_qubits(tmp_path, capsys):
