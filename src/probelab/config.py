@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from typing import Any, Mapping
 
 import numpy as np
@@ -282,6 +283,17 @@ def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:
             min_eigenvalue=psd,
         )
     if kind == "bloch":
+        for given, needed in (("b", "c"), ("c", "b")):
+            _require(
+                given not in spec or needed in spec,
+                f"config.state.{needed}: required with {given} for a two-qubit bloch state",
+            )
+        size, terms = (2, "a, b and c") if "b" in spec else (1, "a alone")
+        _require(
+            n == size,
+            f"config.state.a: a bloch state of {terms} is a {size}-qubit state "
+            f"but config.n_qubits = {n}",
+        )
         return states.from_bloch(spec["a"], spec.get("b"), spec.get("c"), min_eigenvalue=psd)
     if kind == "file":
         return _state_from_file(spec["path"], n, psd)
@@ -324,9 +336,9 @@ def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.
 
 
 def _matrix_part(rows, key: str) -> np.ndarray:
-    """A state file's square matrix of finite numbers, parsed in one pass:
-    ragged rows, strings, nulls and integers past the int64 range give no
-    numeric square array."""
+    """A state file's square matrix of finite numbers: ragged rows, strings,
+    nulls and integers past the int64 range give no numeric square array, and
+    a boolean among numbers is refused by a scan of the entries' types."""
     try:
         part = np.asarray(rows)
     except ValueError:  # ragged rows
@@ -335,6 +347,12 @@ def _matrix_part(rows, key: str) -> np.ndarray:
         part is not None and part.dtype.kind in "iuf" and part.ndim == 2
         and part.shape[0] == part.shape[1],
         f"state file: {key}: expected a square matrix of numbers",
+    )
+    # np.asarray reads True next to numbers as 1; one C-level pass over the
+    # entries' types finds it
+    _require(
+        bool not in set(map(type, chain.from_iterable(rows))),
+        f"state file: {key}: expected numbers, got a boolean",
     )
     part = part.astype(float, copy=False)
     _require(np.isfinite(part).all(), f"state file: {key}: expected finite numbers")

@@ -39,11 +39,11 @@ other.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize
 
 from . import operators as ops
 from .dynamics import (
@@ -68,6 +68,22 @@ from .states import (
     tensor_power,
     two_qubit_entangling_candidate,
 )
+
+
+def __getattr__(name: str):
+    """``solver.optimize`` is ``scipy.optimize``, imported on first use.
+
+    Only :func:`search_optimal_state` needs scipy, and importing
+    ``scipy.optimize`` costs most of a CLI call's start-up, so every task
+    that runs no search never loads it (PEP 562).
+    """
+    if name == "optimize":
+        from scipy import optimize
+
+        globals()[name] = optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CLOSED_FORM = "closed-form"
 NUMERIC_SEARCH = "numeric-search"
@@ -635,6 +651,8 @@ def search_optimal_state(
         _, _, residual, qfi = _pure_fit(amplitudes[:dim], amplitudes[dim:])
         return -qfi + config.penalty_weight * residual * residual
 
+    # through the module object, so a replaced ``solver.optimize`` is seen
+    optimize = sys.modules[__name__].optimize
     rng_root = np.random.SeedSequence(config.seed)
     found: dict[tuple, Solution] = {}
     best_residual = np.inf

@@ -585,3 +585,42 @@ def test_identifiability_check_reads_the_configured_probability_floor(
     code, _, err = run_cli(capsys, [command, path])
     assert code == 0, err
     assert floors and set(floors) == {1e-6}
+
+
+@pytest.mark.parametrize("key", ["matrix_real", "matrix_imag"])
+def test_state_file_rejects_a_boolean_among_numbers(tmp_path, capsys, key):
+    payload = {"matrix_real": [[1.0, 0.0], [0, 0.0]], "matrix_imag": [[0.0, 0.0], [0.0, 0.0]]}
+    payload[key][0][0] = True
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(payload), encoding="utf-8")
+    path = write_config(tmp_path, {"n_qubits": 1, "state": {"kind": "file", "path": str(state_path)}})
+    code, out, err = run_cli(capsys, ["fisher", path])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: state file: {key}: expected numbers, got a boolean")
+
+
+@pytest.mark.parametrize(
+    "n_qubits, state, message",
+    [
+        (2, {"a": [0, 1, 0]}, "config.state.a: a bloch state of a alone is a 1-qubit state "
+         "but config.n_qubits = 2"),
+        (1, {"a": [0, 1, 0], "b": [0, 0, 0], "c": [[0] * 3] * 3},
+         "config.state.a: a bloch state of a, b and c is a 2-qubit state "
+         "but config.n_qubits = 1"),
+        (2, {"a": [0, 1, 0], "b": [0, 0, 0]}, "config.state.c: required with b"),
+        (2, {"a": [0, 1, 0], "c": [[0] * 3] * 3}, "config.state.b: required with c"),
+    ],
+)
+def test_bloch_state_must_fit_n_qubits(tmp_path, capsys, n_qubits, state, message):
+    path = write_config(tmp_path, {"n_qubits": n_qubits, "state": {"kind": "bloch", **state}})
+    code, out, err = run_cli(capsys, ["fisher", path])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: " + message)
+
+
+def test_two_qubit_bloch_state_runs_at_two_qubits(tmp_path, capsys):
+    c = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]  # the Bell state |00> + |11>
+    state = {"kind": "bloch", "a": [0, 0, 0], "b": [0, 0, 0], "c": c}
+    path = write_config(tmp_path, {"n_qubits": 2, "state": state})
+    code, out, err = run_cli(capsys, ["fisher", path])
+    assert code == 0 and err == ""
