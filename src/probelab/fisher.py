@@ -11,16 +11,18 @@ A fixed projective readout extracts the classical Fisher information
     F = sum_outcomes (d p / dx)^2 / p,
 
 which is bounded by the quantum Fisher information tr(L^2 rho).  The bound is
-attained exactly when every outcome ratio tr(E L rho)/tr(E rho) is real and
-the projectors are compatible with L on the support of rho, i.e.
-E (L - Re(ratio)) rho = 0 for every outcome.  Both conditions are measured by
-:func:`check_saturation`.
+attained exactly when every outcome ratio <k|rho L|k>/p_k = conj(tr(E L
+rho))/tr(E rho) is real and the projectors are compatible with L on the
+support of rho, i.e. E (L - Re(ratio)) rho = 0 for every outcome.  Both
+conditions are measured by :func:`check_saturation`.
 
 :func:`analyze` computes all of the above for one probe under one
 :class:`Tolerances`, by one of two routes:
 
-* dense, for a state without a ket (a mixed one): one derivative, one SLD
-  (a d x d eigendecomposition plus a few d^3 products) and one spectrum, each
+* dense, for a state without a ket (a mixed one): one derivative and one SLD
+  from the eigendecomposition the state took for its PSD check, in five d^3
+  products (two rotations into its eigenframe, two out and one rho L, read by
+  the SLD residual, the QFI, the ratios and the saturation rows), each
   per-outcome number a readout diagonal <k|A|k> taken by
   :meth:`ReadoutBasis.diagonal` (O(d^2) for the per-qubit |+>/|-> readout,
   one d^3 BLAS product for any other basis);
@@ -49,7 +51,7 @@ from .errors import (
     SLDInconsistencyError,
     UndefinedLambdaError,
 )
-from .operators import Tolerances, hermitian_eigen, is_hermitian
+from .operators import Tolerances, is_hermitian
 from .states import DensityMatrix
 
 EIGENBASIS_FORMULA = "eigenbasis-formula"
@@ -66,16 +68,17 @@ SCORE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class SLDResult:
-    """Hermitian SLD operator plus bookkeeping about how it was built."""
+    """Hermitian SLD operator, how it was built, and rho L if built from a state."""
 
     operator: np.ndarray
     route: str
     kernel_dim: int
+    rho_l: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class LambdaSpectrum:
-    """Per-outcome inverse eigenvalues tr(E L rho)/tr(E rho).
+    """Per-outcome inverse eigenvalues <k|rho L|k>/p_k = conj(tr(E L rho))/tr(E rho).
 
     Values are recorded as complex numbers: nonzero imaginary parts are data
     (they witness saturation failure), not errors.  Outcomes with vanishing
@@ -131,22 +134,18 @@ def sld_from_state(
         )
     if not is_hermitian(rho_prime):
         raise SLDInconsistencyError("state derivative must be Hermitian")
-    eig = hermitian_eigen(rho.matrix)
+    eig = rho.eigen
     p = np.clip(eig.values, 0.0, None)
     drho_eig = eig.vectors.conj().T @ rho_prime @ eig.vectors
     sums = p[:, None] + p[None, :]
     kernel = sums <= tol
     weights = np.where(kernel, 0.0, 2.0 / np.where(kernel, 1.0, sums))
-    l_eig = weights * drho_eig
-    l_op = eig.vectors @ l_eig @ eig.vectors.conj().T
+    l_op = eig.vectors @ (weights * drho_eig) @ eig.vectors.conj().T
     l_op = 0.5 * (l_op + l_op.conj().T)
-    _check_sld_residual(
-        float(np.linalg.norm(0.5 * (l_op @ rho.matrix + rho.matrix @ l_op) - rho_prime)),
-        residual_tol,
-    )
-    return SLDResult(
-        operator=l_op, route=EIGENBASIS_FORMULA, kernel_dim=int(np.sum(kernel))
-    )
+    rho_l = rho.matrix @ l_op  # and L rho = (rho L)^dagger
+    residual = np.linalg.norm(0.5 * (rho_l + rho_l.conj().T) - rho_prime)
+    _check_sld_residual(float(residual), residual_tol)
+    return SLDResult(l_op, EIGENBASIS_FORMULA, int(np.sum(kernel)), rho_l)
 
 
 def _check_sld_residual(residual: float, residual_tol: float) -> None:
@@ -203,7 +202,7 @@ def lambda_spectrum(
     *,
     probability_floor: float = Tolerances.probability_floor,
 ) -> LambdaSpectrum:
-    """Per-outcome ratios tr(E L rho) / tr(E rho), kept complex.
+    """Per-outcome ratios <k|rho L|k>/p_k = conj(tr(E L rho))/tr(E rho), kept complex.
 
     Cross-checks that the real parts match tr(E rho')/tr(E rho) (an exact
     consequence of the defining equation).  Outcomes where both numerator and
@@ -228,8 +227,8 @@ def _ratio_spectrum(
     dprobs: np.ndarray,
     probability_floor: float,
 ) -> LambdaSpectrum:
-    """The ratios tr(E L rho)/p of :func:`lambda_spectrum`, with its rules,
-    from the per-outcome numerators, probabilities and dp/dx."""
+    """The ratios of :func:`lambda_spectrum`, with its rules, from the
+    per-outcome numerators <k|rho L|k>, probabilities and dp/dx."""
     values = np.zeros(len(labels), dtype=complex)
     unconstrained = []
     for k, label in enumerate(labels):
@@ -239,7 +238,6 @@ def _ratio_spectrum(
                     f"outcome {label!r} has probability {probs[k]:.3e} but "
                     f"|tr(E L rho)| = {abs(numerators[k]):.3e}"
                 )
-            values[k] = 0.0
             unconstrained.append(True)
             continue
         ratio = numerators[k] / probs[k]
@@ -266,29 +264,27 @@ def check_saturation(
     """Evaluate both saturation conditions for a fixed projective readout.
 
     Takes L from ``sld`` and the ratios from ``spectrum``, or builds them with
-    the default thresholds, then measures (a) the largest
-    imaginary part of tr(rho E L) over outcomes and (b) the projector
-    compatibility residual sqrt(sum_outcomes ||E (L - Re(1/lambda)) rho||_F^2),
-    which vanishes exactly when the readout projects onto an eigenbasis of an
-    SLD with real eigenvalue ratios on the support of rho.
+    the default thresholds, then measures (a) the largest imaginary part of
+    tr(rho E L) over outcomes and (b) the projector compatibility residual
+    sqrt(sum_outcomes ||E (L - Re(1/lambda)) rho||_F^2), which vanishes
+    exactly when the readout projects onto an eigenbasis of an SLD with real
+    eigenvalue ratios on the support of rho.
     """
     if sld is None:
         sld = sld_from_state(rho, rho_prime)
     if spectrum is None:
         spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
-    l_rho = sld.operator @ rho.matrix
-    # tr(rho E L) = <theta| L rho |theta> by cyclicity.
-    traces = basis.diagonal(l_rho)
-    im_max = float(np.max(np.abs(np.imag(traces))))
+    rho_l = rho.matrix @ sld.operator if sld.rho_l is None else sld.rho_l
+    # tr(rho E L) = conj <theta| rho L |theta> by cyclicity.
+    im_max = float(np.max(np.abs(np.imag(basis.diagonal(rho_l)))))
     # Row vectors <theta| (L - Re(1/lambda)) rho for every outcome.
     u = np.real(spectrum.values)[:, None]
-    rows = basis.amplitudes(l_rho) - u * basis.amplitudes(rho.matrix)
-    diag_residual = float(np.linalg.norm(rows))
-    return SaturationReport(
-        im_condition_max=im_max,
-        diagonal_residual=diag_residual,
-        saturated=bool(im_max <= tol and diag_residual <= tol),
-    )
+    rows = basis.amplitudes(rho_l.conj().T) - u * basis.amplitudes(rho.matrix)
+    return _saturation(im_max, float(np.linalg.norm(rows)), tol)
+
+
+def _saturation(im_max: float, diag_residual: float, tol: float) -> SaturationReport:
+    return SaturationReport(im_max, diag_residual, bool(im_max <= tol and diag_residual <= tol))
 
 
 def classical_fisher(
@@ -338,8 +334,9 @@ def quantum_fisher(
     """
     if sld is None:
         sld = sld_from_state(rho, rho_prime)
-    l2 = sld.operator @ sld.operator
-    return float(np.real(np.trace(l2 @ rho.matrix)))
+    rho_l = rho.matrix @ sld.operator if sld.rho_l is None else sld.rho_l
+    # sum_jk (rho L)_jk L_kj, with L_kj = conj(L_jk)
+    return float(np.vdot(sld.operator, rho_l).real)
 
 
 def cramer_rao_bound(fisher: float, repetitions: int = 1) -> float:
@@ -376,13 +373,16 @@ def analyze(
     this order: a divergent classical Fisher sum, an inconsistent SLD, then
     an undefined or inconsistent ratio.
     """
+    if basis.dim != state.dim or generator.n_qubits != state.n_qubits:
+        raise DimensionError("basis, generator and state dimensions differ")
     if state.ket is not None:
         return _analyze_pure(generator, state, basis, tol)
     rho_prime = state_derivative(generator, state)
+    probs, dprobs = np.real(basis.diagonal(state.matrix)), np.real(basis.diagonal(rho_prime))
     floor = tol.probability_floor
-    f_classical = classical_fisher(basis, state, rho_prime, probability_floor=floor)
+    f_classical = _fisher_sum(basis.labels, probs, dprobs, floor)
     sld = sld_from_state(state, rho_prime, tol=tol.kernel_tol, residual_tol=tol.sld_residual)
-    spectrum = lambda_spectrum(basis, state, rho_prime, sld.operator, probability_floor=floor)
+    spectrum = _ratio_spectrum(basis.labels, basis.diagonal(sld.rho_l), probs, dprobs, floor)
     return Analysis(
         classical_fisher=f_classical,
         quantum_fisher=quantum_fisher(state, rho_prime, sld=sld),
@@ -406,8 +406,6 @@ def _analyze_pure(
     tr(E_k L rho) = phi_k conj(<k|L psi>), tr(L^2 rho) = ||L psi||^2 and each
     saturation row <k|(L - u_k) rho is rank one, of norm |<k|L psi> - u_k phi_k|.
     """
-    if basis.dim != state.dim or generator.n_qubits != state.n_qubits:
-        raise DimensionError("basis, generator and state dimensions differ")
     phi = basis.amplitudes(state.ket)
     chi = basis.amplitudes(generator.apply(state.ket))
     phi_c = phi.conj()
@@ -415,22 +413,17 @@ def _analyze_pure(
     dprobs = 2.0 * (phi_c * chi).imag
     floor = tol.probability_floor
     f_classical = _fisher_sum(basis.labels, probs, dprobs, floor)
-    if tol.kernel_tol < 1.0:
-        l_psi = -2j * (chi - (phi_c @ chi).real * phi)
-    else:
-        l_psi = np.zeros_like(phi)
+    l_psi = -2j * (chi - (phi_c @ chi).real * phi) if tol.kernel_tol < 1.0 else np.zeros_like(phi)
     _check_sld_residual(pure_sld_residual(phi, chi, l_psi), tol.sld_residual)
     numerators = phi * l_psi.conj()
     spectrum = _ratio_spectrum(basis.labels, numerators, probs, dprobs, floor)
-    im_max = float(np.max(np.abs(numerators.imag)))
-    diag_residual = float(np.linalg.norm(l_psi - spectrum.values.real * phi))
     return Analysis(
         classical_fisher=f_classical,
         quantum_fisher=float(np.vdot(l_psi, l_psi).real),
         spectrum=spectrum,
-        saturation=SaturationReport(
-            im_condition_max=im_max,
-            diagonal_residual=diag_residual,
-            saturated=bool(im_max <= tol.saturation and diag_residual <= tol.saturation),
+        saturation=_saturation(
+            float(np.max(np.abs(numerators.imag))),
+            float(np.linalg.norm(l_psi - spectrum.values.real * phi)),
+            tol.saturation,
         ),
     )

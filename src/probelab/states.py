@@ -8,6 +8,7 @@ silently repairing a state would corrupt downstream saturation checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,8 @@ class DensityMatrix:
     ``ket`` is a vector k with ``matrix`` = |k><k| to within ``KET_ATOL``,
     which :func:`density_matrix` finds for every pure matrix whatever built
     it, else ``None``; analyses of a state with a ket work from the ket (see
-    :func:`probelab.fisher.analyze`).
+    :func:`probelab.fisher.analyze`).  ``eigen``, taken on first use and kept,
+    serves the PSD check of any state without a ket, then the dense SLD.
     """
 
     matrix: np.ndarray
@@ -35,6 +37,10 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+    @cached_property
+    def eigen(self) -> ops.HermitianEigen:
+        return ops.hermitian_eigen(self.matrix)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -56,7 +62,7 @@ def density_matrix(
     an O(d^2) purity screen tries k = rho[:, j] / sqrt(rho_jj), j its largest
     diagonal entry: within ``KET_ATOL`` of |k><k| (Frobenius norm) it gets k
     as its ``ket`` and, being rank one, 0 as its smallest eigenvalue; any
-    other matrix takes ``eigvalsh``.
+    other matrix takes one ``eigh``, kept as the state's ``eigen``.
     """
     matrix = np.array(matrix, dtype=complex)
     n = ops.n_qubits_of(matrix)
@@ -75,11 +81,12 @@ def density_matrix(
         ket.setflags(write=False)
         if np.linalg.norm(matrix - np.outer(ket, ket.conj())) > KET_ATOL:
             ket = None
-    smallest = 0.0 if ket is not None else float(np.linalg.eigvalsh(matrix)[0])
+    matrix.setflags(write=False)
+    state = DensityMatrix(matrix, n, ket)
+    smallest = 0.0 if ket is not None else float(state.eigen.values[-1])
     if smallest < min_eigenvalue:
         raise PSDViolationError(smallest)
-    matrix.setflags(write=False)
-    return DensityMatrix(matrix, n, ket)
+    return state
 
 
 def pure_state(ket: np.ndarray) -> DensityMatrix:

@@ -295,15 +295,26 @@ def test_fisher_report_cat_state_is_uninformative(tmp_path, capsys):
 
 
 def _count_eigensolves(monkeypatch):
-    calls = []
-    original = operators.hermitian_eigen
+    # one entry per eigendecomposition, whether it goes through
+    # operators.hermitian_eigen or straight to numpy; the eigh inside
+    # hermitian_eigen is not counted a second time
+    calls, depth = [], [0]
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            if not depth[0]:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
 
-    for module in (operators, fisher):
-        monkeypatch.setattr(module, "hermitian_eigen", spy)
+        return counted
+
+    monkeypatch.setattr(operators, "hermitian_eigen", spy("hermitian_eigen", operators.hermitian_eigen))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     return calls
 
 
@@ -326,8 +337,10 @@ def test_fisher_on_ten_qubit_pure_probes_takes_no_eigensolve(
 
 
 def test_fisher_on_a_state_file_takes_the_dense_route(tmp_path, capsys, monkeypatch):
-    # a pure file gets its ket back and takes the closed form; a mixed one
-    # (the pure state at weight 0.9 plus white noise) takes the dense route
+    # a pure file gets its ket back and takes the closed form with no
+    # eigendecomposition; a mixed one (the pure state at weight 0.9 plus
+    # white noise) takes the dense route, whose SLD reuses the one
+    # eigendecomposition the state took for its PSD check
     ket = np.array([1.0, 1.0j]) / np.sqrt(2.0)
     pure = np.kron(*[np.outer(ket, ket.conj())] * 2)
     calls = _count_eigensolves(monkeypatch)

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from probelab import dynamics, fisher, states
+from probelab.operators import Tolerances
 from probelab.errors import SingularOutcomeError, SLDInconsistencyError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -242,3 +245,73 @@ def test_analyze_matches_its_parts(seed):
     assert np.array_equal(analysis.spectrum.values, spectrum.values)
     assert analysis.spectrum.unconstrained == spectrum.unconstrained
     assert analysis.saturation == fisher.check_saturation(basis, rho, rho_prime)
+
+
+def _dense_reference(generator, rho, basis, kernel_tol):
+    """F_C, F_Q, ratios, im-condition and saturation residual from explicit
+    d x d products: the eigenbasis SLD, tr(L L rho), the ratios as the rho L
+    readout diagonal <k|rho L|k>/p_k = conj(tr(E_k L rho))/p_k, and each
+    saturation row <k|(L - Re ratio_k) rho formed as its own product."""
+    h = generator.matrix
+    drho = -1j * (h @ rho - rho @ h)
+    p, v = np.linalg.eigh(rho)
+    p = np.clip(p, 0.0, None)
+    sums = p[:, None] + p[None, :]
+    keep = sums > kernel_tol
+    l_op = v @ np.where(keep, 2.0 * (v.conj().T @ drho @ v) / np.where(keep, sums, 1.0), 0.0) @ v.conj().T
+    kets = basis.kets
+    probs = np.real(np.diag(kets.conj().T @ rho @ kets))
+    dprobs = np.real(np.diag(kets.conj().T @ drho @ kets))
+    ratios = np.diag(kets.conj().T @ (rho @ l_op) @ kets) / probs
+    eye = np.eye(len(p))
+    rows = [kets[:, k].conj() @ (l_op - ratios[k].real * eye) @ rho for k in range(len(p))]
+    return {
+        "probs": probs,
+        "classical_fisher": float(np.sum(dprobs**2 / probs)),
+        "quantum_fisher": float(np.real(np.trace(l_op @ l_op @ rho))),
+        "ratios": ratios,
+        "im_condition_max": float(np.max(np.abs(ratios.imag * probs))),
+        "diagonal_residual": float(np.linalg.norm(rows)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    rank=st.sampled_from([1, 2, 3, None]),
+    entangling=st.booleans(),
+    kernel_tol=st.sampled_from([Tolerances.kernel_tol, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_analyze_matches_a_textbook_reference(n, rank, entangling, kernel_tol, seed):
+    # rank-deficient states mix 1-3 orthonormal kets, full-rank ones (rank
+    # None) mix all d; every weight is at least 1/10 of the largest, so no
+    # eigenvalue pair of the support falls in the kernel at either kernel_tol
+    # (so L is the same at both, and only the numerically zero block drops)
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    weights = rng.uniform(0.1, 1.0, d if rank is None else min(rank, d - 1))
+    kets = unitary[:, : len(weights)]
+    rho = dataclasses.replace(
+        states.density_matrix((kets * (weights / weights.sum())) @ kets.conj().T), ket=None
+    )
+    gen = (dynamics.entangling_generator if entangling else dynamics.nonentangling_generator)(n)
+    basis = dynamics.product_pm_readout(n)
+
+    expected = _dense_reference(gen, rho.matrix, basis, kernel_tol)
+    # a ratio's rounding error grows as 1/p_k, its numerator being a sum of
+    # O(1/d) products; from p_k = 1e-3 on it stays 30x inside 1e-12
+    assume(expected["probs"].min() >= 1e-3)
+    analysis = fisher.analyze(gen, rho, basis, Tolerances(kernel_tol=kernel_tol))
+
+    def close(value, reference):
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+    close(analysis.classical_fisher, expected["classical_fisher"])
+    close(analysis.quantum_fisher, expected["quantum_fisher"])
+    assert not any(analysis.spectrum.unconstrained)
+    for value, reference in zip(analysis.spectrum.values, expected["ratios"]):
+        close(value, reference)
+    close(analysis.saturation.im_condition_max, expected["im_condition_max"])
+    close(analysis.saturation.diagonal_residual, expected["diagonal_residual"])
