@@ -25,7 +25,7 @@ from .config import (
 from .errors import ConfigError, ProbeLabError
 from .fisher import analyze, cramer_rao_bound
 from .montecarlo import MeasurementModel, scaling_experiment, uncertainty_run
-from .report import csv_table, dumps_report, round_float
+from .report import csv_table, dumps_report
 from .solver import search_optimal_state
 from .verify import run_golden_suite
 
@@ -106,8 +106,8 @@ def _spectrum_entries(spectrum) -> list[dict]:
     return [
         {
             "label": label,
-            "real": round_float(value.real),
-            "imag": round_float(value.imag),
+            "real": value.real,
+            "imag": value.imag,
             "unconstrained": bool(flag),
         }
         for label, value, flag in zip(
@@ -171,10 +171,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
                 "residual": sol.residual,
                 "purity": sol.state.purity(),
                 "provenance": sol.provenance,
-                "pauli_coefficients": {
-                    k: round_float(v)
-                    for k, v in sorted(sol.state.pauli_coefficients(drop_tol=1e-9).items())
-                },
+                "pauli_coefficients": dict(
+                    sorted(sol.state.pauli_coefficients(drop_tol=1e-9).items())
+                ),
                 "inv_lambdas": _spectrum_entries(sol.inv_lambdas),
             }
         )

@@ -17,7 +17,8 @@ product for any other basis (d = 2**n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -133,27 +134,42 @@ def evolve(rho: DensityMatrix, generator: Generator, x: float) -> DensityMatrix:
 class ReadoutBasis:
     """Complete orthonormal family of rank-1 projectors with outcome labels.
 
-    ``kets[:, k]`` is the state projected onto by outcome ``labels[k]``.
-    ``hadamard`` records that ``kets`` is the n-fold tensor power of the
-    Hadamard matrix (the per-qubit |+>/|-> readout), which :meth:`diagonal`
-    exploits.
+    ``kets[:, k]`` is the state projected onto by outcome ``labels[k]``.  A
+    basis built without ``_kets`` is the per-qubit |+>/|-> readout
+    (``hadamard``): its kets are the n-fold tensor power of the Hadamard
+    matrix, which :meth:`diagonal` and :meth:`amplitudes` exploit without
+    reading ``kets``; the d x d ``kets`` are built on first use.
     """
 
     labels: tuple[str, ...]
-    kets: np.ndarray
-    hadamard: bool = False
+    _kets: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def hadamard(self) -> bool:
+        return self._kets is None
+
+    @cached_property
+    def kets(self) -> np.ndarray:
+        if self._kets is not None:
+            return self._kets
+        # Columns |+> and |->: column k of the n-fold power is the ket of the
+        # k-th label, '+' being bit 0 and qubit 1 the most significant bit.
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        kets = np.array(ops.kron_all([hadamard] * self.n_qubits), dtype=complex)
+        kets.setflags(write=False)
+        return kets
 
     @property
     def dim(self) -> int:
-        return self.kets.shape[0]
+        return len(self.labels)
 
     @property
     def n_outcomes(self) -> int:
-        return self.kets.shape[1]
+        return len(self.labels)
 
     @property
     def n_qubits(self) -> int:
-        return ops.n_qubits_of(self.kets)
+        return ops.n_qubits_of_dim(len(self.labels))
 
     def projector(self, label: str) -> np.ndarray:
         k = self.labels.index(label)
@@ -226,7 +242,7 @@ def readout_from_kets(kets: np.ndarray, labels: tuple[str, ...] | None = None) -
     if len(labels) != kets.shape[1]:
         raise ValidationError("one label per outcome is required")
     kets.setflags(write=False)
-    return ReadoutBasis(labels=tuple(labels), kets=kets)
+    return ReadoutBasis(tuple(labels), kets)
 
 
 def product_pm_readout(n: int, cap: int = ops.MAX_QUBITS) -> ReadoutBasis:
@@ -237,13 +253,7 @@ def product_pm_readout(n: int, cap: int = ops.MAX_QUBITS) -> ReadoutBasis:
     "--" for two qubits), qubit 1 leftmost.
     """
     ops.check_cap(n, cap)
-    # Columns |+> and |->: column k of the n-fold power is the ket of the
-    # k-th label, '+' being bit 0 and qubit 1 the most significant bit.
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    labels = tuple("".join(s) for s in product("+-", repeat=n))
-    kets = np.array(ops.kron_all([hadamard] * n), dtype=complex)
-    kets.setflags(write=False)
-    return ReadoutBasis(labels=labels, kets=kets, hadamard=True)
+    return ReadoutBasis(tuple("".join(s) for s in product("+-", repeat=n)))
 
 
 def random_projective_readout(

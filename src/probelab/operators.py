@@ -86,11 +86,21 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
+def kron_vectors(vectors: Iterable[np.ndarray]) -> np.ndarray:
+    """:func:`kron_all` of 1-D arrays, the same products in the same order,
+    without the tens of microseconds that each ``np.kron`` call costs."""
+    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), vectors)
+
+
 def n_qubits_of(matrix: np.ndarray) -> int:
     """Number of qubits for a square matrix of dimension 2**n."""
-    dim = matrix.shape[0]
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {matrix.shape}")
+    return n_qubits_of_dim(matrix.shape[0])
+
+
+def n_qubits_of_dim(dim: int) -> int:
+    """Number of qubits n of a dimension 2**n."""
     n = dim.bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise DimensionError(f"dimension {dim} is not a power of two")
@@ -223,6 +233,12 @@ def hermitian_eigen(matrix: np.ndarray) -> HermitianEigen:
     n_qubits_of(matrix)
     if not is_hermitian(matrix):
         raise ValidationError("matrix is not Hermitian within tolerance")
+    return eigen_descending(matrix)
+
+
+def eigen_descending(matrix: np.ndarray) -> HermitianEigen:
+    """:func:`hermitian_eigen` of a complex 2**n x 2**n matrix that is Hermitian
+    by construction, without the check (``eigh`` reads one triangle)."""
     values, vectors = np.linalg.eigh(matrix)
     order = np.argsort(values)[::-1]
     values = np.ascontiguousarray(values[order])

@@ -3,12 +3,19 @@
 All constructors return validated :class:`DensityMatrix` values.  Candidate
 states that fail positivity beyond tolerance are rejected, never projected:
 silently repairing a state would corrupt downstream saturation checks.
+
+A state built from a ket (:func:`pure_state`, and :func:`tensor_power` of a
+state that has one) keeps the ket as its data and is built in O(d): its
+d x d ``matrix`` is formed on first use, from what the constructor knew.
+:func:`density_matrix` is the one way from a matrix to a state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -24,23 +31,33 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on 2**n dims.
 
     ``ket`` is a vector k with ``matrix`` = |k><k| to within ``KET_ATOL``,
-    which :func:`density_matrix` finds for every pure matrix whatever built
-    it, else ``None``; analyses of a state with a ket work from the ket (see
-    :func:`probelab.fisher.analyze`).  ``eigen``, taken on first use and kept,
-    serves the PSD check of any state without a ket, then the dense SLD.
+    else ``None``: :func:`density_matrix` finds it for every pure matrix
+    whatever built it, and a state built from a ket keeps it.  Analyses of a
+    state with a ket work from the ket (see :func:`probelab.fisher.analyze`).
+    ``matrix`` is built by ``_build`` on first use and kept, so
+    ``dataclasses.replace(state, ket=None)`` is the same matrix without its
+    ket.  ``eigen``, taken on first use and kept, serves the PSD check of
+    any state without a ket, then the dense SLD.
     """
 
-    matrix: np.ndarray
     n_qubits: int
-    ket: np.ndarray | None = None
+    ket: np.ndarray | None
+    _build: Callable[[], np.ndarray] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = self._build()
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
     def eigen(self) -> ops.HermitianEigen:
-        return ops.hermitian_eigen(self.matrix)
+        # Hermitian by construction, or checked by density_matrix (itself or its factors)
+        return ops.eigen_descending(self.matrix)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -48,6 +65,11 @@ class DensityMatrix:
     def pauli_coefficients(self, drop_tol: float = 1e-12) -> dict[str, float]:
         """Expansion coefficients over Pauli strings (identity term included)."""
         return ops.pauli_expand(self.matrix, drop_tol=drop_tol)
+
+
+def _check_trace(trace: complex) -> None:
+    if abs(trace - 1.0) > ops.MATRIX_ATOL:
+        raise ValidationError(f"density matrix trace is {trace:.12g}, expected 1")
 
 
 def density_matrix(
@@ -68,9 +90,7 @@ def density_matrix(
     n = ops.n_qubits_of(matrix)
     if not ops.is_hermitian(matrix):
         raise ValidationError("density matrix must be Hermitian")
-    trace = np.trace(matrix)
-    if abs(trace - 1.0) > ops.MATRIX_ATOL:
-        raise ValidationError(f"density matrix trace is {trace:.12g}, expected 1")
+    _check_trace(np.trace(matrix))
     ket = None
     # tr(rho^2) = ||rho||_F^2, read in place; the screen is far looser than the
     # |tr(rho^2) - 1| <= 2 (sqrt(d) + 2) 1e-10 of any matrix that passed the
@@ -82,21 +102,44 @@ def density_matrix(
         if np.linalg.norm(matrix - np.outer(ket, ket.conj())) > KET_ATOL:
             ket = None
     matrix.setflags(write=False)
-    state = DensityMatrix(matrix, n, ket)
+    state = DensityMatrix(n, ket, partial(np.asarray, matrix))  # the matrix itself
     smallest = 0.0 if ket is not None else float(state.eigen.values[-1])
     if smallest < min_eigenvalue:
         raise PSDViolationError(smallest)
     return state
 
 
+def _ket_state(
+    n_qubits: int, diagonal: np.ndarray, j: int, column: np.ndarray, build: Callable[[], np.ndarray]
+) -> DensityMatrix:
+    """The pure state :func:`density_matrix` makes of ``build()``, from that
+    matrix's diagonal, its first largest diagonal entry j and its column j:
+    the ket is the column over the root of entry (j, j), bit for bit."""
+    _check_trace(diagonal.sum())
+    ket = column / np.sqrt(diagonal[j].real)
+    ket.setflags(write=False)
+    return DensityMatrix(n_qubits, ket, build)
+
+
 def pure_state(ket: np.ndarray) -> DensityMatrix:
-    """Density matrix |psi><psi| of a (normalized) state vector."""
+    """Density matrix |psi><psi| of a (normalized) state vector, in O(d).
+
+    With k the normalized vector, the state's ``ket`` is k conj(k_j)/|k_j|
+    for its first largest |k_j| and its ``matrix``, built on first use, is
+    ``np.outer(k, k.conj())``: what :func:`density_matrix` gives that matrix.
+    """
     ket = np.asarray(ket, dtype=complex).reshape(-1)
+    if not np.isfinite(ket).all():
+        raise ValidationError("state vector has a NaN or infinite entry")
     norm = np.linalg.norm(ket)
     if norm == 0:
         raise ValidationError("cannot normalize the zero vector")
     ket = ket / norm
-    return density_matrix(np.outer(ket, ket.conj()))
+    bra = ket.conj()
+    diagonal = ket * bra
+    j = int(np.argmax(diagonal.real))
+    n = ops.n_qubits_of_dim(ket.size)
+    return _ket_state(n, diagonal, j, ket * bra[j], partial(np.outer, ket, bra))
 
 
 @dataclass(frozen=True)
@@ -168,12 +211,36 @@ def optimal_single_qubit(sign: int = +1) -> DensityMatrix:
 
 
 def tensor_power(rho: DensityMatrix, n: int, cap: int = ops.MAX_QUBITS) -> DensityMatrix:
-    """n-fold tensor power of a state."""
+    """n-fold tensor power of a state.
+
+    Its matrix is ``kron_all`` of n copies of ``rho.matrix``.  A factor with a
+    ket gives a state with a ket in O(d) that :func:`density_matrix` would
+    give that matrix: the diagonal and column j of a Kronecker product are
+    Kronecker products of the factors' diagonals and of their columns j_i, the
+    base-2**m digits of j for m-qubit factors.
+    """
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
     total = n * rho.n_qubits
     ops.check_cap(total, cap)
-    return density_matrix(ops.kron_all([rho.matrix] * n))
+    factor = rho.matrix
+    build = partial(ops.kron_all, [factor] * n)
+    if rho.ket is None:
+        return density_matrix(build())
+    pivots = factor.diagonal()
+    diagonal = ops.kron_vectors([pivots] * n)
+    j = int(np.argmax(diagonal.real))
+    digits = [(j >> (rho.n_qubits * (n - 1 - i))) & (rho.dim - 1) for i in range(n)]
+    # ||kron_all - |k><k| ||_F <= prod_i (1 + e_i) - 1, with e_i the distance
+    # of the factor to |c_i><c_i|, c_i its column j_i over the root of its
+    # entry (j_i, j_i): near KET_ATOL, density_matrix decides
+    distance = {}
+    for i in set(digits):
+        c = factor[:, i] / np.sqrt(pivots[i].real)
+        distance[i] = np.linalg.norm(factor - np.outer(c, c.conj()))
+    if math.prod(1.0 + distance[i] for i in digits) - 1.0 > KET_ATOL / 2:
+        return density_matrix(build())
+    return _ket_state(total, diagonal, j, ops.kron_vectors(factor[:, digits].T), build)
 
 
 def cat_state(n: int, sign: int = +1, cap: int = ops.MAX_QUBITS) -> DensityMatrix:

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -464,6 +465,21 @@ def test_scaling_builds_the_configured_sign(tmp_path, capsys, monkeypatch, famil
     assert len(probes) == 2
     for n, matrix in zip((2, 3), probes):
         assert np.array_equal(matrix, build(n).matrix)
+
+
+@pytest.mark.parametrize("state", ["optimal_single_tensor", "cat"])
+def test_fisher_on_a_pure_ten_qubit_probe_forms_no_dense_array(tmp_path, state):
+    # one 1024 x 1024 complex array is 16 MiB; the state, the readout and the
+    # analysis of a pure probe all work from its ket
+    path = write_config(tmp_path, {"n_qubits": 10, "state": state})
+    tracemalloc.start()
+    try:
+        code = cli.main(["fisher", path, "--out", str(tmp_path / "report.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
 
 
 def test_scaling_csv_columns(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probelab import states
-from probelab.errors import DimensionError, PSDViolationError, ValidationError
+from probelab import dynamics, fisher, operators, states
+from probelab.errors import DimensionError, ProbeLabError, PSDViolationError, ValidationError
 
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -150,6 +154,21 @@ def test_density_matrix_rejects_bad_trace_and_non_hermitian():
 
 
 @pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]
+)
+def test_pure_state_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        states.pure_state(np.array([1.0, bad, 0.0, 0.5]))
+
+
+def test_pure_state_rejects_zero_and_odd_sized_vectors():
+    with pytest.raises(ValidationError, match="zero vector"):
+        states.pure_state(np.zeros(4))
+    with pytest.raises(DimensionError, match="power of two"):
+        states.pure_state(np.ones(3))
+
+
+@pytest.mark.parametrize(
     "ctor",
     [
         lambda: states.optimal_single_qubit(+1),
@@ -223,3 +242,80 @@ def test_positive_psd_threshold_rejects_a_ket_state():
     with pytest.raises(PSDViolationError) as err:
         states.density_matrix(matrix, min_eigenvalue=1e-3)
     assert err.value.min_eigenvalue == 0.0
+
+
+def _analysis(generator, state, basis):
+    """analyze's numbers, or the error it raises (tiny outcome probabilities
+    of a random probe can fail the dense route's cross-checks)."""
+    try:
+        got = fisher.analyze(generator, state, basis)
+    except ProbeLabError as exc:
+        return type(exc), str(exc)
+    return (got.classical_fisher, got.quantum_fisher, got.spectrum.values.tobytes(),
+            got.spectrum.unconstrained, got.saturation)
+
+
+def _same_state(built, dense):
+    """``built`` equals ``density_matrix`` of its matrix, bit for bit, on both
+    fisher routes."""
+    assert (built.ket is None) == (dense.ket is None)
+    if dense.ket is not None:
+        assert np.array_equal(built.ket, dense.ket)
+    assert np.array_equal(built.matrix, dense.matrix)
+    n = dense.n_qubits
+    basis = dynamics.product_pm_readout(n)
+    for generator in (dynamics.nonentangling_generator(n), dynamics.entangling_generator(n)):
+        assert _analysis(generator, built, basis) == _analysis(generator, dense, basis)
+        ketless = [dataclasses.replace(state, ket=None) for state in (built, dense)]
+        assert _analysis(generator, ketless[0], basis) == _analysis(generator, ketless[1], basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["gaussian", "equal magnitudes", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pure_state_is_density_matrix_of_its_outer_product(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    if kind == "equal magnitudes":  # every entry ties for the largest |k_j|
+        ket = np.exp(2j * np.pi * rng.random(d))
+    else:
+        ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        if kind == "sparse":
+            ket[rng.random(d) < 0.5] = 0.0
+            ket[rng.integers(d)] += 1.0
+    unit = ket / np.linalg.norm(ket)
+    _same_state(states.pure_state(ket), states.density_matrix(np.outer(unit, unit.conj())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    factor=st.sampled_from(["bloch", "entangling candidate"]),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_power_is_density_matrix_of_the_kron(factor, n, seed):
+    rng = np.random.default_rng(seed)
+    if factor == "bloch":
+        a = rng.standard_normal(3)
+        rho = states.from_bloch(a / np.linalg.norm(a))
+    else:
+        sign = rng.choice([-1.0, 1.0])
+        rho, n = states.two_qubit_entangling_candidate(1.0, sign, sign), (n + 1) // 2
+    assert rho.ket is not None
+    power = states.tensor_power(rho, n)
+    _same_state(power, states.density_matrix(operators.kron_all([rho.matrix] * n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tensor_power_of_a_nearly_pure_factor_decides_as_density_matrix(n):
+    # the factor lies 5e-11 from a pure state, inside KET_ATOL; its powers
+    # drift past KET_ATOL from n = 3 on, where density_matrix drops the ket
+    rho = states.from_bloch([0.0, 1.0 - 5e-11, 0.0])
+    assert rho.ket is not None
+    power = states.tensor_power(rho, n)
+    dense = states.density_matrix(operators.kron_all([rho.matrix] * n))
+    assert (power.ket is None) == (dense.ket is None) == (n >= 3)
+    _same_state(power, dense)
