@@ -159,7 +159,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     search_cfg = replace(
         cfg.solver,
         residual_tol=cfg.tolerances.solution_residual,
-        psd_min_eigenvalue=cfg.tolerances.psd_min_eigenvalue,
         seed=cfg.seed,
     )
     outcome = search_optimal_state(generator, basis, cfg.n_qubits, search_cfg)

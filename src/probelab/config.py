@@ -204,8 +204,8 @@ def _normalize_state(raw) -> dict | None:
     return dict(raw)
 
 
-#: SearchConfig's ``residual_tol``, ``psd_min_eigenvalue`` and ``seed`` come
-#: from the tolerances and seed.
+#: SearchConfig's ``residual_tol`` and ``seed`` come from the tolerances and
+#: seed.
 _SOLVER_KEYS = ("n_starts", "max_evals", "simplex_tol", "penalty_weight", "tie_tol")
 
 

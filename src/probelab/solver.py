@@ -7,7 +7,7 @@ E(outcome) and the per-outcome inverse eigenvalues u = 1/lambda together:
 
 For a fixed state the equation is linear in the u, so the inner problem is an
 exact least-squares solve; the outer search over pure states is a seeded
-multi-start simplex method.
+multi-start L-BFGS-B descent on the ket with an exact gradient.
 
 The readout is fixed, so the inner solve (``_fit``, which
 ``solve_lambdas_given_state``, ``sol1_residual`` and the closed forms view)
@@ -19,7 +19,7 @@ takes one route per kind of probe:
   Fisher information of the readout.  The amplitudes cost one fast
   Walsh-Hadamard transform each on the per-qubit readout, the rest O(d).
   The pure-state search objective feeds the same kernel from one O(d^2)
-  matvec per evaluation.
+  matvec per evaluation, and its gradient costs one more.
 * any other state: with R = V^dagger rho V and T = V^dagger (-i[H, rho]) V
   the operator sum_k u_k E_k is diag(u) and the equation holds entry by
   entry, (u_j + u_k)/2 R_jk = T_jk: d x d normal equations and O(d^2)
@@ -62,9 +62,9 @@ from .fisher import LambdaSpectrum, _inv_lambda_array, analyze, pure_sld_residua
 from .states import (
     BlochCoefficients,
     DensityMatrix,
-    density_matrix,
     hermitian_from_bloch,
     optimal_single_qubit,
+    pure_state,
     tensor_power,
     two_qubit_entangling_candidate,
 )
@@ -344,10 +344,22 @@ def _lstsq_lambdas(r: np.ndarray, t: np.ndarray, u: np.ndarray | None = None) ->
 def _amplitude_map(basis: ReadoutBasis, generator: Generator) -> np.ndarray:
     """V^dagger stacked over V^dagger H: one matvec gives (phi, chi) of a ket.
 
-    The search objective uses it: at the search's small d one matvec beats
-    the readout's own transform, and its bits steer the simplex."""
+    The search objective uses it, and its conjugate transpose for the
+    gradient: at the search's small d one product each way is less work, and
+    less code, than the readout's transform and its adjoint."""
     kets_h = basis.kets.conj().T
     return np.vstack([kets_h, kets_h @ generator.matrix])
+
+
+def _pure_score(phi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p, the classical score u and the unconstrained mask of :func:`_pure_fit`."""
+    phi_c = phi.conj()
+    p = (phi_c * phi).real
+    # ||(E_k rho + rho E_k) / 2||_F, the root of the normal matrix's diagonal
+    col_norms = np.sqrt(0.5 * (p + p * p))
+    unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
+    u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(len(p)), where=~unconstrained)
+    return p, u, unconstrained
 
 
 def _pure_fit(phi: np.ndarray, chi: np.ndarray, u: np.ndarray | None = None) -> _Fit:
@@ -363,13 +375,8 @@ def _pure_fit(phi: np.ndarray, chi: np.ndarray, u: np.ndarray | None = None) -> 
     residual is :func:`~probelab.fisher.pure_sld_residual` of
     L = sum_k u_k E_k, whose L psi has readout amplitudes u phi.
     """
-    phi_c = phi.conj()
-    p = (phi_c * phi).real
-    # ||(E_k rho + rho E_k) / 2||_F, the root of the normal matrix's diagonal
-    col_norms = np.sqrt(0.5 * (p + p * p))
-    unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
-    if u is None:
-        u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(len(p)), where=~unconstrained)
+    p, score, unconstrained = _pure_score(phi, chi)
+    u = score if u is None else u
     return u, unconstrained, pure_sld_residual(phi, chi, u * phi), float(u * u @ p)
 
 
@@ -548,18 +555,23 @@ def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of the multi-start search: the config's ``solver`` block, plus
-    ``residual_tol`` (``tolerances.solution_residual``), ``psd_min_eigenvalue``
-    (``tolerances.psd_min_eigenvalue``, applied to each start's end point) and
-    the config seed."""
+    ``residual_tol`` (``tolerances.solution_residual``) and the config seed.
+    ``simplex_tol``, named after the search's first method, is L-BFGS-B's
+    ``gtol``; a negative value switches the convergence tests off."""
 
     n_starts: int = 64
     max_evals: int = 5000
     simplex_tol: float = 1e-9
     penalty_weight: float = 1e4
     residual_tol: float = ops.Tolerances.solution_residual
-    psd_min_eigenvalue: float = ops.Tolerances.psd_min_eigenvalue
     tie_tol: float = 1e-6
     seed: int = 0
+
+
+#: The stages of each start, as fractions of ``penalty_weight``.
+PENALTY_STAGES = (1e-4, 1e-2, 1.0)
+#: L-BFGS-B's ``ftol``: the relative decrease at which a stage stops.
+SEARCH_FTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -585,35 +597,38 @@ class SearchResult:
         return self.solutions[0]
 
 
-def _state_from_angles(params: np.ndarray, dim: int) -> np.ndarray:
-    thetas = params[: dim - 1]
-    # amplitude k is cos(theta_k) times the running product of sin(theta_j), j < k
-    running = np.cumprod(np.concatenate(([1.0], np.sin(thetas))))
-    amps = running * np.concatenate((np.cos(thetas), [1.0]))
-    phases = np.exp(1j * np.concatenate(([0.0], params[dim - 1 :])))
-    return amps * phases
-
-
-def _angles_from_state(ket: np.ndarray) -> np.ndarray:
-    dim = ket.shape[0]
-    # gauge: the leading amplitude is real in this parametrization; when it
-    # vanishes its phase is immaterial, so anchor on the largest one instead
-    anchor = 0 if abs(ket[0]) > 1e-12 else int(np.argmax(np.abs(ket)))
-    ket = ket * np.exp(-1j * np.angle(ket[anchor]))
-    r = np.abs(ket)
-    thetas = np.zeros(dim - 1)
-    running = 1.0
-    for k in range(dim - 1):
-        if running > 1e-15:
-            thetas[k] = np.arccos(np.clip(r[k] / running, -1.0, 1.0))
-        running *= np.sin(thetas[k])
-    phis = np.angle(ket[1:])
-    return np.concatenate([thetas, phis])
-
-
 def _dedup_key(state: DensityMatrix) -> tuple[float, ...]:
     """All 4**n Pauli coefficients of the state, rounded to DEDUP_DECIMALS."""
     return tuple(round(c, DEDUP_DECIMALS) for c in ops.pauli_transform(state.matrix).real)
+
+
+def _search_objective(
+    x: np.ndarray, weight: float, amplitude_map: np.ndarray, generator: Generator
+) -> tuple[float, np.ndarray]:
+    """-F_C + (weight/2)(F_Q - F_C) at psi = z/||z||, x the real and imaginary
+    parts of z interleaved, and its gradient in x: -F_C + weight r^2, since
+    r^2 = (F_Q - F_C)/2 at :func:`_pure_fit`, over whose kept outcomes
+    F_C = sum_k u_k^2 p_k sums.
+
+    With G = d/dRe + i d/dIm and M = ``amplitude_map``:
+    G_psi F_C = M^dagger [-4i u chi - 2 u^2 phi; 4i u phi],
+    G_psi F_Q = 8 (H^2 psi - 2 <H> H psi) and
+    G_z = (G_psi - Re(psi^dagger G_psi) psi) / ||z||.
+    """
+    z = x.view(complex)
+    norm = np.linalg.norm(z)
+    psi = z / norm
+    phi, chi = np.split(amplitude_map @ psi, 2)
+    p, u, _ = _pure_score(phi, chi)
+    f_c = u * u @ p
+    h_psi = generator.apply(psi)
+    mean = (psi.conj() @ h_psi).real
+    f_q = 4.0 * ((h_psi.conj() @ h_psi).real - mean * mean)
+    g_c = amplitude_map.conj().T @ np.concatenate([-4j * u * chi - 2.0 * u * u * phi, 4j * u * phi])
+    g_q = 8.0 * (generator.apply(h_psi) - 2.0 * mean * h_psi)
+    g_psi = 0.5 * weight * g_q - (1.0 + 0.5 * weight) * g_c
+    g_z = (g_psi - (psi.conj() @ g_psi).real * psi) / norm
+    return -f_c + 0.5 * weight * (f_q - f_c), g_z.view(float)
 
 
 def search_optimal_state(
@@ -624,32 +639,29 @@ def search_optimal_state(
 ) -> SearchResult:
     """Maximize tr(L^2 rho) over probe states subject to the equation residual.
 
-    Multi-start penalized simplex search over pure states: the outer loop
-    walks the ket's angles (2**(n+1) - 2 of them), the inner step solves the
-    eigenvalues exactly in closed form on the readout amplitudes.  Mixed
-    states are not searched: the QFI is convex and a pure state's is
-    4 Var(H), so no state exceeds (h_max - h_min)**2, a ceiling the pure
-    search reaches at n = 1 and 2.  Each start's end point is fitted once by
-    :func:`solve_lambdas_given_state` from its ket, which keeps the small
-    outcome probabilities that a route through rho loses, and must pass
-    ``psd_min_eigenvalue`` and ``residual_tol`` to count as a solution; one
-    whose ||-i[H, rho]||_F is within ``residual_tol`` carries no information
-    (u = 0 solves the equation) and is dropped.  Starts draw seeded random
-    states, so results are reproducible and independent of any parallel
-    scheduling; every solution within ``tie_tol`` of the best QFI is
-    reported, ordered by its rounded Pauli coefficients alone, so digits
-    below them never decide the order.  Global optimality is never claimed.
+    Multi-start penalized search over pure states: L-BFGS-B walks the real
+    and imaginary parts of an unnormalised ket on :func:`_search_objective`
+    (its inner least squares is exact, in closed form), once per stage of
+    ``PENALTY_STAGES``, each stage from the last one's end point, within
+    ``max_evals`` evaluations per start in all.  Mixed states are not
+    searched: the QFI is convex and a pure state's is 4 Var(H), so no state
+    exceeds (h_max - h_min)**2, a ceiling the search reaches up to n = 6.
+    Each start's end point is fitted once by
+    :func:`solve_lambdas_given_state` from its ket and must pass
+    ``residual_tol`` to count as a solution; one whose ||-i[H, rho]||_F is
+    within ``residual_tol`` carries no information (u = 0 solves the
+    equation) and is dropped.  Starts draw seeded random kets, so results
+    are reproducible and independent of any parallel scheduling; every
+    solution within ``tie_tol`` of the best QFI is reported, ordered by its
+    rounded Pauli coefficients alone, so digits below them never decide the
+    order.  Global optimality is never claimed.
     """
     config = config or SearchConfig()
     if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
         raise DimensionError("generator/basis do not act on n_qubits qubits")
-    dim = 2**n_qubits
     amplitude_map = _amplitude_map(basis, generator)
-
-    def objective(params: np.ndarray) -> float:
-        amplitudes = amplitude_map @ _state_from_angles(params, dim)
-        _, _, residual, qfi = _pure_fit(amplitudes[:dim], amplitudes[dim:])
-        return -qfi + config.penalty_weight * residual * residual
+    # scipy refuses a negative ftol
+    gtol, ftol = (config.simplex_tol, SEARCH_FTOL) if config.simplex_tol >= 0 else (0.0, 0.0)
 
     # through the module object, so a replaced ``solver.optimize`` is seen
     optimize = sys.modules[__name__].optimize
@@ -657,26 +669,19 @@ def search_optimal_state(
     found: dict[tuple, Solution] = {}
     best_residual = np.inf
     for child in rng_root.spawn(config.n_starts):
-        rng = np.random.default_rng(child)
-        ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        x0 = _angles_from_state(ket / np.linalg.norm(ket))
-        result = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": config.max_evals,
-                "xatol": config.simplex_tol,
-                "fatol": 1e-12,
-                "disp": False,
-            },
-        )
-        ket = _state_from_angles(result.x, dim)
-        rho = np.outer(ket, ket.conj())
-        try:
-            state = density_matrix(rho, min_eigenvalue=config.psd_min_eigenvalue)
-        except ValidationError:
-            continue
+        x = np.random.default_rng(child).standard_normal(2 * basis.dim)
+        evals = 0
+        for fraction in PENALTY_STAGES:
+            if evals >= config.max_evals:
+                break
+            weight = fraction * config.penalty_weight
+            result = optimize.minimize(
+                _search_objective, x, args=(weight, amplitude_map, generator),
+                method="L-BFGS-B", jac=True,
+                options={"maxfun": config.max_evals - evals, "gtol": gtol, "ftol": ftol},
+            )
+            x, evals = result.x, evals + result.nfev
+        state = pure_state(x.view(complex))
         spectrum, residual, qfi = solve_lambdas_given_state(state, basis, generator)
         best_residual = min(best_residual, residual)
         drift = np.linalg.norm(state_derivative(generator, state))
@@ -688,14 +693,6 @@ def search_optimal_state(
         if existing is None or solution.qfi > existing.qfi:
             found[key] = solution
 
-    if not found:
-        return SearchResult(
-            solutions=(), n_starts=config.n_starts,
-            best_residual=float(best_residual),
-        )
-    best_qfi = max(sol.qfi for sol in found.values())
+    best_qfi = max((sol.qfi for sol in found.values()), default=np.inf)
     kept = tuple(sol for _, sol in sorted(found.items()) if sol.qfi >= best_qfi - config.tie_tol)
-    return SearchResult(
-        solutions=kept, n_starts=config.n_starts, best_residual=float(best_residual)
-    )
-
+    return SearchResult(kept, config.n_starts, float(best_residual))

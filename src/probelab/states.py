@@ -127,11 +127,19 @@ def pure_state(ket: np.ndarray) -> DensityMatrix:
     With k the normalized vector, the state's ``ket`` is k conj(k_j)/|k_j|
     for its first largest |k_j| and its ``matrix``, built on first use, is
     ``np.outer(k, k.conj())``: what :func:`density_matrix` gives that matrix.
+    A ket whose plain norm overflows or underflows is first scaled by its
+    largest real or imaginary part.
     """
     ket = np.asarray(ket, dtype=complex).reshape(-1)
     if not np.isfinite(ket).all():
         raise ValidationError("state vector has a NaN or infinite entry")
-    norm = np.linalg.norm(ket)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(ket)
+    if norm == 0 or not np.isfinite(norm):
+        scale = np.maximum(np.abs(ket.real), np.abs(ket.imag)).max(initial=0.0)
+        if scale > 0:
+            ket = ket / scale
+            norm = np.linalg.norm(ket)
     if norm == 0:
         raise ValidationError("cannot normalize the zero vector")
     ket = ket / norm

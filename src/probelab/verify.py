@@ -677,6 +677,32 @@ def _check_search() -> CheckResult:
     )
 
 
+@_check("solver-three-qubit-ceiling")
+def _check_search_ceiling() -> CheckResult:
+    # No probe exceeds (h_max - h_min)^2: 9 for the non-entangling generator
+    # and 1 for the entangling one at n = 3; the search must reach both.
+    worst = 0.0
+    for build, ceiling in (
+        (dynamics.nonentangling_generator, 9.0), (dynamics.entangling_generator, 1.0)
+    ):
+        result = solver.search_optimal_state(
+            build(3), dynamics.product_pm_readout(3), 3,
+            solver.SearchConfig(n_starts=4, seed=3),
+        )
+        if not result.feasible:
+            return _result(
+                "solver-three-qubit-ceiling", False,
+                f"search found no feasible three-qubit state for QFI {ceiling:g}",
+                best_residual=result.best_residual,
+            )
+        worst = max(worst, *(abs(sol.qfi - ceiling) for sol in result.solutions))
+    return _result(
+        "solver-three-qubit-ceiling", worst <= 1e-6,
+        "search reaches the QFI ceiling 9 (non-entangling) and 1 (entangling) at n = 3",
+        max_error=worst,
+    )
+
+
 @_check("readout-sampling")
 def _check_sampling() -> CheckResult:
     basis = dynamics.product_pm_readout(1)

@@ -181,8 +181,8 @@ def test_config_solver_block_parses_into_search_config():
     cfg = parse_config_text(json.dumps({"solver": block}), task="solve")
     assert cfg.solver == solver.SearchConfig(**block)
     assert isinstance(cfg.solver.simplex_tol, float)
-    # residual_tol, psd_min_eigenvalue and seed come from the tolerances and
-    # the seed; the dedup rounding is a module constant.
+    # residual_tol and seed come from the tolerances and the seed; the dedup
+    # rounding is a module constant.
     for key in ("residual_tol", "psd_min_eigenvalue", "seed", "round_decimals"):
         with pytest.raises(ConfigError, match=f"config.solver: unknown field '{key}'"):
             parse_config_text(json.dumps({"solver": {key: 1}}), task="solve")
@@ -208,9 +208,6 @@ EXTREME_TOLERANCES = [
     ("probability_floor", 0.6, "scaling", _SCALING),
     ("probability_floor", 0.3, "fisher",
      {"n_qubits": 3, "generator": "entangling", "state": "cat"}),
-    # a pure search candidate has smallest eigenvalue 0: no feasible solution
-    ("psd_min_eigenvalue", 0.5, "solve",
-     {"n_qubits": 1, "seed": 3, "solver": {"n_starts": 2, "max_evals": 200}}),
 ]
 
 

@@ -1,10 +1,13 @@
-"""The search's closed-form pure-state kernel against the dense least squares.
+"""The search's closed-form pure-state kernel and its objective.
 
 ``solver._pure_fit`` scores a pure probe from its readout amplitudes, which
 the search objective takes from one product with ``solver._amplitude_map``;
 the references are the dense (2 d^2 x d) real least squares
 ``verify.dense_lstsq_lambdas`` with tr(L^2 rho) from the dense L and, near a
 zero-probability outcome, a 50-digit evaluation of the same least squares.
+The objective ``solver._search_objective`` is checked against the fit's
+residual through r^2 = (F_Q - F_C)/2, and its gradient against difference
+quotients.
 """
 
 import numpy as np
@@ -123,20 +126,98 @@ def test_pure_state_score_near_a_zero_probability_outcome(product_readout):
     assert residual == pytest.approx(residual_ref, rel=1e-7)
 
 
+def _quantum_fisher(ket, generator):
+    h_ket = generator.apply(ket)
+    mean = np.vdot(ket, h_ket).real
+    return 4.0 * (np.vdot(h_ket, h_ket).real - mean * mean)
+
+
+def _point(ket):
+    """The search's coordinates of a ket: its real and imaginary parts, interleaved."""
+    return np.ascontiguousarray(ket, dtype=complex).view(float)
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    seed=SEEDS,
+    product_readout=st.booleans(),
+    entangling=st.booleans(),
+    zero_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+)
+def test_squared_residual_is_half_the_fisher_gap(
+    n, seed, product_readout, entangling, zero_fraction
+):
+    # r^2 = (F_Q - F_C)/2 at the closed-form least squares, with F_C summed
+    # over the outcomes it keeps, so the objective is -F_C + weight r^2
+    rng, basis, generator = _setup(n, seed, product_readout, entangling)
+    ket = _ket_with_zero_outcomes(rng, basis, int(zero_fraction * basis.dim))
+    _, _, residual, f_c = _pure_fit(ket, basis, generator)
+    gap = _quantum_fisher(ket, generator) - f_c
+    assert residual**2 == pytest.approx(0.5 * gap, rel=1e-9, abs=1e-12)
+    amplitude_map = solver._amplitude_map(basis, generator)
+    scale = rng.uniform(0.1, 10.0)
+    for weight in (0.0, 1.0, 1e4):
+        value, _ = solver._search_objective(_point(scale * ket), weight, amplitude_map, generator)
+        assert value == pytest.approx(-f_c + weight * residual**2, rel=1e-9, abs=1e-9 * (1.0 + weight))
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    seed=SEEDS,
+    product_readout=st.booleans(),
+    entangling=st.booleans(),
+    small=st.sampled_from([None, 1e-2, 1e-4]),
+    weight=st.sampled_from([1.0, 1e2, 1e4]),
+)
+def test_search_gradient_matches_difference_quotients(
+    n, seed, product_readout, entangling, small, weight
+):
+    # One readout amplitude may be small, so that its outcome's p_k = small^2
+    # is kept but u_k and the gradient grow as 1/small.  (An outcome of exactly
+    # zero probability is dropped from F_C, which jumps there: no difference
+    # quotient can check it.)
+    rng, basis, generator = _setup(n, seed, product_readout, entangling)
+    phi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    if small is not None:
+        phi[rng.integers(basis.dim)] = small * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    scale = rng.uniform(0.5, 2.0)
+    x = _point(scale * (basis.kets @ phi))
+    amplitude_map = solver._amplitude_map(basis, generator)
+
+    def value(y):
+        return solver._search_objective(y, weight, amplitude_map, generator)[0]
+
+    gradient = solver._search_objective(x, weight, amplitude_map, generator)[1]
+    v = rng.standard_normal(x.size)
+    # a fourth-order central difference whose step moves no readout amplitude
+    # of z by more than a thousandth of the smallest one
+    h = 1e-3 * scale * np.abs(phi).min() / np.linalg.norm(v)
+    quotient = (
+        8.0 * (value(x + h * v) - value(x - h * v)) - (value(x + 2 * h * v) - value(x - 2 * h * v))
+    ) / (12.0 * h)
+    assert abs(gradient @ v - quotient) <= 1e-8 * np.linalg.norm(gradient) * np.linalg.norm(v)
+
+
 def test_search_keeps_the_instrumented_calls(monkeypatch):
-    # The search passes its objective positionally to optimize.minimize and
-    # checks each start's end point with one solve_lambdas_given_state call;
-    # a negative simplex_tol runs every start for exactly max_evals.
-    minimize_calls, checks = [], []
+    # The search passes its objective positionally to optimize.minimize, once
+    # per penalty stage, and checks each start's end point with one
+    # solve_lambdas_given_state call.  max_evals bounds each start's
+    # evaluations over its stages: L-BFGS-B tests its budget between
+    # iterations, so it may pass it by its last line search (at most scipy's
+    # default maxls = 20 evaluations), and a start that ends early has spent
+    # its budget.
+    events = []
     minimize, check = solver.optimize.minimize, solver.solve_lambdas_given_state
 
     def minimize_spy(*args, **kwargs):
         result = minimize(*args, **kwargs)
-        minimize_calls.append((args, kwargs, result))
+        events.append((args, kwargs, result))
         return result
 
     def check_spy(*args, **kwargs):
-        checks.append(args)
+        events.append(None)
         return check(*args, **kwargs)
 
     monkeypatch.setattr(solver.optimize, "minimize", minimize_spy)
@@ -146,11 +227,22 @@ def test_search_keeps_the_instrumented_calls(monkeypatch):
         dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2), 2, config
     )
 
-    assert len(minimize_calls) == config.n_starts
-    for args, kwargs, result in minimize_calls:
-        assert callable(args[0]) and "fun" not in kwargs
-        assert result.nfev == config.max_evals
-    assert len(checks) == config.n_starts
+    assert events.count(None) == config.n_starts and events[-1] is None
+    starts, stages = [], []
+    for event in events:
+        if event is None:
+            starts.append(stages)
+            stages = []
+        else:
+            stages.append(event)
+    for stages in starts:
+        assert 1 <= len(stages) <= len(solver.PENALTY_STAGES)
+        evals = sum(result.nfev for _, _, result in stages)
+        assert evals <= config.max_evals + 20
+        assert len(stages) == len(solver.PENALTY_STAGES) or evals >= config.max_evals
+        for (args, kwargs, _), fraction in zip(stages, solver.PENALTY_STAGES):
+            assert callable(args[0]) and "fun" not in kwargs
+            assert kwargs["args"][0] == fraction * config.penalty_weight
 
 
 def test_pure_search_reports_the_closed_form_score():

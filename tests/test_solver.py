@@ -281,7 +281,7 @@ def test_search_determinism():
         assert sa.qfi == sb.qfi
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "build", [dynamics.nonentangling_generator, dynamics.entangling_generator]
 )
@@ -299,25 +299,14 @@ def test_pure_search_reaches_the_qfi_ceiling(n, build):
     assert all(sol.qfi <= ceiling + 1e-9 for sol in result.solutions)
 
 
-def test_angle_parametrization_round_trip():
-    rng = np.random.default_rng(9)
-    for dim in (2, 4, 8):
-        ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        ket /= np.linalg.norm(ket)
-        angles = solver._angles_from_state(ket)
-        assert angles.shape == (2 * dim - 2,)
-        rebuilt = solver._state_from_angles(angles, dim)
-        overlap = abs(np.vdot(rebuilt, ket))
-        assert overlap == pytest.approx(1.0, abs=1e-10)
-
-
 def test_search_drops_end_points_that_commute_with_the_generator(monkeypatch):
     # |0> commutes with H = Z/2: u = 0 solves the equation exactly, and the
     # point carries no information.  It is no solution, but its residual still
     # counts as the best one seen.
-    end_point = solver._angles_from_state(np.array([1.0, 0.0], dtype=complex))
+    # the search's coordinates: the ket's real and imaginary parts, interleaved
+    end_point = np.array([1.0, 0.0], dtype=complex).view(float)
     monkeypatch.setattr(
-        solver.optimize, "minimize", lambda *args, **kwargs: OptimizeResult(x=end_point)
+        solver.optimize, "minimize", lambda *args, **kwargs: OptimizeResult(x=end_point, nfev=1)
     )
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(1),
@@ -343,9 +332,8 @@ def test_search_reports_no_qfi_free_solutions():
 
 
 def test_search_orders_tied_solutions_by_their_dedup_key_alone():
-    # two solutions tie at QFI 4 within tie_tol but differ in their last
-    # digits; ranking them by full-precision QFI first would put the second
-    # key ahead of the first
+    # the solutions tie at QFI 4 within tie_tol but differ in their last
+    # digits; ranking them by full-precision QFI first would reorder them
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(2),
         dynamics.product_pm_readout(2),
@@ -354,5 +342,6 @@ def test_search_orders_tied_solutions_by_their_dedup_key_alone():
     )
     qfis = [sol.qfi for sol in result.solutions]
     keys = [solver._dedup_key(sol.state) for sol in result.solutions]
-    assert len(qfis) == 2 and qfis[0] < qfis[1] and max(qfis) - min(qfis) <= 1e-6
+    assert len(qfis) >= 2 and max(qfis) - min(qfis) <= 1e-6
+    assert qfis != sorted(qfis, reverse=True)
     assert keys == sorted(keys)

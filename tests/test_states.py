@@ -161,6 +161,15 @@ def test_pure_state_rejects_non_finite_entries(bad):
         states.pure_state(np.array([1.0, bad, 0.0, 0.5]))
 
 
+@pytest.mark.parametrize("size", [1e200, 1e-165, complex(0.0, 1e300)])
+def test_pure_state_normalises_finite_entries_whose_squares_leave_the_float_range(size):
+    # the plain norm overflows or underflows to 0 here; the ket is rescaled by
+    # its largest entry first, with no RuntimeWarning (the suite's filter
+    # turns one into an error)
+    state = states.pure_state(np.array([size, size, 0.0, 0.0]))
+    assert np.array_equal(state.ket, states.pure_state(np.array([1.0, 1.0, 0.0, 0.0])).ket)
+
+
 def test_pure_state_rejects_zero_and_odd_sized_vectors():
     with pytest.raises(ValidationError, match="zero vector"):
         states.pure_state(np.zeros(4))
