@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .config import (
@@ -215,49 +215,28 @@ SCALING_COLUMNS = ("n", "f_classical", "f_quantum", "bound", "delta_x_empirical"
 
 def cmd_scaling(cfg: ExperimentConfig) -> int:
     state_spec = cfg.state or {"kind": "optimal_single_tensor"}
-    family = state_spec["kind"]
-    if family not in ("optimal_single_tensor", "cat"):
+    if state_spec["kind"] not in ("optimal_single_tensor", "cat"):
         raise ConfigError(
             "config.state: scaling supports the optimal_single_tensor and cat families"
         )
+    sized = (replace(cfg, n_qubits=n) for n in cfg.n_list)
     rows = scaling_experiment(
-        cfg.n_list,
-        cfg.generator,
-        family,
-        cfg.readout,
+        ((generator_from_config(c), state_from_config(c), basis_from_config(c)) for c in sized),
         cfg.shots,
         cfg.trials,
         cfg.seed,
         x_true=cfg.x_true,
-        sign=int(state_spec.get("sign", 1)),
         tol=cfg.tolerances,
-        cap=cfg.max_qubits,
     )
     fmt = cfg.output_format or "csv"
     if fmt == "csv":
         table = csv_table(
-            SCALING_COLUMNS,
-            [
-                (r.n, r.f_classical, r.f_quantum, r.bound, r.delta_x_empirical)
-                for r in rows
-            ],
+            SCALING_COLUMNS, [[getattr(r, c) for c in SCALING_COLUMNS] for r in rows]
         )
         _emit(cfg, table)
     else:
-        result = {
-            "columns": list(SCALING_COLUMNS),
-            "rows": [
-                {
-                    "n": r.n,
-                    "f_classical": r.f_classical,
-                    "f_quantum": r.f_quantum,
-                    "bound": r.bound,
-                    "delta_x_empirical": r.delta_x_empirical,
-                    "degenerate": r.degenerate,
-                }
-                for r in rows
-            ],
-        }
+        # ScalingRow's field order is the report's key order
+        result = {"columns": list(SCALING_COLUMNS), "rows": [asdict(r) for r in rows]}
         _emit(cfg, dumps_report(_report_envelope(cfg, result)))
     return EXIT_OK
 

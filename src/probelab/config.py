@@ -35,7 +35,6 @@ class ExperimentConfig:
     max_qubits: int = 10
     generator: str = "nonentangling"
     state: dict | None = None
-    readout: str = "product_pm"
     shots: int = 10**4
     trials: int = 500
     seed: int = 0
@@ -141,8 +140,10 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
 
     state = _normalize_state(raw.get("state"))
 
-    readout = raw.get("readout", "product_pm")
-    _require(readout in READOUT_KINDS, f"config.readout: must be one of {READOUT_KINDS}")
+    _require(
+        raw.get("readout", "product_pm") in READOUT_KINDS,
+        f"config.readout: must be one of {READOUT_KINDS}",
+    )
 
     shots = _check_int(raw.get("shots", 10**4), "config.shots", minimum=1)
     trials = _check_int(raw.get("trials", 500), "config.trials", minimum=1)
@@ -164,7 +165,6 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
         max_qubits=max_qubits,
         generator=generator,
         state=state,
-        readout=readout,
         shots=shots,
         trials=trials,
         seed=seed,

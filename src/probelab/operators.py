@@ -114,10 +114,10 @@ def check_cap(n_qubits: int, cap: int = MAX_QUBITS) -> None:
         raise DimensionError(f"need at least one qubit, got {n_qubits}")
 
 
-def pauli_dense(labels: str | Sequence[str], cap: int = MAX_QUBITS) -> np.ndarray:
+def pauli_dense(labels: str | Sequence[str]) -> np.ndarray:
     """Dense matrix of a Pauli string, e.g. ``pauli_dense("XY")``."""
     labels = "".join(labels)
-    check_cap(len(labels), cap)
+    check_cap(len(labels))
     return kron_all(pauli_matrix(c) for c in labels)
 
 

@@ -440,9 +440,7 @@ def _solution_from_state(
 # ---------------------------------------------------------------------------
 
 
-def closed_form_solution(
-    generator_kind: str, n: int, cap: int = ops.MAX_QUBITS
-) -> Solution:
+def closed_form_solution(generator_kind: str, n: int) -> Solution:
     """Known optimal states for the product |+>/|-> readout.
 
     * Non-entangling generator, any n: the n-fold tensor power of the optimal
@@ -460,19 +458,19 @@ def closed_form_solution(
     Raises :class:`UnsupportedClosedFormError` for entangling n divisible by 4
     (no stored base solution to build the tensor power from).
     """
-    basis = product_pm_readout(n, cap)
+    basis = product_pm_readout(n)
     if generator_kind == NONENTANGLING:
-        generator = nonentangling_generator(n, cap)
-        state = tensor_power(optimal_single_qubit(+1), n, cap)
+        generator = nonentangling_generator(n)
+        state = tensor_power(optimal_single_qubit(+1), n)
         u = np.array([label.count("-") - label.count("+") for label in basis.labels], dtype=float)
         solution = _solution_from_state(state, basis, generator, CLOSED_FORM, u)
         _require_verified(solution)
         return solution
     if generator_kind != ENTANGLING:
         raise ValidationError(f"unknown generator kind {generator_kind!r}")
-    generator = entangling_generator(n, cap)
+    generator = entangling_generator(n)
     if n % 2 == 1:
-        state = tensor_power(optimal_single_qubit(+1), n, cap)
+        state = tensor_power(optimal_single_qubit(+1), n)
         # Product rule: i**(n+3) times the product of single-qubit values -+1.
         prefactor = float(np.real(1j ** (n + 3)))
         u = np.array(
@@ -490,7 +488,7 @@ def closed_form_solution(
     half = n // 2
     if half % 2 == 1:
         base = two_qubit_entangling_candidate(1.0, 1.0, 1.0)
-        state = tensor_power(base, half, cap)
+        state = tensor_power(base, half)
         # Unproven composite rule: eigenvalues fit numerically, residual is
         # the measured verdict and is deliberately not asserted here.
         return _solution_from_state(state, basis, generator, CLOSED_FORM)
@@ -524,7 +522,7 @@ class ParityReport:
     spectrum: LambdaSpectrum
 
 
-def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport:
+def verify_parity_obstruction(n: int) -> ParityReport:
     """Measure the inverse-eigenvalue ratios of the n-fold optimal tensor power
     under the entangling generator.
 
@@ -532,9 +530,9 @@ def verify_parity_obstruction(n: int, cap: int = ops.MAX_QUBITS) -> ParityReport
     bound with the product readout); odd n is the real-valued control case.
     Only outcomes with nonzero probability enter the maxima.
     """
-    state = tensor_power(optimal_single_qubit(+1), n, cap)
-    generator = entangling_generator(n, cap)
-    basis = product_pm_readout(n, cap)
+    state = tensor_power(optimal_single_qubit(+1), n)
+    generator = entangling_generator(n)
+    basis = product_pm_readout(n)
     analysis = analyze(generator, state, basis)
     spectrum = analysis.spectrum
     values = spectrum.values[~np.array(spectrum.unconstrained)]

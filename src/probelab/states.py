@@ -281,25 +281,21 @@ def two_qubit_entangling_candidate(
     return from_bloch(np.zeros(3), np.zeros(3), c, min_eigenvalue=min_eigenvalue)
 
 
-def random_pure_state(
-    n_qubits: int, seed: int | np.random.Generator, cap: int = ops.MAX_QUBITS
-) -> DensityMatrix:
+def random_pure_state(n_qubits: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Haar-random pure state; deterministic for a given seed.
 
     Draws independent standard-normal real and imaginary parts and normalizes.
     """
-    ops.check_cap(n_qubits, cap)
+    ops.check_cap(n_qubits)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dim = 2**n_qubits
     ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return pure_state(ket)
 
 
-def random_mixed_state(
-    n_qubits: int, seed: int | np.random.Generator, cap: int = ops.MAX_QUBITS
-) -> DensityMatrix:
+def random_mixed_state(n_qubits: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Full-rank random state G G^dagger / tr(G G^dagger) with Ginibre G."""
-    ops.check_cap(n_qubits, cap)
+    ops.check_cap(n_qubits)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dim = 2**n_qubits
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -145,15 +145,16 @@ def test_scaling_passes_max_qubits_to_every_constructor(
     tmp_path, capsys, monkeypatch, family, generator
 ):
     caps = {}
-    for name in ("nonentangling_generator", "entangling_generator", "product_pm_readout",
-                 "tensor_power", "cat_state"):
-        original = getattr(montecarlo, name)
+    for module, name in ((dynamics, "nonentangling_generator"), (dynamics, "entangling_generator"),
+                         (dynamics, "product_pm_readout"), (states, "tensor_power"),
+                         (states, "cat_state")):
+        original = getattr(module, name)
 
         def spy(*args, cap, _name=name, _original=original):
             caps.setdefault(_name, set()).add(cap)
             return _original(*args, cap=cap)
 
-        monkeypatch.setattr(montecarlo, name, spy)
+        monkeypatch.setattr(module, name, spy)
     path = write_config(
         tmp_path,
         {"n_list": [2, 3], "max_qubits": 12, "generator": generator, "state": family,
@@ -462,6 +463,29 @@ def test_scaling_builds_the_configured_sign(tmp_path, capsys, monkeypatch, famil
     assert len(probes) == 2
     for n, matrix in zip((2, 3), probes):
         assert np.array_equal(matrix, build(n).matrix)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("family", ["optimal_single_tensor", "cat"])
+@pytest.mark.parametrize("generator", ["nonentangling", "entangling"])
+def test_scaling_rows_match_the_fisher_report_at_each_n(tmp_path, capsys, generator, family, sign):
+    # scaling and fisher must build the same probe from the same config
+    config = {"generator": generator, "state": {"kind": family, "sign": sign},
+              "shots": 200, "trials": 10, "seed": 4}
+    path = write_config(tmp_path, {**config, "n_list": [2, 3]})
+    code, out, err = run_cli(capsys, ["scaling", path, "--format", "json"])
+    assert code == 0, err
+    rows = json.loads(out)["result"]["rows"]
+    assert [row["n"] for row in rows] == [2, 3]
+    for row in rows:
+        path = write_config(tmp_path, {**config, "n_qubits": row["n"]}, name="fisher.json")
+        code, out, err = run_cli(capsys, ["fisher", path])
+        assert code == 0, err
+        fisher_result = json.loads(out)["result"]
+        assert row["f_classical"] == fisher_result["classical_fisher"]
+        assert row["f_quantum"] == fisher_result["quantum_fisher"]
+        if not row["degenerate"]:
+            assert row["bound"] == fisher_result["bound"]
 
 
 @pytest.mark.parametrize("state", ["optimal_single_tensor", "cat"])

@@ -170,9 +170,18 @@ def test_uncertainty_run_trial_seeds_are_order_independent():
     assert dict(direct) == dict(again)
 
 
+def tensor_probes(build_generator, n_list):
+    """One (generator, optimal tensor-power state, |+>/|-> readout) per n."""
+    return [
+        (build_generator(n), states.tensor_power(states.optimal_single_qubit(+1), n),
+         dynamics.product_pm_readout(n))
+        for n in n_list
+    ]
+
+
 def test_scaling_experiment_nonentangling_rows():
     rows = montecarlo.scaling_experiment(
-        [1, 2, 3], "nonentangling", "optimal_single_tensor", "product_pm",
+        tensor_probes(dynamics.nonentangling_generator, [1, 2, 3]),
         shots=2000, trials=80, seed=4,
     )
     for row, n in zip(rows, [1, 2, 3]):
@@ -185,7 +194,7 @@ def test_scaling_experiment_nonentangling_rows():
 
 def test_scaling_experiment_entangling_parity_rows():
     rows = montecarlo.scaling_experiment(
-        [2, 3], "entangling", "optimal_single_tensor", "product_pm",
+        tensor_probes(dynamics.entangling_generator, [2, 3]),
         shots=2000, trials=80, seed=4,
     )
     even, odd = rows
@@ -198,9 +207,7 @@ def test_scaling_experiment_entangling_parity_rows():
 
 
 def test_scaling_experiment_deterministic():
-    args = (
-        [1, 2], "nonentangling", "optimal_single_tensor", "product_pm", 1000, 50, 17,
-    )
+    args = (tensor_probes(dynamics.nonentangling_generator, [1, 2]), 1000, 50, 17)
     assert montecarlo.scaling_experiment(*args) == montecarlo.scaling_experiment(*args)
 
 

@@ -37,7 +37,6 @@ def test_pauli_dense_ordering_is_first_factor_most_significant():
 def test_pauli_dense_cap():
     with pytest.raises(DimensionError):
         ops.pauli_dense("I" * 11)
-    ops.pauli_dense("I" * 11, cap=11)  # override allowed
 
 
 def test_pauli_expand_reads_off_mixture():
