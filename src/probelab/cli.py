@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: verify | fisher | solve | simulate | scaling.  Every task except
-``verify`` reads a JSON experiment configuration from a path (or ``-`` for
-stdin); ``--seed``, ``--out`` and ``--format`` override config fields, and
+One subcommand per config task (``config.TASKS``), served by its
+``cmd_<task>`` function, whose docstring is the subcommand's help.  Every task
+except ``verify`` reads a JSON experiment configuration from a path (or ``-``
+for stdin); ``--seed``, ``--out`` and ``--format`` override config fields, and
 ``verify --filter`` selects golden checks by name.  Exit codes: 0 success,
 1 verification failure, 2 usage/config or internal error.
 """
@@ -15,12 +16,16 @@ from dataclasses import asdict, replace
 
 from . import __version__
 from .config import (
+    DEFAULT_STATE,
+    OUTPUT_FORMATS,
+    SCALING_STATE_KINDS,
+    TASKS,
     ExperimentConfig,
     basis_from_config,
+    check_int,
     generator_from_config,
     parse_config_text,
     state_from_config,
-    tolerances_dict,
 )
 from .errors import ConfigError, ProbeLabError
 from .fisher import analyze, cramer_rao_bound
@@ -34,35 +39,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_ERROR = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="probelab",
-        description=(
-            "Quantum-limited single-parameter estimation with a fixed probe "
-            "readout: Fisher information, optimal probe states, and Monte "
-            "Carlo verification of the uncertainty bound."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"probelab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run the golden verification suite")
-    verify.add_argument("--filter", default=None, help="run only checks whose name contains this substring")
-
-    for name, help_text in (
-        ("fisher", "Fisher information, eigenvalue spectrum and saturation report"),
-        ("solve", "search for probe states that satisfy the optimality equation"),
-        ("simulate", "Monte Carlo estimate of the measurement uncertainty"),
-        ("scaling", "Fisher information and empirical uncertainty over probe sizes"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("config", help="path to a JSON experiment config, or - for stdin")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-        cmd.add_argument("--format", choices=("json", "csv"), default=None, help="output format override")
-    return parser
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config == "-":
         text = sys.stdin.read()
@@ -74,7 +50,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     cfg = parse_config_text(text, task=args.command)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=check_int(args.seed, "--seed"))
     if args.format is not None:
         cfg = replace(cfg, output_format=args.format)
     if args.out is not None:
@@ -90,16 +66,19 @@ def _emit(cfg: ExperimentConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report_envelope(cfg: ExperimentConfig, result: dict) -> dict:
-    return {
+def _emit_report(cfg: ExperimentConfig, result: dict) -> int:
+    """Write ``result`` in the JSON envelope that names the run."""
+    envelope = {
         "tool": "probelab",
         "version": __version__,
         "task": cfg.task,
         "seed": cfg.seed,
         "config": cfg.raw or {},
-        "tolerances": tolerances_dict(cfg.tolerances),
+        "tolerances": asdict(cfg.tolerances),
         "result": result,
     }
+    _emit(cfg, dumps_report(envelope))
+    return EXIT_OK
 
 
 def _spectrum_entries(spectrum) -> list[dict]:
@@ -117,6 +96,7 @@ def _spectrum_entries(spectrum) -> list[dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """run the golden verification suite"""
     results = run_golden_suite(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}")
@@ -135,6 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fisher(cfg: ExperimentConfig) -> int:
+    """Fisher information, eigenvalue spectrum and saturation report"""
     state = state_from_config(cfg)
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
@@ -149,11 +130,11 @@ def cmd_fisher(cfg: ExperimentConfig) -> int:
         "inv_lambdas": _spectrum_entries(analysis.spectrum),
         "bound": cramer_rao_bound(analysis.classical_fisher, cfg.shots),
     }
-    _emit(cfg, dumps_report(_report_envelope(cfg, result)))
-    return EXIT_OK
+    return _emit_report(cfg, result)
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
+    """search for probe states that satisfy the optimality equation"""
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
     search_cfg = replace(
@@ -182,11 +163,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "best_residual": outcome.best_residual,
         "solutions": solutions,
     }
-    _emit(cfg, dumps_report(_report_envelope(cfg, result)))
-    return EXIT_OK
+    return _emit_report(cfg, result)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    """Monte Carlo estimate of the measurement uncertainty"""
     state = state_from_config(cfg)
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
@@ -206,18 +187,17 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         "shots": cfg.shots,
         "trials": cfg.trials,
     }
-    _emit(cfg, dumps_report(_report_envelope(cfg, result)))
-    return EXIT_OK
+    return _emit_report(cfg, result)
 
 
 SCALING_COLUMNS = ("n", "f_classical", "f_quantum", "bound", "delta_x_empirical")
 
 
 def cmd_scaling(cfg: ExperimentConfig) -> int:
-    state_spec = cfg.state or {"kind": "optimal_single_tensor"}
-    if state_spec["kind"] not in ("optimal_single_tensor", "cat"):
+    """Fisher information and empirical uncertainty over probe sizes"""
+    if (cfg.state or DEFAULT_STATE)["kind"] not in SCALING_STATE_KINDS:
         raise ConfigError(
-            "config.state: scaling supports the optimal_single_tensor and cat families"
+            f"config.state: scaling supports the {' and '.join(SCALING_STATE_KINDS)} families"
         )
     sized = (replace(cfg, n_qubits=n) for n in cfg.n_list)
     rows = scaling_experiment(
@@ -228,36 +208,46 @@ def cmd_scaling(cfg: ExperimentConfig) -> int:
         x_true=cfg.x_true,
         tol=cfg.tolerances,
     )
-    fmt = cfg.output_format or "csv"
-    if fmt == "csv":
-        table = csv_table(
-            SCALING_COLUMNS, [[getattr(r, c) for c in SCALING_COLUMNS] for r in rows]
-        )
-        _emit(cfg, table)
-    else:
+    if (cfg.output_format or "csv") == "json":
         # ScalingRow's field order is the report's key order
         result = {"columns": list(SCALING_COLUMNS), "rows": [asdict(r) for r in rows]}
-        _emit(cfg, dumps_report(_report_envelope(cfg, result)))
+        return _emit_report(cfg, result)
+    _emit(cfg, csv_table(SCALING_COLUMNS, [[getattr(r, c) for c in SCALING_COLUMNS] for r in rows]))
     return EXIT_OK
 
 
+#: Each subcommand's handler, by name.
+COMMANDS = {task: globals()[f"cmd_{task}"] for task in TASKS}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="probelab",
+        description=(
+            "Quantum-limited single-parameter estimation with a fixed probe "
+            "readout: Fisher information, optimal probe states, and Monte "
+            "Carlo verification of the uncertainty bound."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"probelab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler in COMMANDS.items():
+        cmd = sub.add_parser(name, help=handler.__doc__)
+        if handler is cmd_verify:
+            cmd.add_argument("--filter", default=None, help="run only checks whose name contains this substring")
+            continue
+        cmd.add_argument("config", help="path to a JSON experiment config, or - for stdin")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+        cmd.add_argument("--out", default=None, help="write the report to this path instead of stdout")
+        cmd.add_argument("--format", choices=OUTPUT_FORMATS, default=None, help="output format override")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = COMMANDS[args.command]
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        cfg = _load_config(args)
-        if args.command == "fisher":
-            return cmd_fisher(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "scaling":
-            return cmd_scaling(cfg)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_ERROR
+        return handler(args) if handler is cmd_verify else handler(_load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Any, Mapping
 
@@ -18,12 +18,11 @@ import numpy as np
 
 from . import dynamics, states
 from .errors import ConfigError
-from .operators import Tolerances
+from .operators import MAX_QUBITS, Tolerances
 from .solver import SearchConfig
 
-GENERATOR_KINDS = ("nonentangling", "entangling")
+GENERATOR_KINDS = (dynamics.NONENTANGLING, dynamics.ENTANGLING)
 TASKS = ("verify", "fisher", "solve", "simulate", "scaling")
-STATE_KINDS = ("optimal_single_tensor", "cat", "two_qubit_entangling", "bloch", "file")
 READOUT_KINDS = ("product_pm",)
 OUTPUT_FORMATS = ("json", "csv")
 
@@ -32,8 +31,8 @@ OUTPUT_FORMATS = ("json", "csv")
 class ExperimentConfig:
     task: str
     n_qubits: int = 1
-    max_qubits: int = 10
-    generator: str = "nonentangling"
+    max_qubits: int = MAX_QUBITS
+    generator: str = dynamics.NONENTANGLING
     state: dict | None = None
     shots: int = 10**4
     trials: int = 500
@@ -59,6 +58,11 @@ _STATE_KEYS = {
     "bloch": {"kind", "a", "b", "c"},
     "file": {"kind", "path"},
 }
+STATE_KINDS = tuple(_STATE_KEYS)
+#: The probe of a config without a ``state``.
+DEFAULT_STATE = {"kind": "optimal_single_tensor"}
+#: The families ``scaling`` can build at every size of its ``n_list``.
+SCALING_STATE_KINDS = ("optimal_single_tensor", "cat")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -66,7 +70,7 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_int(value, path: str, minimum: int = 0, cap: int | None = None) -> int:
+def check_int(value, path: str, minimum: int = 0, cap: int | None = None) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool), f"{path}: expected an integer")
     _require(value >= minimum, f"{path}: must be >= {minimum}")
     _require(cap is None or value <= cap, f"{path}: {value} exceeds the dimension cap of {cap}")
@@ -132,27 +136,30 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
     resolved_task = task or doc_task
     _require(resolved_task is not None, "config.task: missing (no subcommand context)")
 
-    max_qubits = _check_int(raw.get("max_qubits", 10), "config.max_qubits", minimum=1)
-    n_qubits = _check_int(raw.get("n_qubits", 1), "config.n_qubits", minimum=1, cap=max_qubits)
+    defaults = ExperimentConfig
+    max_qubits = check_int(raw.get("max_qubits", defaults.max_qubits), "config.max_qubits", minimum=1)
+    n_qubits = check_int(
+        raw.get("n_qubits", defaults.n_qubits), "config.n_qubits", minimum=1, cap=max_qubits
+    )
 
-    generator = raw.get("generator", "nonentangling")
+    generator = raw.get("generator", defaults.generator)
     _require(generator in GENERATOR_KINDS, f"config.generator: must be one of {GENERATOR_KINDS}")
 
     state = _normalize_state(raw.get("state"))
 
     _require(
-        raw.get("readout", "product_pm") in READOUT_KINDS,
+        raw.get("readout", READOUT_KINDS[0]) in READOUT_KINDS,
         f"config.readout: must be one of {READOUT_KINDS}",
     )
 
-    shots = _check_int(raw.get("shots", 10**4), "config.shots", minimum=1)
-    trials = _check_int(raw.get("trials", 500), "config.trials", minimum=1)
-    seed = _check_int(raw.get("seed", 0), "config.seed", minimum=0)
-    x_true = _check_number(raw.get("x_true", 0.3), "config.x_true")
+    shots = check_int(raw.get("shots", defaults.shots), "config.shots", minimum=1)
+    trials = check_int(raw.get("trials", defaults.trials), "config.trials", minimum=1)
+    seed = check_int(raw.get("seed", defaults.seed), "config.seed")
+    x_true = _check_number(raw.get("x_true", defaults.x_true), "config.x_true")
 
-    n_list_raw = raw.get("n_list", [1, 2, 3, 4, 5, 6])
+    n_list_raw = raw.get("n_list", list(defaults.n_list))
     _require(isinstance(n_list_raw, list) and n_list_raw, "config.n_list: expected a nonempty list")
-    n_list = tuple(_check_int(v, "config.n_list[*]", minimum=1, cap=max_qubits) for v in n_list_raw)
+    n_list = tuple(check_int(v, "config.n_list[*]", minimum=1, cap=max_qubits) for v in n_list_raw)
 
     solver_opts = _normalize_solver(raw.get("solver"))
     tolerances = _normalize_tolerances(raw.get("tolerances"))
@@ -206,7 +213,7 @@ def _normalize_state(raw) -> dict | None:
 
 #: SearchConfig's ``residual_tol`` and ``seed`` come from the tolerances and
 #: seed.
-_SOLVER_KEYS = ("n_starts", "max_evals", "simplex_tol", "penalty_weight", "tie_tol")
+_SOLVER_KEYS = tuple(f.name for f in fields(SearchConfig) if f.name not in ("residual_tol", "seed"))
 
 
 def _normalize_solver(raw) -> SearchConfig:
@@ -217,11 +224,12 @@ def _normalize_solver(raw) -> SearchConfig:
         _require(key in _SOLVER_KEYS, f"config.solver: unknown field {key!r}")
     updates: dict[str, Any] = {}
     for key, value in raw.items():
-        if key in ("n_starts", "max_evals"):
-            updates[key] = _check_int(value, f"config.solver.{key}", minimum=1)
+        # a key with an integer default takes a positive integer
+        if isinstance(getattr(SearchConfig, key), int):
+            updates[key] = check_int(value, f"config.solver.{key}", minimum=1)
         else:
             updates[key] = _check_number(value, f"config.solver.{key}")
-    return replace(SearchConfig(), **updates)
+    return SearchConfig(**updates)
 
 
 def _normalize_tolerances(raw) -> Tolerances:
@@ -255,7 +263,7 @@ def _normalize_output(raw) -> tuple[str | None, str | None]:
 
 
 def generator_from_config(cfg: ExperimentConfig) -> dynamics.Generator:
-    if cfg.generator == "entangling":
+    if cfg.generator == dynamics.ENTANGLING:
         return dynamics.entangling_generator(cfg.n_qubits, cap=cfg.max_qubits)
     return dynamics.nonentangling_generator(cfg.n_qubits, cap=cfg.max_qubits)
 
@@ -267,7 +275,7 @@ def basis_from_config(cfg: ExperimentConfig) -> dynamics.ReadoutBasis:
 def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:
     """The configured probe; ``tolerances.psd_min_eigenvalue`` applies to the
     kinds built from config numbers: bloch, two_qubit_entangling and file."""
-    spec = cfg.state or {"kind": "optimal_single_tensor"}
+    spec = cfg.state or DEFAULT_STATE
     kind = spec["kind"]
     n = cfg.n_qubits
     psd = cfg.tolerances.psd_min_eigenvalue
@@ -328,6 +336,12 @@ def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.
     _require(real.shape == imag.shape, "state file: real and imaginary shapes differ")
     matrix = real + 1j * imag
     rho = states.density_matrix(matrix, min_eigenvalue=min_eigenvalue)
+    if "n_qubits" in payload:
+        declared = check_int(payload["n_qubits"], "state file: n_qubits")
+        _require(
+            declared == rho.n_qubits,
+            f"state file: n_qubits: {declared} but the matrix is a {rho.n_qubits}-qubit state",
+        )
     _require(
         rho.n_qubits == n_qubits,
         f"state file: {rho.n_qubits}-qubit state but config.n_qubits = {n_qubits}",
@@ -357,7 +371,3 @@ def _matrix_part(rows, key: str) -> np.ndarray:
     part = part.astype(float, copy=False)
     _require(np.isfinite(part).all(), f"state file: {key}: expected finite numbers")
     return part
-
-
-def tolerances_dict(tol: Tolerances) -> dict[str, float]:
-    return asdict(tol)

@@ -8,46 +8,32 @@ parallelism level.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Iterable, Sequence
-
-import numpy as np
 
 SIGNIFICANT_DIGITS = 12
 
 
-def round_float(value: float) -> float:
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        return value
-    return float(f"{value:.{SIGNIFICANT_DIGITS}g}")
-
-
 def format_float(value: float) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.{SIGNIFICANT_DIGITS}g}"
+    """The one float policy: 12 significant digits; nan, inf and -inf as
+    Python prints them."""
+    return f"{float(value):.{SIGNIFICANT_DIGITS}g}"
+
+
+def round_float(value: float) -> float:
+    return float(format_float(value))
 
 
 def jsonify(obj: Any) -> Any:
-    """Convert a nested structure to JSON-safe values with rounded floats."""
+    """Round every float (``np.float64`` included) in nested dicts, lists and
+    tuples.  Any other value passes through, so ``json.dumps`` refuses a type
+    it cannot write (a complex number, an array, a numpy integer or bool)
+    instead of converting it silently."""
     if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
+        return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return round_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"real": round_float(obj.real), "imag": round_float(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, float):
+        return round_float(obj)
     return obj
 
 
@@ -59,11 +45,7 @@ def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """CSV with LF line endings and the fixed float formatting."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, (float, np.floating)):
-                cells.append(format_float(float(value)))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+        lines.append(
+            ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+        )
     return "\n".join(lines) + "\n"

@@ -461,41 +461,37 @@ def closed_form_solution(generator_kind: str, n: int) -> Solution:
     basis = product_pm_readout(n)
     if generator_kind == NONENTANGLING:
         generator = nonentangling_generator(n)
+    elif generator_kind == ENTANGLING:
+        generator = entangling_generator(n)
+    else:
+        raise ValidationError(f"unknown generator kind {generator_kind!r}")
+    u = None
+    if generator_kind == NONENTANGLING:
         state = tensor_power(optimal_single_qubit(+1), n)
         u = np.array([label.count("-") - label.count("+") for label in basis.labels], dtype=float)
-        solution = _solution_from_state(state, basis, generator, CLOSED_FORM, u)
-        _require_verified(solution)
-        return solution
-    if generator_kind != ENTANGLING:
-        raise ValidationError(f"unknown generator kind {generator_kind!r}")
-    generator = entangling_generator(n)
-    if n % 2 == 1:
+    elif n % 2 == 1:
         state = tensor_power(optimal_single_qubit(+1), n)
         # Product rule: i**(n+3) times the product of single-qubit values -+1.
         prefactor = float(np.real(1j ** (n + 3)))
         u = np.array(
             [prefactor * (-1.0) ** label.count("+") for label in basis.labels]
         )
-        solution = _solution_from_state(state, basis, generator, CLOSED_FORM, u)
-        _require_verified(solution)
-        return solution
-    if n == 2:
+    elif n == 2:
         state = two_qubit_entangling_candidate(1.0, 1.0, 1.0)
         u = np.array([-1.0, 0.0, 0.0, 1.0])
-        solution = _solution_from_state(state, basis, generator, CLOSED_FORM, u)
-        _require_verified(solution)
-        return solution
-    half = n // 2
-    if half % 2 == 1:
-        base = two_qubit_entangling_candidate(1.0, 1.0, 1.0)
-        state = tensor_power(base, half)
+    elif n % 4 == 2:
         # Unproven composite rule: eigenvalues fit numerically, residual is
         # the measured verdict and is deliberately not asserted here.
-        return _solution_from_state(state, basis, generator, CLOSED_FORM)
-    raise UnsupportedClosedFormError(
-        f"no closed-form state is known for the entangling generator on {n} qubits "
-        f"(n divisible by 4 has no stored base solution)"
-    )
+        state = tensor_power(two_qubit_entangling_candidate(1.0, 1.0, 1.0), n // 2)
+    else:
+        raise UnsupportedClosedFormError(
+            f"no closed-form state is known for the entangling generator on {n} qubits "
+            f"(n divisible by 4 has no stored base solution)"
+        )
+    solution = _solution_from_state(state, basis, generator, CLOSED_FORM, u)
+    if u is not None:
+        _require_verified(solution)
+    return solution
 
 
 def _require_verified(solution: Solution, tol: float = ops.Tolerances.solution_residual) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from probelab import cli, dynamics, fisher, montecarlo, operators, solver, states
-from probelab.config import parse_config_text
+from probelab.config import TASKS, ExperimentConfig, parse_config_text
 from probelab.operators import Tolerances
 from probelab.report import round_float
 from probelab.errors import ConfigError
@@ -39,6 +39,13 @@ def test_config_rejects_unknown_fields():
         parse_config_text('{"x_true": 1' + "0" * 5000 + "}", task="simulate")
     with pytest.raises(ConfigError, match="conflicts"):
         parse_config_text('{"task": "solve"}', task="fisher")
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_empty_config_takes_the_experiment_config_defaults(task):
+    cfg = parse_config_text("{}", task=task)
+    assert cfg == ExperimentConfig(task=task, raw={})
+    assert cfg.max_qubits == operators.MAX_QUBITS
 
 
 def test_config_dimension_cap():
@@ -565,6 +572,21 @@ def test_seed_and_out_overrides(tmp_path, capsys):
     assert report["seed"] == 77
 
 
+@pytest.mark.parametrize("command", ["fisher", "solve", "simulate", "scaling"])
+def test_seed_override_is_checked_like_the_config_seed(tmp_path, capsys, command):
+    path = write_config(tmp_path, {"trials": 5, "n_list": [1], "solver": {"n_starts": 1}})
+    code, out, err = run_cli(capsys, [command, path, "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err == "config error: --seed: must be >= 0\n"
+
+
+def test_seed_override_keeps_the_echoed_config(tmp_path, capsys):
+    path = write_config(tmp_path, {"n_qubits": 1, "seed": 1})
+    code, out, _ = run_cli(capsys, ["fisher", path, "--seed", "5"])
+    report = json.loads(out)
+    assert code == 0 and report["seed"] == 5 and report["config"] == {"n_qubits": 1, "seed": 1}
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"n_qubits": "two"})
     code, _, err = run_cli(capsys, ["fisher", path])
@@ -593,6 +615,27 @@ def test_state_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["fisher", path])
     assert code == 0
     assert json.loads(out)["result"]["classical_fisher"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "declared, message",
+    [
+        ("banana", "state file: n_qubits: expected an integer"),
+        (True, "state file: n_qubits: expected an integer"),
+        (None, "state file: n_qubits: expected an integer"),
+        (3, "state file: n_qubits: 3 but the matrix is a 1-qubit state"),
+        (1, None),
+    ],
+)
+def test_state_file_n_qubits_must_match_its_matrix(tmp_path, capsys, declared, message):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"n_qubits": declared, "matrix_real": [[0.5, 0], [0, 0.5]]}))
+    path = write_config(tmp_path, {"state": {"kind": "file", "path": str(state_path)}})
+    code, out, err = run_cli(capsys, ["fisher", path])
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == "" and err == f"config error: {message}\n"
 
 
 def test_verify_passes_and_filter_works(capsys):

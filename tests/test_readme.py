@@ -1,9 +1,13 @@
-"""The README's "Library sketch" runs and returns the values its comments state."""
+"""The README's "Library sketch" runs and returns the values its comments
+state, and its example config parses."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from probelab.config import TASKS, ExperimentConfig, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,3 +58,14 @@ def test_library_sketch_matches_its_comments():
     residual_text, _, qfi_text = rest.partition(", QFI ")
     assert residual_text == ", residual ~1e-16" and residual <= 1e-14
     assert qfi == pytest.approx(float(qfi_text), abs=1e-12)
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_example_config_parses(task):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = parse_config(example, task)
+    assert cfg.raw == example
+    # the fields the README says are shown at their defaults
+    for key in ("max_qubits", "generator", "shots", "trials", "x_true", "n_list"):
+        assert getattr(cfg, key) == getattr(ExperimentConfig, key), key
