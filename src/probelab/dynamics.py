@@ -31,7 +31,7 @@ NONENTANGLING = "nonentangling"
 ENTANGLING = "entangling"
 CUSTOM = "custom"
 
-#: Most negative readout probability that :func:`outcome_probabilities` clips
+#: Most negative readout probability that :func:`probability_vector` clips
 #: to 0 as round-off rather than rejecting.  Fixed, not a ``Tolerances`` field.
 CLIP_FLOOR = -1e-12
 
@@ -164,10 +164,6 @@ class ReadoutBasis:
         return len(self.labels)
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.labels)
-
-    @property
     def n_qubits(self) -> int:
         return ops.n_qubits_of_dim(len(self.labels))
 
@@ -178,9 +174,6 @@ class ReadoutBasis:
 
     def projectors(self) -> list[np.ndarray]:
         return [self.projector(label) for label in self.labels]
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
     def diagonal(self, a: np.ndarray) -> np.ndarray:
         """Complex <k|A|k> for every outcome k, aligned with ``labels``.
@@ -224,8 +217,9 @@ def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
-def readout_from_kets(kets: np.ndarray, labels: tuple[str, ...] | None = None) -> ReadoutBasis:
-    """Wrap a unitary matrix of column kets as a readout basis.
+def readout_from_kets(kets: np.ndarray) -> ReadoutBasis:
+    """Wrap a unitary matrix of column kets as a readout basis whose outcome
+    labels are the column indices "0", "1", ...
 
     Checks completeness (sum of projectors is the identity) and orthogonality,
     each to within ``operators.MATRIX_ATOL`` (Frobenius norm).
@@ -237,12 +231,8 @@ def readout_from_kets(kets: np.ndarray, labels: tuple[str, ...] | None = None) -
         raise ValidationError("readout kets are not orthonormal within tolerance")
     if np.linalg.norm(kets @ kets.conj().T - np.eye(kets.shape[0])) > ops.MATRIX_ATOL:
         raise ValidationError("readout projectors do not sum to the identity")
-    if labels is None:
-        labels = tuple(str(k) for k in range(kets.shape[1]))
-    if len(labels) != kets.shape[1]:
-        raise ValidationError("one label per outcome is required")
     kets.setflags(write=False)
-    return ReadoutBasis(tuple(labels), kets)
+    return ReadoutBasis(tuple(str(k) for k in range(kets.shape[1])), kets)
 
 
 def product_pm_readout(n: int, cap: int = ops.MAX_QUBITS) -> ReadoutBasis:
@@ -268,7 +258,12 @@ def random_projective_readout(n: int, seed: int | np.random.Generator) -> Readou
 
 
 def outcome_probabilities(basis: ReadoutBasis, rho: DensityMatrix) -> dict[str, float]:
-    """p(outcome) = tr(E rho), clipped to [0, 1].
+    """:func:`probability_vector` as a label -> probability mapping."""
+    return dict(zip(basis.labels, probability_vector(basis, rho).tolist()))
+
+
+def probability_vector(basis: ReadoutBasis, rho: DensityMatrix) -> np.ndarray:
+    """p(outcome) = tr(E rho), clipped to [0, 1], aligned with ``basis.labels``.
 
     Values below ``CLIP_FLOOR`` or a total off from 1 by more than 1e-9 signal
     an invalid state/basis pairing and raise.
@@ -284,11 +279,4 @@ def outcome_probabilities(basis: ReadoutBasis, rho: DensityMatrix) -> dict[str, 
         )
     if abs(np.sum(raw) - 1.0) > 1e-9:
         raise ValidationError(f"outcome probabilities sum to {np.sum(raw):.12g}")
-    clipped = np.clip(raw, 0.0, 1.0)
-    return {label: float(p) for label, p in zip(basis.labels, clipped)}
-
-
-def probability_vector(basis: ReadoutBasis, rho: DensityMatrix) -> np.ndarray:
-    """Outcome probabilities as an array aligned with ``basis.labels``."""
-    probs = outcome_probabilities(basis, rho)
-    return np.array([probs[label] for label in basis.labels])
+    return np.clip(raw, 0.0, 1.0)

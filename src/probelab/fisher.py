@@ -187,9 +187,9 @@ def _inv_lambda_array(basis: ReadoutBasis, inv_lambdas) -> np.ndarray:
     if hasattr(inv_lambdas, "keys"):
         return np.array([float(inv_lambdas[label]) for label in basis.labels])
     values = np.asarray(inv_lambdas, dtype=float)
-    if values.shape != (basis.n_outcomes,):
+    if values.shape != (basis.dim,):
         raise DimensionError(
-            f"expected {basis.n_outcomes} inverse eigenvalues, got shape {values.shape}"
+            f"expected {basis.dim} inverse eigenvalues, got shape {values.shape}"
         )
     return values
 
@@ -228,28 +228,28 @@ def _ratio_spectrum(
     probability_floor: float,
 ) -> LambdaSpectrum:
     """The ratios of :func:`lambda_spectrum`, with its rules, from the
-    per-outcome numerators <k|rho L|k>, probabilities and dp/dx."""
-    values = np.zeros(len(labels), dtype=complex)
-    unconstrained = []
-    for k, label in enumerate(labels):
-        if probs[k] <= probability_floor:
-            if abs(numerators[k]) > ZERO_OUTCOME_ATOL:
-                raise UndefinedLambdaError(
-                    f"outcome {label!r} has probability {probs[k]:.3e} but "
-                    f"|tr(E L rho)| = {abs(numerators[k]):.3e}"
-                )
-            unconstrained.append(True)
-            continue
-        ratio = numerators[k] / probs[k]
-        if abs(ratio.real - dprobs[k] / probs[k]) > SCORE_ATOL:
-            raise SLDInconsistencyError(
-                f"outcome {label!r}: Re tr(E L rho)/p = {ratio.real:.12g} does not "
-                f"match tr(E rho')/p = {dprobs[k] / probs[k]:.12g}"
+    per-outcome numerators <k|rho L|k>, probabilities and dp/dx; the first
+    outcome, in label order, that breaks a rule raises."""
+    low = probs <= probability_floor
+    kept = ~low
+    ratios = numerators[kept] / probs[kept]
+    broken = low & (np.abs(numerators) > ZERO_OUTCOME_ATOL)
+    broken[kept] = np.abs(ratios.real - dprobs[kept] / probs[kept]) > SCORE_ATOL
+    if broken.any():
+        k = int(np.argmax(broken))
+        if low[k]:
+            raise UndefinedLambdaError(
+                f"outcome {labels[k]!r} has probability {probs[k]:.3e} but "
+                f"|tr(E L rho)| = {abs(numerators[k]):.3e}"
             )
-        values[k] = ratio
-        unconstrained.append(False)
+        raise SLDInconsistencyError(
+            f"outcome {labels[k]!r}: Re tr(E L rho)/p = {(numerators[k] / probs[k]).real:.12g} "
+            f"does not match tr(E rho')/p = {dprobs[k] / probs[k]:.12g}"
+        )
+    values = np.zeros(len(labels), dtype=complex)
+    values[kept] = ratios
     values.setflags(write=False)
-    return LambdaSpectrum(labels=labels, values=values, unconstrained=tuple(unconstrained))
+    return LambdaSpectrum(labels=labels, values=values, unconstrained=tuple(low.tolist()))
 
 
 def check_saturation(
@@ -259,21 +259,20 @@ def check_saturation(
     *,
     tol: float = Tolerances.saturation,
     sld: SLDResult | None = None,
-    spectrum: LambdaSpectrum | None = None,
 ) -> SaturationReport:
     """Evaluate both saturation conditions for a fixed projective readout.
 
-    Takes L from ``sld`` and the ratios from ``spectrum``, or builds them with
-    the default thresholds, then measures (a) the largest imaginary part of
-    tr(rho E L) over outcomes and (b) the projector compatibility residual
+    Takes L from ``sld``, or builds it with the default thresholds, and the
+    ratios from :func:`lambda_spectrum`, then measures (a) the largest
+    imaginary part of tr(rho E L) over outcomes and (b) the projector
+    compatibility residual
     sqrt(sum_outcomes ||E (L - Re(1/lambda)) rho||_F^2), which vanishes
     exactly when the readout projects onto an eigenbasis of an SLD with real
     eigenvalue ratios on the support of rho.
     """
     if sld is None:
         sld = sld_from_state(rho, rho_prime)
-    if spectrum is None:
-        spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
+    spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
     rho_l = rho.matrix @ sld.operator if sld.rho_l is None else sld.rho_l
     return _dense_saturation(basis, rho, rho_l, basis.diagonal(rho_l), spectrum, tol)
 
@@ -326,17 +325,18 @@ def classical_fisher(
 def _fisher_sum(
     labels: tuple[str, ...], probs: np.ndarray, dprobs: np.ndarray, probability_floor: float
 ) -> float:
-    """sum dp^2 / p with the floor rule of :func:`classical_fisher`."""
-    total = 0.0
-    for label, p, dp in zip(labels, probs, dprobs):
-        if p <= probability_floor:
-            if abs(dp) > ZERO_OUTCOME_ATOL:
-                raise SingularOutcomeError(
-                    f"outcome {label!r} has probability {p:.3e} but derivative {dp:.3e}"
-                )
-            continue
-        total += dp * dp / p
-    return float(total)
+    """sum dp^2 / p with the floor rule of :func:`classical_fisher`; the first
+    outcome, in label order, that breaks it raises.  The kept terms are added
+    left to right from 0.0."""
+    low = probs <= probability_floor
+    singular = low & (np.abs(dprobs) > ZERO_OUTCOME_ATOL)
+    if singular.any():
+        k = int(np.argmax(singular))
+        raise SingularOutcomeError(
+            f"outcome {labels[k]!r} has probability {probs[k]:.3e} but derivative {dprobs[k]:.3e}"
+        )
+    p, dp = probs[~low], dprobs[~low]
+    return float(np.cumsum(np.concatenate(([0.0], dp * dp / p)))[-1])
 
 
 def quantum_fisher(

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import Generator, ReadoutBasis, _in_frame, evolve, probability_vector
+from .dynamics import Generator, ReadoutBasis, _in_frame, probability_vector
 from .errors import DegenerateModelError, DimensionError, ValidationError
 from .fisher import _fisher_sum, analyze, cramer_rao_bound
 from .operators import Tolerances
@@ -50,6 +50,8 @@ from .states import DensityMatrix
 FISHER_FLOOR = 1e-10
 #: Half-width h of the central difference that estimates the slope d<x_est>/dx.
 SLOPE_STEP = 0.01
+#: Points of the likelihood grid and of the fold scan over the search interval.
+GRID_POINTS = 1024
 
 _LOG_FLOOR = 1e-300
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -142,9 +144,6 @@ class MeasurementModel:
         """Exact dp/dx on a grid, shape (len(xs), outcomes)."""
         return self._polynomial(xs, -1j * self._omega[:, None] * self._coeffs)
 
-    def state_at(self, x: float) -> DensityMatrix:
-        return evolve(self.initial_state, self.generator, x)
-
     def fisher_at(
         self, x: float, *, probability_floor: float = Tolerances.probability_floor
     ) -> float:
@@ -185,7 +184,7 @@ class _LikelihoodMachine:
         self,
         model: MeasurementModel,
         search_interval: tuple[float, float],
-        grid_points: int = 1024,
+        grid_points: int = GRID_POINTS,
         probability_floor: float = Tolerances.probability_floor,
     ):
         lo, hi = float(search_interval[0]), float(search_interval[1])
@@ -248,10 +247,8 @@ class _LikelihoodMachine:
         return 0.5 * (a + b)
 
 
-def _fold_free_interval(
-    model: MeasurementModel, x_true: float, grid_points: int = 1024
-) -> tuple[float, float]:
-    """The default search interval: x_true +/- pi/2 on a ``grid_points`` grid,
+def _fold_free_interval(model: MeasurementModel, x_true: float) -> tuple[float, float]:
+    """The default search interval: x_true +/- pi/2 on a ``GRID_POINTS`` grid,
     cut one grid point short of the first fold on each side.
 
     A fold lies between consecutive grid points whose dp/dx vectors reverse
@@ -260,7 +257,7 @@ def _fold_free_interval(
     :class:`DegenerateModelError` when a fold lies within one grid step of
     x_true.
     """
-    xs = np.linspace(x_true - math.pi / 2.0, x_true + math.pi / 2.0, grid_points)
+    xs = np.linspace(x_true - math.pi / 2.0, x_true + math.pi / 2.0, GRID_POINTS)
     dp = model.derivative_table(xs)
     folds = np.flatnonzero(np.einsum("io,io->i", dp[:-1], dp[1:]) < 0.0)
     left, right = folds[xs[folds] < x_true], folds[xs[folds + 1] > x_true]
@@ -273,21 +270,14 @@ def _fold_free_interval(
     return float(lo), float(hi)
 
 
-def mle_estimate(
-    counts,
-    model: MeasurementModel,
-    search_interval: tuple[float, float],
-    *,
-    grid_points: int = 1024,
-    xtol: float = 1e-8,
-) -> float:
+def mle_estimate(counts, model: MeasurementModel, search_interval: tuple[float, float]) -> float:
     """Maximum-likelihood estimate: grid scan plus golden-section refinement.
 
     Raises :class:`DegenerateModelError` when the outcome distribution is flat
     over the interval or carries no local information at its midpoint.
     """
-    machine = _LikelihoodMachine(model, search_interval, grid_points)
-    return float(machine.estimate(_counts_vector(counts, model.labels), xtol)[0])
+    machine = _LikelihoodMachine(model, search_interval)
+    return float(machine.estimate(_counts_vector(counts, model.labels))[0])
 
 
 @dataclass(frozen=True)
@@ -308,7 +298,6 @@ def uncertainty_run(
     seed: int | Sequence[int],
     *,
     search_interval: tuple[float, float] | None = None,
-    grid_points: int = 1024,
     probability_floor: float = Tolerances.probability_floor,
 ) -> EstimationResult:
     """Simulate ``trials`` experiments of ``shots`` readouts each at x_true.
@@ -331,8 +320,8 @@ def uncertainty_run(
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     if search_interval is None:
-        search_interval = _fold_free_interval(model, x_true, grid_points)
-    machine = _LikelihoodMachine(model, search_interval, grid_points, probability_floor)
+        search_interval = _fold_free_interval(model, x_true)
+    machine = _LikelihoodMachine(model, search_interval, probability_floor=probability_floor)
     probs = model.probability_table(np.array([x_true - SLOPE_STEP, x_true, x_true + SLOPE_STEP]))
     counts = np.empty((3, trials, probs.shape[1]))
     peaks = np.empty((3, trials), dtype=int)

@@ -41,11 +41,19 @@ def dumps_report(obj: Any) -> str:
     return json.dumps(jsonify(obj), indent=2) + "\n"
 
 
+def _csv_cell(value: Any) -> str:
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise TypeError(f"a CSV cell must be a float or an int, not {type(value).__name__}")
+
+
 def csv_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """CSV with LF line endings and the fixed float formatting."""
+    """CSV with LF line endings and the float policy of the JSON reports:
+    floats (``np.float64`` included) at 12 significant digits, ints as
+    written; any other cell, which could need quoting, raises ``TypeError``."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(
-            ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
-        )
+        lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -424,17 +424,6 @@ class Solution:
     provenance: str
 
 
-def _solution_from_state(
-    state: DensityMatrix,
-    basis: ReadoutBasis,
-    generator: Generator,
-    provenance: str,
-    inv_lambdas: np.ndarray | None = None,
-) -> Solution:
-    u, unconstrained, residual, qfi = _fit(state, basis, generator, inv_lambdas)
-    return Solution(state, _real_spectrum(basis, u, unconstrained), residual, qfi, provenance)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -488,18 +477,13 @@ def closed_form_solution(generator_kind: str, n: int) -> Solution:
             f"no closed-form state is known for the entangling generator on {n} qubits "
             f"(n divisible by 4 has no stored base solution)"
         )
-    solution = _solution_from_state(state, basis, generator, CLOSED_FORM, u)
-    if u is not None:
-        _require_verified(solution)
-    return solution
-
-
-def _require_verified(solution: Solution, tol: float = ops.Tolerances.solution_residual) -> None:
-    if solution.residual > tol:
+    fit_u, unconstrained, residual, qfi = _fit(state, basis, generator, u)
+    tol = ops.Tolerances.solution_residual
+    if u is not None and residual > tol:
         raise ValidationError(
-            f"closed-form solution failed verification: residual "
-            f"{solution.residual:.3e} > {tol:.1e}"
+            f"closed-form solution failed verification: residual {residual:.3e} > {tol:.1e}"
         )
+    return Solution(state, _real_spectrum(basis, fit_u, unconstrained), residual, qfi, CLOSED_FORM)
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ def dense_lstsq_lambdas(
     """
     kets = basis.kets
     dim = rho.shape[0]
-    m = basis.n_outcomes
+    m = basis.dim
     target = -1j * operators.commutator(generator.matrix, rho)
     columns = np.empty((dim * dim, m), dtype=complex)
     for k in range(m):

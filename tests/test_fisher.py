@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probelab import dynamics, fisher, states
@@ -112,7 +112,7 @@ def test_lambda_spectrum_diagonal_operator_reads_eigenvalues():
     spectrum = fisher.lambda_spectrum(basis, rho, rho_prime, l_op)
     # L is diagonal in the readout basis here; ratios equal its eigenvalues
     for label in basis.labels:
-        ket = basis.kets[:, basis.index(label)]
+        ket = basis.kets[:, basis.labels.index(label)]
         eig = np.real(np.vdot(ket, l_op @ ket))
         assert spectrum[label].real == pytest.approx(eig, abs=1e-10)
 
@@ -122,7 +122,7 @@ def test_lambda_spectrum_undefined_ratio_raises():
     # undefined rather than unconstrained
     eps = 1e-13
     rho = states.density_matrix(np.diag([1.0 - eps, eps]).astype(complex))
-    basis = dynamics.readout_from_kets(np.eye(2, dtype=complex), ("0", "1"))
+    basis = dynamics.readout_from_kets(np.eye(2, dtype=complex))
     l_op = np.diag([0.0, 1e5]).astype(complex)
     with pytest.raises(fisher.UndefinedLambdaError):
         fisher.lambda_spectrum(basis, rho, np.zeros((2, 2)), l_op)
@@ -315,3 +315,130 @@ def test_dense_analyze_matches_a_textbook_reference(n, rank, entangling, kernel_
         close(value, reference)
     close(analysis.saturation.im_condition_max, expected["im_condition_max"])
     close(analysis.saturation.diagonal_residual, expected["diagonal_residual"])
+
+
+def _loop_fisher_sum(labels, probs, dprobs, probability_floor):
+    """``fisher._fisher_sum`` as a loop over the outcomes: the reference of
+    the array form."""
+    total = 0.0
+    for label, p, dp in zip(labels, probs, dprobs):
+        if p <= probability_floor:
+            if abs(dp) > fisher.ZERO_OUTCOME_ATOL:
+                raise SingularOutcomeError(
+                    f"outcome {label!r} has probability {p:.3e} but derivative {dp:.3e}"
+                )
+            continue
+        total += dp * dp / p
+    return float(total)
+
+
+def _loop_ratio_spectrum(labels, numerators, probs, dprobs, probability_floor):
+    """``fisher._ratio_spectrum`` as a loop over the outcomes."""
+    values = np.zeros(len(labels), dtype=complex)
+    unconstrained = []
+    for k, label in enumerate(labels):
+        if probs[k] <= probability_floor:
+            if abs(numerators[k]) > fisher.ZERO_OUTCOME_ATOL:
+                raise fisher.UndefinedLambdaError(
+                    f"outcome {label!r} has probability {probs[k]:.3e} but "
+                    f"|tr(E L rho)| = {abs(numerators[k]):.3e}"
+                )
+            unconstrained.append(True)
+            continue
+        ratio = numerators[k] / probs[k]
+        if abs(ratio.real - dprobs[k] / probs[k]) > fisher.SCORE_ATOL:
+            raise SLDInconsistencyError(
+                f"outcome {label!r}: Re tr(E L rho)/p = {ratio.real:.12g} does not "
+                f"match tr(E rho')/p = {dprobs[k] / probs[k]:.12g}"
+            )
+        values[k] = ratio
+        unconstrained.append(False)
+    return values, tuple(unconstrained)
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (SingularOutcomeError, SLDInconsistencyError, fisher.UndefinedLambdaError) as exc:
+        return type(exc), str(exc)
+
+
+#: One outcome: where its p lies against the floor (a kept p is the second
+#: entry), its dp/dx, the imaginary part of its numerator, and whether it
+#: breaks the floor rule of F_C (dp/dx at a zero outcome) and the rule of its
+#: ratio (a numerator at a zero outcome, or Re ratio off from (dp/dx)/p at a
+#: kept one).
+_OUTCOMES = st.tuples(
+    st.one_of(
+        st.just("kept"),
+        st.sampled_from(["zero", "negative-zero", "at-floor", "above-floor", "below-floor"]),
+    ),
+    st.floats(1e-9, 1.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+def _outcome_arrays(outcomes, floor):
+    probs, dprobs, numerators = [], [], []
+    for where, kept_p, dp, imag, breaks_fisher, breaks_ratio in outcomes:
+        p = {
+            "zero": 0.0,
+            "negative-zero": -0.0,
+            "at-floor": floor,
+            "above-floor": np.nextafter(floor, 1.0),
+            "below-floor": 0.5 * floor,
+            "kept": kept_p,
+        }[where]
+        if p <= floor:
+            dp = 1e-3 * dp if breaks_fisher else 1e-12 * dp
+            numerator = (1e-3 if breaks_ratio else 1e-12) * complex(1.0, imag)
+        else:
+            numerator = complex(dp + (1e-6 * p if breaks_ratio else 0.0), imag)
+        probs.append(p)
+        dprobs.append(dp)
+        numerators.append(numerator)
+    return np.array(probs), np.array(dprobs), np.array(numerators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    outcomes=st.integers(1, 32).flatmap(lambda d: st.lists(_OUTCOMES, min_size=d, max_size=d)),
+    floor=st.sampled_from([Tolerances.probability_floor, 1e-6, 0.25]),
+)
+# both kinds of ratio violation in one array, in either order
+@example(
+    outcomes=[("kept", 0.5, 1.0, 0.0, False, True), ("zero", 0.5, 1.0, 0.5, True, True)],
+    floor=Tolerances.probability_floor,
+)
+@example(
+    outcomes=[("at-floor", 0.5, 1.0, 0.5, False, True), ("kept", 0.5, 1.0, 0.0, True, True)],
+    floor=Tolerances.probability_floor,
+)
+def test_floor_rules_match_the_outcome_loops(outcomes, floor):
+    labels = tuple(f"o{k}" for k in range(len(outcomes)))
+    # as drawn, and with no rule broken on purpose, so that the sum and the
+    # spectrum are reached in most examples
+    for drawn in (outcomes, [outcome[:-2] + (False, False) for outcome in outcomes]):
+        probs, dprobs, numerators = _outcome_arrays(drawn, floor)
+
+        expected = _result_or_error(_loop_fisher_sum, labels, probs, dprobs, floor)
+        found = _result_or_error(fisher._fisher_sum, labels, probs, dprobs, floor)
+        if isinstance(expected, float):
+            # the same bits, the sign of zero included
+            assert np.float64(found).tobytes() == np.float64(expected).tobytes()
+        else:
+            assert found == expected
+
+        args = (labels, numerators, probs, dprobs, floor)
+        expected = _result_or_error(_loop_ratio_spectrum, *args)
+        found = _result_or_error(fisher._ratio_spectrum, *args)
+        if isinstance(found, fisher.LambdaSpectrum):
+            values, unconstrained = expected
+            assert found.values.tobytes() == values.tobytes()
+            assert found.unconstrained == unconstrained
+            assert found.labels == labels
+        else:
+            assert found == expected

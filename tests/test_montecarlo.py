@@ -58,7 +58,7 @@ def test_model_probabilities_match_evolved_state():
     model = single_qubit_model()
     basis = dynamics.product_pm_readout(1)
     for x in (0.0, 0.3, -1.2):
-        evolved = model.state_at(x)
+        evolved = dynamics.evolve(model.initial_state, model.generator, x)
         direct = dynamics.probability_vector(basis, evolved)
         assert np.allclose(model.probabilities(x), direct, atol=1e-12)
 
@@ -88,9 +88,8 @@ def test_log_likelihood_uniform_distribution():
 def test_log_likelihood_maximum_near_truth():
     model = single_qubit_model()
     x_true = 0.4
-    counts = montecarlo.sample_readout(
-        model.state_at(x_true), model.basis, 10**5, seed=3
-    )
+    state = dynamics.evolve(model.initial_state, model.generator, x_true)
+    counts = montecarlo.sample_readout(state, model.basis, 10**5, seed=3)
     xs = np.linspace(x_true - 1.0, x_true + 1.0, 401)
     values = [montecarlo.log_likelihood(counts, model, x) for x in xs]
     assert abs(xs[int(np.argmax(values))] - x_true) < 0.02
@@ -107,7 +106,7 @@ def test_mle_plug_in_consistency():
 def test_mle_single_outcome_model_is_degenerate():
     # a computational-basis readout of |0><0| gives one outcome at every x
     zero = states.pure_state(np.array([1.0, 0.0]))
-    basis = dynamics.readout_from_kets(np.eye(2, dtype=complex), ("0", "1"))
+    basis = dynamics.readout_from_kets(np.eye(2, dtype=complex))
     model = MeasurementModel(dynamics.nonentangling_generator(1), zero, basis)
     with pytest.raises(DegenerateModelError):
         montecarlo.mle_estimate({"0": 10, "1": 0}, model, (-1.0, 1.0))

@@ -74,7 +74,7 @@ def test_frame_least_squares_matches_the_dense_system(
     generator = _generator(generator_kind, n, rng)
     state = _probe(probe_kind, basis, rng)
 
-    spectrum, residual, _ = solver.solve_lambdas_given_state(state, basis, generator)
+    spectrum, residual, qfi = solver.solve_lambdas_given_state(state, basis, generator)
     u_ref, unconstrained_ref, residual_ref = verify.dense_lstsq_lambdas(
         state.matrix, basis, generator
     )
@@ -96,7 +96,6 @@ def test_frame_least_squares_matches_the_dense_system(
     )
     l_ref = _dense_l(basis, u)
     qfi_ref = np.trace(l_ref @ l_ref @ state.matrix).real
-    qfi = solver._solution_from_state(state, basis, generator, "test").qfi
     assert qfi == pytest.approx(qfi_ref, rel=1e-9, abs=1e-12)
 
 

@@ -39,11 +39,22 @@ def test_json_report_edge_values():
 
 
 def test_csv_table_edge_values():
-    row = {**EDGE_VALUES, "tuple": (1, 2)}
+    row = {key: value for key, value in EDGE_VALUES.items() if isinstance(value, float)}
+    row["int"] = 3
     assert csv_table(list(row), [list(row.values())]) == (
-        "nan,inf,ninf,neg0,tiny,third,f64,bool,none,tuple\n"
-        "nan,inf,-inf,-0,4.94065645841e-324,0.333333333333,0.666666666667,True,None,(1, 2)\n"
+        "nan,inf,ninf,neg0,tiny,third,f64,int\n"
+        "nan,inf,-inf,-0,4.94065645841e-324,0.333333333333,0.666666666667,3\n"
     )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, None, (1, 2), "a,b", 1j, np.int64(1), np.bool_(True)],
+    ids=["bool", "none", "tuple", "str", "complex", "int64", "bool_"],
+)
+def test_csv_table_refuses_cells_that_are_not_floats_or_ints(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        csv_table(["t"], [[value]])
 
 
 @pytest.mark.parametrize(
