@@ -239,9 +239,12 @@ def _normalize_tolerances(raw) -> Tolerances:
     known = {f.name for f in fields(Tolerances)}
     for key in raw:
         _require(key in known, f"config.tolerances: unknown field {key!r}")
-    return Tolerances(
+    tolerances = Tolerances(
         **{key: _check_number(value, f"config.tolerances.{key}") for key, value in raw.items()}
     )
+    # a negative floor lets zero-probability outcomes into the Fisher sums as 0/0
+    _require(tolerances.probability_floor >= 0, "config.tolerances.probability_floor: must be >= 0")
+    return tolerances
 
 
 def _normalize_output(raw) -> tuple[str | None, str | None]:

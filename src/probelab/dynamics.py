@@ -249,7 +249,7 @@ def product_pm_readout(n: int, cap: int = ops.MAX_QUBITS) -> ReadoutBasis:
 def random_projective_readout(n: int, seed: int | np.random.Generator) -> ReadoutBasis:
     """Haar-random complete projective readout (for property sweeps)."""
     ops.check_cap(n)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dim = 2**n
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

@@ -204,7 +204,6 @@ class CoefficientSystem:
 
     kind: str
     equations: tuple[EquationRow, ...]
-    n_qubits: int = 2
 
 
 def two_qubit_system(kind: str) -> CoefficientSystem:

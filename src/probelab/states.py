@@ -287,7 +287,7 @@ def random_pure_state(n_qubits: int, seed: int | np.random.Generator) -> Density
     Draws independent standard-normal real and imaginary parts and normalizes.
     """
     ops.check_cap(n_qubits)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dim = 2**n_qubits
     ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return pure_state(ket)
@@ -296,7 +296,7 @@ def random_pure_state(n_qubits: int, seed: int | np.random.Generator) -> Density
 def random_mixed_state(n_qubits: int, seed: int | np.random.Generator) -> DensityMatrix:
     """Full-rank random state G G^dagger / tr(G G^dagger) with Ginibre G."""
     ops.check_cap(n_qubits)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dim = 2**n_qubits
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T

@@ -2,9 +2,11 @@
 
 Every check compares a computed quantity against a frozen expected value
 (hand-derived or closed form), so any corruption of the underlying algebra is
-caught.  Checks are named by what they verify; ``run_golden_suite`` filters by
-substring so related groups (e.g. every name containing "parity") can be run
-in isolation.
+caught.  A check is a function decorated with ``@_check(claim)`` that returns
+``(passed, measured)``; its name is the function name without the leading
+underscore and with ``-`` for ``_``.  ``run_golden_suite`` filters by
+substring of that name, so related groups (e.g. every name containing
+"parity") can be run in isolation.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 # Frozen matrices used as independent expectations (never built from the
 # package's own Pauli constants, so sign corruptions are detectable).
-_EXPECT_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _EXPECT_OPTIMAL_PLUS = np.array([[0.5, -0.5j], [0.5j, 0.5]])
 _EXPECT_OPTIMAL_MINUS = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
 _EXPECT_MINUS_X = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -37,30 +38,24 @@ class CheckResult:
     measured: dict[str, float] = field(default_factory=dict)
 
 
-_CHECKS: list[tuple[str, Callable[[], CheckResult]]] = []
+#: (name, claim, check) in declaration order; a check returns (passed, measured).
+_CHECKS: list[tuple[str, str, Callable[[], tuple[bool, dict]]]] = []
 
 
-def _check(name: str):
+def _check(claim: str):
     def register(func):
-        _CHECKS.append((name, func))
+        _CHECKS.append((func.__name__.lstrip("_").replace("_", "-"), claim, func))
         return func
 
     return register
-
-
-def _result(name: str, passed: bool, detail: str, **measured: float) -> CheckResult:
-    return CheckResult(
-        name=name, passed=bool(passed), detail=detail,
-        measured={k: float(v) for k, v in measured.items()},
-    )
 
 
 def _close(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-@_check("single-qubit-optimum-states")
-def _check_single_qubit_optimum() -> CheckResult:
+@_check("optimal single-qubit states are (1 +/- sigma_2)/2 and pure")
+def _single_qubit_optimum_states():
     plus = states.optimal_single_qubit(+1)
     minus = states.optimal_single_qubit(-1)
     err = max(
@@ -69,29 +64,21 @@ def _check_single_qubit_optimum() -> CheckResult:
         abs(plus.purity() - 1.0),
         abs(minus.purity() - 1.0),
     )
-    return _result(
-        "single-qubit-optimum-states", err <= 1e-12,
-        "optimal single-qubit states are (1 +/- sigma_2)/2 and pure",
-        max_error=err,
-    )
+    return err <= 1e-12, {"max_error": err}
 
 
-@_check("eigenbasis-of-y")
-def _check_eigenbasis_of_y() -> CheckResult:
+@_check("sigma_2 eigenpairs are +/-1 with eigenvectors (|0> +/- i|1>)/sqrt(2)")
+def _eigenbasis_of_y():
     eig = operators.hermitian_eigen(operators.pauli_matrix("Y"))
     value_err = _close(eig.values, [1.0, -1.0])
     ov_plus = abs(np.vdot(eig.vectors[:, 0], _KET_I))
     ov_minus = abs(np.vdot(eig.vectors[:, 1], _KET_IBAR))
     err = max(value_err, abs(ov_plus - 1.0), abs(ov_minus - 1.0))
-    return _result(
-        "eigenbasis-of-y", err <= 1e-10,
-        "sigma_2 eigenpairs are +/-1 with eigenvectors (|0> +/- i|1>)/sqrt(2)",
-        max_error=err,
-    )
+    return err <= 1e-10, {"max_error": err}
 
 
-@_check("bloch-construction")
-def _check_bloch_construction() -> CheckResult:
+@_check("Bloch construction reproduces the optimum and rejects |a| > 1")
+def _bloch_construction():
     rho = states.from_bloch([0.0, 1.0, 0.0])
     mixed = states.from_bloch([0.0, 0.0, 0.0])
     err = max(
@@ -103,29 +90,21 @@ def _check_bloch_construction() -> CheckResult:
         rejected = False
     except states.PSDViolationError:
         rejected = True
-    return _result(
-        "bloch-construction", err <= 1e-12 and rejected,
-        "Bloch construction reproduces the optimum and rejects |a| > 1",
-        max_error=err,
-    )
+    return err <= 1e-12 and rejected, {"max_error": err}
 
 
-@_check("tensor-power-expansion")
-def _check_tensor_power() -> CheckResult:
+@_check("two-fold power of the optimum is (II + YI + IY + YY)/4")
+def _tensor_power_expansion():
     rho2 = states.tensor_power(states.optimal_single_qubit(+1), 2)
     terms = rho2.pauli_coefficients()
     expected = {"II": 0.25, "YI": 0.25, "IY": 0.25, "YY": 0.25}
     err = max(abs(terms.get(k, 0.0) - v) for k, v in expected.items())
     extra = set(terms) - set(expected)
-    return _result(
-        "tensor-power-expansion", err <= 1e-12 and not extra,
-        "two-fold power of the optimum is (II + YI + IY + YY)/4",
-        max_error=err,
-    )
+    return err <= 1e-12 and not extra, {"max_error": err}
 
 
-@_check("cat-pauli-signs")
-def _check_cat_signs() -> CheckResult:
+@_check("cat-state Pauli weights match the ket-derived convention")
+def _cat_pauli_signs():
     plus = states.cat_state(2, +1).pauli_coefficients()
     minus = states.cat_state(2, -1).pauli_coefficients()
     # Recorded convention, computed from the ket definition: the +
@@ -137,15 +116,11 @@ def _check_cat_signs() -> CheckResult:
         max(abs(plus.get(k, 0.0) - v) for k, v in expect_plus.items()),
         max(abs(minus.get(k, 0.0) - v) for k, v in expect_minus.items()),
     )
-    return _result(
-        "cat-pauli-signs", err <= 1e-12,
-        "cat-state Pauli weights match the ket-derived convention",
-        max_error=err,
-    )
+    return err <= 1e-12, {"max_error": err}
 
 
-@_check("generator-spectra")
-def _check_generators() -> CheckResult:
+@_check("two-qubit generators have the expected matrices and spectra")
+def _generator_spectra():
     non2 = dynamics.nonentangling_generator(2).matrix
     ent2 = dynamics.entangling_generator(2).matrix
     err = max(
@@ -154,30 +129,22 @@ def _check_generators() -> CheckResult:
         abs(np.trace(non2)),
         _close(ent2 @ ent2, 0.25 * np.eye(4)),
     )
-    return _result(
-        "generator-spectra", err <= 1e-12,
-        "two-qubit generators have the expected matrices and spectra",
-        max_error=err,
-    )
+    return err <= 1e-12, {"max_error": err}
 
 
-@_check("readout-projectors")
-def _check_readout() -> CheckResult:
+@_check("per-qubit |+>/|-> projectors are (1 +/- sigma_1)/2 and complete")
+def _readout_projectors():
     basis = dynamics.product_pm_readout(1)
     plus = basis.projector("+")
     err = _close(plus, np.array([[0.5, 0.5], [0.5, 0.5]]))
     basis3 = dynamics.product_pm_readout(3)
     total = sum(basis3.projectors())
     err = max(err, _close(total, np.eye(8)))
-    return _result(
-        "readout-projectors", err <= 1e-12,
-        "per-qubit |+>/|-> projectors are (1 +/- sigma_1)/2 and complete",
-        max_error=err,
-    )
+    return err <= 1e-12, {"max_error": err}
 
 
-@_check("derivative-bloch-form")
-def _check_derivative_form() -> CheckResult:
+@_check("-i[H, rho] equals -(a_2 sigma_1 - a_1 sigma_2)/2 for single qubits")
+def _derivative_bloch_form():
     rng = np.random.default_rng(7)
     gen = dynamics.nonentangling_generator(1)
     worst = 0.0
@@ -191,15 +158,11 @@ def _check_derivative_form() -> CheckResult:
             - a[0] * np.array([[0.0, -1.0j], [1.0j, 0.0]])
         )
         worst = max(worst, _close(got, expect))
-    return _result(
-        "derivative-bloch-form", worst <= 1e-12,
-        "-i[H, rho] equals -(a_2 sigma_1 - a_1 sigma_2)/2 for single qubits",
-        max_error=worst,
-    )
+    return worst <= 1e-12, {"max_error": worst}
 
 
-@_check("bloch-rotation")
-def _check_bloch_rotation() -> CheckResult:
+@_check("evolution rotates the Bloch vector to (-sin x, cos x, 0)")
+def _bloch_rotation():
     gen = dynamics.nonentangling_generator(1)
     rho0 = states.optimal_single_qubit(+1)
     x = 0.7
@@ -211,15 +174,11 @@ def _check_bloch_rotation() -> CheckResult:
         dynamics.evolve(rho0, gen, h).matrix - dynamics.evolve(rho0, gen, -h).matrix
     ) / (2.0 * h)
     err_fd = _close(fd, dynamics.state_derivative(gen, rho0))
-    return _result(
-        "bloch-rotation", err <= 1e-10 and err_fd <= 1e-6,
-        "evolution rotates the Bloch vector to (-sin x, cos x, 0)",
-        bloch_error=err, derivative_error=err_fd,
-    )
+    return err <= 1e-10 and err_fd <= 1e-6, {"bloch_error": err, "derivative_error": err_fd}
 
 
-@_check("single-qubit-sld")
-def _check_single_qubit_sld() -> CheckResult:
+@_check("the SLD of the optimal single-qubit probe is -/+ sigma_1")
+def _single_qubit_sld():
     gen = dynamics.nonentangling_generator(1)
     plus = states.optimal_single_qubit(+1)
     minus = states.optimal_single_qubit(-1)
@@ -229,15 +188,11 @@ def _check_single_qubit_sld() -> CheckResult:
         _close(l_plus.operator, _EXPECT_MINUS_X),
         _close(l_minus.operator, -_EXPECT_MINUS_X),
     )
-    return _result(
-        "single-qubit-sld", err <= 1e-10,
-        "the SLD of the optimal single-qubit probe is -/+ sigma_1",
-        max_error=err,
-    )
+    return err <= 1e-10, {"max_error": err}
 
 
-@_check("single-qubit-lambda-and-fisher")
-def _check_single_qubit_lambda() -> CheckResult:
+@_check("inverse eigenvalues are -/+1 and both Fisher informations equal 1")
+def _single_qubit_lambda_and_fisher():
     gen = dynamics.nonentangling_generator(1)
     basis = dynamics.product_pm_readout(1)
     analysis = fisher.analyze(gen, states.optimal_single_qubit(+1), basis)
@@ -250,17 +205,15 @@ def _check_single_qubit_lambda() -> CheckResult:
         report.im_condition_max,
         report.diagonal_residual,
     )
-    return _result(
-        "single-qubit-lambda-and-fisher", err <= 1e-9 and report.saturated,
-        "inverse eigenvalues are -/+1 and both Fisher informations equal 1",
-        max_error=err,
-        im_condition_max=report.im_condition_max,
-        diagonal_residual=report.diagonal_residual,
-    )
+    return err <= 1e-9 and report.saturated, {
+        "max_error": err,
+        "im_condition_max": report.im_condition_max,
+        "diagonal_residual": report.diagonal_residual,
+    }
 
 
-@_check("product-state-lambda-additivity")
-def _check_lambda_additivity() -> CheckResult:
+@_check("inverse eigenvalues of tensor-power probes add per qubit")
+def _product_state_lambda_additivity():
     worst = 0.0
     for n in range(2, 5):
         gen = dynamics.nonentangling_generator(n)
@@ -272,15 +225,11 @@ def _check_lambda_additivity() -> CheckResult:
         for label in basis.labels:
             expected = sum(-1.0 if c == "+" else 1.0 for c in label)
             worst = max(worst, abs(spectrum[label] - expected))
-    return _result(
-        "product-state-lambda-additivity", worst <= 1e-9,
-        "inverse eigenvalues of tensor-power probes add per qubit",
-        max_error=worst,
-    )
+    return worst <= 1e-9, {"max_error": worst}
 
 
-@_check("nqubit-sld-closed-form")
-def _check_nqubit_sld() -> CheckResult:
+@_check("diagonal SLD equals minus the sum of single-qubit X terms, QFI = n")
+def _nqubit_sld_closed_form():
     worst_l = 0.0
     worst_qfi = 0.0
     worst_res = 0.0
@@ -293,16 +242,12 @@ def _check_nqubit_sld() -> CheckResult:
         worst_l = max(worst_l, _close(l_dense, expect))
         worst_qfi = max(worst_qfi, abs(sol.qfi - n))
         worst_res = max(worst_res, sol.residual)
-    return _result(
-        "nqubit-sld-closed-form",
-        worst_l <= 1e-9 and worst_qfi <= 1e-8 and worst_res <= 1e-7,
-        "diagonal SLD equals minus the sum of single-qubit X terms, QFI = n",
-        l_error=worst_l, qfi_error=worst_qfi, residual=worst_res,
-    )
+    passed = worst_l <= 1e-9 and worst_qfi <= 1e-8 and worst_res <= 1e-7
+    return passed, {"l_error": worst_l, "qfi_error": worst_qfi, "residual": worst_res}
 
 
-@_check("fisher-scaling-product-states")
-def _check_fisher_scaling() -> CheckResult:
+@_check("classical and quantum Fisher information both equal n, saturated")
+def _fisher_scaling_product_states():
     worst = 0.0
     saturated_all = True
     for n in range(1, 7):
@@ -314,15 +259,12 @@ def _check_fisher_scaling() -> CheckResult:
             worst, abs(analysis.classical_fisher - n), abs(analysis.quantum_fisher - n)
         )
         saturated_all &= analysis.saturation.saturated
-    return _result(
-        "fisher-scaling-product-states", worst <= 1e-8 and saturated_all,
-        "classical and quantum Fisher information both equal n, saturated",
-        max_error=worst,
-    )
+    return worst <= 1e-8 and saturated_all, {"max_error": worst}
 
 
-@_check("pure-probe-closed-form-route")
-def _check_pure_route() -> CheckResult:
+@_check("every pure probe carries its ket, and closed-form analysis of tensor, cat and "
+        "random pure probes matches the dense route")
+def _pure_probe_closed_form_route():
     # analyze takes the closed-form route for a state with a ket; the same
     # matrix without it takes the dense eigenbasis route, the reference here.
     # Every probe, the one built from Bloch numbers too, must carry its ket:
@@ -365,12 +307,8 @@ def _check_pure_route() -> CheckResult:
                         pure.spectrum.unconstrained == dense.spectrum.unconstrained
                         and pure.saturation.saturated == dense.saturation.saturated
                     )
-    return _result(
-        "pure-probe-closed-form-route", worst <= 1e-9 and flags_agree and not missing_kets,
-        "every pure probe carries its ket, and closed-form analysis of tensor, cat and "
-        "random pure probes matches the dense route",
-        max_error=worst, missing_kets=missing_kets,
-    )
+    passed = worst <= 1e-9 and flags_agree and not missing_kets
+    return passed, {"max_error": worst, "missing_kets": missing_kets}
 
 
 def dense_lstsq_lambdas(
@@ -416,8 +354,8 @@ def _zero_outcome_ket(basis: dynamics.ReadoutBasis, rng: np.random.Generator) ->
     return basis.kets @ (phi / np.linalg.norm(phi))
 
 
-@_check("optimality-equation-readout-frame")
-def _check_readout_frame() -> CheckResult:
+@_check("entrywise least squares in the readout frame matches the dense outer-product system")
+def _optimality_equation_readout_frame():
     # solve_lambdas_given_state takes the closed form for a state with a ket
     # and the readout frame otherwise, so each pure probe runs both ways; the
     # dense outer-product system above is the reference
@@ -453,16 +391,12 @@ def _check_readout_frame() -> CheckResult:
                     worst_res = max(worst_res, abs(residual - res_ref) / max(1.0, res_ref))
                     worst_qfi = max(worst_qfi, abs(qfi - qfi_ref) / max(1.0, qfi_ref))
                     flags_agree &= spectrum.unconstrained == tuple(map(bool, free_ref))
-    return _result(
-        "optimality-equation-readout-frame",
-        max(worst_u, worst_res, worst_qfi) <= 1e-9 and flags_agree,
-        "entrywise least squares in the readout frame matches the dense outer-product system",
-        u_error=worst_u, residual_error=worst_res, qfi_error=worst_qfi,
-    )
+    passed = max(worst_u, worst_res, worst_qfi) <= 1e-9 and flags_agree
+    return passed, {"u_error": worst_u, "residual_error": worst_res, "qfi_error": worst_qfi}
 
 
-@_check("cat-state-excluded")
-def _check_cat_excluded() -> CheckResult:
+@_check("the cat state solves nothing: best residual stays large, F = 0")
+def _cat_state_excluded():
     gen = dynamics.nonentangling_generator(2)
     basis = dynamics.product_pm_readout(2)
     cat = states.cat_state(2, +1)
@@ -470,16 +404,12 @@ def _check_cat_excluded() -> CheckResult:
     _, residual, _ = solver.solve_lambdas_given_state(cat, basis, gen)
     f_c = fisher.classical_fisher(basis, cat, rho_prime)
     report = fisher.check_saturation(basis, cat, rho_prime)
-    ok = residual > 0.1 and abs(f_c) <= 1e-10 and not report.saturated
-    return _result(
-        "cat-state-excluded", ok,
-        "the cat state solves nothing: best residual stays large, F = 0",
-        residual=residual, classical_fisher=f_c,
-    )
+    passed = residual > 0.1 and abs(f_c) <= 1e-10 and not report.saturated
+    return passed, {"residual": residual, "classical_fisher": f_c}
 
 
-@_check("two-qubit-system-nonentangling")
-def _check_system_nonentangling() -> CheckResult:
+@_check("product-state K values zero all sixteen relations (dense agreement)")
+def _two_qubit_system_nonentangling():
     system = solver.two_qubit_system(dynamics.NONENTANGLING)
     coeffs = states.BlochCoefficients.from_state(
         states.tensor_power(states.optimal_single_qubit(+1), 2)
@@ -490,15 +420,11 @@ def _check_system_nonentangling() -> CheckResult:
     residuals = solver.evaluate_two_qubit_system(system, coeffs, k)
     dense = solver.dense_two_qubit_residuals(system, coeffs, k)
     err = max(float(np.max(np.abs(residuals))), _close(residuals, dense), err_k)
-    return _result(
-        "two-qubit-system-nonentangling", err <= 1e-9,
-        "product-state K values zero all sixteen relations (dense agreement)",
-        max_error=err,
-    )
+    return err <= 1e-9, {"max_error": err}
 
 
-@_check("two-qubit-system-entangling-family")
-def _check_system_entangling() -> CheckResult:
+@_check("the entangling solution zeros all relations for any free value c")
+def _two_qubit_system_entangling_family():
     system = solver.two_qubit_system(dynamics.ENTANGLING)
     coeffs = states.BlochCoefficients.from_state(
         states.two_qubit_entangling_candidate(1.0, 1.0, 1.0)
@@ -509,15 +435,11 @@ def _check_system_entangling() -> CheckResult:
         residuals = solver.evaluate_two_qubit_system(system, coeffs, k)
         dense = solver.dense_two_qubit_residuals(system, coeffs, k)
         worst = max(worst, float(np.max(np.abs(residuals))), _close(residuals, dense))
-    return _result(
-        "two-qubit-system-entangling-family", worst <= 1e-9,
-        "the entangling solution zeros all relations for any free value c",
-        max_error=worst,
-    )
+    return worst <= 1e-9, {"max_error": worst}
 
 
-@_check("entangling-two-qubit-solution")
-def _check_entangling_solution() -> CheckResult:
+@_check("pure two-qubit entangling solution with QFI = 1; mixed outcomes free")
+def _entangling_two_qubit_solution():
     sol = solver.closed_form_solution(dynamics.ENTANGLING, 2)
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.entangling_generator(2)
@@ -538,15 +460,11 @@ def _check_entangling_solution() -> CheckResult:
         abs(sol.state.purity() - 1.0),
     )
     unconstrained_ok = spectrum.unconstrained[1] and spectrum.unconstrained[2]
-    return _result(
-        "entangling-two-qubit-solution", err <= 1e-8 and unconstrained_ok,
-        "pure two-qubit entangling solution with QFI = 1; mixed outcomes free",
-        max_error=err,
-    )
+    return err <= 1e-8 and unconstrained_ok, {"max_error": err}
 
 
-@_check("unconstrained-lambda-invariance")
-def _check_unconstrained_invariance() -> CheckResult:
+@_check("the free eigenvalue on zero-probability outcomes never moves QFI")
+def _unconstrained_lambda_invariance():
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.entangling_generator(2)
     state = states.two_qubit_entangling_candidate(1.0, 1.0, 1.0)
@@ -558,15 +476,11 @@ def _check_unconstrained_invariance() -> CheckResult:
         l_op = fisher.sld_from_spectrum(basis, u).operator
         qfi = float(np.real(np.trace(l_op @ l_op @ state.matrix)))
         worst_qfi = max(worst_qfi, abs(qfi - 1.0))
-    return _result(
-        "unconstrained-lambda-invariance", max(worst_qfi, worst_res) <= 1e-9,
-        "the free eigenvalue on zero-probability outcomes never moves QFI",
-        qfi_error=worst_qfi, residual=worst_res,
-    )
+    return max(worst_qfi, worst_res) <= 1e-9, {"qfi_error": worst_qfi, "residual": worst_res}
 
 
-@_check("even-parity-imaginary-lambdas")
-def _check_even_parity() -> CheckResult:
+@_check("even tensor powers under entangling dynamics give imaginary ratios")
+def _even_parity_imaginary_lambdas():
     ok = True
     worst_re = 0.0
     least_im = np.inf
@@ -576,15 +490,11 @@ def _check_even_parity() -> CheckResult:
         least_im = min(least_im, report.max_abs_imag)
         ok &= not report.saturated
     ok &= worst_re <= 1e-9 and least_im >= 0.1
-    return _result(
-        "even-parity-imaginary-lambdas", ok,
-        "even tensor powers under entangling dynamics give imaginary ratios",
-        max_abs_real=worst_re, min_max_abs_imag=least_im,
-    )
+    return ok, {"max_abs_real": worst_re, "min_max_abs_imag": least_im}
 
 
-@_check("odd-parity-product-rule")
-def _check_odd_parity() -> CheckResult:
+@_check("odd tensor powers obey the product rule with values +/-1, QFI = 1")
+def _odd_parity_product_rule():
     worst = 0.0
     worst_qfi = 0.0
     for n in (3, 5):
@@ -595,57 +505,38 @@ def _check_odd_parity() -> CheckResult:
             worst = max(worst, abs(report.spectrum[label] - expected))
         sol = solver.closed_form_solution(dynamics.ENTANGLING, n)
         worst_qfi = max(worst_qfi, abs(sol.qfi - 1.0), sol.residual)
-    return _result(
-        "odd-parity-product-rule", worst <= 1e-9 and worst_qfi <= 1e-8,
-        "odd tensor powers obey the product rule with values +/-1, QFI = 1",
-        max_error=worst, qfi_error=worst_qfi,
-    )
+    return worst <= 1e-9 and worst_qfi <= 1e-8, {"max_error": worst, "qfi_error": worst_qfi}
 
 
-@_check("composite-tensor-rule")
-def _check_composite_rule() -> CheckResult:
+@_check("tensor cube of the two-qubit solution solves the six-qubit optimality equation")
+def _composite_tensor_rule():
     # Unproven composite construction: measure the residual, record the
     # verdict either way.
     sol = solver.closed_form_solution(dynamics.ENTANGLING, 6)
-    passed = sol.residual <= 1e-7
-    verdict = "holds" if passed else "fails"
-    return _result(
-        "composite-tensor-rule", passed,
-        f"tensor cube of the two-qubit solution on six qubits: rule {verdict} "
-        f"(measured residual {sol.residual:.3e}, qfi {sol.qfi:.6f})",
-        residual=sol.residual, qfi=sol.qfi,
-    )
+    return sol.residual <= 1e-7, {"residual": sol.residual, "qfi": sol.qfi}
 
 
-@_check("entangling-qfi-constant")
-def _check_entangling_qfi() -> CheckResult:
+@_check("no QFI advantage from more qubits under the entangling generator")
+def _entangling_qfi_constant():
     worst = 0.0
     for n in (1, 3, 5):
         sol = solver.closed_form_solution(dynamics.ENTANGLING, n)
         worst = max(worst, abs(sol.qfi - 1.0))
-    return _result(
-        "entangling-qfi-constant", worst <= 1e-8,
-        "no QFI advantage from more qubits under the entangling generator",
-        max_error=worst,
-    )
+    return worst <= 1e-8, {"max_error": worst}
 
 
-@_check("shot-noise-bound")
-def _check_bound() -> CheckResult:
+@_check("bound is 1/sqrt(repetitions * F), unbounded at F = 0")
+def _shot_noise_bound():
     worst = max(
         abs(fisher.cramer_rao_bound(n, 1) - 1.0 / math.sqrt(n)) for n in range(1, 7)
     )
     worst = max(worst, abs(fisher.cramer_rao_bound(1, 10**4) - 0.01))
     unbounded = math.isinf(fisher.cramer_rao_bound(0.0, 1))
-    return _result(
-        "shot-noise-bound", worst <= 1e-12 and unbounded,
-        "bound is 1/sqrt(repetitions * F), unbounded at F = 0",
-        max_error=worst,
-    )
+    return worst <= 1e-12 and unbounded, {"max_error": worst}
 
 
-@_check("solver-single-qubit-search")
-def _check_search() -> CheckResult:
+@_check("search recovers QFI 1 on the Bloch equator (a_3 = 0, |a| = 1)")
+def _solver_single_qubit_search():
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(1),
         dynamics.product_pm_readout(1),
@@ -653,11 +544,7 @@ def _check_search() -> CheckResult:
         solver.SearchConfig(n_starts=16, seed=11),
     )
     if not result.feasible:
-        return _result(
-            "solver-single-qubit-search", False,
-            "search found no feasible single-qubit state",
-            best_residual=result.best_residual,
-        )
+        return False, {"best_residual": result.best_residual}
     # The feasible set is the whole Bloch equator (every a_3 = 0 pure state
     # attains F = 1); the two states (0, +/-1, 0) are its symmetric members.
     worst = 0.0
@@ -670,15 +557,11 @@ def _check_search() -> CheckResult:
             abs(a[2]),
             sol.residual,
         )
-    return _result(
-        "solver-single-qubit-search", worst <= 1e-6,
-        "search recovers QFI 1 on the Bloch equator (a_3 = 0, |a| = 1)",
-        max_error=worst, n_solutions=len(result.solutions),
-    )
+    return worst <= 1e-6, {"max_error": worst, "n_solutions": len(result.solutions)}
 
 
-@_check("solver-three-qubit-ceiling")
-def _check_search_ceiling() -> CheckResult:
+@_check("search reaches the QFI ceiling 9 (non-entangling) and 1 (entangling) at n = 3")
+def _solver_three_qubit_ceiling():
     # No probe exceeds (h_max - h_min)^2: 9 for the non-entangling generator
     # and 1 for the entangling one at n = 3; the search must reach both.
     worst = 0.0
@@ -690,43 +573,35 @@ def _check_search_ceiling() -> CheckResult:
             solver.SearchConfig(n_starts=4, seed=3),
         )
         if not result.feasible:
-            return _result(
-                "solver-three-qubit-ceiling", False,
-                f"search found no feasible three-qubit state for QFI {ceiling:g}",
-                best_residual=result.best_residual,
-            )
+            return False, {"best_residual": result.best_residual}
         worst = max(worst, *(abs(sol.qfi - ceiling) for sol in result.solutions))
-    return _result(
-        "solver-three-qubit-ceiling", worst <= 1e-6,
-        "search reaches the QFI ceiling 9 (non-entangling) and 1 (entangling) at n = 3",
-        max_error=worst,
-    )
+    return worst <= 1e-6, {"max_error": worst}
 
 
-@_check("readout-sampling")
-def _check_sampling() -> CheckResult:
+@_check("balanced outcome frequencies, identical redraw under the same seed")
+def _readout_sampling():
     basis = dynamics.product_pm_readout(1)
     rho = states.optimal_single_qubit(+1)
     counts = montecarlo.sample_readout(rho, basis, 10**6, seed=123)
     frac = counts.counts["+"] / counts.total
     again = montecarlo.sample_readout(rho, basis, 10**6, seed=123)
-    return _result(
-        "readout-sampling", abs(frac - 0.5) <= 0.002 and again.counts == counts.counts,
-        "balanced outcome frequencies, identical redraw under the same seed",
-        plus_fraction=frac,
-    )
+    passed = abs(frac - 0.5) <= 0.002 and again.counts == counts.counts
+    return passed, {"plus_fraction": frac}
 
 
 def run_golden_suite(filter_substring: str | None = None) -> list[CheckResult]:
     """Run all (or a substring-filtered subset of) the golden checks."""
     results = []
-    for name, func in _CHECKS:
+    for name, claim, func in _CHECKS:
         if filter_substring and filter_substring not in name:
             continue
         try:
-            results.append(func())
+            passed, measured = func()
         except Exception as exc:  # a crash is a failed check, not a crash of the suite
-            results.append(
-                CheckResult(name=name, passed=False, detail=f"raised {exc!r}")
-            )
+            results.append(CheckResult(name=name, passed=False, detail=f"raised {exc!r}"))
+            continue
+        results.append(CheckResult(
+            name=name, passed=bool(passed), detail=claim,
+            measured={k: float(v) for k, v in measured.items()},
+        ))
     return results

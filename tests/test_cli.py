@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from probelab import cli, dynamics, fisher, montecarlo, operators, solver, states
+from probelab import cli, dynamics, fisher, montecarlo, operators, solver, states, verify
 from probelab.config import TASKS, ExperimentConfig, parse_config_text
 from probelab.operators import Tolerances
 from probelab.report import round_float
@@ -137,6 +137,16 @@ def test_nan_saturation_tolerance_cannot_unsaturate_a_saturated_probe(tmp_path, 
     code, out, err = run_cli(capsys, ["fisher", str(path)])
     assert code == 2 and out == ""
     assert "config.tolerances.saturation" in err
+
+
+def test_negative_probability_floor_is_a_config_error(tmp_path, capsys):
+    payload = {"n_qubits": 2, "state": "cat", "tolerances": {"probability_floor": -1}}
+    code, out, err = run_cli(capsys, ["fisher", write_config(tmp_path, payload)])
+    assert code == 2 and out == ""
+    assert err == "config error: config.tolerances.probability_floor: must be >= 0\n"
+    payload["tolerances"]["probability_floor"] = 0
+    code, _, err = run_cli(capsys, ["fisher", write_config(tmp_path, payload)])
+    assert code == 0 and err == ""
 
 
 def test_config_rejects_a_boolean_sign():
@@ -657,6 +667,40 @@ def test_verify_detects_corrupted_pauli_sign(capsys, monkeypatch):
 def test_verify_unknown_filter_is_an_error(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--filter", "no-such-check"])
     assert code == 2
+
+
+def test_verify_reports_a_crashing_check_as_a_failure(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("corrupted")
+
+    monkeypatch.setattr(solver, "closed_form_solution", crash)
+    code, out, _ = run_cli(capsys, ["verify", "--filter", "composite"])
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL composite-tensor-rule: raised RuntimeError('corrupted')",
+        "0/1 checks passed",
+    ]
+    # the crash fails its own check and every other check still runs
+    code, out, _ = run_cli(capsys, ["verify"])
+    lines = out.splitlines()
+    assert code == 1
+    assert len(lines) == len(verify._CHECKS) + 1 == 30
+    assert "FAIL composite-tensor-rule: raised RuntimeError('corrupted')" in lines
+
+
+def test_verify_check_names_are_unique_and_select_one_check(capsys, monkeypatch):
+    names = [name for name, _, _ in verify._CHECKS]
+    assert len(names) == len(set(names)) == 29
+    assert all(re.fullmatch(r"[a-z0-9-]+", name) for name in names)
+    # each full name selects its own check alone; stand-ins keep the sweep fast
+    stubs = [(name, claim, lambda: (True, {})) for name, claim, _ in verify._CHECKS]
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_CHECKS", stubs)
+        for name in names:
+            assert [res.name for res in verify.run_golden_suite(name)] == [name]
+    code, out, _ = run_cli(capsys, ["verify", "--filter", "cat-state-excluded"])
+    assert code == 0
+    assert out.startswith("PASS cat-state-excluded: ") and out.endswith("1/1 checks passed\n")
 
 
 @pytest.mark.parametrize(
