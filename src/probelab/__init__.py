@@ -17,7 +17,6 @@ from .dynamics import (
     entangling_generator,
     evolve,
     nonentangling_generator,
-    outcome_probabilities,
     product_pm_readout,
     state_derivative,
 )
@@ -50,7 +49,6 @@ from .fisher import (
 from .montecarlo import (
     EstimationResult,
     MeasurementModel,
-    ShotCounts,
     log_likelihood,
     mle_estimate,
     sample_readout,

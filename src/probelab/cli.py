@@ -151,9 +151,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
                 "residual": sol.residual,
                 "purity": sol.state.purity(),
                 "provenance": sol.provenance,
-                "pauli_coefficients": dict(
-                    sorted(sol.state.pauli_coefficients(drop_tol=1e-9).items())
-                ),
+                "pauli_coefficients": sol.state.pauli_coefficients(drop_tol=1e-9),
                 "inv_lambdas": _spectrum_entries(sol.inv_lambdas),
             }
         )
@@ -239,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("config", help="path to a JSON experiment config, or - for stdin")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-        cmd.add_argument("--format", choices=OUTPUT_FORMATS, default=None, help="output format override")
+        cmd.add_argument("--format", choices=OUTPUT_FORMATS[name], default=None, help="output format override")
     return parser
 
 

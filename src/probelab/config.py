@@ -24,7 +24,9 @@ from .solver import SearchConfig
 GENERATOR_KINDS = (dynamics.NONENTANGLING, dynamics.ENTANGLING)
 TASKS = ("verify", "fisher", "solve", "simulate", "scaling")
 READOUT_KINDS = ("product_pm",)
-OUTPUT_FORMATS = ("json", "csv")
+#: The formats ``output.format`` and ``--format`` accept for each task: only
+#: ``scaling`` writes a CSV table.
+OUTPUT_FORMATS = {task: ("json", "csv") if task == "scaling" else ("json",) for task in TASKS}
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
     solver_opts = _normalize_solver(raw.get("solver"))
     tolerances = _normalize_tolerances(raw.get("tolerances"))
 
-    output_format, output_path = _normalize_output(raw.get("output"))
+    output_format, output_path = _normalize_output(raw.get("output"), resolved_task)
 
     return ExperimentConfig(
         task=resolved_task,
@@ -247,14 +249,15 @@ def _normalize_tolerances(raw) -> Tolerances:
     return tolerances
 
 
-def _normalize_output(raw) -> tuple[str | None, str | None]:
+def _normalize_output(raw, task: str) -> tuple[str | None, str | None]:
     if raw is None:
         return None, None
     _require(isinstance(raw, dict), "config.output: expected an object")
     for key in raw:
         _require(key in ("format", "path"), f"config.output: unknown field {key!r}")
     fmt = raw.get("format")
-    _require(fmt is None or fmt in OUTPUT_FORMATS, f"config.output.format: must be one of {OUTPUT_FORMATS}")
+    formats = OUTPUT_FORMATS[task]
+    _require(fmt is None or fmt in formats, f"config.output.format: must be one of {formats} for {task}")
     path = raw.get("path")
     _require(path is None or isinstance(path, str), "config.output.path: expected a string")
     return fmt, path

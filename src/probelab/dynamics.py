@@ -29,7 +29,6 @@ from .states import DensityMatrix, density_matrix
 
 NONENTANGLING = "nonentangling"
 ENTANGLING = "entangling"
-CUSTOM = "custom"
 
 #: Most negative readout probability that :func:`probability_vector` clips
 #: to 0 as round-off rather than rejecting.  Fixed, not a ``Tolerances`` field.
@@ -44,7 +43,6 @@ class Generator:
     the computational basis.  ``matrix`` builds the dense H on demand.
     """
 
-    kind: str
     n_qubits: int
     spectrum: np.ndarray
     frame: np.ndarray | None = None
@@ -78,20 +76,20 @@ def nonentangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     (n - 2k)/2 with binomial multiplicities: <k|H|k> = (n - 2 popcount(k))/2.
     """
     ops.check_cap(n, cap)
-    return Generator(NONENTANGLING, n, 0.5 * (n - 2 * _bit_counts(n)))
+    return Generator(n, 0.5 * (n - 2 * _bit_counts(n)))
 
 
 def entangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     """Single n-body string, H = (1/2) Z^(tensor n); <k|H|k> = (-1)^popcount(k) / 2."""
     ops.check_cap(n, cap)
-    return Generator(ENTANGLING, n, 0.5 * (-1.0) ** _bit_counts(n))
+    return Generator(n, 0.5 * (-1.0) ** _bit_counts(n))
 
 
 def custom_generator(matrix: np.ndarray) -> Generator:
     """Any Hermitian H (else :class:`ValidationError`), stored through one
     eigendecomposition."""
     eig = ops.hermitian_eigen(matrix)
-    return Generator(CUSTOM, ops.n_qubits_of(eig.vectors), eig.values, eig.vectors)
+    return Generator(ops.n_qubits_of(eig.vectors), eig.values, eig.vectors)
 
 
 def _in_frame(generator: Generator, kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -255,11 +253,6 @@ def random_projective_readout(n: int, seed: int | np.random.Generator) -> Readou
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return readout_from_kets(q)
-
-
-def outcome_probabilities(basis: ReadoutBasis, rho: DensityMatrix) -> dict[str, float]:
-    """:func:`probability_vector` as a label -> probability mapping."""
-    return dict(zip(basis.labels, probability_vector(basis, rho).tolist()))
 
 
 def probability_vector(basis: ReadoutBasis, rho: DensityMatrix) -> np.ndarray:

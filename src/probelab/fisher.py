@@ -54,9 +54,6 @@ from .errors import (
 from .operators import Tolerances, is_hermitian
 from .states import DensityMatrix
 
-EIGENBASIS_FORMULA = "eigenbasis-formula"
-READOUT_DIAGONAL = "readout-diagonal"
-
 #: At an outcome whose probability is at or below ``probability_floor``, a
 #: |dp/dx| (classical Fisher sum) or |tr(E L rho)| (inverse-eigenvalue ratio)
 #: above this makes the quantity divergent or undefined.  Fixed, like
@@ -68,10 +65,9 @@ SCORE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class SLDResult:
-    """Hermitian SLD operator, how it was built, and rho L if built from a state."""
+    """Hermitian SLD operator, its count of kernel pairs, and rho L if built from a state."""
 
     operator: np.ndarray
-    route: str
     kernel_dim: int
     rho_l: np.ndarray | None = None
 
@@ -91,9 +87,6 @@ class LambdaSpectrum:
 
     def real_values(self) -> np.ndarray:
         return np.real(self.values)
-
-    def max_abs_imag(self) -> float:
-        return float(np.max(np.abs(np.imag(self.values)))) if len(self.values) else 0.0
 
     def __getitem__(self, label: str) -> complex:
         return complex(self.values[self.labels.index(label)])
@@ -145,7 +138,7 @@ def sld_from_state(
     rho_l = rho.matrix @ l_op  # and L rho = (rho L)^dagger
     residual = np.linalg.norm(0.5 * (rho_l + rho_l.conj().T) - rho_prime)
     _check_sld_residual(float(residual), residual_tol)
-    return SLDResult(l_op, EIGENBASIS_FORMULA, int(np.sum(kernel)), rho_l)
+    return SLDResult(l_op, int(np.sum(kernel)), rho_l)
 
 
 def _check_sld_residual(residual: float, residual_tol: float) -> None:
@@ -175,7 +168,7 @@ def sld_from_spectrum(basis: ReadoutBasis, inv_lambdas) -> SLDResult:
     """Readout-diagonal operator sum_outcomes (1/lambda) E(outcome)."""
     values = _inv_lambda_array(basis, inv_lambdas)
     l_op = (basis.kets * values) @ basis.kets.conj().T
-    return SLDResult(operator=l_op, route=READOUT_DIAGONAL, kernel_dim=0)
+    return SLDResult(operator=l_op, kernel_dim=0)
 
 
 def _inv_lambda_array(basis: ReadoutBasis, inv_lambdas) -> np.ndarray:

@@ -57,14 +57,6 @@ _LOG_FLOOR = 1e-300
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ShotCounts:
-    """Multinomial outcome counts from repeated readouts."""
-
-    counts: dict[str, int]
-    total: int
-
-
 def _draw_counts(probs: np.ndarray, u_sorted: np.ndarray) -> np.ndarray:
     """Outcome counts of the sorted uniforms ``u_sorted``: outcome k for each
     u in [cum[k-1], cum[k]) of the cumulative table cum of ``probs``.
@@ -81,16 +73,15 @@ def _draw_counts(probs: np.ndarray, u_sorted: np.ndarray) -> np.ndarray:
 
 def sample_readout(
     state_at_x: DensityMatrix, basis: ReadoutBasis, shots: int, seed: int
-) -> ShotCounts:
-    """Multinomial draw from the outcome distribution; deterministic per seed."""
+) -> dict[str, int]:
+    """Multinomial draw of ``shots`` readouts from the outcome distribution:
+    outcome label -> count, every label present and the counts summing to
+    ``shots``.  Deterministic per seed."""
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     probs = probability_vector(basis, state_at_x)
     drawn = _draw_counts(probs, np.sort(np.random.default_rng(seed).random(shots)))
-    return ShotCounts(
-        counts={label: int(c) for label, c in zip(basis.labels, drawn)},
-        total=int(shots),
-    )
+    return {label: int(c) for label, c in zip(basis.labels, drawn)}
 
 
 class MeasurementModel:
@@ -155,8 +146,6 @@ class MeasurementModel:
 
 
 def _counts_vector(counts, labels: Sequence[str]) -> np.ndarray:
-    if isinstance(counts, ShotCounts):
-        counts = counts.counts
     if isinstance(counts, Mapping):
         return np.array([float(counts.get(label, 0)) for label in labels])
     arr = np.asarray(counts, dtype=float)
@@ -165,11 +154,17 @@ def _counts_vector(counts, labels: Sequence[str]) -> np.ndarray:
     return arr
 
 
+def _log_likelihoods(model: MeasurementModel, counts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_outcomes n * ln p(outcome | x) for each row n of ``counts`` and x of ``xs``."""
+    logp = np.log(np.clip(model.probability_table(xs), _LOG_FLOOR, None))
+    # einsum, not BLAS: each row's sum then does not depend on the batch size.
+    return np.einsum("ro,ro->r", counts, logp)
+
+
 def log_likelihood(counts, model: MeasurementModel, x: float) -> float:
     """Multinomial log likelihood sum_outcomes n * ln p(outcome | x)."""
     n = _counts_vector(counts, model.labels)
-    logp = np.log(np.clip(model.probabilities(x), _LOG_FLOOR, None))
-    return float(np.dot(n, logp))
+    return float(_log_likelihoods(model, n[None, :], np.array([x]))[0])
 
 
 class _LikelihoodMachine:
@@ -211,10 +206,6 @@ class _LikelihoodMachine:
         """Index of the best grid point for each row of ``counts``."""
         return np.argmax(self.log_table @ counts.T, axis=0)
 
-    def _scores(self, counts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        logp = np.log(np.clip(self.model.probability_table(xs), _LOG_FLOOR, None))
-        return np.einsum("ro,ro->r", counts, logp)
-
     def estimate(
         self, counts: np.ndarray, xtol: float = 1e-8, peaks: np.ndarray | None = None
     ) -> np.ndarray:
@@ -228,11 +219,12 @@ class _LikelihoodMachine:
         brackets start half as wide, so they stop first).
         """
         counts = np.atleast_2d(np.asarray(counts, dtype=float))
+        model = self.model
         peaks = self.grid_peaks(counts) if peaks is None else peaks
         a = self.xs[np.maximum(peaks - 1, 0)]
         b = self.xs[np.minimum(peaks + 1, len(self.xs) - 1)]
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        fc, fd = self._scores(counts, c), self._scores(counts, d)
+        fc, fd = _log_likelihoods(model, counts, c), _log_likelihoods(model, counts, d)
         active = np.flatnonzero(b - a > xtol)
         while active.size:
             left = fc[active] > fd[active]
@@ -241,15 +233,16 @@ class _LikelihoodMachine:
             c[lt] = b[lt] - _GOLDEN * (b[lt] - a[lt])
             a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
             d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
-            scores = self._scores(counts[active], np.where(left, c[active], d[active]))
+            scores = _log_likelihoods(model, counts[active], np.where(left, c[active], d[active]))
             fc[lt], fd[rt] = scores[left], scores[~left]
             active = active[b[active] - a[active] > xtol]
         return 0.5 * (a + b)
 
 
 def _fold_free_interval(model: MeasurementModel, x_true: float) -> tuple[float, float]:
-    """The default search interval: x_true +/- pi/2 on a ``GRID_POINTS`` grid,
-    cut one grid point short of the first fold on each side.
+    """The search interval of :func:`uncertainty_run`: x_true +/- pi/2 on a
+    ``GRID_POINTS`` grid, cut one grid point short of the first fold on each
+    side.
 
     A fold lies between consecutive grid points whose dp/dx vectors reverse
     (negative dot product).  Past a fold the probabilities retrace values
@@ -297,19 +290,17 @@ def uncertainty_run(
     trials: int,
     seed: int | Sequence[int],
     *,
-    search_interval: tuple[float, float] | None = None,
     probability_floor: float = Tolerances.probability_floor,
 ) -> EstimationResult:
     """Simulate ``trials`` experiments of ``shots`` readouts each at x_true.
 
-    Statistics are meaningful from about a hundred trials up.  The default
-    search interval is x_true +/- pi/2, cut one grid point short of the
-    first fold of the outcome distribution on each side (the one-qubit
-    optimal probe's p(+|x) = (1 - sin x)/2 folds at +/- pi/2, where x and
-    pi - x read the same); a fold within one grid step of x_true raises
-    :class:`DegenerateModelError`.  An explicit ``search_interval`` is used
-    as given.  ``probability_floor`` applies to the identifiability check as
-    in the Fisher sum.
+    Statistics are meaningful from about a hundred trials up.  The search
+    interval is x_true +/- pi/2, cut one grid point short of the first fold
+    of the outcome distribution on each side (the one-qubit optimal probe's
+    p(+|x) = (1 - sin x)/2 folds at +/- pi/2, where x and pi - x read the
+    same); a fold within one grid step of x_true raises
+    :class:`DegenerateModelError`.  ``probability_floor`` applies to the
+    identifiability check as in the Fisher sum.
 
     Each trial costs one sort of its uniforms, one ``searchsorted`` and one
     grid product; one lockstep golden-section search then refines all
@@ -319,9 +310,8 @@ def uncertainty_run(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    if search_interval is None:
-        search_interval = _fold_free_interval(model, x_true)
-    machine = _LikelihoodMachine(model, search_interval, probability_floor=probability_floor)
+    interval = _fold_free_interval(model, x_true)
+    machine = _LikelihoodMachine(model, interval, probability_floor=probability_floor)
     probs = model.probability_table(np.array([x_true - SLOPE_STEP, x_true, x_true + SLOPE_STEP]))
     counts = np.empty((3, trials, probs.shape[1]))
     peaks = np.empty((3, trials), dtype=int)

@@ -222,9 +222,6 @@ class HermitianEigen:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def hermitian_eigen(matrix: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix (within ``MATRIX_ATOL``),

@@ -55,7 +55,6 @@ from .dynamics import (
     entangling_generator,
     nonentangling_generator,
     product_pm_readout,
-    state_derivative,
 )
 from .errors import DimensionError, UnsupportedClosedFormError, ValidationError
 from .fisher import LambdaSpectrum, _inv_lambda_array, analyze, pure_sld_residual
@@ -120,12 +119,6 @@ def k_values_from_inv_lambdas(inv_lambdas) -> np.ndarray:
     if u.shape != (4,):
         raise DimensionError("expected four inverse eigenvalues for two qubits")
     return K_SIGNS @ u
-
-
-def inv_lambdas_from_k_values(k_values) -> np.ndarray:
-    """Inverse map; K_SIGNS is 4x its own inverse."""
-    k = np.asarray(k_values, dtype=float)
-    return (K_SIGNS.T @ k) / 4.0
 
 
 @dataclass(frozen=True)
@@ -539,14 +532,16 @@ class SearchConfig:
     n_starts: int = 64
     max_evals: int = 5000
     simplex_tol: float = 1e-9
-    penalty_weight: float = 1e4
     residual_tol: float = ops.Tolerances.solution_residual
-    tie_tol: float = 1e-6
     seed: int = 0
 
 
-#: The stages of each start, as fractions of ``penalty_weight``.
+#: The weight w of the search objective's last stage.
+PENALTY_WEIGHT = 1e4
+#: The stages of each start, as fractions of ``PENALTY_WEIGHT``.
 PENALTY_STAGES = (1e-4, 1e-2, 1.0)
+#: Solutions within this of the best QFI are all reported.
+TIE_TOL = 1e-6
 #: L-BFGS-B's ``ftol``: the relative decrease at which a stage stops.
 SEARCH_FTOL = 1e-15
 
@@ -576,7 +571,7 @@ class SearchResult:
 
 def _dedup_key(state: DensityMatrix) -> tuple[float, ...]:
     """All 4**n Pauli coefficients of the state, rounded to DEDUP_DECIMALS."""
-    return tuple(round(c, DEDUP_DECIMALS) for c in ops.pauli_transform(state.matrix).real)
+    return tuple(np.round(ops.pauli_transform(state.matrix).real, DEDUP_DECIMALS).tolist())
 
 
 def _search_objective(
@@ -627,11 +622,12 @@ def search_optimal_state(
     :func:`solve_lambdas_given_state` from its ket and must pass
     ``residual_tol`` to count as a solution; one whose ||-i[H, rho]||_F is
     within ``residual_tol`` carries no information (u = 0 solves the
-    equation) and is dropped.  Starts draw seeded random kets, so results
-    are reproducible and independent of any parallel scheduling; every
-    solution within ``tie_tol`` of the best QFI is reported, ordered by its
-    rounded Pauli coefficients alone, so digits below them never decide the
-    order.  Global optimality is never claimed.
+    equation) and is dropped; at a pure end point its square is
+    2 Var(H) = qfi/2 + residual^2, read from the fit.  Starts draw seeded
+    random kets, so results are reproducible and independent of any parallel
+    scheduling; every solution within ``TIE_TOL`` of the best QFI is
+    reported, ordered by its rounded Pauli coefficients alone, so digits
+    below them never decide the order.  Global optimality is never claimed.
     """
     config = config or SearchConfig()
     if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
@@ -651,7 +647,7 @@ def search_optimal_state(
         for fraction in PENALTY_STAGES:
             if evals >= config.max_evals:
                 break
-            weight = fraction * config.penalty_weight
+            weight = fraction * PENALTY_WEIGHT
             result = optimize.minimize(
                 _search_objective, x, args=(weight, amplitude_map, generator),
                 method="L-BFGS-B", jac=True,
@@ -661,7 +657,7 @@ def search_optimal_state(
         state = pure_state(x.view(complex))
         spectrum, residual, qfi = solve_lambdas_given_state(state, basis, generator)
         best_residual = min(best_residual, residual)
-        drift = np.linalg.norm(state_derivative(generator, state))
+        drift = np.sqrt(0.5 * qfi + residual * residual)  # ||-i[H, rho]||_F
         if residual > config.residual_tol or drift <= config.residual_tol:
             continue
         solution = Solution(state, spectrum, residual, qfi, NUMERIC_SEARCH)
@@ -671,5 +667,5 @@ def search_optimal_state(
             found[key] = solution
 
     best_qfi = max((sol.qfi for sol in found.values()), default=np.inf)
-    kept = tuple(sol for _, sol in sorted(found.items()) if sol.qfi >= best_qfi - config.tie_tol)
+    kept = tuple(sol for _, sol in sorted(found.items()) if sol.qfi >= best_qfi - TIE_TOL)
     return SearchResult(kept, config.n_starts, float(best_residual))

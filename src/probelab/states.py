@@ -60,7 +60,8 @@ class DensityMatrix:
         return ops.eigen_descending(self.matrix)
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """tr(rho^2) = ||rho||_F^2, in O(d^2) as :func:`density_matrix` screens it."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def pauli_coefficients(self, drop_tol: float = 1e-12) -> dict[str, float]:
         """Expansion coefficients over Pauli strings (identity term included)."""

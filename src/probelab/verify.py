@@ -582,10 +582,11 @@ def _solver_three_qubit_ceiling():
 def _readout_sampling():
     basis = dynamics.product_pm_readout(1)
     rho = states.optimal_single_qubit(+1)
-    counts = montecarlo.sample_readout(rho, basis, 10**6, seed=123)
-    frac = counts.counts["+"] / counts.total
-    again = montecarlo.sample_readout(rho, basis, 10**6, seed=123)
-    passed = abs(frac - 0.5) <= 0.002 and again.counts == counts.counts
+    shots = 10**6
+    counts = montecarlo.sample_readout(rho, basis, shots, seed=123)
+    frac = counts["+"] / shots
+    again = montecarlo.sample_readout(rho, basis, shots, seed=123)
+    passed = abs(frac - 0.5) <= 0.002 and again == counts
     return passed, {"plus_fraction": frac}
 
 

@@ -68,7 +68,7 @@ def test_config_n_list_obeys_the_dimension_cap():
         ('{"tolerances": {"saturation": NaN}}', "config.tolerances.saturation"),
         ('{"x_true": NaN}', "config.x_true"),
         ('{"x_true": -Infinity}', "config.x_true"),
-        ('{"solver": {"penalty_weight": Infinity}}', "config.solver.penalty_weight"),
+        ('{"solver": {"simplex_tol": Infinity}}', "config.solver.simplex_tol"),
         ('{"state": {"kind": "two_qubit_entangling", "c11": NaN}}', "config.state.c11"),
         # an integer beyond the float range, which float() cannot convert
         ('{"x_true": 1' + "0" * 400 + "}", "config.x_true"),
@@ -194,14 +194,14 @@ def test_config_tolerance_overrides():
 
 
 def test_config_solver_block_parses_into_search_config():
-    block = {"n_starts": 3, "max_evals": 40, "simplex_tol": -1, "penalty_weight": 5,
-             "tie_tol": 0.5}
+    block = {"n_starts": 3, "max_evals": 40, "simplex_tol": -1}
     cfg = parse_config_text(json.dumps({"solver": block}), task="solve")
     assert cfg.solver == solver.SearchConfig(**block)
     assert isinstance(cfg.solver.simplex_tol, float)
     # residual_tol and seed come from the tolerances and the seed; the dedup
-    # rounding is a module constant.
-    for key in ("residual_tol", "psd_min_eigenvalue", "seed", "round_decimals"):
+    # rounding, the penalty weight and the tie tolerance are module constants.
+    for key in ("residual_tol", "psd_min_eigenvalue", "seed", "round_decimals",
+                "penalty_weight", "tie_tol"):
         with pytest.raises(ConfigError, match=f"config.solver: unknown field '{key}'"):
             parse_config_text(json.dumps({"solver": {key: 1}}), task="solve")
     with pytest.raises(ConfigError, match="config.solver.n_starts: must be >= 1"):
@@ -540,6 +540,23 @@ def test_scaling_csv_columns(tmp_path, capsys):
     assert first[0] == "1" and float(first[1]) == pytest.approx(1.0)
     second = lines[2].split(",")
     assert float(second[1]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("source", ["flag", "field"])
+@pytest.mark.parametrize("command", ["fisher", "solve", "simulate"])
+def test_csv_is_refused_outside_scaling(tmp_path, capsys, command, source):
+    # only scaling writes a CSV table; the other reports are JSON only
+    config = {"n_qubits": 1, "trials": 10, "solver": {"n_starts": 1}}
+    if source == "field":
+        config["output"] = {"format": "csv"}
+        code, out, err = run_cli(capsys, [command, write_config(tmp_path, config)])
+        assert "config.output.format" in err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, write_config(tmp_path, config), "--format", "csv"])
+        code, (out, err) = exc.value.code, capsys.readouterr()
+        assert "--format" in err
+    assert code == 2 and out == ""
 
 
 def test_scaling_flags_degenerate_rows(tmp_path, capsys):

@@ -83,6 +83,27 @@ def test_dedup_key_keeps_exact_zero_coefficients():
     assert solver._dedup_key(states.pure_state([1, 0])) == (0.5, 0.0, 0.0, 0.5)
 
 
+@SETTINGS
+@given(n=st.integers(1, 4), seed=SEEDS, kind=st.sampled_from(["pure", "mixed", "planted"]))
+def test_dedup_key_matches_a_per_coefficient_round(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "pure":
+        state = states.random_pure_state(n, rng)
+    elif kind == "mixed":
+        state = states.random_mixed_state(n, rng)
+    else:
+        # coefficients set at the 7th decimal, none of them a tie; the
+        # identity term 1/d outweighs the 4**n others, so this is a state
+        coefficients = (rng.integers(-99, 100, 4**n) * 1e-6
+                        + rng.choice([1, 2, 3, 4, 6, 7, 8, 9], 4**n) * 1e-7)
+        coefficients[0] = 1.0 / 2**n
+        state = states.density_matrix(operators.inverse_pauli_transform(coefficients))
+    key = solver._dedup_key(state)
+    coefficients = operators.pauli_transform(state.matrix).real
+    assert key == tuple(round(c, solver.DEDUP_DECIMALS) for c in coefficients)
+    assert all(type(c) is float for c in key)
+
+
 def test_inverse_rejects_a_length_that_is_not_a_power_of_four():
     for size in (1, 2, 8):
         with pytest.raises(DimensionError):

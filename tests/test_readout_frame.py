@@ -50,6 +50,35 @@ def _probe(kind, basis, rng):
     return states.density_matrix(matrix)
 
 
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    seed=SEEDS,
+    product_readout=st.booleans(),
+    generator_kind=st.sampled_from(["nonentangling", "entangling", "custom"]),
+    zero_outcomes=st.booleans(),
+)
+def test_a_pure_fit_gives_the_norm_of_the_state_derivative(
+    n, seed, product_readout, generator_kind, zero_outcomes
+):
+    # ||-i[H, rho]||_F^2 = 2 Var(H) = qfi/2 + residual^2 for a pure state:
+    # the search reads its QFI-free drop from the fit
+    rng = np.random.default_rng(seed)
+    basis = (
+        dynamics.product_pm_readout(n)
+        if product_readout
+        else dynamics.random_projective_readout(n, rng)
+    )
+    generator = _generator(generator_kind, n, rng)
+    phi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    if zero_outcomes:
+        phi[rng.permutation(basis.dim)[: basis.dim // 2]] = 0.0
+    state = states.pure_state(basis.kets @ phi)
+    _, residual, qfi = solver.solve_lambdas_given_state(state, basis, generator)
+    drift = np.linalg.norm(dynamics.state_derivative(generator, state))
+    assert 0.5 * qfi + residual**2 == pytest.approx(drift**2, rel=1e-12, abs=1e-14)
+
+
 def _dense_l(basis, u):
     return (basis.kets * u) @ basis.kets.conj().T
 

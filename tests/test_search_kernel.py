@@ -242,7 +242,7 @@ def test_search_keeps_the_instrumented_calls(monkeypatch):
         assert len(stages) == len(solver.PENALTY_STAGES) or evals >= config.max_evals
         for (args, kwargs, _), fraction in zip(stages, solver.PENALTY_STAGES):
             assert callable(args[0]) and "fun" not in kwargs
-            assert kwargs["args"][0] == fraction * config.penalty_weight
+            assert kwargs["args"][0] == fraction * solver.PENALTY_WEIGHT
 
 
 def test_pure_search_reports_the_closed_form_score():

@@ -9,7 +9,8 @@ from probelab.errors import UnsupportedClosedFormError
 def test_k_values_round_trip():
     u = np.array([-2.0, 0.5, -0.5, 2.0])
     k = solver.k_values_from_inv_lambdas(u)
-    assert np.allclose(solver.inv_lambdas_from_k_values(k), u)
+    # K_SIGNS is 4x its own inverse
+    assert np.allclose(solver.K_SIGNS.T @ k / 4.0, u)
 
 
 def test_sol1_residual_golden_single_qubit():
@@ -332,7 +333,7 @@ def test_search_reports_no_qfi_free_solutions():
 
 
 def test_search_orders_tied_solutions_by_their_dedup_key_alone():
-    # the solutions tie at QFI 4 within tie_tol but differ in their last
+    # the solutions tie at QFI 4 within TIE_TOL but differ in their last
     # digits; ranking them by full-precision QFI first would reorder them
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(2),

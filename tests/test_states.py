@@ -54,6 +54,16 @@ def test_optimal_single_qubit_states():
     assert abs(abs(np.vdot(vectors[:, -1], ket_i)) - 1.0) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+def test_purity_is_the_trace_of_the_square(n, seed, pure):
+    rng = np.random.default_rng(seed)
+    rho = states.random_pure_state(n, rng) if pure else states.random_mixed_state(n, rng)
+    purity = rho.purity()
+    assert type(purity) is float
+    assert abs(purity - np.trace(rho.matrix @ rho.matrix).real) <= 1e-12
+
+
 def test_optimal_single_qubit_rejects_bad_sign():
     with pytest.raises(ValidationError):
         states.optimal_single_qubit(2)
