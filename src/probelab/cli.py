@@ -60,8 +60,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _emit(cfg: ExperimentConfig, text: str) -> None:
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {cfg.output_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -18,8 +18,9 @@ takes one route per kind of probe:
   classical score, so the diagonal QFI sum_k u_k^2 p_k is the classical
   Fisher information of the readout.  The amplitudes cost one fast
   Walsh-Hadamard transform each on the per-qubit readout, the rest O(d).
-  The pure-state search objective feeds the same kernel from one O(d^2)
-  matvec per evaluation, and its gradient costs one more.
+  The pure-state search objective feeds the same kernel with V^dagger psi
+  and V^dagger (H psi), two O(d^2) matvecs with the readout kets, and its
+  gradient costs two more.
 * any other state: with R = V^dagger rho V and T = V^dagger (-i[H, rho]) V
   the operator sum_k u_k E_k is diag(u) and the equation holds entry by
   entry, (u_j + u_k)/2 R_jk = T_jk: d x d normal equations and O(d^2)
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -107,18 +107,11 @@ K_SIGNS = np.array(
     ]
 )
 
-TWO_QUBIT_LABELS = ("++", "+-", "-+", "--")
-
 
 def k_values_from_inv_lambdas(inv_lambdas) -> np.ndarray:
-    """The four K combinations from per-outcome inverse eigenvalues."""
-    if isinstance(inv_lambdas, Mapping):
-        u = np.array([float(inv_lambdas[label]) for label in TWO_QUBIT_LABELS])
-    else:
-        u = np.asarray(inv_lambdas, dtype=float)
-    if u.shape != (4,):
-        raise DimensionError("expected four inverse eigenvalues for two qubits")
-    return K_SIGNS @ u
+    """The four K combinations from two-qubit inverse eigenvalues, given in
+    any form :func:`~probelab.fisher._inv_lambda_array` reads."""
+    return K_SIGNS @ _inv_lambda_array(product_pm_readout(2), inv_lambdas)
 
 
 @dataclass(frozen=True)
@@ -331,16 +324,6 @@ def _lstsq_lambdas(r: np.ndarray, t: np.ndarray, u: np.ndarray | None = None) ->
             u[kept] = scale * solution
     residual = float(np.linalg.norm(0.5 * np.add.outer(u, u) * r - t))
     return u, unconstrained, residual, float(u * u @ r.diagonal().real)
-
-
-def _amplitude_map(basis: ReadoutBasis, generator: Generator) -> np.ndarray:
-    """V^dagger stacked over V^dagger H: one matvec gives (phi, chi) of a ket.
-
-    The search objective uses it, and its conjugate transpose for the
-    gradient: at the search's small d one product each way is less work, and
-    less code, than the readout's transform and its adjoint."""
-    kets_h = basis.kets.conj().T
-    return np.vstack([kets_h, kets_h @ generator.matrix])
 
 
 def _pure_score(phi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -562,12 +545,6 @@ class SearchResult:
     def feasible(self) -> bool:
         return bool(self.solutions)
 
-    @property
-    def best(self) -> Solution:
-        if not self.solutions:
-            raise ValidationError("search found no feasible solution")
-        return self.solutions[0]
-
 
 def _dedup_key(state: DensityMatrix) -> tuple[float, ...]:
     """All 4**n Pauli coefficients of the state, rounded to DEDUP_DECIMALS."""
@@ -575,28 +552,29 @@ def _dedup_key(state: DensityMatrix) -> tuple[float, ...]:
 
 
 def _search_objective(
-    x: np.ndarray, weight: float, amplitude_map: np.ndarray, generator: Generator
+    x: np.ndarray, weight: float, kets: np.ndarray, kets_h: np.ndarray, generator: Generator
 ) -> tuple[float, np.ndarray]:
     """-F_C + (weight/2)(F_Q - F_C) at psi = z/||z||, x the real and imaginary
     parts of z interleaved, and its gradient in x: -F_C + weight r^2, since
     r^2 = (F_Q - F_C)/2 at :func:`_pure_fit`, over whose kept outcomes
     F_C = sum_k u_k^2 p_k sums.
 
-    With G = d/dRe + i d/dIm and M = ``amplitude_map``:
-    G_psi F_C = M^dagger [-4i u chi - 2 u^2 phi; 4i u phi],
+    ``kets`` is V and ``kets_h`` its adjoint, so phi = V^dagger psi and
+    chi = V^dagger H psi.  With G = d/dRe + i d/dIm:
+    G_psi F_C = V (-4i u chi - 2 u^2 phi) + H V (4i u phi),
     G_psi F_Q = 8 (H^2 psi - 2 <H> H psi) and
     G_z = (G_psi - Re(psi^dagger G_psi) psi) / ||z||.
     """
     z = x.view(complex)
     norm = np.linalg.norm(z)
     psi = z / norm
-    phi, chi = np.split(amplitude_map @ psi, 2)
+    h_psi = generator.apply(psi)
+    phi, chi = kets_h @ psi, kets_h @ h_psi
     p, u, _ = _pure_score(phi, chi)
     f_c = u * u @ p
-    h_psi = generator.apply(psi)
     mean = (psi.conj() @ h_psi).real
     f_q = 4.0 * ((h_psi.conj() @ h_psi).real - mean * mean)
-    g_c = amplitude_map.conj().T @ np.concatenate([-4j * u * chi - 2.0 * u * u * phi, 4j * u * phi])
+    g_c = kets @ (-4j * u * chi - 2.0 * u * u * phi) + generator.apply(kets @ (4j * u * phi))
     g_q = 8.0 * (generator.apply(h_psi) - 2.0 * mean * h_psi)
     g_psi = 0.5 * weight * g_q - (1.0 + 0.5 * weight) * g_c
     g_z = (g_psi - (psi.conj() @ g_psi).real * psi) / norm
@@ -632,7 +610,8 @@ def search_optimal_state(
     config = config or SearchConfig()
     if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
         raise DimensionError("generator/basis do not act on n_qubits qubits")
-    amplitude_map = _amplitude_map(basis, generator)
+    kets = basis.kets
+    kets_h = kets.conj().T
     # scipy refuses a negative ftol
     gtol, ftol = (config.simplex_tol, SEARCH_FTOL) if config.simplex_tol >= 0 else (0.0, 0.0)
 
@@ -649,7 +628,7 @@ def search_optimal_state(
                 break
             weight = fraction * PENALTY_WEIGHT
             result = optimize.minimize(
-                _search_objective, x, args=(weight, amplitude_map, generator),
+                _search_objective, x, args=(weight, kets, kets_h, generator),
                 method="L-BFGS-B", jac=True,
                 options={"maxfun": config.max_evals - evals, "gtol": gtol, "ftol": ftol},
             )

@@ -627,6 +627,18 @@ def test_missing_config_file(capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+@pytest.mark.parametrize("by_flag", [True, False])
+def test_unwritable_report_path_is_a_config_error(tmp_path, capsys, target, by_flag):
+    # a missing directory and a directory as the path, by --out or output.path
+    report_path = str(tmp_path / target)
+    payload = {"n_qubits": 1} if by_flag else {"n_qubits": 1, "output": {"path": report_path}}
+    argv = ["fisher", write_config(tmp_path, payload)] + (["--out", report_path] if by_flag else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: cannot write report to {report_path!r}: ")
+
+
 def test_state_from_file(tmp_path, capsys):
     matrix = np.array([[0.5, -0.5j], [0.5j, 0.5]])
     state_path = tmp_path / "state.json"

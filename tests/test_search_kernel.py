@@ -1,13 +1,15 @@
 """The search's closed-form pure-state kernel and its objective.
 
-``solver._pure_fit`` scores a pure probe from its readout amplitudes, which
-the search objective takes from one product with ``solver._amplitude_map``;
-the references are the dense (2 d^2 x d) real least squares
+``solver._pure_fit`` scores a pure probe from its readout amplitudes
+phi = V^dagger psi and chi = V^dagger H psi, which the search objective takes
+from the readout kets V, their adjoint and ``Generator.apply``; the
+references are the dense (2 d^2 x d) real least squares
 ``verify.dense_lstsq_lambdas`` with tr(L^2 rho) from the dense L and, near a
 zero-probability outcome, a 50-digit evaluation of the same least squares.
 The objective ``solver._search_objective`` is checked against the fit's
 residual through r^2 = (F_Q - F_C)/2, and its gradient against difference
-quotients.
+quotients.  The generator is either of the paper's diagonal ones or a random
+Hermitian matrix, whose H (V G_chi) term in the gradient is not diagonal.
 """
 
 import numpy as np
@@ -21,22 +23,33 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def _setup(n, seed, product_readout, entangling):
+GENERATORS = st.sampled_from(["nonentangling", "entangling", "custom"])
+
+
+def _setup(n, seed, product_readout, generator_kind):
     rng = np.random.default_rng(seed)
     basis = (
         dynamics.product_pm_readout(n)
         if product_readout
         else dynamics.random_projective_readout(n, rng)
     )
-    generator = (
-        dynamics.entangling_generator(n) if entangling else dynamics.nonentangling_generator(n)
-    )
+    if generator_kind == "custom":
+        shape = (basis.dim, basis.dim)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        generator = dynamics.custom_generator(0.25 * (a + a.conj().T))
+    elif generator_kind == "entangling":
+        generator = dynamics.entangling_generator(n)
+    else:
+        generator = dynamics.nonentangling_generator(n)
     return rng, basis, generator
 
 
 def _pure_fit(ket, basis, generator):
-    amplitudes = solver._amplitude_map(basis, generator) @ ket
-    return solver._pure_fit(amplitudes[: basis.dim], amplitudes[basis.dim :])
+    return solver._pure_fit(basis.amplitudes(ket), basis.amplitudes(generator.apply(ket)))
+
+
+def _objective(x, weight, basis, generator):
+    return solver._search_objective(x, weight, basis.kets, basis.kets.conj().T, generator)
 
 
 def _ket_with_zero_outcomes(rng, basis, n_zero):
@@ -54,13 +67,13 @@ def _ket_with_zero_outcomes(rng, basis, n_zero):
     n=st.integers(1, 4),
     seed=SEEDS,
     product_readout=st.booleans(),
-    entangling=st.booleans(),
+    generator_kind=GENERATORS,
     zero_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
 )
 def test_pure_state_score_matches_dense_least_squares(
-    n, seed, product_readout, entangling, zero_fraction
+    n, seed, product_readout, generator_kind, zero_fraction
 ):
-    rng, basis, generator = _setup(n, seed, product_readout, entangling)
+    rng, basis, generator = _setup(n, seed, product_readout, generator_kind)
     n_zero = int(zero_fraction * basis.dim)
     ket = _ket_with_zero_outcomes(rng, basis, n_zero)
     rho = np.outer(ket, ket.conj())
@@ -110,7 +123,7 @@ def _mp_least_squares(ket, basis, generator):
 
 @pytest.mark.parametrize("product_readout", [True, False])
 def test_pure_state_score_near_a_zero_probability_outcome(product_readout):
-    rng, basis, generator = _setup(2, 17, product_readout, entangling=False)
+    rng, basis, generator = _setup(2, 17, product_readout, "nonentangling")
     phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     phi[2] = 1e-7 * np.exp(0.3j)  # p = 1e-14, still constrained
     phi /= np.linalg.norm(phi)
@@ -142,23 +155,22 @@ def _point(ket):
     n=st.integers(1, 4),
     seed=SEEDS,
     product_readout=st.booleans(),
-    entangling=st.booleans(),
+    generator_kind=GENERATORS,
     zero_fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
 )
 def test_squared_residual_is_half_the_fisher_gap(
-    n, seed, product_readout, entangling, zero_fraction
+    n, seed, product_readout, generator_kind, zero_fraction
 ):
     # r^2 = (F_Q - F_C)/2 at the closed-form least squares, with F_C summed
     # over the outcomes it keeps, so the objective is -F_C + weight r^2
-    rng, basis, generator = _setup(n, seed, product_readout, entangling)
+    rng, basis, generator = _setup(n, seed, product_readout, generator_kind)
     ket = _ket_with_zero_outcomes(rng, basis, int(zero_fraction * basis.dim))
     _, _, residual, f_c = _pure_fit(ket, basis, generator)
     gap = _quantum_fisher(ket, generator) - f_c
     assert residual**2 == pytest.approx(0.5 * gap, rel=1e-9, abs=1e-12)
-    amplitude_map = solver._amplitude_map(basis, generator)
     scale = rng.uniform(0.1, 10.0)
     for weight in (0.0, 1.0, 1e4):
-        value, _ = solver._search_objective(_point(scale * ket), weight, amplitude_map, generator)
+        value, _ = _objective(_point(scale * ket), weight, basis, generator)
         assert value == pytest.approx(-f_c + weight * residual**2, rel=1e-9, abs=1e-9 * (1.0 + weight))
 
 
@@ -167,29 +179,28 @@ def test_squared_residual_is_half_the_fisher_gap(
     n=st.integers(1, 4),
     seed=SEEDS,
     product_readout=st.booleans(),
-    entangling=st.booleans(),
+    generator_kind=GENERATORS,
     small=st.sampled_from([None, 1e-2, 1e-4]),
     weight=st.sampled_from([1.0, 1e2, 1e4]),
 )
 def test_search_gradient_matches_difference_quotients(
-    n, seed, product_readout, entangling, small, weight
+    n, seed, product_readout, generator_kind, small, weight
 ):
     # One readout amplitude may be small, so that its outcome's p_k = small^2
     # is kept but u_k and the gradient grow as 1/small.  (An outcome of exactly
     # zero probability is dropped from F_C, which jumps there: no difference
     # quotient can check it.)
-    rng, basis, generator = _setup(n, seed, product_readout, entangling)
+    rng, basis, generator = _setup(n, seed, product_readout, generator_kind)
     phi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     if small is not None:
         phi[rng.integers(basis.dim)] = small * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     scale = rng.uniform(0.5, 2.0)
     x = _point(scale * (basis.kets @ phi))
-    amplitude_map = solver._amplitude_map(basis, generator)
 
     def value(y):
-        return solver._search_objective(y, weight, amplitude_map, generator)[0]
+        return _objective(y, weight, basis, generator)[0]
 
-    gradient = solver._search_objective(x, weight, amplitude_map, generator)[1]
+    gradient = _objective(x, weight, basis, generator)[1]
     v = rng.standard_normal(x.size)
     # a fourth-order central difference whose step moves no readout amplitude
     # of z by more than a thousandth of the smallest one

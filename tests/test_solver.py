@@ -13,6 +13,16 @@ def test_k_values_round_trip():
     assert np.allclose(solver.K_SIGNS.T @ k / 4.0, u)
 
 
+def test_k_values_read_an_array_a_mapping_and_a_spectrum():
+    spectrum = solver.closed_form_solution("entangling", 2).inv_lambdas
+    u = spectrum.real_values()
+    expected = solver.k_values_from_inv_lambdas(u)
+    assert np.array_equal(expected, solver.K_SIGNS @ u)
+    mapping = dict(zip(spectrum.labels, u.tolist()))
+    assert np.array_equal(solver.k_values_from_inv_lambdas(mapping), expected)
+    assert np.array_equal(solver.k_values_from_inv_lambdas(spectrum), expected)
+
+
 def test_sol1_residual_golden_single_qubit():
     basis = dynamics.product_pm_readout(1)
     gen = dynamics.nonentangling_generator(1)
@@ -246,7 +256,7 @@ def test_search_two_qubit_entangling_qfi_one():
         solver.SearchConfig(n_starts=16, seed=5),
     )
     assert result.feasible
-    assert result.best.qfi == pytest.approx(1.0, abs=1e-6)
+    assert result.solutions[0].qfi == pytest.approx(1.0, abs=1e-6)
 
 
 def test_search_two_qubit_nonentangling_beats_product_state():
@@ -261,13 +271,14 @@ def test_search_two_qubit_nonentangling_beats_product_state():
         solver.SearchConfig(n_starts=16, seed=5),
     )
     assert result.feasible
-    assert result.best.qfi >= 2.0 - 1e-6
+    best = result.solutions[0]
+    assert best.qfi >= 2.0 - 1e-6
     # whatever it found must genuinely saturate
     gen = dynamics.nonentangling_generator(2)
     basis = dynamics.product_pm_readout(2)
-    rho_prime = dynamics.state_derivative(gen, result.best.state)
-    f_c = fisher.classical_fisher(basis, result.best.state, rho_prime)
-    assert f_c == pytest.approx(result.best.qfi, abs=1e-6)
+    rho_prime = dynamics.state_derivative(gen, best.state)
+    f_c = fisher.classical_fisher(basis, best.state, rho_prime)
+    assert f_c == pytest.approx(best.qfi, abs=1e-6)
 
 
 def test_search_determinism():
@@ -296,7 +307,7 @@ def test_pure_search_reaches_the_qfi_ceiling(n, build):
         solver.SearchConfig(n_starts=4, max_evals=2000, seed=1),
     )
     assert result.feasible
-    assert result.best.qfi == pytest.approx(ceiling, abs=1e-9)
+    assert result.solutions[0].qfi == pytest.approx(ceiling, abs=1e-9)
     assert all(sol.qfi <= ceiling + 1e-9 for sol in result.solutions)
 
 
