@@ -86,14 +86,12 @@ def _emit_report(cfg: ExperimentConfig, result: dict) -> int:
 
 def _spectrum_entries(spectrum) -> list[dict]:
     return [
-        {
-            "label": label,
-            "real": value.real,
-            "imag": value.imag,
-            "unconstrained": bool(flag),
-        }
-        for label, value, flag in zip(
-            spectrum.labels, spectrum.values, spectrum.unconstrained
+        {"label": label, "real": real, "imag": imag, "unconstrained": flag}
+        for label, real, imag, flag in zip(
+            spectrum.labels,
+            spectrum.values.real.tolist(),
+            spectrum.values.imag.tolist(),
+            spectrum.unconstrained,
         )
     ]
 
@@ -164,7 +162,15 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         "best_residual": outcome.best_residual,
         "solutions": solutions,
     }
-    return _emit_report(cfg, result)
+    code = _emit_report(cfg, result)
+    if not outcome.feasible:
+        print(
+            f"solve: no feasible point found (best_residual {outcome.best_residual:.3g}) with "
+            f"solver.max_evals = {search_cfg.max_evals} and solver.n_starts = "
+            f"{search_cfg.n_starts}; raise them to search further",
+            file=sys.stderr,
+        )
+    return code
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics, states
 from .errors import ConfigError
-from .operators import MAX_QUBITS, Tolerances
+from .operators import MAX_QUBITS, Tolerances, n_qubits_of_dim
 from .solver import SearchConfig
 
 GENERATOR_KINDS = (dynamics.NONENTANGLING, dynamics.ENTANGLING)
@@ -340,19 +340,16 @@ def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.
         if "matrix_imag" in payload else np.zeros_like(real)
     )
     _require(real.shape == imag.shape, "state file: real and imaginary shapes differ")
-    matrix = real + 1j * imag
-    rho = states.density_matrix(matrix, min_eigenvalue=min_eigenvalue)
+    # the size is checked before density_matrix validates (and diagonalises) the matrix
+    n = n_qubits_of_dim(real.shape[0])
     if "n_qubits" in payload:
         declared = check_int(payload["n_qubits"], "state file: n_qubits")
         _require(
-            declared == rho.n_qubits,
-            f"state file: n_qubits: {declared} but the matrix is a {rho.n_qubits}-qubit state",
+            declared == n,
+            f"state file: n_qubits: {declared} but the matrix is a {n}-qubit state",
         )
-    _require(
-        rho.n_qubits == n_qubits,
-        f"state file: {rho.n_qubits}-qubit state but config.n_qubits = {n_qubits}",
-    )
-    return rho
+    _require(n == n_qubits, f"state file: {n}-qubit state but config.n_qubits = {n_qubits}")
+    return states.density_matrix(real + 1j * imag, min_eigenvalue=min_eigenvalue)
 
 
 def _matrix_part(rows, key: str) -> np.ndarray:

@@ -428,6 +428,25 @@ def test_solve_single_qubit(tmp_path, capsys):
     assert result["solutions"][0]["qfi"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_an_infeasible_search_says_which_budget_to_raise(tmp_path, capsys):
+    path = write_config(
+        tmp_path, {"n_qubits": 2, "seed": 2, "solver": {"n_starts": 1, "max_evals": 3}}
+    )
+    code, out, err = run_cli(capsys, ["solve", path])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["feasible"] is False and result["solutions"] == []
+    assert err == (
+        f"solve: no feasible point found (best_residual {result['best_residual']:.3g}) with "
+        "solver.max_evals = 3 and solver.n_starts = 1; raise them to search further\n"
+    )
+
+
+def test_a_feasible_search_writes_nothing_to_stderr(tmp_path, capsys):
+    path = write_config(tmp_path, {"n_qubits": 1, "seed": 3, "solver": {"n_starts": 8}})
+    code, out, err = run_cli(capsys, ["solve", path])
+    assert code == 0 and json.loads(out)["result"]["feasible"] is True and err == ""
+
+
 def test_simulate_report(tmp_path, capsys):
     path = write_config(
         tmp_path, {"n_qubits": 1, "shots": 4000, "trials": 150, "seed": 5, "x_true": 0.3}
@@ -675,6 +694,31 @@ def test_state_file_n_qubits_must_match_its_matrix(tmp_path, capsys, declared, m
         assert code == 0 and err == ""
     else:
         assert code == 2 and out == "" and err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "declared, message",
+    [
+        (None, "state file: 6-qubit state but config.n_qubits = 2"),
+        (2, "state file: n_qubits: 2 but the matrix is a 6-qubit state"),
+    ],
+)
+def test_state_file_of_the_wrong_size_is_refused_before_validation(
+    tmp_path, capsys, monkeypatch, declared, message
+):
+    payload = {"matrix_real": (np.eye(64) / 64).tolist()}
+    if declared is not None:
+        payload["n_qubits"] = declared
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(payload), encoding="utf-8")
+    path = write_config(tmp_path, {"n_qubits": 2, "state": {"kind": "file", "path": str(state_path)}})
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("the matrix was diagonalised")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    code, out, err = run_cli(capsys, ["fisher", path])
+    assert code == 2 and out == "" and err == f"config error: {message}\n"
 
 
 def test_verify_passes_and_filter_works(capsys):
