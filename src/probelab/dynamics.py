@@ -1,13 +1,12 @@
 """Generators as spectra, evolved states, and projective readouts.
 
 The estimated parameter x enters through the probe Hamiltonian x * H, where H
-is one of the generators built here, stored as its real spectrum h and
-eigenframe W (none for the two built-in, diagonal ones).  The derivative
--i [H, rho] and the evolution are one elementwise kernel K in that frame,
-W (K o W^dagger A W) W^dagger: K o A, O(d^2), for a diagonal H.  Under the
-conventions of :mod:`probelab.operators`, evolving the optimal single-qubit
-state gives the Bloch vector (-sin x, cos x, 0), so the "+" outcome of the
-per-qubit readout has probability p(+|x) = (1 - sin x) / 2.
+is one of the generators built here, stored as its real spectrum h: both
+built-in generators are diagonal in the computational basis.  The derivative
+-i [H, rho] and the evolution are one elementwise kernel K o A, O(d^2).  Under
+the conventions of :mod:`probelab.operators`, evolving the optimal
+single-qubit state gives the Bloch vector (-sin x, cos x, 0), so the "+"
+outcome of the per-qubit readout has probability p(+|x) = (1 - sin x) / 2.
 
 The readout quantities of a given state are diagonals <k|A|k> in the readout
 basis, computed by :meth:`ReadoutBasis.diagonal`: O(d^2) for the per-qubit
@@ -37,31 +36,34 @@ CLIP_FLOOR = -1e-12
 
 @dataclass(frozen=True)
 class Generator:
-    """Parameter-independent Hermitian generator H = W diag(spectrum) W^dagger.
+    """Parameter-independent generator H = diag(spectrum) in the computational basis.
 
-    ``frame`` holds W's column eigenvectors; ``None`` means H is diagonal in
-    the computational basis.  ``matrix`` builds the dense H on demand.
+    ``spectrum`` is stored as a read-only array of 2**n_qubits finite floats;
+    ``matrix`` builds the dense H on demand.
     """
 
     n_qubits: int
     spectrum: np.ndarray
-    frame: np.ndarray | None = None
 
     def __post_init__(self):
-        self.spectrum.setflags(write=False)
+        spectrum = np.asarray(self.spectrum)
+        if spectrum.dtype.kind not in "iuf" or not np.isfinite(spectrum).all():
+            raise ValidationError("generator spectrum must be finite real numbers")
+        if spectrum.shape != (2**self.n_qubits,):
+            raise DimensionError(
+                f"generator spectrum of shape {spectrum.shape} on {self.n_qubits} qubits"
+            )
+        spectrum = spectrum.astype(float)
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.frame is None:
-            return np.diag(self.spectrum).astype(complex)
-        return (self.frame * self.spectrum) @ self.frame.conj().T
+        return np.diag(self.spectrum).astype(complex)
 
     def apply(self, ket: np.ndarray) -> np.ndarray:
-        """H ket = W (h o W^dagger ket): O(d) for a diagonal generator, two
-        d x d matvecs otherwise."""
-        if self.frame is None:
-            return self.spectrum * ket
-        return self.frame @ (self.spectrum * (self.frame.conj().T @ ket))
+        """H ket = h o ket, O(d)."""
+        return self.spectrum * ket
 
 
 def _bit_counts(n: int) -> np.ndarray:
@@ -85,25 +87,10 @@ def entangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     return Generator(n, 0.5 * (-1.0) ** _bit_counts(n))
 
 
-def custom_generator(matrix: np.ndarray) -> Generator:
-    """Any Hermitian H (else :class:`ValidationError`), stored through one
-    eigendecomposition."""
-    eig = ops.hermitian_eigen(matrix)
-    return Generator(ops.n_qubits_of(eig.vectors), eig.values, eig.vectors)
-
-
-def _in_frame(generator: Generator, kernel: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """W (K o W^dagger A W) W^dagger, just K o A for a diagonal generator."""
-    w = generator.frame
-    if w is None:
-        return kernel * a
-    return w @ (kernel * (w.conj().T @ a @ w)) @ w.conj().T
-
-
 def _derivative(generator: Generator, a: np.ndarray) -> np.ndarray:
     """-i [H, A], the kernel -i (h_j - h_k)."""
     h = generator.spectrum
-    return _in_frame(generator, -1j * np.subtract.outer(h, h), a)
+    return -1j * np.subtract.outer(h, h) * a
 
 
 def _check_dims(generator: Generator, rho: DensityMatrix) -> None:
@@ -125,7 +112,7 @@ def evolve(rho: DensityMatrix, generator: Generator, x: float) -> DensityMatrix:
     :func:`~probelab.states.density_matrix`."""
     _check_dims(generator, rho)
     phases = np.exp(-1j * x * generator.spectrum)
-    return density_matrix(_in_frame(generator, np.outer(phases, phases.conj()), rho.matrix))
+    return density_matrix(np.outer(phases, phases.conj()) * rho.matrix)
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,11 @@ SCORE_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class SLDResult:
-    """Hermitian SLD operator, its count of kernel pairs, and rho L if built from a state."""
+    """Hermitian SLD operator, its count of kernel pairs, and rho L."""
 
     operator: np.ndarray
     kernel_dim: int
-    rho_l: np.ndarray | None = None
+    rho_l: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,10 @@ def pure_sld_residual(phi: np.ndarray, chi: np.ndarray, l_psi: np.ndarray) -> fl
     return math.sqrt(4.0 * c.real * c.real + 2.0 * (perp.conj() @ perp).real)
 
 
-def sld_from_spectrum(basis: ReadoutBasis, inv_lambdas) -> SLDResult:
-    """Readout-diagonal operator sum_outcomes (1/lambda) E(outcome)."""
+def sld_from_spectrum(basis: ReadoutBasis, inv_lambdas) -> np.ndarray:
+    """Readout-diagonal d x d operator sum_outcomes (1/lambda) E(outcome)."""
     values = _inv_lambda_array(basis, inv_lambdas)
-    l_op = (basis.kets * values) @ basis.kets.conj().T
-    return SLDResult(operator=l_op, kernel_dim=0)
+    return (basis.kets * values) @ basis.kets.conj().T
 
 
 def _inv_lambda_array(basis: ReadoutBasis, inv_lambdas) -> np.ndarray:
@@ -255,38 +254,44 @@ def check_saturation(
 ) -> SaturationReport:
     """Evaluate both saturation conditions for a fixed projective readout.
 
-    Takes L from ``sld``, or builds it with the default thresholds, and the
-    ratios from :func:`lambda_spectrum`, then measures (a) the largest
+    Takes L and rho L from ``sld``, or builds them with the default
+    thresholds, and the ratios of :func:`lambda_spectrum` from that rho L
+    with the default probability floor, then measures (a) the largest
     imaginary part of tr(rho E L) over outcomes and (b) the projector
     compatibility residual
     sqrt(sum_outcomes ||E (L - Re(1/lambda)) rho||_F^2), which vanishes
     exactly when the readout projects onto an eigenbasis of an SLD with real
     eigenvalue ratios on the support of rho.
     """
+    if basis.dim != rho.dim:
+        raise DimensionError("basis and state dimensions differ")
     if sld is None:
         sld = sld_from_state(rho, rho_prime)
-    spectrum = lambda_spectrum(basis, rho, rho_prime, sld.operator)
-    rho_l = rho.matrix @ sld.operator if sld.rho_l is None else sld.rho_l
-    return _dense_saturation(basis, rho, rho_l, basis.diagonal(rho_l), spectrum, tol)
+    probs, dprobs = np.real(basis.diagonal(rho.matrix)), np.real(basis.diagonal(rho_prime))
+    floor = Tolerances.probability_floor
+    return _dense_ratios(basis, rho, sld.rho_l, probs, dprobs, floor, tol)[1]
 
 
-def _dense_saturation(
+def _dense_ratios(
     basis: ReadoutBasis,
     rho: DensityMatrix,
     rho_l: np.ndarray,
-    numerators: np.ndarray,
-    spectrum: LambdaSpectrum,
+    probs: np.ndarray,
+    dprobs: np.ndarray,
+    probability_floor: float,
     tol: float,
-) -> SaturationReport:
-    """:func:`check_saturation` from rho L and its readout diagonal
-    ``numerators`` = <theta| rho L |theta>."""
+) -> tuple[LambdaSpectrum, SaturationReport]:
+    """The ratios and the saturation of :func:`check_saturation` from rho L
+    and the readout probabilities and dp/dx."""
+    numerators = basis.diagonal(rho_l)  # <theta| rho L |theta>
+    spectrum = _ratio_spectrum(basis.labels, numerators, probs, dprobs, probability_floor)
     # tr(rho E L) = conj <theta| rho L |theta> by cyclicity.
     im_max = float(np.max(np.abs(np.imag(numerators))))
     # Row vectors <theta| (L - Re(1/lambda)) rho for every outcome, from a
     # contiguous (rho L)^dagger: the transform runs faster on it than on a view.
     u = np.real(spectrum.values)[:, None]
     rows = basis.amplitudes(np.conj(rho_l.T, order="C")) - u * basis.amplitudes(rho.matrix)
-    return _saturation(im_max, float(np.linalg.norm(rows)), tol)
+    return spectrum, _saturation(im_max, float(np.linalg.norm(rows)), tol)
 
 
 def _saturation(im_max: float, diag_residual: float, tol: float) -> SaturationReport:
@@ -341,9 +346,8 @@ def quantum_fisher(
     """
     if sld is None:
         sld = sld_from_state(rho, rho_prime)
-    rho_l = rho.matrix @ sld.operator if sld.rho_l is None else sld.rho_l
     # sum_jk (rho L)_jk L_kj, with L_kj = conj(L_jk)
-    return float(np.vdot(sld.operator, rho_l).real)
+    return float(np.vdot(sld.operator, sld.rho_l).real)
 
 
 def cramer_rao_bound(fisher: float, repetitions: int = 1) -> float:
@@ -389,16 +393,10 @@ def analyze(
     floor = tol.probability_floor
     f_classical = _fisher_sum(basis.labels, probs, dprobs, floor)
     sld = sld_from_state(state, rho_prime, tol=tol.kernel_tol, residual_tol=tol.sld_residual)
-    numerators = basis.diagonal(sld.rho_l)
-    spectrum = _ratio_spectrum(basis.labels, numerators, probs, dprobs, floor)
-    return Analysis(
-        classical_fisher=f_classical,
-        quantum_fisher=quantum_fisher(state, rho_prime, sld=sld),
-        spectrum=spectrum,
-        saturation=_dense_saturation(
-            basis, state, sld.rho_l, numerators, spectrum, tol.saturation
-        ),
+    spectrum, saturation = _dense_ratios(
+        basis, state, sld.rho_l, probs, dprobs, floor, tol.saturation
     )
+    return Analysis(f_classical, quantum_fisher(state, rho_prime, sld=sld), spectrum, saturation)
 
 
 def _analyze_pure(

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import Generator, ReadoutBasis, _in_frame, probability_vector
+from .dynamics import Generator, ReadoutBasis, probability_vector
 from .errors import DegenerateModelError, DimensionError, ValidationError
 from .fisher import _fisher_sum, analyze, cramer_rao_bound
 from .operators import Tolerances
@@ -87,14 +87,14 @@ def sample_readout(
 class MeasurementModel:
     """A fixed (generator, initial state, readout) triple.
 
-    With H = W diag(h) W^dagger, the outcome probabilities are the exact
-    trigonometric polynomial p(x) = Re(exp(-i x omega) @ C).  The frequencies
-    omega are the distinct differences h_k - h_l, grouped by exact float
-    equality: 2n+1 of them for the non-entangling generator, 3 for the
-    entangling one and at most d^2 - d + 1 for a generic spectrum.  Row j of
-    C, built once, is the readout diagonal of W (M_j o W^dagger rho W) W^dagger
-    with M_j the mask h_k - h_l = omega_j: O(d^2) for a diagonal generator on
-    the |+>/|-> readout.  The exact derivative dp/dx multiplies C by -i omega.
+    With H = diag(h), the outcome probabilities are the exact trigonometric
+    polynomial p(x) = Re(exp(-i x omega) @ C).  The frequencies omega are the
+    distinct differences h_k - h_l, grouped by exact float equality: 2n+1 of
+    them for the non-entangling generator, 3 for the entangling one and at
+    most d^2 - d + 1 for a generic spectrum.  Row j of C, built once, is the
+    readout diagonal of M_j o rho with M_j the mask h_k - h_l = omega_j:
+    O(d^2) on the |+>/|-> readout.  The exact derivative dp/dx multiplies C by
+    -i omega.
     """
 
     def __init__(
@@ -110,7 +110,7 @@ class MeasurementModel:
         self._omega, group = np.unique(diffs, return_inverse=True)
         group = group.reshape(diffs.shape)
         self._coeffs = np.stack([
-            basis.diagonal(_in_frame(generator, group == j, initial_state.matrix))
+            basis.diagonal((group == j) * initial_state.matrix)
             for j in range(len(self._omega))
         ])
 

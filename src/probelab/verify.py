@@ -236,7 +236,7 @@ def _nqubit_sld_closed_form():
     for n in range(1, 7):
         sol = solver.closed_form_solution(dynamics.NONENTANGLING, n)
         basis = dynamics.product_pm_readout(n)
-        l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas).operator
+        l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas)
         x_terms = {"I" * j + "X" + "I" * (n - 1 - j): -1.0 for j in range(n)}
         expect = operators.pauli_terms_dense(x_terms)
         worst_l = max(worst_l, _close(l_dense, expect))
@@ -278,7 +278,7 @@ def _pure_probe_closed_form_route():
         generators = (
             dynamics.nonentangling_generator(n),
             dynamics.entangling_generator(n),
-            dynamics.custom_generator(h + h.conj().T),
+            dynamics.Generator(n, np.linalg.eigvalsh(h + h.conj().T)),
         )
         readouts = (dynamics.product_pm_readout(n), dynamics.random_projective_readout(n, rng))
         probes = [states.tensor_power(states.optimal_single_qubit(+1), n),
@@ -367,7 +367,7 @@ def _optimality_equation_readout_frame():
         generators = (
             dynamics.nonentangling_generator(n),
             dynamics.entangling_generator(n),
-            dynamics.custom_generator(h + h.conj().T),
+            dynamics.Generator(n, np.linalg.eigvalsh(h + h.conj().T)),
         )
         readouts = (dynamics.product_pm_readout(n), dynamics.random_projective_readout(n, rng))
         for basis in readouts:
@@ -473,7 +473,7 @@ def _unconstrained_lambda_invariance():
     for c in (0.0, 0.7, -2.0):
         u = {"++": -1.0, "+-": c, "-+": c, "--": 1.0}
         worst_res = max(worst_res, solver.sol1_residual(state, u, basis, gen))
-        l_op = fisher.sld_from_spectrum(basis, u).operator
+        l_op = fisher.sld_from_spectrum(basis, u)
         qfi = float(np.real(np.trace(l_op @ l_op @ state.matrix)))
         worst_qfi = max(worst_qfi, abs(qfi - 1.0))
     return max(worst_qfi, worst_res) <= 1e-9, {"qfi_error": worst_qfi, "residual": worst_res}

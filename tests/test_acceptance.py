@@ -62,7 +62,7 @@ def test_criterion_2_nonentangling_scaling():
         rho_prime = dynamics.state_derivative(gen, rho)
 
         sol = solver.closed_form_solution(dynamics.NONENTANGLING, n)
-        l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas).operator
+        l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas)
         expect = np.zeros((2**n, 2**n), dtype=complex)
         for j in range(n):
             labels = ["I"] * n
@@ -238,7 +238,7 @@ def test_criterion_8_fisher_hierarchy():
             gen = dynamics.entangling_generator(n)
         else:
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            gen = dynamics.custom_generator(g + g.conj().T)
+            gen = dynamics.Generator(n, np.linalg.eigvalsh(g + g.conj().T))
         basis = (
             dynamics.product_pm_readout(n)
             if rng.random() < 0.5

@@ -55,6 +55,29 @@ def test_generators_equal_their_pauli_string_sums(n):
     assert np.array_equal(dynamics.entangling_generator(n).matrix, entangling)
 
 
+def test_generator_stores_a_list_as_a_read_only_float_array():
+    spectrum = [0, 1, 2, 3]
+    gen = dynamics.Generator(2, spectrum)
+    assert gen.spectrum.dtype == float and not gen.spectrum.flags.writeable
+    assert np.array_equal(gen.spectrum, spectrum)
+    assert spectrum == [0, 1, 2, 3]
+
+
+def test_generator_refuses_a_spectrum_of_the_wrong_length():
+    with pytest.raises(DimensionError):
+        dynamics.Generator(3, np.arange(4.0))
+
+
+def test_generator_refuses_a_non_finite_spectrum():
+    with pytest.raises(ValidationError):
+        dynamics.Generator(3, np.full(8, np.nan))
+
+
+def test_generator_refuses_a_complex_spectrum():
+    with pytest.raises(ValidationError):
+        dynamics.Generator(3, np.arange(8) * (1 + 1j))
+
+
 def test_state_derivative_golden_single_qubit():
     gen = dynamics.nonentangling_generator(1)
     rho = states.optimal_single_qubit(+1)
@@ -98,8 +121,8 @@ def test_evolve_matches_expm(kind):
     rng = np.random.default_rng(21)
     if kind == "custom":
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = (g + g.conj().T) / 4.0
-        gen = dynamics.custom_generator(h)
+        gen = dynamics.Generator(3, np.linalg.eigvalsh((g + g.conj().T) / 4.0))
+        h = gen.matrix
     else:
         build = {dynamics.NONENTANGLING: dynamics.nonentangling_generator,
                  dynamics.ENTANGLING: dynamics.entangling_generator}[kind]
@@ -126,7 +149,7 @@ def test_evolve_keeps_the_ket_without_an_eigendecomposition(probe, monkeypatch):
     n = 3
     if probe == "custom":
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        gen = dynamics.custom_generator((g + g.conj().T) / 4.0)
+        gen = dynamics.Generator(n, np.linalg.eigvalsh((g + g.conj().T) / 4.0))
         rho = states.random_pure_state(n, rng)
     else:
         gen = dynamics.nonentangling_generator(n)

@@ -188,7 +188,7 @@ def test_fisher_hierarchy_random_sweep():
         )
         dim = 2**n
         h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        gen = dynamics.custom_generator(h + h.conj().T)
+        gen = dynamics.Generator(n, np.linalg.eigvalsh(h + h.conj().T))
         rho_prime = dynamics.state_derivative(gen, rho)
         basis = (
             dynamics.product_pm_readout(n)

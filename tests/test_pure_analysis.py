@@ -26,7 +26,7 @@ def _generator(kind, n, rng):
     if kind == "entangling":
         return dynamics.entangling_generator(n)
     g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-    return dynamics.custom_generator(0.5 * (g + g.conj().T))
+    return dynamics.Generator(n, np.linalg.eigvalsh(0.5 * (g + g.conj().T)))
 
 
 def _outcome(generator, state, basis, tol):

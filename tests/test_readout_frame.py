@@ -26,7 +26,7 @@ def _generator(kind, n, rng):
     if kind == "entangling":
         return dynamics.entangling_generator(n)
     g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-    return dynamics.custom_generator(g + g.conj().T)
+    return dynamics.Generator(n, np.linalg.eigvalsh(g + g.conj().T))
 
 
 def _probe(kind, basis, rng):

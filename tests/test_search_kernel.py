@@ -9,7 +9,8 @@ zero-probability outcome, a 50-digit evaluation of the same least squares.
 The objective ``solver._search_objective`` is checked against the fit's
 residual through r^2 = (F_Q - F_C)/2, and its gradient against difference
 quotients.  The generator is either of the paper's diagonal ones or a random
-Hermitian matrix, whose H (V G_chi) term in the gradient is not diagonal.
+real spectrum, and the readout the per-qubit |+>/|-> one or a Haar-random
+one, under which the gradient's H (V G_chi) term mixes every outcome.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ def _setup(n, seed, product_readout, generator_kind):
     if generator_kind == "custom":
         shape = (basis.dim, basis.dim)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        generator = dynamics.custom_generator(0.25 * (a + a.conj().T))
+        generator = dynamics.Generator(n, np.linalg.eigvalsh(0.25 * (a + a.conj().T)))
     elif generator_kind == "entangling":
         generator = dynamics.entangling_generator(n)
     else:

@@ -227,7 +227,7 @@ def test_unconstrained_lambda_does_not_change_qfi():
     for c in (0.0, 1.3, -4.0):
         u = {"++": -1.0, "+-": c, "-+": c, "--": 1.0}
         assert solver.sol1_residual(state, u, basis, gen) < 1e-10
-        l_op = fisher.sld_from_spectrum(basis, u).operator
+        l_op = fisher.sld_from_spectrum(basis, u)
         values.append(float(np.real(np.trace(l_op @ l_op @ state.matrix))))
     assert np.allclose(values, 1.0, atol=1e-10)
 
