@@ -11,6 +11,7 @@ for stdin); ``--seed``, ``--out`` and ``--format`` override config fields, and
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, replace
 
@@ -227,6 +228,7 @@ def cmd_scaling(cfg: ExperimentConfig) -> int:
 COMMANDS = {task: globals()[f"cmd_{task}"] for task in TASKS}
 
 
+@functools.cache  # built once per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probelab",

@@ -244,8 +244,13 @@ def _normalize_tolerances(raw) -> Tolerances:
     tolerances = Tolerances(
         **{key: _check_number(value, f"config.tolerances.{key}") for key, value in raw.items()}
     )
-    # a negative floor lets zero-probability outcomes into the Fisher sums as 0/0
-    _require(tolerances.probability_floor >= 0, "config.tolerances.probability_floor: must be >= 0")
+    # A negative threshold gives a wrong verdict: a negative floor or kernel_tol
+    # lets zero probabilities or eigenvalue sums into a division, a negative
+    # residual or saturation bound refuses an exact result.
+    for field in fields(Tolerances):
+        if field.name != "psd_min_eigenvalue":
+            value = getattr(tolerances, field.name)
+            _require(value >= 0, f"config.tolerances.{field.name}: must be >= 0")
     return tolerances
 
 

@@ -142,7 +142,7 @@ def sld_from_state(
 
 
 def _check_sld_residual(residual: float, residual_tol: float) -> None:
-    if residual > residual_tol:
+    if not residual <= residual_tol:  # a NaN residual fails too
         raise SLDInconsistencyError(
             f"defining-equation residual {residual:.3e} exceeds "
             f"{residual_tol:.1e}: derivative has support outside the state"

@@ -374,13 +374,9 @@ def solve_lambdas_given_state(
     """Best real inverse eigenvalues for a fixed state, with the residual and
     the diagonal QFI tr(L^2 rho) of L = sum_k u_k E_k."""
     u, unconstrained, residual, qfi = _fit(state, basis, generator)
-    return _real_spectrum(basis, u, unconstrained), residual, qfi
-
-
-def _real_spectrum(basis: ReadoutBasis, u: np.ndarray, unconstrained: np.ndarray) -> LambdaSpectrum:
-    values = np.asarray(u, dtype=float).astype(complex)
+    values = u.astype(complex)
     values.setflags(write=False)
-    return LambdaSpectrum(basis.labels, values, tuple(map(bool, unconstrained)))
+    return LambdaSpectrum(basis.labels, values, tuple(map(bool, unconstrained))), residual, qfi
 
 
 # ---------------------------------------------------------------------------
@@ -407,58 +403,35 @@ class Solution:
 def closed_form_solution(generator_kind: str, n: int) -> Solution:
     """Known optimal states for the product |+>/|-> readout.
 
-    * Non-entangling generator, any n: the n-fold tensor power of the optimal
-      single-qubit state, with additive inverse eigenvalues (so the diagonal
-      operator is minus the sum of single-qubit X terms and tr(L^2 rho) = n).
-    * Entangling generator, odd n: the same tensor power; the inverse
-      eigenvalues obey a product rule with values +/-1 and tr(L^2 rho) = 1.
-    * Entangling generator, n = 2: the pure two-qubit candidate with
-      c11 = c23 = c32 = 1; the mixed-outcome eigenvalues are unconstrained.
-    * Entangling generator, n = 2 * odd: the tensor power of the two-qubit
-      solution.  This combination rests on an unproven composite rule, so its
-      eigenvalues are fit by least squares and the returned residual is the
-      measured verdict; callers must check it rather than assume success.
+    Each case names a state; its inverse eigenvalues are fitted by
+    :func:`solve_lambdas_given_state`, and the returned residual is the
+    verdict on every case alike.
 
+    * Non-entangling generator, any n, and entangling generator, odd n: the
+      n-fold tensor power of the optimal single-qubit state.
+    * Entangling generator, n = 2 * odd: the (n/2)-fold tensor power of the
+      pure two-qubit candidate with c11 = c23 = c32 = 1 (the candidate
+      itself at n = 2).
+
+    The rules the fitted eigenvalues obey (additive, the odd-n product rule,
+    the free mixed outcomes at n = 2) are checked in :mod:`probelab.verify`.
     Raises :class:`UnsupportedClosedFormError` for entangling n divisible by 4
     (no stored base solution to build the tensor power from).
     """
     basis = product_pm_readout(n)
-    if generator_kind == NONENTANGLING:
-        generator = nonentangling_generator(n)
-    elif generator_kind == ENTANGLING:
-        generator = entangling_generator(n)
-    else:
+    if generator_kind not in (NONENTANGLING, ENTANGLING):
         raise ValidationError(f"unknown generator kind {generator_kind!r}")
-    u = None
-    if generator_kind == NONENTANGLING:
+    if generator_kind == NONENTANGLING or n % 2 == 1:
         state = tensor_power(optimal_single_qubit(+1), n)
-        u = np.array([label.count("-") - label.count("+") for label in basis.labels], dtype=float)
-    elif n % 2 == 1:
-        state = tensor_power(optimal_single_qubit(+1), n)
-        # Product rule: i**(n+3) times the product of single-qubit values -+1.
-        prefactor = float(np.real(1j ** (n + 3)))
-        u = np.array(
-            [prefactor * (-1.0) ** label.count("+") for label in basis.labels]
-        )
-    elif n == 2:
-        state = two_qubit_entangling_candidate(1.0, 1.0, 1.0)
-        u = np.array([-1.0, 0.0, 0.0, 1.0])
     elif n % 4 == 2:
-        # Unproven composite rule: eigenvalues fit numerically, residual is
-        # the measured verdict and is deliberately not asserted here.
         state = tensor_power(two_qubit_entangling_candidate(1.0, 1.0, 1.0), n // 2)
     else:
         raise UnsupportedClosedFormError(
             f"no closed-form state is known for the entangling generator on {n} qubits "
             f"(n divisible by 4 has no stored base solution)"
         )
-    fit_u, unconstrained, residual, qfi = _fit(state, basis, generator, u)
-    tol = ops.Tolerances.solution_residual
-    if u is not None and residual > tol:
-        raise ValidationError(
-            f"closed-form solution failed verification: residual {residual:.3e} > {tol:.1e}"
-        )
-    return Solution(state, _real_spectrum(basis, fit_u, unconstrained), residual, qfi, CLOSED_FORM)
+    build = nonentangling_generator if generator_kind == NONENTANGLING else entangling_generator
+    return Solution(state, *solve_lambdas_given_state(state, basis, build(n)), CLOSED_FORM)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import tracemalloc
@@ -149,6 +150,45 @@ def test_negative_probability_floor_is_a_config_error(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
+_ZERO_BLOCH = {"kind": "bloch", "a": [0, 0, 1], "b": [0, 0, 0], "c": [[0, 0, 0]] * 3}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # divides by the zero eigenvalue sums of a rank-2 state: a NaN QFI
+        ("fisher", {"n_qubits": 2, "state": _ZERO_BLOCH, "tolerances": {"kernel_tol": -1}}),
+        # the exact SLD of the tensor probe refused as support outside the state
+        ("fisher", {"n_qubits": 2, "tolerances": {"sld_residual": -1e-8}}),
+        # the tensor probe, F_C = F_Q = 2, called unsaturated
+        ("fisher", {"n_qubits": 2, "tolerances": {"saturation": -1}}),
+        # a search that reaches the optimum called infeasible
+        ("solve", {"n_qubits": 1, "seed": 1, "solver": {"n_starts": 2},
+                   "tolerances": {"solution_residual": -1}}),
+    ],
+)
+def test_negative_threshold_is_a_config_error(tmp_path, capsys, command, config):
+    (name,) = config["tolerances"]
+    code, out, err = run_cli(capsys, [command, write_config(tmp_path, config)])
+    assert code == 2 and out == ""
+    assert err == f"config error: config.tolerances.{name}: must be >= 0\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write_config(tmp_path, {"n_qubits": 1})
+    assert [run_cli(capsys, ["fisher", path])[0] for _ in range(2)] == [0, 0]
+    assert built.count("probelab") == 1
+
+
 def test_config_rejects_a_boolean_sign():
     with pytest.raises(ConfigError, match="config.state.sign: must be 1 or -1"):
         parse_config_text('{"state": {"kind": "cat", "sign": true}}', task="fisher")
@@ -216,7 +256,7 @@ _SCALING = {"n_list": [1, 2], "shots": 200, "trials": 10, "seed": 1}
 #: code it must change.
 EXTREME_TOLERANCES = [
     ("kernel_tol", 1.5, "scaling", _SCALING),
-    # the closed-form SLD residual of the one-qubit optimum is exactly 0
+    # a negative threshold is a config error
     ("sld_residual", -1.0, "fisher", {"n_qubits": 1}),
     ("saturation", -1.0, "fisher", {"n_qubits": 2}),
     ("solution_residual", -1.0, "solve",
@@ -226,6 +266,16 @@ EXTREME_TOLERANCES = [
     ("probability_floor", 0.6, "scaling", _SCALING),
     ("probability_floor", 0.3, "fisher",
      {"n_qubits": 3, "generator": "entangling", "state": "cat"}),
+    # the eigenvalue pair of |1><1| (x) rho_2 at 1 - |a| = 1e-10 is a kernel,
+    # which leaves an SLD residual near 1e-11
+    ("sld_residual", 1e-12, "fisher",
+     {"n_qubits": 2, "state": {"kind": "bloch", "a": [0, 0, 0.9999999999], "b": [0, 0.5, 0],
+                               "c": [[0, 0, 0], [0, 0, 0], [0, 0.49999999995, 0]]}}),
+    # diagonal residual 0.058
+    ("saturation", 1.0, "fisher", {"n_qubits": 1, "state": {"kind": "bloch", "a": [0.1, 0.5, 0.3]}}),
+    # no search residual is exactly 0
+    ("solution_residual", 0.0, "solve",
+     {"n_qubits": 1, "seed": 3, "solver": {"n_starts": 2, "max_evals": 200}}),
 ]
 
 

@@ -67,6 +67,15 @@ def test_sld_rejects_derivative_outside_support():
         fisher.sld_from_state(rho, bad)
 
 
+def test_sld_with_a_negative_kernel_tol_fails_its_residual_check():
+    # |0><0| (x) I/2 has two zero eigenvalues; a negative kernel threshold
+    # divides by their zero sums, and the NaN residual must not pass
+    rho = states.from_bloch([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], np.zeros((3, 3)))
+    rho_prime = dynamics.state_derivative(dynamics.nonentangling_generator(2), rho)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(SLDInconsistencyError):
+        fisher.sld_from_state(rho, rho_prime, tol=-1.0)
+
+
 def test_lambda_spectrum_golden_single_qubit():
     rho, rho_prime, basis = single_qubit_setup(+1)
     l_op = fisher.sld_from_state(rho, rho_prime).operator

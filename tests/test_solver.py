@@ -162,7 +162,11 @@ def test_closed_form_entangling_odd():
         sol = solver.closed_form_solution(dynamics.ENTANGLING, n)
         assert sol.residual <= 1e-7
         assert sol.qfi == pytest.approx(1.0, abs=1e-8)
-        assert np.allclose(np.abs(sol.inv_lambdas.real_values()), 1.0)
+        # the product rule: i^(n+3) times -1 per "+" in the label
+        prefactor = np.real(1j ** (n + 3))
+        for label in sol.inv_lambdas.labels:
+            expected = prefactor * (-1.0) ** label.count("+")
+            assert abs(sol.inv_lambdas[label] - expected) <= 1e-9
 
 
 def test_closed_form_entangling_two_qubits():
