@@ -32,7 +32,7 @@ from .errors import ConfigError, ProbeLabError
 from .fisher import analyze, cramer_rao_bound
 from .montecarlo import MeasurementModel, scaling_experiment, uncertainty_run
 from .report import csv_table, dumps_report
-from .solver import search_optimal_state
+from .solver import TIE_TOL, search_optimal_state
 from .verify import run_golden_suite
 
 EXIT_OK = 0
@@ -145,11 +145,14 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         seed=cfg.seed,
     )
     outcome = search_optimal_state(generator, basis, cfg.n_qubits, search_cfg)
+    # no probe's QFI exceeds (h_max - h_min)^2 (search_optimal_state)
+    ceiling = float(generator.spectrum.max() - generator.spectrum.min()) ** 2
     solutions = []
     for sol in outcome.solutions:
         solutions.append(
             {
                 "qfi": sol.qfi,
+                "at_ceiling": abs(sol.qfi - ceiling) <= TIE_TOL,
                 "residual": sol.residual,
                 "purity": sol.state.purity(),
                 "provenance": sol.provenance,

@@ -50,6 +50,7 @@ from .errors import (
     SingularOutcomeError,
     SLDInconsistencyError,
     UndefinedLambdaError,
+    ValidationError,
 )
 from .operators import Tolerances, is_hermitian
 from .states import DensityMatrix
@@ -116,10 +117,15 @@ def sld_from_state(
     """Solve (L rho + rho L)/2 = rho_prime for Hermitian L.
 
     ``tol`` is the kernel threshold on eigenvalue sums p_j + p_k.  Raises
+    :class:`ValidationError` if ``tol`` or ``residual_tol`` is not >= 0 (a
+    negative kernel threshold divides by zero eigenvalue sums), and
     :class:`SLDInconsistencyError` if the defining equation cannot be met to
     within ``residual_tol`` after kernel handling (the derivative then has
     support where the state has none).
     """
+    for name, value in (("tol", tol), ("residual_tol", residual_tol)):
+        if not value >= 0:  # NaN too
+            raise ValidationError(f"sld_from_state: {name} must be >= 0, got {value!r}")
     rho_prime = np.asarray(rho_prime, dtype=complex)
     if rho_prime.shape != rho.matrix.shape:
         raise DimensionError(

@@ -7,7 +7,7 @@ E(outcome) and the per-outcome inverse eigenvalues u = 1/lambda together:
 
 For a fixed state the equation is linear in the u, so the inner problem is an
 exact least-squares solve; the outer search over pure states is a seeded
-multi-start L-BFGS-B descent on the ket with an exact gradient.
+multi-start L-BFGS-B descent with an exact gradient (:func:`_search_frame`).
 
 The readout is fixed, so the inner solve (``_fit``, which
 ``solve_lambdas_given_state``, ``sol1_residual`` and the closed forms view)
@@ -18,9 +18,9 @@ takes one route per kind of probe:
   classical score, so the diagonal QFI sum_k u_k^2 p_k is the classical
   Fisher information of the readout.  The amplitudes cost one fast
   Walsh-Hadamard transform each on the per-qubit readout, the rest O(d).
-  The pure-state search objective feeds the same kernel with V^dagger psi
-  and V^dagger (H psi), two O(d^2) matvecs with the readout kets, and its
-  gradient costs two more.
+  The search objective feeds the same kernel with V^dagger psi and
+  V^dagger (H psi), two small matvecs in the symmetric sector (two O(d^2)
+  ones elsewhere), and its gradient costs two more.
 * any other state: with R = V^dagger rho V and T = V^dagger (-i[H, rho]) V
   the operator sum_k u_k E_k is diag(u) and the equation holds entry by
   entry, (u_j + u_k)/2 R_jk = T_jk: d x d normal equations and O(d^2)
@@ -41,7 +41,9 @@ other.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from .dynamics import (
     NONENTANGLING,
     Generator,
     ReadoutBasis,
+    _bit_counts,
     _derivative,
     entangling_generator,
     nonentangling_generator,
@@ -87,7 +90,7 @@ def __getattr__(name: str):
 CLOSED_FORM = "closed-form"
 NUMERIC_SEARCH = "numeric-search"
 
-#: Decimals of the Pauli coefficients that key duplicate search solutions.
+#: Decimals of the density-matrix entries that key duplicate search solutions.
 DEDUP_DECIMALS = 6
 
 
@@ -519,36 +522,69 @@ class SearchResult:
         return bool(self.solutions)
 
 
-def _dedup_key(state: DensityMatrix) -> tuple[float, ...]:
-    """All 4**n Pauli coefficients of the state, rounded to DEDUP_DECIMALS."""
-    return tuple(np.round(ops.pauli_transform(state.matrix).real, DEDUP_DECIMALS).tolist())
+def _dedup_key(v: np.ndarray) -> tuple[float, ...]:
+    """v v^dagger at unit v, rounded part by part: the state in search coordinates."""
+    v = v / np.linalg.norm(v)
+    return tuple(np.round(np.outer(v, v.conj()), DEDUP_DECIMALS).view(float).ravel().tolist())
+
+
+def _search_frame(generator: Generator, basis: ReadoutBasis) -> tuple[tuple, Callable]:
+    """The coordinates the search walks: the frame ``(fwd, bwd, h, mult)`` of
+    :func:`_search_objective` and the lift of a point to the ket.
+
+    On the per-qubit readout with a spectrum that is a function of popcount
+    (both built-in generators) the objective is invariant under qubit
+    permutations, so a critical point in the permutation-symmetric sector is
+    one of the full search.  The sector's coordinates are the n+1 amplitudes
+    c of the Dicke kets, psi = E c with psi_k = c_w / sqrt(binom(n, w)) at
+    w = popcount(k).  There H psi = E (h_w o c), and V^dagger psi takes one
+    value per outcome weight v, phi_v = (A c)_v with the Krawtchouk matrix
+    A[v, w] = K_w(v) / sqrt(2^n binom(n, w)) of H^(x)n on the sector; each
+    phi_v stands for binom(n, v) outcomes, and E^T V pulls an amplitude
+    vector back as A^T diag(binom(n, v)).  Any other readout or spectrum is
+    searched on the 2^n ket, with the frame (V^dagger, V, h, 1).
+    """
+    n = generator.n_qubits
+    weights = _bit_counts(n)
+    h_w = generator.spectrum[(1 << np.arange(n + 1)) - 1]
+    if not (basis.hadamard and np.array_equal(generator.spectrum, h_w[weights])):
+        kets = basis.kets
+        return (kets.conj().T, kets, generator.spectrum, 1), lambda psi: psi
+    mult = np.array([comb(n, w) for w in range(n + 1)], dtype=float)
+    krawtchouk = np.array(
+        [[sum((-1) ** j * comb(v, j) * comb(n - v, w - j) for j in range(w + 1))
+          for w in range(n + 1)] for v in range(n + 1)],
+        dtype=float,
+    )
+    a, scale = krawtchouk / np.sqrt(2.0**n * mult), np.sqrt(mult)
+    return (a, a.T * mult, h_w, mult), lambda c: (c / scale)[weights]
 
 
 def _search_objective(
-    x: np.ndarray, weight: float, kets: np.ndarray, kets_h: np.ndarray, generator: Generator
+    x: np.ndarray, weight: float, fwd: np.ndarray, bwd: np.ndarray, h: np.ndarray, mult
 ) -> tuple[float, np.ndarray]:
     """-F_C + (weight/2)(F_Q - F_C) at psi = z/||z||, x the real and imaginary
     parts of z interleaved, and its gradient in x: -F_C + weight r^2, since
     r^2 = (F_Q - F_C)/2 at :func:`_pure_fit`, over whose kept outcomes
     F_C = sum_k u_k^2 p_k sums.
 
-    ``kets`` is V and ``kets_h`` its adjoint, so phi = V^dagger psi and
-    chi = V^dagger H psi.  With G = d/dRe + i d/dIm:
-    G_psi F_C = V (-4i u chi - 2 u^2 phi) + H V (4i u phi),
-    G_psi F_Q = 8 (H^2 psi - 2 <H> H psi) and
+    With the frame of :func:`_search_frame`, phi = fwd psi and
+    chi = fwd (h o psi), each for ``mult`` outcomes.  With G = d/dRe + i d/dIm:
+    G_psi F_C = bwd (-4i u chi - 2 u^2 phi) + h o bwd (4i u phi),
+    G_psi F_Q = 8 (h^2 psi - 2 <H> h psi) and
     G_z = (G_psi - Re(psi^dagger G_psi) psi) / ||z||.
     """
     z = x.view(complex)
     norm = np.linalg.norm(z)
     psi = z / norm
-    h_psi = generator.apply(psi)
-    phi, chi = kets_h @ psi, kets_h @ h_psi
+    h_psi = h * psi
+    phi, chi = fwd @ psi, fwd @ h_psi
     p, u, _ = _pure_score(phi, chi)
-    f_c = u * u @ p
+    f_c = mult * u * u @ p
     mean = (psi.conj() @ h_psi).real
     f_q = 4.0 * ((h_psi.conj() @ h_psi).real - mean * mean)
-    g_c = kets @ (-4j * u * chi - 2.0 * u * u * phi) + generator.apply(kets @ (4j * u * phi))
-    g_q = 8.0 * (generator.apply(h_psi) - 2.0 * mean * h_psi)
+    g_c = bwd @ (-4j * u * chi - 2.0 * u * u * phi) + h * (bwd @ (4j * u * phi))
+    g_q = 8.0 * (h * h_psi - 2.0 * mean * h_psi)
     g_psi = 0.5 * weight * g_q - (1.0 + 0.5 * weight) * g_c
     g_z = (g_psi - (psi.conj() @ g_psi).real * psi) / norm
     return -f_c + 0.5 * weight * (f_q - f_c), g_z.view(float)
@@ -563,28 +599,28 @@ def search_optimal_state(
     """Maximize tr(L^2 rho) over probe states subject to the equation residual.
 
     Multi-start penalized search over pure states: L-BFGS-B walks the real
-    and imaginary parts of an unnormalised ket on :func:`_search_objective`
-    (its inner least squares is exact, in closed form), once per stage of
-    ``PENALTY_STAGES``, each stage from the last one's end point, within
-    ``max_evals`` evaluations per start in all.  Mixed states are not
-    searched: the QFI is convex and a pure state's is 4 Var(H), so no state
-    exceeds (h_max - h_min)**2, a ceiling the search reaches up to n = 6.
-    Each start's end point is fitted once by
-    :func:`solve_lambdas_given_state` from its ket and must pass
-    ``residual_tol`` to count as a solution; one whose ||-i[H, rho]||_F is
-    within ``residual_tol`` carries no information (u = 0 solves the
-    equation) and is dropped; at a pure end point its square is
-    2 Var(H) = qfi/2 + residual^2, read from the fit.  Starts draw seeded
-    random kets, so results are reproducible and independent of any parallel
-    scheduling; every solution within ``TIE_TOL`` of the best QFI is
-    reported, ordered by its rounded Pauli coefficients alone, so digits
-    below them never decide the order.  Global optimality is never claimed.
+    and imaginary parts of an unnormalised point in the coordinates of
+    :func:`_search_frame` on :func:`_search_objective` (its inner least
+    squares is exact, in closed form), once per stage of ``PENALTY_STAGES``,
+    each stage from the last one's end point, within ``max_evals``
+    evaluations per start in all.  Mixed states are not searched: the QFI
+    is convex and a pure state's is 4 Var(H), so no state exceeds the ceiling
+    (h_max - h_min)**2; a solution within ``TIE_TOL`` of it is a global
+    optimum up to ``residual_tol``, and the defaults reach it up to n = 10.
+    Each start's end point is lifted to its ket, fitted once by
+    :func:`solve_lambdas_given_state` and must pass ``residual_tol`` to
+    count as a solution; one whose ||-i[H, rho]||_F is within
+    ``residual_tol`` carries no information (u = 0 solves the equation) and
+    is dropped; at a pure end point its square is 2 Var(H) =
+    qfi/2 + residual^2, read from the fit.  Starts draw seeded random points,
+    so results are reproducible and independent of any parallel scheduling;
+    every solution within ``TIE_TOL`` of the best QFI is reported, ordered by
+    its :func:`_dedup_key` alone, so digits below the key's never decide it.
     """
     config = config or SearchConfig()
     if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
         raise DimensionError("generator/basis do not act on n_qubits qubits")
-    kets = basis.kets
-    kets_h = kets.conj().T
+    frame, lift = _search_frame(generator, basis)
     # scipy refuses a negative ftol
     gtol, ftol = (config.simplex_tol, SEARCH_FTOL) if config.simplex_tol >= 0 else (0.0, 0.0)
 
@@ -594,26 +630,26 @@ def search_optimal_state(
     found: dict[tuple, Solution] = {}
     best_residual = np.inf
     for child in rng_root.spawn(config.n_starts):
-        x = np.random.default_rng(child).standard_normal(2 * basis.dim)
+        x = np.random.default_rng(child).standard_normal(2 * frame[2].size)
         evals = 0
         for fraction in PENALTY_STAGES:
             if evals >= config.max_evals:
                 break
             weight = fraction * PENALTY_WEIGHT
             result = optimize.minimize(
-                _search_objective, x, args=(weight, kets, kets_h, generator),
+                _search_objective, x, args=(weight, *frame),
                 method="L-BFGS-B", jac=True,
                 options={"maxfun": config.max_evals - evals, "gtol": gtol, "ftol": ftol},
             )
             x, evals = result.x, evals + result.nfev
-        state = pure_state(x.view(complex))
+        state = pure_state(lift(x.view(complex)))
         spectrum, residual, qfi = solve_lambdas_given_state(state, basis, generator)
         best_residual = min(best_residual, residual)
         drift = np.sqrt(0.5 * qfi + residual * residual)  # ||-i[H, rho]||_F
         if residual > config.residual_tol or drift <= config.residual_tol:
             continue
         solution = Solution(state, spectrum, residual, qfi, NUMERIC_SEARCH)
-        key = _dedup_key(state)
+        key = _dedup_key(x.view(complex))
         existing = found.get(key)
         if existing is None or solution.qfi > existing.qfi:
             found[key] = solution

@@ -478,6 +478,26 @@ def test_solve_single_qubit(tmp_path, capsys):
     assert result["solutions"][0]["qfi"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("generator, ceiling", [("nonentangling", 4.0), ("entangling", 1.0)])
+def test_solve_marks_solutions_at_the_qfi_ceiling(tmp_path, capsys, monkeypatch, generator, ceiling):
+    # the ceiling is (h_max - h_min)^2: 4 for (Z_1 + Z_2)/2, 1 for Z Z / 2
+    config = {"n_qubits": 2, "generator": generator, "seed": 3, "solver": {"n_starts": 4}}
+    code, out, _ = run_cli(capsys, ["solve", write_config(tmp_path, config)])
+    solutions = json.loads(out)["result"]["solutions"]
+    assert code == 0 and solutions
+    for sol in solutions:
+        assert sol["at_ceiling"] is True and abs(sol["qfi"] - ceiling) <= solver.TIE_TOL
+    # the product state reaches 2 of the non-entangling ceiling 4
+    below = solver.closed_form_solution(dynamics.NONENTANGLING, 2)
+    monkeypatch.setattr(
+        cli, "search_optimal_state", lambda *args: solver.SearchResult((below,), 1, below.residual)
+    )
+    config["generator"] = "nonentangling"
+    code, out, _ = run_cli(capsys, ["solve", write_config(tmp_path, config)])
+    (sol,) = json.loads(out)["result"]["solutions"]
+    assert code == 0 and sol["qfi"] == pytest.approx(2.0) and sol["at_ceiling"] is False
+
+
 def test_an_infeasible_search_says_which_budget_to_raise(tmp_path, capsys):
     path = write_config(
         tmp_path, {"n_qubits": 2, "seed": 2, "solver": {"n_starts": 1, "max_evals": 3}}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from probelab import dynamics, fisher, states
 from probelab.operators import Tolerances
-from probelab.errors import SingularOutcomeError, SLDInconsistencyError
+from probelab.errors import SingularOutcomeError, SLDInconsistencyError, ValidationError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -69,11 +69,14 @@ def test_sld_rejects_derivative_outside_support():
 
 def test_sld_with_a_negative_kernel_tol_fails_its_residual_check():
     # |0><0| (x) I/2 has two zero eigenvalues; a negative kernel threshold
-    # divides by their zero sums, and the NaN residual must not pass
+    # would divide by their zero sums, and a negative residual bound would
+    # refuse the exact SLD: both are refused before any division, by name
     rho = states.from_bloch([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], np.zeros((3, 3)))
     rho_prime = dynamics.state_derivative(dynamics.nonentangling_generator(2), rho)
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(SLDInconsistencyError):
-        fisher.sld_from_state(rho, rho_prime, tol=-1.0)
+    for name in ("tol", "residual_tol"):
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ValidationError, match=f"^sld_from_state: {name} must be >= 0"):
+                fisher.sld_from_state(rho, rho_prime, **{name: value})
 
 
 def test_lambda_spectrum_golden_single_qubit():

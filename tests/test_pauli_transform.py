@@ -80,27 +80,23 @@ def test_expansion_is_not_capped_at_the_dense_string_limit():
 
 
 def test_dedup_key_keeps_exact_zero_coefficients():
-    assert solver._dedup_key(states.pure_state([1, 0])) == (0.5, 0.0, 0.0, 0.5)
+    # the search keys a point on v v^dagger in its own coordinates, not on
+    # Pauli coefficients: |0><0| keeps its three zero entries
+    key = solver._dedup_key(np.array([2.0, 0.0], dtype=complex))
+    assert key == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @SETTINGS
-@given(n=st.integers(1, 4), seed=SEEDS, kind=st.sampled_from(["pure", "mixed", "planted"]))
-def test_dedup_key_matches_a_per_coefficient_round(n, seed, kind):
+@given(size=st.integers(1, 11), seed=SEEDS, zeros=st.booleans())
+def test_dedup_key_matches_a_per_coefficient_round(size, seed, zeros):
     rng = np.random.default_rng(seed)
-    if kind == "pure":
-        state = states.random_pure_state(n, rng)
-    elif kind == "mixed":
-        state = states.random_mixed_state(n, rng)
-    else:
-        # coefficients set at the 7th decimal, none of them a tie; the
-        # identity term 1/d outweighs the 4**n others, so this is a state
-        coefficients = (rng.integers(-99, 100, 4**n) * 1e-6
-                        + rng.choice([1, 2, 3, 4, 6, 7, 8, 9], 4**n) * 1e-7)
-        coefficients[0] = 1.0 / 2**n
-        state = states.density_matrix(operators.inverse_pauli_transform(coefficients))
-    key = solver._dedup_key(state)
-    coefficients = operators.pauli_transform(state.matrix).real
-    assert key == tuple(round(c, solver.DEDUP_DECIMALS) for c in coefficients)
+    v = rng.uniform(0.1, 10.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    if zeros:  # a sector point with empty weight classes
+        v[rng.permutation(size)[: size // 2]] = 0.0
+    key = solver._dedup_key(v)
+    unit = v / np.linalg.norm(v)
+    entries = [part for z in np.outer(unit, unit.conj()).ravel() for part in (z.real, z.imag)]
+    assert key == tuple(round(e, solver.DEDUP_DECIMALS) for e in entries)
     assert all(type(c) is float for c in key)
 
 

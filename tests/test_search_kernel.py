@@ -1,17 +1,21 @@
 """The search's closed-form pure-state kernel and its objective.
 
 ``solver._pure_fit`` scores a pure probe from its readout amplitudes
-phi = V^dagger psi and chi = V^dagger H psi, which the search objective takes
-from the readout kets V, their adjoint and ``Generator.apply``; the
-references are the dense (2 d^2 x d) real least squares
+phi = V^dagger psi and chi = V^dagger H psi, which the full-space search
+objective takes from the readout kets V, their adjoint and the spectrum h;
+the references are the dense (2 d^2 x d) real least squares
 ``verify.dense_lstsq_lambdas`` with tr(L^2 rho) from the dense L and, near a
 zero-probability outcome, a 50-digit evaluation of the same least squares.
 The objective ``solver._search_objective`` is checked against the fit's
 residual through r^2 = (F_Q - F_C)/2, and its gradient against difference
-quotients.  The generator is either of the paper's diagonal ones or a random
-real spectrum, and the readout the per-qubit |+>/|-> one or a Haar-random
-one, under which the gradient's H (V G_chi) term mixes every outcome.
+quotients; its Krawtchouk frame on the permutation-symmetric sector is
+checked against the full objective at the embedded ket.  The generator is
+either of the paper's diagonal ones or a random real spectrum, and the
+readout the per-qubit |+>/|-> one or a Haar-random one, under which the
+gradient's h (V G_chi) term mixes every outcome.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probelab import dynamics, solver, verify
+from probelab.dynamics import _bit_counts
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -50,7 +55,9 @@ def _pure_fit(ket, basis, generator):
 
 
 def _objective(x, weight, basis, generator):
-    return solver._search_objective(x, weight, basis.kets, basis.kets.conj().T, generator)
+    """The objective on the full-space frame (V^dagger, V, h, 1)."""
+    frame = (basis.kets.conj().T, basis.kets, generator.spectrum, 1)
+    return solver._search_objective(x, weight, *frame)
 
 
 def _ket_with_zero_outcomes(rng, basis, n_zero):
@@ -210,6 +217,78 @@ def test_search_gradient_matches_difference_quotients(
         8.0 * (value(x + h * v) - value(x - h * v)) - (value(x + 2 * h * v) - value(x - 2 * h * v))
     ) / (12.0 * h)
     assert abs(gradient @ v - quotient) <= 1e-8 * np.linalg.norm(gradient) * np.linalg.norm(v)
+
+
+def _dicke_embedding(n):
+    """E, the d x (n+1) matrix of the normalised Dicke kets, as columns."""
+    weights = _bit_counts(n)
+    embedding = np.zeros((2**n, n + 1))
+    embedding[np.arange(2**n), weights] = 1.0 / np.sqrt([math.comb(n, w) for w in weights])
+    return embedding
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 8),
+    seed=SEEDS,
+    generator_kind=st.sampled_from(["nonentangling", "entangling"]),
+    empty_classes=st.integers(0, 8),
+    weight=st.sampled_from([0.0, 1.0, 1e4]),
+)
+def test_sector_frame_is_the_full_objective_at_the_embedded_ket(
+    n, seed, generator_kind, empty_classes, weight
+):
+    # at psi = E c the sector's value is the full objective's, and its
+    # gradient is the full gradient pulled back by E^T
+    rng, basis, generator = _setup(n, seed, True, generator_kind)
+    frame, lift = solver._search_frame(generator, basis)
+    assert frame[0].shape == (n + 1, n + 1)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    c[rng.permutation(n + 1)[: min(empty_classes, n)]] = 0.0
+    embedding = _dicke_embedding(n)
+    psi = lift(c)
+    np.testing.assert_allclose(psi, embedding @ c, rtol=0, atol=1e-15 * np.linalg.norm(c))
+
+    value, gradient = solver._search_objective(_point(c), weight, *frame)
+    full_value, full_gradient = _objective(_point(psi), weight, basis, generator)
+    pulled_back = embedding.T @ full_gradient.view(complex)
+    # every term is at most (1 + weight) times the ceiling n^2 (or 1)
+    scale = (1.0 + weight) * max(1.0, float(np.ptp(generator.spectrum)) ** 2)
+    assert abs(value - full_value) <= 1e-13 * scale
+    np.testing.assert_allclose(
+        gradient.view(complex), pulled_back, rtol=0,
+        atol=1e-13 * max(scale, np.linalg.norm(pulled_back)) / np.linalg.norm(c),
+    )
+
+
+@pytest.mark.parametrize("route", ["custom spectrum", "permuted spectrum", "random readout",
+                                   "readout from kets"])
+def test_search_leaves_the_sector_without_its_symmetry(route, monkeypatch):
+    # the sector is searched only on the Hadamard readout with a spectrum that
+    # is a function of popcount; anything else walks the 2^n ket
+    n = 3
+    rng, basis, generator = _setup(n, 7, True, "nonentangling")
+    if route == "custom spectrum":
+        generator = dynamics.Generator(n, rng.standard_normal(2**n))
+    elif route == "permuted spectrum":  # |001> and |011> swap their values
+        generator = dynamics.Generator(n, generator.spectrum[[0, 3, 2, 1, 4, 5, 6, 7]])
+    elif route == "random readout":
+        basis = dynamics.random_projective_readout(n, rng)
+    else:
+        basis = dynamics.readout_from_kets(basis.kets)
+    frame, _ = solver._search_frame(generator, basis)
+    assert frame[0].shape == (2**n, 2**n) and np.array_equal(frame[2], generator.spectrum)
+
+    sizes, minimize = [], solver.optimize.minimize
+
+    def minimize_spy(fun, x0, **kwargs):
+        sizes.append(x0.size)
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(solver.optimize, "minimize", minimize_spy)
+    config = solver.SearchConfig(n_starts=2, max_evals=20, seed=1)
+    solver.search_optimal_state(generator, basis, n, config)
+    assert sizes and set(sizes) == {2 * 2**n}
 
 
 def test_search_keeps_the_instrumented_calls(monkeypatch):

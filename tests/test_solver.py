@@ -357,7 +357,10 @@ def test_search_orders_tied_solutions_by_their_dedup_key_alone():
         solver.SearchConfig(n_starts=6, max_evals=600, seed=16),
     )
     qfis = [sol.qfi for sol in result.solutions]
-    keys = [solver._dedup_key(sol.state) for sol in result.solutions]
+    # the search's coordinates: the Dicke amplitudes c_w = sqrt(binom(2, w)) psi_k
+    # at any k of weight w, here k = 0, 1, 3
+    keys = [solver._dedup_key(sol.state.ket[[0, 1, 3]] * np.sqrt([1.0, 2.0, 1.0]))
+            for sol in result.solutions]
     assert len(qfis) >= 2 and max(qfis) - min(qfis) <= 1e-6
     assert qfis != sorted(qfis, reverse=True)
     assert keys == sorted(keys)
