@@ -71,20 +71,11 @@ from .operators import (
     pauli_transform,
 )
 from .solver import (
-    CoefficientSystem,
-    ParityReport,
     SearchConfig,
     SearchResult,
     Solution,
-    closed_form_solution,
-    evaluate_two_qubit_system,
-    dense_two_qubit_residuals,
-    k_values_from_inv_lambdas,
     search_optimal_state,
-    sol1_residual,
     solve_lambdas_given_state,
-    two_qubit_system,
-    verify_parity_obstruction,
 )
 from .states import (
     BlochCoefficients,
@@ -99,6 +90,18 @@ from .states import (
     tensor_power,
     two_qubit_entangling_candidate,
 )
-from .verify import CheckResult, run_golden_suite
+from .verify import (
+    CheckResult,
+    CoefficientSystem,
+    ParityReport,
+    closed_form_solution,
+    dense_two_qubit_residuals,
+    evaluate_two_qubit_system,
+    k_values_from_inv_lambdas,
+    run_golden_suite,
+    sol1_residual,
+    two_qubit_system,
+    verify_parity_obstruction,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -101,7 +101,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """run the golden verification suite"""
     results = run_golden_suite(args.filter)
     if not results:
-        print(f"no checks match filter {args.filter!r}")
+        print(f"no checks match filter {args.filter!r}", file=sys.stderr)
         return EXIT_ERROR
     failures = 0
     for res in results:

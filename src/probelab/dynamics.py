@@ -152,14 +152,6 @@ class ReadoutBasis:
     def n_qubits(self) -> int:
         return ops.n_qubits_of_dim(len(self.labels))
 
-    def projector(self, label: str) -> np.ndarray:
-        k = self.labels.index(label)
-        ket = self.kets[:, k]
-        return np.outer(ket, ket.conj())
-
-    def projectors(self) -> list[np.ndarray]:
-        return [self.projector(label) for label in self.labels]
-
     def diagonal(self, a: np.ndarray) -> np.ndarray:
         """Complex <k|A|k> for every outcome k, aligned with ``labels``.
 

@@ -360,10 +360,11 @@ def cramer_rao_bound(fisher: float, repetitions: int = 1) -> float:
     """Lower bound 1/sqrt(repetitions * fisher) on the estimate uncertainty.
 
     A non-positive Fisher information leaves the uncertainty unbounded, which
-    is reported as ``inf``.
+    is reported as ``inf``.  Raises :class:`ValidationError` for
+    ``repetitions < 1``.
     """
     if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     if fisher <= 0.0:
         return math.inf
     return 1.0 / math.sqrt(repetitions * fisher)

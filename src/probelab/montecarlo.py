@@ -29,7 +29,10 @@ uniform draws generate the readouts at x_true and at the two slope offsets
 (common random numbers), which reduces the variance of the slope estimate.
 It does not remove it: the slope's sampling error still enters ``delta_x``
 as ``x_true (1/|slope| - 1)``, and on the n=8 tensor probe with 50 trials 4
-of 30 seeds land above 3x the bound (ROADMAP.md, item 2).
+of 30 seeds land above 3x the bound.  This is a known defect of the
+estimator: ``SLOPE_STEP`` = 0.05 brought that count to 0 of 30, and a slope
+with no sampling error would remove it, but either changes every reported
+``delta_x``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ exact least-squares solve; the outer search over pure states is a seeded
 multi-start L-BFGS-B descent with an exact gradient (:func:`_search_frame`).
 
 The readout is fixed, so the inner solve (``_fit``, which
-``solve_lambdas_given_state``, ``sol1_residual`` and the closed forms view)
-takes one route per kind of probe:
+``solve_lambdas_given_state`` and the search view) takes one route per kind
+of probe:
 
 * a pure probe psi with its ket: a closed form in the readout amplitudes
   phi = V^dagger psi and chi = V^dagger H psi, u_k = p'_k / p_k, the
@@ -29,13 +29,9 @@ takes one route per kind of probe:
 
 The closed form is the rank-one case of the frame's normal equations.  The
 dense (2 d^2 x d) system of one outer product per outcome is kept only in
-:mod:`probelab.verify`, as the reference both routes are checked against.
-
-For two qubits the equation is equivalent to
-sixteen bilinear relations between the K combinations of the u and the Pauli
-coefficients (a_i, b_j, c_ij) of the state; both the explicit sixteen-equation
-systems and the dense operator route are implemented so each can check the
-other.
+:mod:`probelab.verify`, as the reference both routes are checked against,
+together with the paper's reference routes (the two-qubit K-combination
+systems, the closed-form tensor powers and the parity obstruction).
 """
 
 from __future__ import annotations
@@ -48,28 +44,10 @@ from math import comb
 import numpy as np
 
 from . import operators as ops
-from .dynamics import (
-    ENTANGLING,
-    NONENTANGLING,
-    Generator,
-    ReadoutBasis,
-    _bit_counts,
-    _derivative,
-    entangling_generator,
-    nonentangling_generator,
-    product_pm_readout,
-)
-from .errors import DimensionError, UnsupportedClosedFormError, ValidationError
-from .fisher import LambdaSpectrum, _inv_lambda_array, analyze, pure_sld_residual
-from .states import (
-    BlochCoefficients,
-    DensityMatrix,
-    hermitian_from_bloch,
-    optimal_single_qubit,
-    pure_state,
-    tensor_power,
-    two_qubit_entangling_candidate,
-)
+from .dynamics import Generator, ReadoutBasis, _bit_counts, _derivative
+from .errors import DimensionError
+from .fisher import LambdaSpectrum, pure_sld_residual
+from .states import DensityMatrix, pure_state
 
 
 def __getattr__(name: str):
@@ -87,182 +65,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-CLOSED_FORM = "closed-form"
 NUMERIC_SEARCH = "numeric-search"
 
 #: Decimals of the density-matrix entries that key duplicate search solutions.
 DEDUP_DECIMALS = 6
-
-
-# ---------------------------------------------------------------------------
-# K combinations and the two-qubit coefficient systems
-# ---------------------------------------------------------------------------
-
-#: Order of the K combinations: K[0] = u++ + u+- + u-+ + u--,
-#: K[1] = u++ + u+- - u-+ - u--, K[2] = u++ - u+- + u-+ - u--,
-#: K[3] = u++ - u+- - u-+ + u--.
-K_SIGNS = np.array(
-    [
-        [1.0, 1.0, 1.0, 1.0],
-        [1.0, 1.0, -1.0, -1.0],
-        [1.0, -1.0, 1.0, -1.0],
-        [1.0, -1.0, -1.0, 1.0],
-    ]
-)
-
-
-def k_values_from_inv_lambdas(inv_lambdas) -> np.ndarray:
-    """The four K combinations from two-qubit inverse eigenvalues, given in
-    any form :func:`~probelab.fisher._inv_lambda_array` reads."""
-    return K_SIGNS @ _inv_lambda_array(product_pm_readout(2), inv_lambdas)
-
-
-@dataclass(frozen=True)
-class EquationRow:
-    """One bilinear relation: sum of K[m] * coeff terms minus a linear RHS.
-
-    ``operator`` tags the Pauli string sigma_alpha x sigma_beta whose
-    coefficient in the dense operator equation this row reproduces (x16).
-    """
-
-    operator: tuple[int, int]
-    lhs: tuple[tuple[int, str, float], ...]
-    rhs: tuple[tuple[float, str], ...]
-
-
-def _rows(spec: list) -> tuple[EquationRow, ...]:
-    out = []
-    for op, lhs, rhs in spec:
-        lhs_terms = tuple(
-            (item[0], item[1], item[2] if len(item) == 3 else 1.0) for item in lhs
-        )
-        out.append(EquationRow(operator=op, lhs=lhs_terms, rhs=tuple(rhs)))
-    return tuple(out)
-
-
-# Sixteen relations for the sum-of-single-qubit-terms generator, in the same
-# order as the corresponding operator coefficients are conventionally listed.
-_NONENTANGLING_ROWS = _rows(
-    [
-        ((0, 0), [(0, "1"), (1, "a1"), (2, "b1"), (3, "c11")], []),
-        ((0, 1), [(2, "1"), (3, "a1"), (0, "b1"), (1, "c11")], [(-4.0, "b2")]),
-        ((1, 0), [(1, "1"), (0, "a1"), (3, "b1"), (2, "c11")], [(-4.0, "a2")]),
-        ((1, 1), [(3, "1"), (2, "a1"), (1, "b1"), (0, "c11")],
-         [(-4.0, "c12"), (-4.0, "c21")]),
-        ((0, 2), [(0, "b2"), (1, "c12")], [(4.0, "b1")]),
-        ((1, 2), [(1, "b2"), (0, "c12")], [(4.0, "c11"), (-4.0, "c22")]),
-        ((2, 0), [(0, "a2"), (2, "c21")], [(4.0, "a1")]),
-        ((2, 1), [(2, "a2"), (0, "c21")], [(4.0, "c11"), (-4.0, "c22")]),
-        ((3, 0), [(0, "a3"), (2, "c31")], []),
-        ((3, 1), [(2, "a3"), (0, "c31")], [(-4.0, "c32")]),
-        ((0, 3), [(0, "b3"), (1, "c13")], []),
-        ((1, 3), [(1, "b3"), (0, "c13")], [(-4.0, "c23")]),
-        ((2, 2), [(0, "c22"), (3, "c33", -1.0)], [(4.0, "c12"), (4.0, "c21")]),
-        ((2, 3), [(0, "c23"), (3, "c32")], [(4.0, "c13")]),
-        ((3, 2), [(3, "c23"), (0, "c32")], [(4.0, "c31")]),
-        ((3, 3), [(0, "c33"), (3, "c22", -1.0)], []),
-    ]
-)
-
-# Sixteen relations for the single N-body string generator.
-_ENTANGLING_ROWS = _rows(
-    [
-        ((0, 0), [(0, "1"), (1, "a1"), (2, "b1"), (3, "c11")], []),
-        ((1, 1), [(3, "1"), (2, "a1"), (1, "b1"), (0, "c11")], []),
-        ((1, 0), [(1, "1"), (0, "a1"), (3, "b1"), (2, "c11")], [(-4.0, "c23")]),
-        ((0, 1), [(2, "1"), (3, "a1"), (0, "b1"), (1, "c11")], [(-4.0, "c32")]),
-        ((3, 0), [(0, "a3"), (2, "c31")], []),
-        ((2, 2), [(0, "c22"), (3, "c33", -1.0)], []),
-        ((0, 2), [(0, "b2"), (1, "c12")], [(4.0, "c31")]),
-        ((2, 0), [(0, "a2"), (2, "c21")], [(4.0, "c13")]),
-        ((3, 1), [(2, "a3"), (0, "c31")], [(-4.0, "b2")]),
-        ((0, 3), [(0, "b3"), (1, "c13")], []),
-        ((1, 3), [(1, "b3"), (0, "c13")], [(-4.0, "a2")]),
-        ((3, 3), [(0, "c33"), (3, "c22", -1.0)], []),
-        ((2, 1), [(0, "c21"), (2, "a2")], []),
-        ((1, 2), [(0, "c12"), (1, "b2")], []),
-        ((3, 2), [(0, "c32"), (3, "c23")], [(4.0, "b1")]),
-        ((2, 3), [(0, "c23"), (3, "c32")], [(4.0, "a1")]),
-    ]
-)
-
-
-@dataclass(frozen=True)
-class CoefficientSystem:
-    """The sixteen bilinear relations for a two-qubit probe."""
-
-    kind: str
-    equations: tuple[EquationRow, ...]
-
-
-def two_qubit_system(kind: str) -> CoefficientSystem:
-    if kind == NONENTANGLING:
-        return CoefficientSystem(kind=kind, equations=_NONENTANGLING_ROWS)
-    if kind == ENTANGLING:
-        return CoefficientSystem(kind=kind, equations=_ENTANGLING_ROWS)
-    raise ValidationError(f"unknown generator kind {kind!r}")
-
-
-def _coefficient_table(coeffs: BlochCoefficients) -> dict[str, float]:
-    if coeffs.n_qubits != 2:
-        raise DimensionError("the sixteen-equation systems are for two qubits")
-    table = {"1": 1.0}
-    for i in range(3):
-        table[f"a{i + 1}"] = float(coeffs.a[i])
-        table[f"b{i + 1}"] = float(coeffs.b[i])
-        for j in range(3):
-            table[f"c{i + 1}{j + 1}"] = float(coeffs.c[i, j])
-    return table
-
-
-def evaluate_two_qubit_system(
-    system: CoefficientSystem, coeffs: BlochCoefficients, k_values
-) -> np.ndarray:
-    """Left-minus-right values of all sixteen relations.
-
-    ``coeffs`` only needs to define a Hermitian operator; positivity is not
-    required for evaluation.  ``k_values`` are the four K combinations.
-    """
-    k = np.asarray(k_values, dtype=float)
-    if k.shape != (4,):
-        raise DimensionError("expected four K values")
-    table = _coefficient_table(coeffs)
-    residuals = np.empty(16)
-    for m, row in enumerate(system.equations):
-        lhs = sum(sign * k[ki] * table[name] for ki, name, sign in row.lhs)
-        rhs = sum(factor * table[name] for factor, name in row.rhs)
-        residuals[m] = lhs - rhs
-    return residuals
-
-
-def dense_two_qubit_residuals(
-    system: CoefficientSystem, coeffs: BlochCoefficients, k_values
-) -> np.ndarray:
-    """Independent dense-operator route to the same sixteen residuals.
-
-    Builds rho from the coefficients and L from the K values, forms
-    (1/2){L, rho} + i[H, rho] densely, and reads off 16x the Pauli
-    coefficient tagged on each equation row.
-    """
-    k = np.asarray(k_values, dtype=float)
-    rho = hermitian_from_bloch(coeffs)
-    paulis = [ops.pauli_matrix(p) for p in ("I", "X")]
-    l_op = 0.25 * (
-        k[0] * np.kron(paulis[0], paulis[0])
-        + k[1] * np.kron(paulis[1], paulis[0])
-        + k[2] * np.kron(paulis[0], paulis[1])
-        + k[3] * np.kron(paulis[1], paulis[1])
-    )
-    build = nonentangling_generator if system.kind == NONENTANGLING else entangling_generator
-    h = build(2).matrix
-    residual_op = 0.5 * (l_op @ rho + rho @ l_op) + 1j * ops.commutator(h, rho)
-    labels = "IXYZ"
-    out = np.empty(16)
-    for m, row in enumerate(system.equations):
-        alpha, beta = row.operator
-        p = ops.pauli_dense(labels[alpha] + labels[beta])
-        out[m] = 16.0 * float(np.real(np.sum(p.T * residual_op)) / 4.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +93,11 @@ def _readout_frame(
     return frame(rho), frame(_derivative(generator, rho))
 
 
-def sol1_residual(
-    state: DensityMatrix, inv_lambdas, basis: ReadoutBasis, generator: Generator
-) -> float:
-    """Frobenius norm of (1/2){sum u E, rho} + i[H, rho]."""
-    return _fit(state, basis, generator, _inv_lambda_array(basis, inv_lambdas))[2]
-
-
-#: (u, unconstrained mask, residual, diagonal QFI) of one fit; a ``u`` given
-#: to a fit is scored, not solved for.
+#: (u, unconstrained mask, residual, diagonal QFI) of one fit.
 _Fit = tuple[np.ndarray, np.ndarray, float, float]
 
 
-def _lstsq_lambdas(r: np.ndarray, t: np.ndarray, u: np.ndarray | None = None) -> _Fit:
+def _lstsq_lambdas(r: np.ndarray, t: np.ndarray) -> _Fit:
     """Exact least-squares solve of the equation in the readout frame.
 
     The normal equations of
@@ -315,16 +113,15 @@ def _lstsq_lambdas(r: np.ndarray, t: np.ndarray, u: np.ndarray | None = None) ->
     row_sums = w.sum(axis=1)
     norms = np.sqrt(0.5 * (row_sums + w.diagonal()))
     unconstrained = norms <= 1e-12 * max(1.0, float(np.max(norms)))
-    if u is None:
-        kept = ~unconstrained
-        u = np.zeros(len(norms))
-        if kept.any():
-            normal = 0.5 * (np.diag(row_sums) + w)
-            rhs = (r.conj() * t).real.sum(axis=1)
-            scale = 1.0 / norms[kept]
-            scaled = normal[np.ix_(kept, kept)] * np.outer(scale, scale)
-            solution, *_ = np.linalg.lstsq(scaled, scale * rhs[kept], rcond=None)
-            u[kept] = scale * solution
+    kept = ~unconstrained
+    u = np.zeros(len(norms))
+    if kept.any():
+        normal = 0.5 * (np.diag(row_sums) + w)
+        rhs = (r.conj() * t).real.sum(axis=1)
+        scale = 1.0 / norms[kept]
+        scaled = normal[np.ix_(kept, kept)] * np.outer(scale, scale)
+        solution, *_ = np.linalg.lstsq(scaled, scale * rhs[kept], rcond=None)
+        u[kept] = scale * solution
     residual = float(np.linalg.norm(0.5 * np.add.outer(u, u) * r - t))
     return u, unconstrained, residual, float(u * u @ r.diagonal().real)
 
@@ -340,7 +137,7 @@ def _pure_score(phi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return p, u, unconstrained
 
 
-def _pure_fit(phi: np.ndarray, chi: np.ndarray, u: np.ndarray | None = None) -> _Fit:
+def _pure_fit(phi: np.ndarray, chi: np.ndarray) -> _Fit:
     """Closed-form least squares of the equation for a pure state psi.
 
     Takes the readout amplitudes phi = V^dagger psi and chi = V^dagger H psi
@@ -353,22 +150,19 @@ def _pure_fit(phi: np.ndarray, chi: np.ndarray, u: np.ndarray | None = None) -> 
     residual is :func:`~probelab.fisher.pure_sld_residual` of
     L = sum_k u_k E_k, whose L psi has readout amplitudes u phi.
     """
-    p, score, unconstrained = _pure_score(phi, chi)
-    u = score if u is None else u
+    p, u, unconstrained = _pure_score(phi, chi)
     return u, unconstrained, pure_sld_residual(phi, chi, u * phi), float(u * u @ p)
 
 
-def _fit(
-    state: DensityMatrix, basis: ReadoutBasis, generator: Generator, u: np.ndarray | None = None
-) -> _Fit:
+def _fit(state: DensityMatrix, basis: ReadoutBasis, generator: Generator) -> _Fit:
     """The equation for a fixed state: in closed form on the readout
     amplitudes for a state with a ket, in the readout frame otherwise."""
     if not basis.dim == generator.spectrum.size == state.dim:
         raise DimensionError("basis, generator and state dimensions differ")
     if state.ket is None:
-        return _lstsq_lambdas(*_readout_frame(state.matrix, basis, generator), u)
+        return _lstsq_lambdas(*_readout_frame(state.matrix, basis, generator))
     phi = basis.amplitudes(state.ket)
-    return _pure_fit(phi, basis.amplitudes(generator.apply(state.ket)), u)
+    return _pure_fit(phi, basis.amplitudes(generator.apply(state.ket)))
 
 
 def solve_lambdas_given_state(
@@ -396,84 +190,6 @@ class Solution:
     residual: float
     qfi: float
     provenance: str
-
-
-# ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
-
-
-def closed_form_solution(generator_kind: str, n: int) -> Solution:
-    """Known optimal states for the product |+>/|-> readout.
-
-    Each case names a state; its inverse eigenvalues are fitted by
-    :func:`solve_lambdas_given_state`, and the returned residual is the
-    verdict on every case alike.
-
-    * Non-entangling generator, any n, and entangling generator, odd n: the
-      n-fold tensor power of the optimal single-qubit state.
-    * Entangling generator, n = 2 * odd: the (n/2)-fold tensor power of the
-      pure two-qubit candidate with c11 = c23 = c32 = 1 (the candidate
-      itself at n = 2).
-
-    The rules the fitted eigenvalues obey (additive, the odd-n product rule,
-    the free mixed outcomes at n = 2) are checked in :mod:`probelab.verify`.
-    Raises :class:`UnsupportedClosedFormError` for entangling n divisible by 4
-    (no stored base solution to build the tensor power from).
-    """
-    basis = product_pm_readout(n)
-    if generator_kind not in (NONENTANGLING, ENTANGLING):
-        raise ValidationError(f"unknown generator kind {generator_kind!r}")
-    if generator_kind == NONENTANGLING or n % 2 == 1:
-        state = tensor_power(optimal_single_qubit(+1), n)
-    elif n % 4 == 2:
-        state = tensor_power(two_qubit_entangling_candidate(1.0, 1.0, 1.0), n // 2)
-    else:
-        raise UnsupportedClosedFormError(
-            f"no closed-form state is known for the entangling generator on {n} qubits "
-            f"(n divisible by 4 has no stored base solution)"
-        )
-    build = nonentangling_generator if generator_kind == NONENTANGLING else entangling_generator
-    return Solution(state, *solve_lambdas_given_state(state, basis, build(n)), CLOSED_FORM)
-
-
-# ---------------------------------------------------------------------------
-# Parity behaviour of tensor-power states under the entangling generator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    """Reality diagnostics of the inverse eigenvalues of a tensor-power probe."""
-
-    n_qubits: int
-    max_abs_real: float
-    max_abs_imag: float
-    saturated: bool
-    spectrum: LambdaSpectrum
-
-
-def verify_parity_obstruction(n: int) -> ParityReport:
-    """Measure the inverse-eigenvalue ratios of the n-fold optimal tensor power
-    under the entangling generator.
-
-    For even n the ratios come out pure imaginary (the state cannot attain the
-    bound with the product readout); odd n is the real-valued control case.
-    Only outcomes with nonzero probability enter the maxima.
-    """
-    state = tensor_power(optimal_single_qubit(+1), n)
-    generator = entangling_generator(n)
-    basis = product_pm_readout(n)
-    analysis = analyze(generator, state, basis)
-    spectrum = analysis.spectrum
-    values = spectrum.values[~np.array(spectrum.unconstrained)]
-    return ParityReport(
-        n_qubits=n,
-        max_abs_real=float(np.max(np.abs(np.real(values)))),
-        max_abs_imag=float(np.max(np.abs(np.imag(values)))),
-        saturated=analysis.saturation.saturated,
-        spectrum=spectrum,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-"""Golden verification suite.
+"""Golden verification suite and the paper's reference routes.
+
+The reference routes are the hand-derived forms the lab is checked against:
+the sixteen bilinear two-qubit relations in the K combinations, the dense
+optimality-equation residual and least squares, the closed-form tensor-power
+states and the entangling parity obstruction.  The lab's tasks never use
+them; only the checks here and the tests do.
 
 Every check compares a computed quantity against a frozen expected value
 (hand-derived or closed form), so any corruption of the underlying algebra is
@@ -17,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dynamics, fisher, montecarlo, operators, solver, states
+from . import dynamics, errors, fisher, montecarlo, operators, solver, states
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -52,6 +58,309 @@ def _check(claim: str):
 
 def _close(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+# ---------------------------------------------------------------------------
+# The paper's reference routes: hand-derived forms the lab is checked against
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM = "closed-form"
+
+#: The built-in generators, by kind.
+_GENERATORS = {
+    dynamics.NONENTANGLING: dynamics.nonentangling_generator,
+    dynamics.ENTANGLING: dynamics.entangling_generator,
+}
+
+#: Order of the K combinations: K[0] = u++ + u+- + u-+ + u--,
+#: K[1] = u++ + u+- - u-+ - u--, K[2] = u++ - u+- + u-+ - u--,
+#: K[3] = u++ - u+- - u-+ + u--.
+K_SIGNS = np.array(
+    [
+        [1.0, 1.0, 1.0, 1.0],
+        [1.0, 1.0, -1.0, -1.0],
+        [1.0, -1.0, 1.0, -1.0],
+        [1.0, -1.0, -1.0, 1.0],
+    ]
+)
+
+
+def k_values_from_inv_lambdas(inv_lambdas) -> np.ndarray:
+    """The four K combinations from two-qubit inverse eigenvalues, given in
+    any form :func:`~probelab.fisher._inv_lambda_array` reads."""
+    return K_SIGNS @ fisher._inv_lambda_array(dynamics.product_pm_readout(2), inv_lambdas)
+
+
+@dataclass(frozen=True)
+class EquationRow:
+    """One bilinear relation: sum of K[m] * coeff terms minus a linear RHS.
+
+    ``operator`` tags the Pauli string sigma_alpha x sigma_beta whose
+    coefficient in the dense operator equation this row reproduces (x16).
+    """
+
+    operator: tuple[int, int]
+    lhs: tuple[tuple[int, str, float], ...]
+    rhs: tuple[tuple[float, str], ...]
+
+
+def _rows(spec: list) -> tuple[EquationRow, ...]:
+    out = []
+    for op, lhs, rhs in spec:
+        lhs_terms = tuple(
+            (item[0], item[1], item[2] if len(item) == 3 else 1.0) for item in lhs
+        )
+        out.append(EquationRow(operator=op, lhs=lhs_terms, rhs=tuple(rhs)))
+    return tuple(out)
+
+
+# Sixteen relations for the sum-of-single-qubit-terms generator, in the same
+# order as the corresponding operator coefficients are conventionally listed.
+_NONENTANGLING_ROWS = _rows(
+    [
+        ((0, 0), [(0, "1"), (1, "a1"), (2, "b1"), (3, "c11")], []),
+        ((0, 1), [(2, "1"), (3, "a1"), (0, "b1"), (1, "c11")], [(-4.0, "b2")]),
+        ((1, 0), [(1, "1"), (0, "a1"), (3, "b1"), (2, "c11")], [(-4.0, "a2")]),
+        ((1, 1), [(3, "1"), (2, "a1"), (1, "b1"), (0, "c11")],
+         [(-4.0, "c12"), (-4.0, "c21")]),
+        ((0, 2), [(0, "b2"), (1, "c12")], [(4.0, "b1")]),
+        ((1, 2), [(1, "b2"), (0, "c12")], [(4.0, "c11"), (-4.0, "c22")]),
+        ((2, 0), [(0, "a2"), (2, "c21")], [(4.0, "a1")]),
+        ((2, 1), [(2, "a2"), (0, "c21")], [(4.0, "c11"), (-4.0, "c22")]),
+        ((3, 0), [(0, "a3"), (2, "c31")], []),
+        ((3, 1), [(2, "a3"), (0, "c31")], [(-4.0, "c32")]),
+        ((0, 3), [(0, "b3"), (1, "c13")], []),
+        ((1, 3), [(1, "b3"), (0, "c13")], [(-4.0, "c23")]),
+        ((2, 2), [(0, "c22"), (3, "c33", -1.0)], [(4.0, "c12"), (4.0, "c21")]),
+        ((2, 3), [(0, "c23"), (3, "c32")], [(4.0, "c13")]),
+        ((3, 2), [(3, "c23"), (0, "c32")], [(4.0, "c31")]),
+        ((3, 3), [(0, "c33"), (3, "c22", -1.0)], []),
+    ]
+)
+
+# Sixteen relations for the single N-body string generator.
+_ENTANGLING_ROWS = _rows(
+    [
+        ((0, 0), [(0, "1"), (1, "a1"), (2, "b1"), (3, "c11")], []),
+        ((1, 1), [(3, "1"), (2, "a1"), (1, "b1"), (0, "c11")], []),
+        ((1, 0), [(1, "1"), (0, "a1"), (3, "b1"), (2, "c11")], [(-4.0, "c23")]),
+        ((0, 1), [(2, "1"), (3, "a1"), (0, "b1"), (1, "c11")], [(-4.0, "c32")]),
+        ((3, 0), [(0, "a3"), (2, "c31")], []),
+        ((2, 2), [(0, "c22"), (3, "c33", -1.0)], []),
+        ((0, 2), [(0, "b2"), (1, "c12")], [(4.0, "c31")]),
+        ((2, 0), [(0, "a2"), (2, "c21")], [(4.0, "c13")]),
+        ((3, 1), [(2, "a3"), (0, "c31")], [(-4.0, "b2")]),
+        ((0, 3), [(0, "b3"), (1, "c13")], []),
+        ((1, 3), [(1, "b3"), (0, "c13")], [(-4.0, "a2")]),
+        ((3, 3), [(0, "c33"), (3, "c22", -1.0)], []),
+        ((2, 1), [(0, "c21"), (2, "a2")], []),
+        ((1, 2), [(0, "c12"), (1, "b2")], []),
+        ((3, 2), [(0, "c32"), (3, "c23")], [(4.0, "b1")]),
+        ((2, 3), [(0, "c23"), (3, "c32")], [(4.0, "a1")]),
+    ]
+)
+
+
+@dataclass(frozen=True)
+class CoefficientSystem:
+    """The sixteen bilinear relations for a two-qubit probe."""
+
+    kind: str
+    equations: tuple[EquationRow, ...]
+
+
+def two_qubit_system(kind: str) -> CoefficientSystem:
+    if kind == dynamics.NONENTANGLING:
+        return CoefficientSystem(kind=kind, equations=_NONENTANGLING_ROWS)
+    if kind == dynamics.ENTANGLING:
+        return CoefficientSystem(kind=kind, equations=_ENTANGLING_ROWS)
+    raise errors.ValidationError(f"unknown generator kind {kind!r}")
+
+
+def _coefficient_table(coeffs: states.BlochCoefficients) -> dict[str, float]:
+    if coeffs.n_qubits != 2:
+        raise errors.DimensionError("the sixteen-equation systems are for two qubits")
+    table = {"1": 1.0}
+    for i in range(3):
+        table[f"a{i + 1}"] = float(coeffs.a[i])
+        table[f"b{i + 1}"] = float(coeffs.b[i])
+        for j in range(3):
+            table[f"c{i + 1}{j + 1}"] = float(coeffs.c[i, j])
+    return table
+
+
+def evaluate_two_qubit_system(
+    system: CoefficientSystem, coeffs: states.BlochCoefficients, k_values
+) -> np.ndarray:
+    """Left-minus-right values of all sixteen relations.
+
+    ``coeffs`` only needs to define a Hermitian operator; positivity is not
+    required for evaluation.  ``k_values`` are the four K combinations.
+    """
+    k = np.asarray(k_values, dtype=float)
+    if k.shape != (4,):
+        raise errors.DimensionError("expected four K values")
+    table = _coefficient_table(coeffs)
+    residuals = np.empty(16)
+    for m, row in enumerate(system.equations):
+        lhs = sum(sign * k[ki] * table[name] for ki, name, sign in row.lhs)
+        rhs = sum(factor * table[name] for factor, name in row.rhs)
+        residuals[m] = lhs - rhs
+    return residuals
+
+
+def dense_two_qubit_residuals(
+    system: CoefficientSystem, coeffs: states.BlochCoefficients, k_values
+) -> np.ndarray:
+    """Independent dense-operator route to the same sixteen residuals.
+
+    Builds rho from the coefficients and L from the K values, forms
+    (1/2){L, rho} + i[H, rho] densely, and reads off 16x the Pauli
+    coefficient tagged on each equation row.
+    """
+    k = np.asarray(k_values, dtype=float)
+    rho = states.hermitian_from_bloch(coeffs)
+    paulis = [operators.pauli_matrix(p) for p in ("I", "X")]
+    l_op = 0.25 * (
+        k[0] * np.kron(paulis[0], paulis[0])
+        + k[1] * np.kron(paulis[1], paulis[0])
+        + k[2] * np.kron(paulis[0], paulis[1])
+        + k[3] * np.kron(paulis[1], paulis[1])
+    )
+    h = _GENERATORS[system.kind](2).matrix
+    residual_op = 0.5 * (l_op @ rho + rho @ l_op) + 1j * operators.commutator(h, rho)
+    labels = "IXYZ"
+    out = np.empty(16)
+    for m, row in enumerate(system.equations):
+        alpha, beta = row.operator
+        p = operators.pauli_dense(labels[alpha] + labels[beta])
+        out[m] = 16.0 * float(np.real(np.sum(p.T * residual_op)) / 4.0)
+    return out
+
+
+def sol1_residual(
+    state: states.DensityMatrix, inv_lambdas, basis: dynamics.ReadoutBasis,
+    generator: dynamics.Generator,
+) -> float:
+    """Frobenius norm of (1/2){L, rho} + i[H, rho] at L = sum_k u_k E_k.
+
+    Dense reference for a given ``u`` (any form
+    :func:`~probelab.fisher.sld_from_spectrum` reads): L is formed from the
+    readout kets, so O(d^3); the checks use it up to n = 5.
+    """
+    l_op = fisher.sld_from_spectrum(basis, inv_lambdas)
+    target = dynamics.state_derivative(generator, state)
+    return float(np.linalg.norm(0.5 * operators.anticommutator(l_op, state.matrix) - target))
+
+
+def dense_lstsq_lambdas(
+    rho: np.ndarray, basis: dynamics.ReadoutBasis, generator: dynamics.Generator
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Reference least squares of (1/2){sum_k u_k E_k, rho} = -i[H, rho].
+
+    The dense (2 d^2 x d) real system with one column (E_k rho + rho E_k)/2
+    per outcome, built from outer products of the readout kets and the dense
+    generator matrix; O(d^4) memory, so for small d only.  Returns
+    (u, unconstrained mask, residual) as ``solver._lstsq_lambdas`` does in
+    the readout frame: outcomes with a zero column are unconstrained, u = 0.
+    """
+    kets = basis.kets
+    dim = rho.shape[0]
+    m = basis.dim
+    target = -1j * operators.commutator(generator.matrix, rho)
+    columns = np.empty((dim * dim, m), dtype=complex)
+    for k in range(m):
+        ket = kets[:, k]
+        e_rho = np.outer(ket, ket.conj() @ rho)
+        columns[:, k] = (0.5 * (e_rho + e_rho.conj().T)).ravel()
+    col_norms = np.linalg.norm(columns, axis=0)
+    scale = max(1.0, float(np.max(col_norms)))
+    unconstrained = col_norms <= 1e-12 * scale
+    a_real = np.vstack(
+        [np.real(columns[:, ~unconstrained]), np.imag(columns[:, ~unconstrained])]
+    )
+    b_real = np.concatenate([np.real(target.ravel()), np.imag(target.ravel())])
+    u = np.zeros(m)
+    if a_real.shape[1]:
+        solution, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
+        u[~unconstrained] = solution
+    l_op = (kets * u) @ kets.conj().T
+    residual = float(np.linalg.norm(0.5 * operators.anticommutator(l_op, rho) - target))
+    return u, unconstrained, residual
+
+
+def closed_form_solution(generator_kind: str, n: int) -> solver.Solution:
+    """Known optimal states for the product |+>/|-> readout.
+
+    Each case names a state; its inverse eigenvalues are fitted by
+    :func:`~probelab.solver.solve_lambdas_given_state`, and the returned
+    residual is the verdict on every case alike.
+
+    * Non-entangling generator, any n, and entangling generator, odd n: the
+      n-fold tensor power of the optimal single-qubit state.
+    * Entangling generator, n = 2 * odd: the (n/2)-fold tensor power of the
+      pure two-qubit candidate with c11 = c23 = c32 = 1 (the candidate
+      itself at n = 2).
+
+    The rules the fitted eigenvalues obey (additive, the odd-n product rule,
+    the free mixed outcomes at n = 2) are checked below.
+    Raises :class:`UnsupportedClosedFormError` for entangling n divisible by 4
+    (no stored base solution to build the tensor power from).
+    """
+    basis = dynamics.product_pm_readout(n)
+    if generator_kind not in _GENERATORS:
+        raise errors.ValidationError(f"unknown generator kind {generator_kind!r}")
+    if generator_kind == dynamics.NONENTANGLING or n % 2 == 1:
+        state = states.tensor_power(states.optimal_single_qubit(+1), n)
+    elif n % 4 == 2:
+        candidate = states.two_qubit_entangling_candidate(1.0, 1.0, 1.0)
+        state = states.tensor_power(candidate, n // 2)
+    else:
+        raise errors.UnsupportedClosedFormError(
+            f"no closed-form state is known for the entangling generator on {n} qubits "
+            f"(n divisible by 4 has no stored base solution)"
+        )
+    fit = solver.solve_lambdas_given_state(state, basis, _GENERATORS[generator_kind](n))
+    return solver.Solution(state, *fit, CLOSED_FORM)
+
+
+@dataclass(frozen=True)
+class ParityReport:
+    """Reality diagnostics of the inverse eigenvalues of a tensor-power probe."""
+
+    n_qubits: int
+    max_abs_real: float
+    max_abs_imag: float
+    saturated: bool
+    spectrum: fisher.LambdaSpectrum
+
+
+def verify_parity_obstruction(n: int) -> ParityReport:
+    """Measure the inverse-eigenvalue ratios of the n-fold optimal tensor power
+    under the entangling generator.
+
+    For even n the ratios come out pure imaginary (the state cannot attain the
+    bound with the product readout); odd n is the real-valued control case.
+    Only outcomes with nonzero probability enter the maxima.
+    """
+    state = states.tensor_power(states.optimal_single_qubit(+1), n)
+    generator = dynamics.entangling_generator(n)
+    basis = dynamics.product_pm_readout(n)
+    analysis = fisher.analyze(generator, state, basis)
+    spectrum = analysis.spectrum
+    values = spectrum.values[~np.array(spectrum.unconstrained)]
+    return ParityReport(
+        n_qubits=n,
+        max_abs_real=float(np.max(np.abs(np.real(values)))),
+        max_abs_imag=float(np.max(np.abs(np.imag(values)))),
+        saturated=analysis.saturation.saturated,
+        spectrum=spectrum,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Checks
+# ---------------------------------------------------------------------------
 
 
 @_check("optimal single-qubit states are (1 +/- sigma_2)/2 and pure")
@@ -134,11 +443,10 @@ def _generator_spectra():
 
 @_check("per-qubit |+>/|-> projectors are (1 +/- sigma_1)/2 and complete")
 def _readout_projectors():
-    basis = dynamics.product_pm_readout(1)
-    plus = basis.projector("+")
-    err = _close(plus, np.array([[0.5, 0.5], [0.5, 0.5]]))
-    basis3 = dynamics.product_pm_readout(3)
-    total = sum(basis3.projectors())
+    plus = dynamics.product_pm_readout(1).kets[:, 0]
+    err = _close(np.outer(plus, plus.conj()), np.array([[0.5, 0.5], [0.5, 0.5]]))
+    kets = dynamics.product_pm_readout(3).kets
+    total = sum(np.outer(ket, ket.conj()) for ket in kets.T)
     err = max(err, _close(total, np.eye(8)))
     return err <= 1e-12, {"max_error": err}
 
@@ -234,7 +542,7 @@ def _nqubit_sld_closed_form():
     worst_qfi = 0.0
     worst_res = 0.0
     for n in range(1, 7):
-        sol = solver.closed_form_solution(dynamics.NONENTANGLING, n)
+        sol = closed_form_solution(dynamics.NONENTANGLING, n)
         basis = dynamics.product_pm_readout(n)
         l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas)
         x_terms = {"I" * j + "X" + "I" * (n - 1 - j): -1.0 for j in range(n)}
@@ -311,42 +619,6 @@ def _pure_probe_closed_form_route():
     return passed, {"max_error": worst, "missing_kets": missing_kets}
 
 
-def dense_lstsq_lambdas(
-    rho: np.ndarray, basis: dynamics.ReadoutBasis, generator: dynamics.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Reference least squares of (1/2){sum_k u_k E_k, rho} = -i[H, rho].
-
-    The dense (2 d^2 x d) real system with one column (E_k rho + rho E_k)/2
-    per outcome, built from outer products of the readout kets and the dense
-    generator matrix; O(d^4) memory, so for small d only.  Returns
-    (u, unconstrained mask, residual) as ``solver._lstsq_lambdas`` does in
-    the readout frame: outcomes with a zero column are unconstrained, u = 0.
-    """
-    kets = basis.kets
-    dim = rho.shape[0]
-    m = basis.dim
-    target = -1j * operators.commutator(generator.matrix, rho)
-    columns = np.empty((dim * dim, m), dtype=complex)
-    for k in range(m):
-        ket = kets[:, k]
-        e_rho = np.outer(ket, ket.conj() @ rho)
-        columns[:, k] = (0.5 * (e_rho + e_rho.conj().T)).ravel()
-    col_norms = np.linalg.norm(columns, axis=0)
-    scale = max(1.0, float(np.max(col_norms)))
-    unconstrained = col_norms <= 1e-12 * scale
-    a_real = np.vstack(
-        [np.real(columns[:, ~unconstrained]), np.imag(columns[:, ~unconstrained])]
-    )
-    b_real = np.concatenate([np.real(target.ravel()), np.imag(target.ravel())])
-    u = np.zeros(m)
-    if a_real.shape[1]:
-        solution, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
-        u[~unconstrained] = solution
-    l_op = (kets * u) @ kets.conj().T
-    residual = float(np.linalg.norm(0.5 * operators.anticommutator(l_op, rho) - target))
-    return u, unconstrained, residual
-
-
 def _zero_outcome_ket(basis: dynamics.ReadoutBasis, rng: np.random.Generator) -> np.ndarray:
     """A random ket with zero amplitude on a random half of the readout outcomes."""
     phi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
@@ -410,42 +682,42 @@ def _cat_state_excluded():
 
 @_check("product-state K values zero all sixteen relations (dense agreement)")
 def _two_qubit_system_nonentangling():
-    system = solver.two_qubit_system(dynamics.NONENTANGLING)
+    system = two_qubit_system(dynamics.NONENTANGLING)
     coeffs = states.BlochCoefficients.from_state(
         states.tensor_power(states.optimal_single_qubit(+1), 2)
     )
     # K values for inverse eigenvalues (-2, 0, 0, +2).
-    k = solver.k_values_from_inv_lambdas([-2.0, 0.0, 0.0, 2.0])
+    k = k_values_from_inv_lambdas([-2.0, 0.0, 0.0, 2.0])
     err_k = _close(k, [0.0, -4.0, -4.0, 0.0])
-    residuals = solver.evaluate_two_qubit_system(system, coeffs, k)
-    dense = solver.dense_two_qubit_residuals(system, coeffs, k)
+    residuals = evaluate_two_qubit_system(system, coeffs, k)
+    dense = dense_two_qubit_residuals(system, coeffs, k)
     err = max(float(np.max(np.abs(residuals))), _close(residuals, dense), err_k)
     return err <= 1e-9, {"max_error": err}
 
 
 @_check("the entangling solution zeros all relations for any free value c")
 def _two_qubit_system_entangling_family():
-    system = solver.two_qubit_system(dynamics.ENTANGLING)
+    system = two_qubit_system(dynamics.ENTANGLING)
     coeffs = states.BlochCoefficients.from_state(
         states.two_qubit_entangling_candidate(1.0, 1.0, 1.0)
     )
     worst = 0.0
     for c in (0.0, 0.7, -2.0):
-        k = solver.k_values_from_inv_lambdas([-1.0, c, c, 1.0])
-        residuals = solver.evaluate_two_qubit_system(system, coeffs, k)
-        dense = solver.dense_two_qubit_residuals(system, coeffs, k)
+        k = k_values_from_inv_lambdas([-1.0, c, c, 1.0])
+        residuals = evaluate_two_qubit_system(system, coeffs, k)
+        dense = dense_two_qubit_residuals(system, coeffs, k)
         worst = max(worst, float(np.max(np.abs(residuals))), _close(residuals, dense))
     return worst <= 1e-9, {"max_error": worst}
 
 
 @_check("pure two-qubit entangling solution with QFI = 1; mixed outcomes free")
 def _entangling_two_qubit_solution():
-    sol = solver.closed_form_solution(dynamics.ENTANGLING, 2)
+    sol = closed_form_solution(dynamics.ENTANGLING, 2)
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.entangling_generator(2)
     spectrum, lstsq_residual, _ = solver.solve_lambdas_given_state(sol.state, basis, gen)
     flipped = states.two_qubit_entangling_candidate(1.0, -1.0, -1.0)
-    flipped_res = solver.sol1_residual(
+    flipped_res = sol1_residual(
         flipped, {"++": 1.0, "+-": 0.0, "-+": 0.0, "--": -1.0}, basis, gen
     )
     err = max(
@@ -472,7 +744,7 @@ def _unconstrained_lambda_invariance():
     worst_res = 0.0
     for c in (0.0, 0.7, -2.0):
         u = {"++": -1.0, "+-": c, "-+": c, "--": 1.0}
-        worst_res = max(worst_res, solver.sol1_residual(state, u, basis, gen))
+        worst_res = max(worst_res, sol1_residual(state, u, basis, gen))
         l_op = fisher.sld_from_spectrum(basis, u)
         qfi = float(np.real(np.trace(l_op @ l_op @ state.matrix)))
         worst_qfi = max(worst_qfi, abs(qfi - 1.0))
@@ -485,7 +757,7 @@ def _even_parity_imaginary_lambdas():
     worst_re = 0.0
     least_im = np.inf
     for n in (2, 4):
-        report = solver.verify_parity_obstruction(n)
+        report = verify_parity_obstruction(n)
         worst_re = max(worst_re, report.max_abs_real)
         least_im = min(least_im, report.max_abs_imag)
         ok &= not report.saturated
@@ -498,12 +770,12 @@ def _odd_parity_product_rule():
     worst = 0.0
     worst_qfi = 0.0
     for n in (3, 5):
-        report = solver.verify_parity_obstruction(n)
+        report = verify_parity_obstruction(n)
         prefactor = float(np.real(1j ** (n + 3)))
         for label in report.spectrum.labels:
             expected = prefactor * (-1.0) ** label.count("+")
             worst = max(worst, abs(report.spectrum[label] - expected))
-        sol = solver.closed_form_solution(dynamics.ENTANGLING, n)
+        sol = closed_form_solution(dynamics.ENTANGLING, n)
         worst_qfi = max(worst_qfi, abs(sol.qfi - 1.0), sol.residual)
     return worst <= 1e-9 and worst_qfi <= 1e-8, {"max_error": worst, "qfi_error": worst_qfi}
 
@@ -512,7 +784,7 @@ def _odd_parity_product_rule():
 def _composite_tensor_rule():
     # Unproven composite construction: measure the residual, record the
     # verdict either way.
-    sol = solver.closed_form_solution(dynamics.ENTANGLING, 6)
+    sol = closed_form_solution(dynamics.ENTANGLING, 6)
     return sol.residual <= 1e-7, {"residual": sol.residual, "qfi": sol.qfi}
 
 
@@ -520,7 +792,7 @@ def _composite_tensor_rule():
 def _entangling_qfi_constant():
     worst = 0.0
     for n in (1, 3, 5):
-        sol = solver.closed_form_solution(dynamics.ENTANGLING, n)
+        sol = closed_form_solution(dynamics.ENTANGLING, n)
         worst = max(worst, abs(sol.qfi - 1.0))
     return worst <= 1e-8, {"max_error": worst}
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from probelab import cli, dynamics, fisher, montecarlo, operators, solver, states
+from probelab import cli, dynamics, fisher, montecarlo, operators, solver, states, verify
 from probelab.montecarlo import MeasurementModel
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -40,7 +40,7 @@ def test_criterion_1_single_qubit_optimum():
         worst = max(worst, report.im_condition_max, report.diagonal_residual)
         worst = max(
             worst,
-            solver.sol1_residual(
+            verify.sol1_residual(
                 rho, {"+": -float(sign), "-": float(sign)}, basis, gen
             ),
         )
@@ -61,7 +61,7 @@ def test_criterion_2_nonentangling_scaling():
         rho = states.tensor_power(states.optimal_single_qubit(+1), n)
         rho_prime = dynamics.state_derivative(gen, rho)
 
-        sol = solver.closed_form_solution(dynamics.NONENTANGLING, n)
+        sol = verify.closed_form_solution(dynamics.NONENTANGLING, n)
         l_dense = fisher.sld_from_spectrum(basis, sol.inv_lambdas)
         expect = np.zeros((2**n, 2**n), dtype=complex)
         for j in range(n):
@@ -95,7 +95,7 @@ def test_criterion_3_sixteen_equation_systems():
     rng = np.random.default_rng(2024)
     worst_equiv = 0.0
     for kind in (dynamics.NONENTANGLING, dynamics.ENTANGLING):
-        system = solver.two_qubit_system(kind)
+        system = verify.two_qubit_system(kind)
         for _ in range(100):
             coeffs = states.BlochCoefficients(
                 a=rng.uniform(-1, 1, 3),
@@ -103,20 +103,20 @@ def test_criterion_3_sixteen_equation_systems():
                 c=rng.uniform(-1, 1, (3, 3)),
             )
             k = rng.uniform(-3, 3, 4)
-            symbolic = solver.evaluate_two_qubit_system(system, coeffs, k)
-            dense = solver.dense_two_qubit_residuals(system, coeffs, k)
+            symbolic = verify.evaluate_two_qubit_system(system, coeffs, k)
+            dense = verify.dense_two_qubit_residuals(system, coeffs, k)
             worst_equiv = max(worst_equiv, float(np.max(np.abs(symbolic - dense))))
 
     product = states.BlochCoefficients.from_state(
         states.tensor_power(states.optimal_single_qubit(+1), 2)
     )
-    k_product = solver.k_values_from_inv_lambdas([-2.0, 0.0, 0.0, 2.0])
+    k_product = verify.k_values_from_inv_lambdas([-2.0, 0.0, 0.0, 2.0])
     assert np.allclose(k_product, [0.0, -4.0, -4.0, 0.0])
     worst_sol = float(
         np.max(
             np.abs(
-                solver.evaluate_two_qubit_system(
-                    solver.two_qubit_system(dynamics.NONENTANGLING), product, k_product
+                verify.evaluate_two_qubit_system(
+                    verify.two_qubit_system(dynamics.NONENTANGLING), product, k_product
                 )
             )
         )
@@ -125,10 +125,10 @@ def test_criterion_3_sixteen_equation_systems():
         states.two_qubit_entangling_candidate(1.0, 1.0, 1.0)
     )
     for c in (0.0, 0.7, -2.0):
-        residuals = solver.evaluate_two_qubit_system(
-            solver.two_qubit_system(dynamics.ENTANGLING),
+        residuals = verify.evaluate_two_qubit_system(
+            verify.two_qubit_system(dynamics.ENTANGLING),
             candidate,
-            solver.k_values_from_inv_lambdas([-1.0, c, c, 1.0]),
+            verify.k_values_from_inv_lambdas([-1.0, c, c, 1.0]),
         )
         worst_sol = max(worst_sol, float(np.max(np.abs(residuals))))
     elapsed = time.time() - start
@@ -161,12 +161,12 @@ def test_criterion_5_entangling_two_qubit_solution():
     for c in (0.0, 0.9, -1.5):  # the mixed outcomes are unconstrained
         worst = max(
             worst,
-            solver.sol1_residual(state, {"++": -1.0, "+-": c, "-+": c, "--": 1.0}, basis, gen),
+            verify.sol1_residual(state, {"++": -1.0, "+-": c, "-+": c, "--": 1.0}, basis, gen),
         )
     spectrum, _, _ = solver.solve_lambdas_given_state(state, basis, gen)
     assert spectrum.unconstrained == (False, True, True, False)
     worst = max(worst, abs(spectrum["++"] - (-1.0)), abs(spectrum["--"] - 1.0))
-    sol = solver.closed_form_solution(dynamics.ENTANGLING, 2)
+    sol = verify.closed_form_solution(dynamics.ENTANGLING, 2)
     qfi_err = abs(sol.qfi - 1.0)
     _report(
         "criterion-5 entangling two-qubit solution",
@@ -180,7 +180,7 @@ def test_criterion_6_parity_results():
     ok = True
     detail = []
     for n in (2, 4):
-        report = solver.verify_parity_obstruction(n)
+        report = verify.verify_parity_obstruction(n)
         ok &= (
             report.max_abs_real <= 1e-9
             and report.max_abs_imag >= 0.1
@@ -190,12 +190,12 @@ def test_criterion_6_parity_results():
     worst_odd = 0.0
     worst_qfi = 0.0
     for n in (3, 5):
-        report = solver.verify_parity_obstruction(n)
+        report = verify.verify_parity_obstruction(n)
         prefactor = float(np.real(1j ** (n + 3)))
         for label in report.spectrum.labels:
             expected = prefactor * (-1.0) ** label.count("+")
             worst_odd = max(worst_odd, abs(report.spectrum[label] - expected))
-        sol = solver.closed_form_solution(dynamics.ENTANGLING, n)
+        sol = verify.closed_form_solution(dynamics.ENTANGLING, n)
         worst_qfi = max(worst_qfi, abs(sol.qfi - 1.0))
         detail.append(f"n={n}: product-rule err {worst_odd:.1e}")
     elapsed = time.time() - start
@@ -208,7 +208,7 @@ def test_criterion_6_parity_results():
 
 
 def test_criterion_7_composite_rule_measured():
-    sol = solver.closed_form_solution(dynamics.ENTANGLING, 6)
+    sol = verify.closed_form_solution(dynamics.ENTANGLING, 6)
     verdict = "holds" if sol.residual <= 1e-7 else "fails"
     # the criterion is that the check runs and records a definitive verdict;
     # the measurement shows the rule holds for the six-qubit tensor cube

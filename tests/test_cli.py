@@ -488,7 +488,7 @@ def test_solve_marks_solutions_at_the_qfi_ceiling(tmp_path, capsys, monkeypatch,
     for sol in solutions:
         assert sol["at_ceiling"] is True and abs(sol["qfi"] - ceiling) <= solver.TIE_TOL
     # the product state reaches 2 of the non-entangling ceiling 4
-    below = solver.closed_form_solution(dynamics.NONENTANGLING, 2)
+    below = verify.closed_form_solution(dynamics.NONENTANGLING, 2)
     monkeypatch.setattr(
         cli, "search_optimal_state", lambda *args: solver.SearchResult((below,), 1, below.residual)
     )
@@ -808,15 +808,17 @@ def test_verify_detects_corrupted_pauli_sign(capsys, monkeypatch):
 
 
 def test_verify_unknown_filter_is_an_error(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "--filter", "no-such-check"])
+    code, out, err = run_cli(capsys, ["verify", "--filter", "no-such-check"])
     assert code == 2
+    assert out == ""
+    assert err == "no checks match filter 'no-such-check'\n"
 
 
 def test_verify_reports_a_crashing_check_as_a_failure(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("corrupted")
 
-    monkeypatch.setattr(solver, "closed_form_solution", crash)
+    monkeypatch.setattr(verify, "closed_form_solution", crash)
     code, out, _ = run_cli(capsys, ["verify", "--filter", "composite"])
     assert code == 1
     assert out.splitlines() == [

@@ -13,6 +13,15 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
+def _projectors(basis):
+    """|k><k| for every outcome k, aligned with ``basis.labels``."""
+    return [np.outer(ket, ket.conj()) for ket in basis.kets.T]
+
+
+def _projector(basis, label):
+    return _projectors(basis)[basis.labels.index(label)]
+
+
 def test_nonentangling_generator_single_qubit():
     gen = dynamics.nonentangling_generator(1)
     assert np.allclose(gen.matrix, SZ / 2.0)
@@ -223,25 +232,25 @@ def test_evolve_factorizes_for_nonentangling_dynamics():
 def test_product_pm_readout_single_qubit():
     basis = dynamics.product_pm_readout(1)
     assert basis.labels == ("+", "-")
-    assert np.allclose(basis.projector("+"), 0.5 * (np.eye(2) + SX))
-    assert np.allclose(basis.projector("-"), 0.5 * (np.eye(2) - SX))
+    assert np.allclose(_projector(basis, "+"), 0.5 * (np.eye(2) + SX))
+    assert np.allclose(_projector(basis, "-"), 0.5 * (np.eye(2) - SX))
 
 
 def test_product_pm_readout_label_order_and_product_structure():
     basis = dynamics.product_pm_readout(2)
     assert basis.labels == ("++", "+-", "-+", "--")
     expected = 0.25 * np.kron(np.eye(2) + SX, np.eye(2) - SX)
-    assert np.allclose(basis.projector("+-"), expected)
+    assert np.allclose(_projector(basis, "+-"), expected)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_readout_invariants(n):
     basis = dynamics.product_pm_readout(n)
-    total = sum(basis.projectors())
+    total = sum(_projectors(basis))
     assert np.allclose(total, np.eye(2**n), atol=1e-10)
-    for i, p in enumerate(basis.projectors()):
+    for i, p in enumerate(_projectors(basis)):
         assert abs(np.trace(p) - 1.0) < 1e-10  # rank one
-        for j, q in enumerate(basis.projectors()):
+        for j, q in enumerate(_projectors(basis)):
             product = p @ q
             if i == j:
                 assert np.allclose(product, p, atol=1e-10)
@@ -259,7 +268,7 @@ def test_random_projective_readout_is_valid_and_deterministic():
     a = dynamics.random_projective_readout(2, seed=4)
     b = dynamics.random_projective_readout(2, seed=4)
     assert np.array_equal(a.kets, b.kets)
-    assert np.allclose(sum(a.projectors()), np.eye(4), atol=1e-10)
+    assert np.allclose(sum(_projectors(a)), np.eye(4), atol=1e-10)
 
 
 def test_outcome_probabilities_golden():

@@ -231,7 +231,7 @@ def test_cramer_rao_bound():
         assert fisher.cramer_rao_bound(float(n), 1) == pytest.approx(1 / np.sqrt(n))
     assert fisher.cramer_rao_bound(1.0, 10**4) == pytest.approx(0.01)
     assert np.isinf(fisher.cramer_rao_bound(0.0, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="repetitions must be >= 1"):
         fisher.cramer_rao_bound(1.0, 0)
 
 

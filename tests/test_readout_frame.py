@@ -115,13 +115,10 @@ def test_frame_least_squares_matches_the_dense_system(
     np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(u_ref))))
     assert residual == pytest.approx(residual_ref, rel=1e-9, abs=1e-12)
 
-    # the residual of any u and the diagonal QFI read the same frame
-    trial = rng.standard_normal(basis.dim)
-    l_op = _dense_l(basis, trial)
-    drho = -1j * (generator.matrix @ state.matrix - state.matrix @ generator.matrix)
-    dense_residual = np.linalg.norm(0.5 * (l_op @ state.matrix + state.matrix @ l_op) - drho)
-    assert solver.sol1_residual(state, trial, basis, generator) == pytest.approx(
-        dense_residual, rel=1e-9, abs=1e-12
+    # the fitted residual is the dense residual at the fitted u, and the
+    # diagonal QFI is tr(L^2 rho) of the dense L
+    assert verify.sol1_residual(state, u, basis, generator) == pytest.approx(
+        residual, rel=1e-9, abs=1e-12
     )
     l_ref = _dense_l(basis, u)
     qfi_ref = np.trace(l_ref @ l_ref @ state.matrix).real
@@ -174,9 +171,12 @@ def test_closed_form_fit_matches_the_frame_route(
     )
     assert residual == pytest.approx(residual_ref, rel=1e-9, abs=1e-12)
     assert qfi == pytest.approx(qfi_ref, rel=1e-9, abs=1e-12)
-    trial = rng.standard_normal(basis.dim)
-    assert solver.sol1_residual(state, trial, basis, generator) == pytest.approx(
-        solver.sol1_residual(frame_state, trial, basis, generator), rel=1e-9, abs=1e-12
+    # each route's residual is the dense residual at its own fitted u
+    assert verify.sol1_residual(state, spectrum, basis, generator) == pytest.approx(
+        residual, rel=1e-9, abs=1e-12
+    )
+    assert verify.sol1_residual(frame_state, spectrum_ref, basis, generator) == pytest.approx(
+        residual_ref, rel=1e-9, abs=1e-12
     )
 
 
@@ -193,7 +193,7 @@ def test_a_state_with_a_ket_never_reaches_the_readout_frame(monkeypatch):
         dynamics.nonentangling_generator(n),
     )
     assert residual <= 1e-10 and qfi == pytest.approx(n)
-    assert solver.closed_form_solution(dynamics.NONENTANGLING, n).qfi == pytest.approx(n)
+    assert verify.closed_form_solution(dynamics.NONENTANGLING, n).qfi == pytest.approx(n)
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2), 2,
         solver.SearchConfig(n_starts=2, max_evals=300, seed=5),

@@ -2,39 +2,39 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from probelab import dynamics, fisher, solver, states
+from probelab import dynamics, fisher, solver, states, verify
 from probelab.errors import UnsupportedClosedFormError
 
 
 def test_k_values_round_trip():
     u = np.array([-2.0, 0.5, -0.5, 2.0])
-    k = solver.k_values_from_inv_lambdas(u)
+    k = verify.k_values_from_inv_lambdas(u)
     # K_SIGNS is 4x its own inverse
-    assert np.allclose(solver.K_SIGNS.T @ k / 4.0, u)
+    assert np.allclose(verify.K_SIGNS.T @ k / 4.0, u)
 
 
 def test_k_values_read_an_array_a_mapping_and_a_spectrum():
-    spectrum = solver.closed_form_solution("entangling", 2).inv_lambdas
+    spectrum = verify.closed_form_solution("entangling", 2).inv_lambdas
     u = spectrum.real_values()
-    expected = solver.k_values_from_inv_lambdas(u)
-    assert np.array_equal(expected, solver.K_SIGNS @ u)
+    expected = verify.k_values_from_inv_lambdas(u)
+    assert np.array_equal(expected, verify.K_SIGNS @ u)
     mapping = dict(zip(spectrum.labels, u.tolist()))
-    assert np.array_equal(solver.k_values_from_inv_lambdas(mapping), expected)
-    assert np.array_equal(solver.k_values_from_inv_lambdas(spectrum), expected)
+    assert np.array_equal(verify.k_values_from_inv_lambdas(mapping), expected)
+    assert np.array_equal(verify.k_values_from_inv_lambdas(spectrum), expected)
 
 
 def test_sol1_residual_golden_single_qubit():
     basis = dynamics.product_pm_readout(1)
     gen = dynamics.nonentangling_generator(1)
     rho = states.optimal_single_qubit(+1)
-    assert solver.sol1_residual(rho, {"+": -1.0, "-": 1.0}, basis, gen) < 1e-10
+    assert verify.sol1_residual(rho, {"+": -1.0, "-": 1.0}, basis, gen) < 1e-10
 
 
 def test_sol1_residual_trivially_zero_for_mixed_state_and_zero_lambdas():
     basis = dynamics.product_pm_readout(1)
     gen = dynamics.nonentangling_generator(1)
     rho = states.from_bloch([0.0, 0.0, 0.0])
-    assert solver.sol1_residual(rho, {"+": 0.0, "-": 0.0}, basis, gen) < 1e-12
+    assert verify.sol1_residual(rho, {"+": 0.0, "-": 0.0}, basis, gen) < 1e-12
 
 
 def test_sol1_residual_cat_state_stays_large():
@@ -43,7 +43,7 @@ def test_sol1_residual_cat_state_stays_large():
     cat = states.cat_state(2)
     spectrum, residual, _ = solver.solve_lambdas_given_state(cat, basis, gen)
     assert residual > 0.1
-    assert solver.sol1_residual(cat, spectrum.real_values(), basis, gen) > 0.1
+    assert verify.sol1_residual(cat, spectrum.real_values(), basis, gen) > 0.1
 
 
 def test_solve_lambdas_single_qubit():
@@ -77,23 +77,23 @@ def test_solve_lambdas_entangling_product_is_infeasible():
 
 
 def test_sixteen_equations_nonentangling_product_solution():
-    system = solver.two_qubit_system(dynamics.NONENTANGLING)
+    system = verify.two_qubit_system(dynamics.NONENTANGLING)
     coeffs = states.BlochCoefficients.from_state(
         states.tensor_power(states.optimal_single_qubit(+1), 2)
     )
-    k = solver.k_values_from_inv_lambdas([-2.0, 0.0, 0.0, 2.0])
+    k = verify.k_values_from_inv_lambdas([-2.0, 0.0, 0.0, 2.0])
     assert np.allclose(k, [0.0, -4.0, -4.0, 0.0])
-    assert np.max(np.abs(solver.evaluate_two_qubit_system(system, coeffs, k))) < 1e-12
+    assert np.max(np.abs(verify.evaluate_two_qubit_system(system, coeffs, k))) < 1e-12
 
 
 @pytest.mark.parametrize("c", [0.0, 0.7, -2.0])
 def test_sixteen_equations_entangling_family(c):
-    system = solver.two_qubit_system(dynamics.ENTANGLING)
+    system = verify.two_qubit_system(dynamics.ENTANGLING)
     coeffs = states.BlochCoefficients.from_state(
         states.two_qubit_entangling_candidate(1.0, 1.0, 1.0)
     )
-    k = solver.k_values_from_inv_lambdas([-1.0, c, c, 1.0])
-    assert np.max(np.abs(solver.evaluate_two_qubit_system(system, coeffs, k))) < 1e-12
+    k = verify.k_values_from_inv_lambdas([-1.0, c, c, 1.0])
+    assert np.max(np.abs(verify.evaluate_two_qubit_system(system, coeffs, k))) < 1e-12
 
 
 def test_sixteen_equations_admit_parity_readout_solution():
@@ -110,14 +110,14 @@ def test_sixteen_equations_admit_parity_readout_solution():
     assert coeffs.c[2, 2] == pytest.approx(1.0)
 
     u = np.array([2.0, -2.0, -2.0, 2.0])
-    k = solver.k_values_from_inv_lambdas(u)
+    k = verify.k_values_from_inv_lambdas(u)
     assert np.allclose(k, [0.0, 0.0, 0.0, 8.0])
-    system = solver.two_qubit_system(dynamics.NONENTANGLING)
-    assert np.max(np.abs(solver.evaluate_two_qubit_system(system, coeffs, k))) < 1e-12
+    system = verify.two_qubit_system(dynamics.NONENTANGLING)
+    assert np.max(np.abs(verify.evaluate_two_qubit_system(system, coeffs, k))) < 1e-12
 
     basis = dynamics.product_pm_readout(2)
     gen = dynamics.nonentangling_generator(2)
-    assert solver.sol1_residual(state, u, basis, gen) < 1e-10
+    assert verify.sol1_residual(state, u, basis, gen) < 1e-10
     rho_prime = dynamics.state_derivative(gen, state)
     assert fisher.classical_fisher(basis, state, rho_prime) == pytest.approx(4.0)
     assert fisher.quantum_fisher(state, rho_prime) == pytest.approx(4.0)
@@ -125,31 +125,31 @@ def test_sixteen_equations_admit_parity_readout_solution():
 
 
 def test_sixteen_equations_all_zero_input():
-    system = solver.two_qubit_system(dynamics.NONENTANGLING)
+    system = verify.two_qubit_system(dynamics.NONENTANGLING)
     coeffs = states.BlochCoefficients(a=np.zeros(3), b=np.zeros(3), c=np.zeros((3, 3)))
-    residuals = solver.evaluate_two_qubit_system(system, coeffs, np.zeros(4))
+    residuals = verify.evaluate_two_qubit_system(system, coeffs, np.zeros(4))
     # only the constant terms survive, and they are zero too
     assert np.max(np.abs(residuals)) == 0.0
 
 
 @pytest.mark.parametrize("kind", [dynamics.NONENTANGLING, dynamics.ENTANGLING])
 def test_sixteen_equations_match_dense_operator_route(kind):
-    system = solver.two_qubit_system(kind)
+    system = verify.two_qubit_system(kind)
     rng = np.random.default_rng(42 if kind == dynamics.NONENTANGLING else 43)
     for _ in range(100):
         coeffs = states.BlochCoefficients(
             a=rng.uniform(-1, 1, 3), b=rng.uniform(-1, 1, 3), c=rng.uniform(-1, 1, (3, 3))
         )
         k = rng.uniform(-3.0, 3.0, 4)
-        symbolic = solver.evaluate_two_qubit_system(system, coeffs, k)
-        dense = solver.dense_two_qubit_residuals(system, coeffs, k)
+        symbolic = verify.evaluate_two_qubit_system(system, coeffs, k)
+        dense = verify.dense_two_qubit_residuals(system, coeffs, k)
         assert np.max(np.abs(symbolic - dense)) < 1e-9
 
 
 def test_closed_form_nonentangling_scaling():
     for n in range(1, 7):
-        sol = solver.closed_form_solution(dynamics.NONENTANGLING, n)
-        assert sol.provenance == solver.CLOSED_FORM
+        sol = verify.closed_form_solution(dynamics.NONENTANGLING, n)
+        assert sol.provenance == verify.CLOSED_FORM
         assert sol.residual <= 1e-7
         assert sol.qfi == pytest.approx(n, abs=1e-8)
         for label in sol.inv_lambdas.labels:
@@ -159,7 +159,7 @@ def test_closed_form_nonentangling_scaling():
 
 def test_closed_form_entangling_odd():
     for n in (1, 3, 5):
-        sol = solver.closed_form_solution(dynamics.ENTANGLING, n)
+        sol = verify.closed_form_solution(dynamics.ENTANGLING, n)
         assert sol.residual <= 1e-7
         assert sol.qfi == pytest.approx(1.0, abs=1e-8)
         # the product rule: i^(n+3) times -1 per "+" in the label
@@ -170,7 +170,7 @@ def test_closed_form_entangling_odd():
 
 
 def test_closed_form_entangling_two_qubits():
-    sol = solver.closed_form_solution(dynamics.ENTANGLING, 2)
+    sol = verify.closed_form_solution(dynamics.ENTANGLING, 2)
     assert sol.residual <= 1e-7
     assert sol.qfi == pytest.approx(1.0, abs=1e-8)
     assert sol.inv_lambdas["++"] == pytest.approx(-1.0)
@@ -180,7 +180,7 @@ def test_closed_form_entangling_two_qubits():
 
 def test_closed_form_entangling_composite_six_qubits():
     # measured, not assumed: the residual is the verdict on the composite rule
-    sol = solver.closed_form_solution(dynamics.ENTANGLING, 6)
+    sol = verify.closed_form_solution(dynamics.ENTANGLING, 6)
     assert np.isfinite(sol.residual)
     assert sol.residual <= 1e-7
     assert sol.qfi == pytest.approx(1.0, abs=1e-8)
@@ -188,7 +188,7 @@ def test_closed_form_entangling_composite_six_qubits():
 
 def test_closed_form_entangling_multiple_of_four_unsupported():
     with pytest.raises(UnsupportedClosedFormError):
-        solver.closed_form_solution(dynamics.ENTANGLING, 4)
+        verify.closed_form_solution(dynamics.ENTANGLING, 4)
 
 
 def test_closed_form_qfi_matches_classical_fisher():
@@ -196,7 +196,7 @@ def test_closed_form_qfi_matches_classical_fisher():
     cases = [(dynamics.NONENTANGLING, n) for n in range(1, 5)]
     cases += [(dynamics.ENTANGLING, n) for n in (1, 2, 3, 6)]
     for kind, n in cases:
-        sol = solver.closed_form_solution(kind, n)
+        sol = verify.closed_form_solution(kind, n)
         basis = dynamics.product_pm_readout(n)
         gen = (
             dynamics.nonentangling_generator(n)
@@ -210,14 +210,14 @@ def test_closed_form_qfi_matches_classical_fisher():
 
 def test_parity_obstruction_even():
     for n in (2, 4):
-        report = solver.verify_parity_obstruction(n)
+        report = verify.verify_parity_obstruction(n)
         assert report.max_abs_real <= 1e-9
         assert report.max_abs_imag >= 0.1
         assert not report.saturated
 
 
 def test_parity_obstruction_odd_control():
-    report = solver.verify_parity_obstruction(3)
+    report = verify.verify_parity_obstruction(3)
     assert report.max_abs_imag <= 1e-9
     assert np.allclose(np.abs(report.spectrum.real_values()), 1.0, atol=1e-9)
     assert report.saturated
@@ -230,7 +230,7 @@ def test_unconstrained_lambda_does_not_change_qfi():
     values = []
     for c in (0.0, 1.3, -4.0):
         u = {"++": -1.0, "+-": c, "-+": c, "--": 1.0}
-        assert solver.sol1_residual(state, u, basis, gen) < 1e-10
+        assert verify.sol1_residual(state, u, basis, gen) < 1e-10
         l_op = fisher.sld_from_spectrum(basis, u)
         values.append(float(np.real(np.trace(l_op @ l_op @ state.matrix))))
     assert np.allclose(values, 1.0, atol=1e-10)
