@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 One subcommand per config task (``config.TASKS``), served by its
-``cmd_<task>`` function, whose docstring is the subcommand's help.  Every task
+``cmd_<task>`` function, whose docstring is the subcommand's help.  The
+handlers that run ``solver``, ``montecarlo`` and ``verify`` import them, so a
+``fisher`` call never loads them.  Every task
 except ``verify`` reads a JSON experiment configuration from a path (or ``-``
 for stdin); ``--seed``, ``--out`` and ``--format`` override config fields, and
 ``verify --filter`` selects golden checks by name.  Exit codes: 0 success,
@@ -30,10 +32,7 @@ from .config import (
 )
 from .errors import ConfigError, ProbeLabError
 from .fisher import analyze, cramer_rao_bound
-from .montecarlo import MeasurementModel, scaling_experiment, uncertainty_run
 from .report import csv_table, dumps_report
-from .solver import TIE_TOL, search_optimal_state
-from .verify import run_golden_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -99,6 +98,8 @@ def _spectrum_entries(spectrum) -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """run the golden verification suite"""
+    from .verify import run_golden_suite
+
     results = run_golden_suite(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)
@@ -137,6 +138,8 @@ def cmd_fisher(cfg: ExperimentConfig) -> int:
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """search for probe states that satisfy the optimality equation"""
+    from .solver import TIE_TOL, search_optimal_state
+
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
     search_cfg = replace(
@@ -179,6 +182,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     """Monte Carlo estimate of the measurement uncertainty"""
+    from .montecarlo import MeasurementModel, uncertainty_run
+
     state = state_from_config(cfg)
     generator = generator_from_config(cfg)
     basis = basis_from_config(cfg)
@@ -206,6 +211,8 @@ SCALING_COLUMNS = ("n", "f_classical", "f_quantum", "bound", "delta_x_empirical"
 
 def cmd_scaling(cfg: ExperimentConfig) -> int:
     """Fisher information and empirical uncertainty over probe sizes"""
+    from .montecarlo import scaling_experiment
+
     if (cfg.state or DEFAULT_STATE)["kind"] not in SCALING_STATE_KINDS:
         raise ConfigError(
             f"config.state: scaling supports the {' and '.join(SCALING_STATE_KINDS)} families"

@@ -19,7 +19,6 @@ import numpy as np
 from . import dynamics, states
 from .errors import ConfigError
 from .operators import MAX_QUBITS, Tolerances, n_qubits_of_dim
-from .solver import SearchConfig
 
 GENERATOR_KINDS = (dynamics.NONENTANGLING, dynamics.ENTANGLING)
 TASKS = ("verify", "fisher", "solve", "simulate", "scaling")
@@ -27,6 +26,21 @@ READOUT_KINDS = ("product_pm",)
 #: The formats ``output.format`` and ``--format`` accept for each task: only
 #: ``scaling`` writes a CSV table.
 OUTPUT_FORMATS = {task: ("json", "csv") if task == "scaling" else ("json",) for task in TASKS}
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Settings of :func:`probelab.solver.search_optimal_state`: the config's
+    ``solver`` block, plus ``residual_tol`` (``tolerances.solution_residual``)
+    and the config seed.  ``simplex_tol``, named after the search's first
+    method, is L-BFGS-B's ``gtol``; a negative value switches the convergence
+    tests off."""
+
+    n_starts: int = 64
+    max_evals: int = 5000
+    simplex_tol: float = 1e-9
+    residual_tol: float = Tolerances.solution_residual
+    seed: int = 0
 
 
 @dataclass(frozen=True)

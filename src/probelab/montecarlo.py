@@ -219,7 +219,13 @@ class _LikelihoodMachine:
         All rows run the scalar golden-section search in lockstep on the grid
         bracket around their peak, with the same comparison and the same stop
         at width ``xtol``; a row stops once its bracket is that narrow (edge
-        brackets start half as wide, so they stop first).
+        brackets start half as wide, so they stop first), or once its state
+        (bracket, points and scores) is the one of two steps before.  That
+        happens past |x| of about 2^26, where the float spacing exceeds
+        ``xtol``: a bracket between adjacent floats cannot shrink, and its
+        golden points round onto its ends and cycle.  A repeated state
+        repeats for ever, so every search that stopped at ``xtol`` stops
+        there still.
         """
         counts = np.atleast_2d(np.asarray(counts, dtype=float))
         model = self.model
@@ -229,6 +235,8 @@ class _LikelihoodMachine:
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
         fc, fd = _log_likelihoods(model, counts, c), _log_likelihoods(model, counts, d)
         active = np.flatnonzero(b - a > xtol)
+        # the states two steps and one step back
+        back = np.full((6, len(a)), np.nan), np.array([a, b, c, d, fc, fd])
         while active.size:
             left = fc[active] > fd[active]
             lt, rt = active[left], active[~left]
@@ -238,7 +246,10 @@ class _LikelihoodMachine:
             d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
             scores = _log_likelihoods(model, counts[active], np.where(left, c[active], d[active]))
             fc[lt], fd[rt] = scores[left], scores[~left]
-            active = active[b[active] - a[active] > xtol]
+            state = np.array([a, b, c, d, fc, fd])
+            cycled = (state[:, active] == back[0][:, active]).all(axis=0)
+            back = back[1], state
+            active = active[(b[active] - a[active] > xtol) & ~cycled]
         return 0.5 * (a + b)
 
 
@@ -251,9 +262,16 @@ def _fold_free_interval(model: MeasurementModel, x_true: float) -> tuple[float, 
     (negative dot product).  Past a fold the probabilities retrace values
     from before it, so the likelihood has a mirror maximum there.  Raises
     :class:`DegenerateModelError` when a fold lies within one grid step of
-    x_true.
+    x_true, and :class:`ValidationError` when float64 cannot resolve the grid
+    (|x_true| past 2^44, about 1.8e13, where the float spacing exceeds the
+    grid step).
     """
     xs = np.linspace(x_true - math.pi / 2.0, x_true + math.pi / 2.0, GRID_POINTS)
+    if not np.all(xs[1:] > xs[:-1]):
+        raise ValidationError(
+            f"x_true = {x_true}: float64 cannot resolve the {GRID_POINTS}-point search grid "
+            f"over x_true +/- pi/2"
+        )
     dp = model.derivative_table(xs)
     folds = np.flatnonzero(np.einsum("io,io->i", dp[:-1], dp[1:]) < 0.0)
     left, right = folds[xs[folds] < x_true], folds[xs[folds + 1] > x_true]

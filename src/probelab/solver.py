@@ -43,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from . import operators as ops
+from .config import SearchConfig
 from .dynamics import Generator, ReadoutBasis, _bit_counts, _derivative
 from .errors import DimensionError
 from .fisher import LambdaSpectrum, pure_sld_residual
@@ -54,8 +54,9 @@ def __getattr__(name: str):
     """``solver.optimize`` is ``scipy.optimize``, imported on first use.
 
     Only :func:`search_optimal_state` needs scipy, and importing
-    ``scipy.optimize`` costs most of a CLI call's start-up, so every task
-    that runs no search never loads it (PEP 562).
+    ``scipy.optimize`` costs more than the rest of a CLI call's start-up.  The
+    CLI imports this module only in ``solve`` and ``verify``; even there scipy
+    loads with the first search, not with the module (PEP 562).
     """
     if name == "optimize":
         from scipy import optimize
@@ -193,23 +194,8 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# Numeric search over probe states
+# Numeric search over probe states (settings: :class:`~probelab.config.SearchConfig`)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Settings of the multi-start search: the config's ``solver`` block, plus
-    ``residual_tol`` (``tolerances.solution_residual``) and the config seed.
-    ``simplex_tol``, named after the search's first method, is L-BFGS-B's
-    ``gtol``; a negative value switches the convergence tests off."""
-
-    n_starts: int = 64
-    max_evals: int = 5000
-    simplex_tol: float = 1e-9
-    residual_tol: float = ops.Tolerances.solution_residual
-    seed: int = 0
-
 
 #: The weight w of the search objective's last stage.
 PENALTY_WEIGHT = 1e4

@@ -1,8 +1,12 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,7 +494,7 @@ def test_solve_marks_solutions_at_the_qfi_ceiling(tmp_path, capsys, monkeypatch,
     # the product state reaches 2 of the non-entangling ceiling 4
     below = verify.closed_form_solution(dynamics.NONENTANGLING, 2)
     monkeypatch.setattr(
-        cli, "search_optimal_state", lambda *args: solver.SearchResult((below,), 1, below.residual)
+        solver, "search_optimal_state", lambda *args: solver.SearchResult((below,), 1, below.residual)
     )
     config["generator"] = "nonentangling"
     code, out, _ = run_cli(capsys, ["solve", write_config(tmp_path, config)])
@@ -540,6 +544,29 @@ def test_simulate_applies_probability_floor(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["simulate", path])
     assert code == 2 and out == ""
     assert "has probability" in err
+
+
+@pytest.mark.parametrize("x_true, reports", [(1e8, True), (1e12, True), (1e300, False)])
+def test_simulate_ends_at_a_large_x_true(tmp_path, x_true, reports):
+    # Past |x| = 2^26 the float spacing exceeds the golden-section stop width,
+    # and past 2^44 float64 cannot resolve the x_true +/- pi/2 grid: a fresh
+    # process either reports or names x_true in its error, within the timeout.
+    path = write_config(tmp_path, {"n_qubits": 1, "x_true": x_true, "trials": 2, "seed": 1})
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "probelab.cli", "simulate", path],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=60,
+    )
+    if reports:
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["result"]["x_true"] == x_true
+    else:
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"error: x_true = {x_true}: float64 cannot resolve the 1024-point search grid "
+            "over x_true +/- pi/2\n"
+        )
 
 
 @pytest.mark.parametrize(
