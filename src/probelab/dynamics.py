@@ -11,7 +11,9 @@ outcome of the per-qubit readout has probability p(+|x) = (1 - sin x) / 2.
 The readout quantities of a given state are diagonals <k|A|k> in the readout
 basis, computed by :meth:`ReadoutBasis.diagonal`: O(d^2) for the per-qubit
 |+>/|-> readout (a gather plus a fast Walsh-Hadamard transform), one d^3 BLAS
-product for any other basis (d = 2**n).
+product for any other basis (d = 2**n).  :meth:`ReadoutBasis.diagonals` gives
+the diagonals of many masked copies of one matrix, in one O(d^2) pass on the
+|+>/|-> readout.
 """
 
 from __future__ import annotations
@@ -166,6 +168,29 @@ class ReadoutBasis:
             xor_sums = a[rows[:, None], rows[:, None] ^ rows[None, :]].sum(axis=0)
             return _walsh_hadamard(xor_sums) / self.dim
         return np.einsum("ik,ik->k", self.kets.conj(), a @ self.kets)
+
+    def diagonals(self, a: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
+        """The diagonal of M_j o A for each mask M_j = (group == j), j < ``size``:
+        shape (size, outcomes).
+
+        For the Hadamard readout every row comes from one pass over A: the
+        XOR gather of :meth:`diagonal`, then per real and imaginary part one
+        ``bincount`` keyed by (XOR offset, j) and one batched transform; the
+        rows equal :meth:`diagonal` of each masked A bit for bit.  Any other
+        basis takes one :meth:`diagonal` per mask.
+        """
+        a = np.asarray(a)
+        if not self.hadamard:
+            return np.stack([self.diagonal((group == j) * a) for j in range(size)])
+        rows = np.arange(self.dim)
+        offsets = rows[:, None] ^ rows[None, :]
+        keys = (rows * size + group[rows[:, None], offsets]).ravel()
+        gathered = a[rows[:, None], offsets].ravel()
+        out = np.empty((size, self.dim), dtype=complex)
+        for part, values in ((out.real, gathered.real), (out.imag, gathered.imag)):
+            sums = np.bincount(keys, values, out.size).reshape(self.dim, size)
+            part[...] = _walsh_hadamard(sums).T / self.dim
+        return out
 
     def amplitudes(self, kets: np.ndarray) -> np.ndarray:
         """V^dagger applied to a ket or to a (d, m) stack of column kets: the

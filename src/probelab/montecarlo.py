@@ -12,15 +12,25 @@ Likelihood model: for a generator with stored spectrum h the outcome
 probabilities are an exact trigonometric polynomial in x,
 p(x) = Re(exp(-i x omega) @ C), over the distinct differences omega of h,
 with C built without an eigendecomposition (see :class:`MeasurementModel`).
-A batch of x costs one (points x frequencies) @ (frequencies x outcomes) product.
+A batch of x costs one (points x frequencies) @ (frequencies x columns) product.
+
+Outcome classes: outcomes whose columns of C are exactly equal share one
+likelihood function, and their counts enter the likelihood only through
+their sum.  The built-in probes of identical qubits have few of them: the
+n=10 tensor probe's 1,024 outcomes fall into 11 Hamming-weight classes.  The
+likelihood grid, the grid peaks and the refinement run on class counts;
+sampling, the Fisher information, the fold scan and :func:`log_likelihood`
+stay per outcome.
 
 Estimator cost per trial: one sort of the ``shots`` uniforms, one
-``searchsorted`` of the 3 x d cumulative tables into them, and one
-(grid x d) @ (d x 3) product for the grid maximum.  After the trial loop one
-lockstep golden-section search refines all 3 * trials brackets together,
-about 30 batched likelihood evaluations in all.  Memory stays at one trial's
-uniforms plus the (3 * trials x d) counts: neither a (3 * trials x grid) score
-matrix nor a (trials x shots) uniform matrix is ever formed.
+``searchsorted`` of the 3 x d cumulative tables (built once) into them, and
+one exact sum of the integer counts into classes.  After the trial loop the
+grid peaks of all 3 * trials count rows are found a block of about 200 KB of
+scores at a time, and one lockstep golden-section search refines all
+3 * trials brackets together, about 30 batched likelihood evaluations over
+the rows still active.  Memory stays at one trial's uniforms plus the
+(3 * trials x classes) counts: neither a (3 * trials x grid) score matrix nor
+a (trials x shots) uniform matrix is ever formed.
 
 Randomness contract: every trial draws from its own substream derived from
 (seed, trial index) via :class:`numpy.random.SeedSequence`, so results are
@@ -58,17 +68,24 @@ GRID_POINTS = 1024
 
 _LOG_FLOOR = 1e-300
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Scores (grid points x count rows) formed at once by ``grid_peaks``: 200 KB.
+_PEAK_BLOCK = 25_000
 
 
-def _draw_counts(probs: np.ndarray, u_sorted: np.ndarray) -> np.ndarray:
-    """Outcome counts of the sorted uniforms ``u_sorted``: outcome k for each
-    u in [cum[k-1], cum[k]) of the cumulative table cum of ``probs``.
-
-    ``probs`` may hold one distribution per row; each row is counted against
-    the same uniforms.
-    """
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """Normalised cumulative table of each row of ``probs``, ending at exactly 1."""
     cum = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
     cum[..., -1] = 1.0
+    return cum
+
+
+def _draw_counts(cum: np.ndarray, u_sorted: np.ndarray) -> np.ndarray:
+    """Outcome counts of the sorted uniforms ``u_sorted``: outcome k for each
+    u in [cum[k-1], cum[k]) of the cumulative table ``cum``.
+
+    ``cum`` may hold one table per row; each row is counted against the same
+    uniforms.
+    """
     edges = np.searchsorted(u_sorted, cum, side="left")
     edges[..., 1:] -= edges[..., :-1].copy()
     return edges
@@ -82,8 +99,8 @@ def sample_readout(
     ``shots``.  Deterministic per seed."""
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    probs = probability_vector(basis, state_at_x)
-    drawn = _draw_counts(probs, np.sort(np.random.default_rng(seed).random(shots)))
+    cum = _cumulative(probability_vector(basis, state_at_x))
+    drawn = _draw_counts(cum, np.sort(np.random.default_rng(seed).random(shots)))
     return {label: int(c) for label, c in zip(basis.labels, drawn)}
 
 
@@ -92,12 +109,18 @@ class MeasurementModel:
 
     With H = diag(h), the outcome probabilities are the exact trigonometric
     polynomial p(x) = Re(exp(-i x omega) @ C).  The frequencies omega are the
-    distinct differences h_k - h_l, grouped by exact float equality: 2n+1 of
-    them for the non-entangling generator, 3 for the entangling one and at
-    most d^2 - d + 1 for a generic spectrum.  Row j of C, built once, is the
-    readout diagonal of M_j o rho with M_j the mask h_k - h_l = omega_j:
-    O(d^2) on the |+>/|-> readout.  The exact derivative dp/dx multiplies C by
-    -i omega.
+    distinct differences of the distinct eigenvalues, grouped by exact float
+    equality: 2n+1 of them for the non-entangling generator, 3 for the
+    entangling one and at most d^2 - d + 1 for a generic spectrum.  Row j of
+    C is the readout diagonal of M_j o rho with M_j the mask
+    h_k - h_l = omega_j, all rows from one O(d^2) pass over rho on the
+    |+>/|-> readout (:meth:`ReadoutBasis.diagonals`).  The exact derivative
+    dp/dx multiplies C by -i omega.
+
+    ``classes[k]`` numbers the outcome class of outcome k, in order of first
+    appearance: outcomes share a class exactly when their columns of C are
+    equal, with no tolerance, so the map is the identity when no columns
+    merge.
     """
 
     def __init__(
@@ -108,14 +131,16 @@ class MeasurementModel:
         self.generator = generator
         self.initial_state = initial_state
         self.basis = basis
-        h = generator.spectrum
-        diffs = np.subtract.outer(h, h)
-        self._omega, group = np.unique(diffs, return_inverse=True)
-        group = group.reshape(diffs.shape)
-        self._coeffs = np.stack([
-            basis.diagonal((group == j) * initial_state.matrix)
-            for j in range(len(self._omega))
-        ])
+        levels, level_of = np.unique(generator.spectrum, return_inverse=True)
+        self._omega, group = np.unique(np.subtract.outer(levels, levels), return_inverse=True)
+        group = group.reshape(len(levels), -1)[level_of[:, None], level_of[None, :]]
+        self._coeffs = basis.diagonals(initial_state.matrix, group, len(self._omega))
+        # A column's bytes (after + 0.0 turns -0.0 into 0.0) key its class.
+        first = {}
+        self.classes = np.array(
+            [first.setdefault((c + 0.0).tobytes(), len(first)) for c in self._coeffs.T]
+        )
+        self._class_coeffs = self._coeffs[:, np.unique(self.classes, return_index=True)[1]]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -134,6 +159,19 @@ class MeasurementModel:
         """Probabilities on a grid, shape (len(xs), outcomes)."""
         return np.clip(self._polynomial(xs, self._coeffs), 0.0, None)
 
+    def class_table(self, xs: np.ndarray) -> np.ndarray:
+        """Probabilities of one outcome of each class, shape (len(xs), classes)."""
+        return np.clip(self._polynomial(xs, self._class_coeffs), 0.0, None)
+
+    def class_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Per-outcome counts, one row per experiment, summed into the outcome
+        classes: shape (rows, classes), exact for integer counts."""
+        counts = np.atleast_2d(counts)
+        size = self._class_coeffs.shape[1]
+        keys = (np.arange(len(counts))[:, None] * size + self.classes).ravel()
+        sums = np.bincount(keys, counts.ravel(), len(counts) * size)
+        return sums.reshape(len(counts), size)
+
     def derivative_table(self, xs: np.ndarray) -> np.ndarray:
         """Exact dp/dx on a grid, shape (len(xs), outcomes)."""
         return self._polynomial(xs, -1j * self._omega[:, None] * self._coeffs)
@@ -149,17 +187,28 @@ class MeasurementModel:
 
 
 def _counts_vector(counts, labels: Sequence[str]) -> np.ndarray:
+    """Counts aligned with ``labels``; refuses unknown labels and counts that
+    are negative or not finite."""
     if isinstance(counts, Mapping):
-        return np.array([float(counts.get(label, 0)) for label in labels])
-    arr = np.asarray(counts, dtype=float)
-    if arr.shape != (len(labels),):
-        raise DimensionError("counts do not match the outcome labels")
+        known = set(labels)
+        for label in counts:
+            if label not in known:
+                raise ValidationError(f"counts name an unknown outcome label {label!r}")
+        arr = np.array([float(counts.get(label, 0)) for label in labels])
+    else:
+        arr = np.asarray(counts, dtype=float)
+        if arr.shape != (len(labels),):
+            raise DimensionError("counts do not match the outcome labels")
+    bad = np.flatnonzero(~(np.isfinite(arr) & (arr >= 0.0)))
+    if bad.size:
+        label, value = labels[bad[0]], arr[bad[0]]
+        raise ValidationError(f"count {value} of outcome {label!r} is not finite and >= 0")
     return arr
 
 
-def _log_likelihoods(model: MeasurementModel, counts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_outcomes n * ln p(outcome | x) for each row n of ``counts`` and x of ``xs``."""
-    logp = np.log(np.clip(model.probability_table(xs), _LOG_FLOOR, None))
+def _log_likelihoods(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_columns n * ln p for each row n of ``counts`` and row p of ``table``."""
+    logp = np.log(np.clip(table, _LOG_FLOOR, None))
     # einsum, not BLAS: each row's sum then does not depend on the batch size.
     return np.einsum("ro,ro->r", counts, logp)
 
@@ -167,11 +216,13 @@ def _log_likelihoods(model: MeasurementModel, counts: np.ndarray, xs: np.ndarray
 def log_likelihood(counts, model: MeasurementModel, x: float) -> float:
     """Multinomial log likelihood sum_outcomes n * ln p(outcome | x)."""
     n = _counts_vector(counts, model.labels)
-    return float(_log_likelihoods(model, n[None, :], np.array([x]))[0])
+    return float(_log_likelihoods(n[None, :], model.probability_table(np.array([x])))[0])
 
 
 class _LikelihoodMachine:
-    """Grid log-probability table plus lockstep golden-section refinement.
+    """Grid log-probability table plus lockstep golden-section refinement, both
+    on the model's outcome classes: ``grid_peaks`` and ``estimate`` take class
+    counts (:meth:`MeasurementModel.class_counts`).
 
     The search interval is a declared configuration: the likelihood must not
     fold inside it, and identifiability at its midpoint is checked once at
@@ -190,9 +241,9 @@ class _LikelihoodMachine:
             raise ValidationError("search interval must have positive width")
         self.model = model
         self.xs = np.linspace(lo, hi, grid_points)
-        table = model.probability_table(self.xs)
-        center = model.probabilities(0.5 * (lo + hi))
-        flat = float(np.max(np.abs(table - center[None, :])))
+        table = model.class_table(self.xs)
+        center = model.class_table(np.array([0.5 * (lo + hi)]))
+        flat = float(np.max(np.abs(table - center)))
         if flat <= 1e-12:
             raise DegenerateModelError(
                 "outcome probabilities are constant over the search interval"
@@ -206,16 +257,18 @@ class _LikelihoodMachine:
         self.log_table = np.log(np.clip(table, _LOG_FLOOR, None))
 
     def grid_peaks(self, counts: np.ndarray) -> np.ndarray:
-        """Index of the best grid point for each row of ``counts``."""
-        return np.argmax(self.log_table @ counts.T, axis=0)
+        """Index of the best grid point for each row of class ``counts``, found
+        a block of about ``_PEAK_BLOCK`` scores at a time."""
+        step = max(1, _PEAK_BLOCK // len(self.xs))
+        return np.concatenate([
+            np.argmax(self.log_table @ counts[i : i + step].T, axis=0)
+            for i in range(0, len(counts), step)
+        ])
 
-    def estimate(
-        self, counts: np.ndarray, xtol: float = 1e-8, peaks: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Maximum-likelihood estimates, one per row of ``counts``; a single
-        count vector is a batch of one.
+    def estimate(self, counts: np.ndarray, xtol: float = 1e-8) -> np.ndarray:
+        """Maximum-likelihood estimates, one per row of class ``counts``; a
+        single count vector is a batch of one.
 
-        ``peaks`` holds each row's best grid index (found here when omitted).
         All rows run the scalar golden-section search in lockstep on the grid
         bracket around their peak, with the same comparison and the same stop
         at width ``xtol``; a row stops once its bracket is that narrow (edge
@@ -226,31 +279,39 @@ class _LikelihoodMachine:
         golden points round onto its ends and cycle.  A repeated state
         repeats for ever, so every search that stopped at ``xtol`` stops
         there still.
+
+        Only the active rows are kept: a round updates them with ``np.where``
+        and writes the rows that stop into the result.
         """
         counts = np.atleast_2d(np.asarray(counts, dtype=float))
-        model = self.model
-        peaks = self.grid_peaks(counts) if peaks is None else peaks
+
+        def score(counts, xs):
+            return _log_likelihoods(counts, self.model.class_table(xs))
+
+        peaks = self.grid_peaks(counts)
         a = self.xs[np.maximum(peaks - 1, 0)]
         b = self.xs[np.minimum(peaks + 1, len(self.xs) - 1)]
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        fc, fd = _log_likelihoods(model, counts, c), _log_likelihoods(model, counts, d)
-        active = np.flatnonzero(b - a > xtol)
-        # the states two steps and one step back
-        back = np.full((6, len(a)), np.nan), np.array([a, b, c, d, fc, fd])
-        while active.size:
-            left = fc[active] > fd[active]
-            lt, rt = active[left], active[~left]
-            b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-            c[lt] = b[lt] - _GOLDEN * (b[lt] - a[lt])
-            a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-            d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
-            scores = _log_likelihoods(model, counts[active], np.where(left, c[active], d[active]))
-            fc[lt], fd[rt] = scores[left], scores[~left]
-            state = np.array([a, b, c, d, fc, fd])
-            cycled = (state[:, active] == back[0][:, active]).all(axis=0)
-            back = back[1], state
-            active = active[(b[active] - a[active] > xtol) & ~cycled]
-        return 0.5 * (a + b)
+        result = 0.5 * (a + b)
+        rows = np.flatnonzero(b - a > xtol)
+        counts, a, b, c, d = counts[rows], a[rows], b[rows], c[rows], d[rows]
+        state = np.array([a, b, c, d, score(counts, c), score(counts, d)])
+        # the state two steps back
+        back = np.full(state.shape, np.nan)
+        while rows.size:
+            a, b, c, d, fc, fd = state
+            left = fc > fd
+            a2, b2 = np.where(left, a, c), np.where(left, d, b)
+            c2 = np.where(left, b2 - _GOLDEN * (b2 - a), d)
+            d2 = np.where(left, c, a2 + _GOLDEN * (b - a2))
+            f = score(counts, np.where(left, c2, d2))
+            new = np.array([a2, b2, c2, d2, np.where(left, f, fd), np.where(left, fc, f)])
+            keep = (b2 - a2 > xtol) & ~(new == back).all(axis=0)
+            back, state = state, new
+            if not keep.all():
+                result[rows[~keep]] = 0.5 * (a2 + b2)[~keep]
+                rows, counts, state, back = rows[keep], counts[keep], state[:, keep], back[:, keep]
+        return result
 
 
 def _fold_free_interval(model: MeasurementModel, x_true: float) -> tuple[float, float]:
@@ -291,7 +352,7 @@ def mle_estimate(counts, model: MeasurementModel, search_interval: tuple[float, 
     over the interval or carries no local information at its midpoint.
     """
     machine = _LikelihoodMachine(model, search_interval)
-    return float(machine.estimate(_counts_vector(counts, model.labels))[0])
+    return float(machine.estimate(model.class_counts(_counts_vector(counts, model.labels)))[0])
 
 
 @dataclass(frozen=True)
@@ -323,9 +384,11 @@ def uncertainty_run(
     :class:`DegenerateModelError`.  ``probability_floor`` applies to the
     identifiability check as in the Fisher sum.
 
-    Each trial costs one sort of its uniforms, one ``searchsorted`` and one
-    grid product; one lockstep golden-section search then refines all
-    3 * trials estimates (see the module docstring for the memory rule).
+    Each trial only draws: one sort of its uniforms, one ``searchsorted`` into
+    the cumulative tables built before the loop, and an exact sum of its
+    counts into outcome classes; after the loop one lockstep golden-section
+    search refines all 3 * trials estimates (see the module docstring for the
+    memory rule).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -333,16 +396,15 @@ def uncertainty_run(
         raise ValidationError(f"shots must be >= 1, got {shots}")
     interval = _fold_free_interval(model, x_true)
     machine = _LikelihoodMachine(model, interval, probability_floor=probability_floor)
-    probs = model.probability_table(np.array([x_true - SLOPE_STEP, x_true, x_true + SLOPE_STEP]))
-    counts = np.empty((3, trials, probs.shape[1]))
-    peaks = np.empty((3, trials), dtype=int)
+    cum = _cumulative(
+        model.probability_table(np.array([x_true - SLOPE_STEP, x_true, x_true + SLOPE_STEP]))
+    )
+    counts = np.empty((3, trials, model._class_coeffs.shape[1]))
     base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(base + [t]))
-        counts[:, t] = _draw_counts(probs, np.sort(rng.random(shots)))
-        peaks[:, t] = machine.grid_peaks(counts[:, t])
-    rows = counts.reshape(3 * trials, -1)
-    estimates = machine.estimate(rows, peaks=peaks.ravel()).reshape(3, trials)
+        counts[:, t] = model.class_counts(_draw_counts(cum, np.sort(rng.random(shots))))
+    estimates = machine.estimate(counts.reshape(3 * trials, -1)).reshape(3, trials)
     slope = float((np.mean(estimates[2]) - np.mean(estimates[0])) / (2.0 * SLOPE_STEP))
     if abs(slope) < 1e-12:
         raise DegenerateModelError("estimator slope vanished; cannot correct units")

@@ -5,19 +5,32 @@
   derivative against diag(V^dagger (-i [H, rho_x]) V); on the way, the
   spectral ``state_derivative`` against the dense -i (H rho - rho H).  H is
   either generator of the paper or a random real spectrum.
+* The one-pass coefficient table against the per-frequency masked
+  ``diagonal`` loop kept here, bit for bit.
+* The outcome classes: merged exactly when their coefficient columns are
+  equal, and estimates on class counts against estimates on outcome counts.
 * The lockstep golden-section ``_LikelihoodMachine.estimate`` against the
   scalar golden-section search kept here.
 * The sorted-uniform sampler against ``searchsorted(cum, u, side="right")``.
 """
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probelab import dynamics, states
-from probelab.montecarlo import MeasurementModel, _draw_counts, _LikelihoodMachine
+from probelab.errors import DegenerateModelError
+from probelab.montecarlo import (
+    MeasurementModel,
+    _cumulative,
+    _draw_counts,
+    _fold_free_interval,
+    _LikelihoodMachine,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -84,6 +97,106 @@ def test_polynomial_model_matches_dense_evolution(n, seed, kind, product_readout
     assert frequencies <= d * d - d + 1
 
 
+def reference_coefficients(generator, rho, basis):
+    """The per-frequency build: one masked readout diagonal per distinct
+    difference of the spectrum."""
+    h = generator.spectrum
+    diffs = np.subtract.outer(h, h)
+    omega, group = np.unique(diffs, return_inverse=True)
+    group = group.reshape(diffs.shape)
+    return omega, np.stack([basis.diagonal((group == j) * rho.matrix) for j in range(len(omega))])
+
+
+PROBES = ("tensor", "cat", "random_pure", "random_mixed")
+
+
+def build_state(kind, n, rng):
+    if kind == "tensor":
+        return states.tensor_power(states.optimal_single_qubit(+1), n)
+    if kind == "cat":
+        return states.cat_state(n) if n >= 2 else states.optimal_single_qubit(+1)
+    if kind == "random_pure":
+        return states.random_pure_state(n, rng)
+    return states.random_mixed_state(n, rng)
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 5),
+    seed=SEEDS,
+    kind=st.sampled_from(GENERATORS + ("repeated",)),
+    probe=st.sampled_from(PROBES),
+    drop_ket=st.booleans(),
+    product_readout=st.booleans(),
+)
+def test_one_pass_table_equals_per_frequency_table(n, seed, kind, probe, drop_ket, product_readout):
+    rng = np.random.default_rng(seed)
+    generator = (
+        dynamics.Generator(n, rng.integers(-2, 3, 2**n) * 0.3)  # repeated eigenvalues
+        if kind == "repeated"
+        else build_generator(kind, n, rng)
+    )
+    rho = build_state(probe, n, rng)
+    if drop_ket:
+        rho = dataclasses.replace(rho, ket=None)
+    basis = (
+        dynamics.product_pm_readout(n)
+        if product_readout
+        else dynamics.random_projective_readout(n, rng)
+    )
+    model = MeasurementModel(generator, rho, basis)
+    omega, coeffs = reference_coefficients(generator, rho, basis)
+    assert np.array_equal(model._omega, omega)
+    assert np.array_equal(model._coeffs, coeffs)
+
+
+def outcome_route(model):
+    """The same model with the identity class map: every likelihood step
+    then runs on per-outcome counts."""
+    outcomes = copy.copy(model)
+    outcomes.classes = np.arange(model.basis.dim)
+    outcomes._class_coeffs = model._coeffs
+    return outcomes
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 5),
+    seed=SEEDS,
+    kind=st.sampled_from(GENERATORS),
+    probe=st.sampled_from(PROBES),
+    x_true=st.floats(-1.0, 1.0),
+    rows=st.integers(1, 60),  # grid_peaks takes 24 rows of the 1,024-point grid at a time
+    xtol=st.sampled_from((1e-6, 1e-5)),
+)
+def test_class_estimates_match_outcome_estimates(n, seed, kind, probe, x_true, rows, xtol):
+    rng = np.random.default_rng(seed)
+    model = MeasurementModel(
+        build_generator(kind, n, rng), build_state(probe, n, rng), dynamics.product_pm_readout(n)
+    )
+    coeffs, classes = model._coeffs, model.classes
+    for i in range(len(classes)):
+        for j in range(i):
+            assert (classes[i] == classes[j]) == np.array_equal(coeffs[:, i], coeffs[:, j])
+    assert list(dict.fromkeys(classes.tolist())) == list(range(classes.max() + 1))
+    assert np.array_equal(model._class_coeffs[:, classes], coeffs)
+    if probe in ("random_pure", "random_mixed") or kind == "custom" and probe == "tensor":
+        assert np.array_equal(classes, np.arange(len(classes)))
+    try:
+        interval = _fold_free_interval(model, x_true)
+        by_class = _LikelihoodMachine(model, interval)
+        by_outcome = _LikelihoodMachine(outcome_route(model), interval)
+    except DegenerateModelError:
+        assume(False)
+    counts = rng.multinomial(2000, model.probabilities(x_true), size=rows).astype(float)
+    class_counts = model.class_counts(counts)
+    assert np.array_equal(class_counts.sum(axis=1), counts.sum(axis=1))
+    peaks = np.argmax(by_class.log_table @ class_counts.T, axis=0)
+    assert np.array_equal(by_class.grid_peaks(class_counts), peaks)
+    estimates = by_class.estimate(class_counts, xtol)
+    np.testing.assert_allclose(estimates, by_outcome.estimate(counts, xtol), rtol=0, atol=2 * xtol)
+
+
 def scalar_golden_estimate(machine, counts, xtol):
     """The per-row search: grid argmax, then golden section on its bracket.
 
@@ -92,7 +205,7 @@ def scalar_golden_estimate(machine, counts, xtol):
     comparison and move the result by a few ``xtol``.
     """
     def score(x):
-        logp = np.log(np.clip(machine.model.probabilities(x), 1e-300, None))
+        logp = np.log(np.clip(machine.model.class_table(np.array([x]))[0], 1e-300, None))
         return float(np.einsum("o,o->", counts, logp))
 
     j = int(np.argmax(machine.log_table @ counts))
@@ -138,7 +251,9 @@ def test_lockstep_estimate_matches_scalar_golden_section(
     machine = _LikelihoodMachine(model, (center - width, center + width), grid_points=64)
     # Counts drawn anywhere in [-1.5, 1.5], so some maxima sit on an edge of the grid.
     xs = rng.uniform(-1.5, 1.5, rows)
-    counts = np.array([rng.multinomial(500, p) for p in model.probability_table(xs)], float)
+    counts = model.class_counts(
+        np.array([rng.multinomial(500, p) for p in model.probability_table(xs)], float)
+    )
     batched = machine.estimate(counts, xtol)
     assert batched.shape == (rows,)
     for row, estimate in zip(counts, batched):
@@ -169,6 +284,6 @@ def test_sorted_uniform_counts_equal_searchsorted_counts(d, seed, shots, zeros, 
         u[: len(edges)] = edges
     expected = [np.bincount(np.searchsorted(c, u, side="right"), minlength=d) for c in cums]
     u_sorted = np.sort(u)
-    assert np.array_equal(_draw_counts(probs, u_sorted), expected)
+    assert np.array_equal(_draw_counts(_cumulative(probs), u_sorted), expected)
     for p, e in zip(probs, expected):
-        assert np.array_equal(_draw_counts(p, u_sorted), e)
+        assert np.array_equal(_draw_counts(_cumulative(p), u_sorted), e)

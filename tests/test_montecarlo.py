@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probelab import dynamics, montecarlo, states
-from probelab.errors import DegenerateModelError
+from probelab.errors import DegenerateModelError, ValidationError
 from probelab.fisher import cramer_rao_bound
 from probelab.montecarlo import MeasurementModel
 
@@ -102,6 +102,25 @@ def test_log_likelihood_maximum_near_truth():
     xs = np.linspace(x_true - 1.0, x_true + 1.0, 401)
     values = [montecarlo.log_likelihood(counts, model, x) for x in xs]
     assert abs(xs[int(np.argmax(values))] - x_true) < 0.02
+
+
+def test_counts_with_an_unknown_label_are_refused():
+    model = single_qubit_model()
+    with pytest.raises(ValidationError, match="'bogus'"):
+        montecarlo.log_likelihood({"+": 5, "-": 3, "bogus": 100}, model, 0.2)
+    with pytest.raises(ValidationError, match="'bogus'"):
+        montecarlo.mle_estimate({"+": 5, "bogus": 1}, model, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("as_mapping", [True, False])
+def test_negative_or_non_finite_counts_are_refused(bad, as_mapping):
+    model = single_qubit_model()
+    counts = {"+": 5.5, "-": bad} if as_mapping else [5.5, bad]
+    with pytest.raises(ValidationError, match=f"count {bad} of outcome '-'"):
+        montecarlo.mle_estimate(counts, model, (-1.0, 1.0))
+    with pytest.raises(ValidationError, match=f"count {bad} of outcome '-'"):
+        montecarlo.log_likelihood(counts, model, 0.2)
 
 
 def test_mle_plug_in_consistency():
