@@ -12,15 +12,15 @@ Likelihood model: for a generator with stored spectrum h the outcome
 probabilities are an exact trigonometric polynomial in x,
 p(x) = Re(exp(-i x omega) @ C), over the distinct differences omega of h,
 with C built without an eigendecomposition (see :class:`MeasurementModel`).
-A batch of x costs one (points x frequencies) @ (frequencies x columns) product.
-
-Outcome classes: outcomes whose columns of C are exactly equal share one
-likelihood function, and their counts enter the likelihood only through
-their sum.  The built-in probes of identical qubits have few of them: the
-n=10 tensor probe's 1,024 outcomes fall into 11 Hamming-weight classes.  The
-likelihood grid, the grid peaks and the refinement run on class counts;
-sampling, the Fisher information, the fold scan and :func:`log_likelihood`
-stay per outcome.
+Outcomes whose columns of C are exactly equal form one outcome class: they
+share one likelihood function, and their counts enter it only through their
+sum.  The built-in probes of identical qubits have few classes (the n=10
+tensor probe's 1,024 outcomes fall into 11 Hamming weights), and the model
+keeps one column of C per class: a batch of x costs one (points x
+frequencies) @ (frequencies x classes) product, and per-outcome values are
+gathered from it.  The likelihood grid, the grid peaks and the refinement
+run on class counts; sampling, the Fisher information, the fold scan and
+:func:`log_likelihood` sum per outcome over the gathered values.
 
 Estimator cost per trial: one sort of the ``shots`` uniforms, one
 ``searchsorted`` of the 3 x d cumulative tables (built once) into them, and
@@ -72,6 +72,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PEAK_BLOCK = 25_000
 
 
+def _finite(name: str, value: float) -> float:
+    """``value`` as a float; refuses NaN and +/-inf with an error that names it."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
 def _cumulative(probs: np.ndarray) -> np.ndarray:
     """Normalised cumulative table of each row of ``probs``, ending at exactly 1."""
     cum = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
@@ -120,7 +127,8 @@ class MeasurementModel:
     ``classes[k]`` numbers the outcome class of outcome k, in order of first
     appearance: outcomes share a class exactly when their columns of C are
     equal, with no tolerance, so the map is the identity when no columns
-    merge.
+    merge.  Only the first column of each class is kept: the per-outcome
+    tables gather the class tables through ``classes``.
     """
 
     def __init__(
@@ -134,13 +142,13 @@ class MeasurementModel:
         levels, level_of = np.unique(generator.spectrum, return_inverse=True)
         self._omega, group = np.unique(np.subtract.outer(levels, levels), return_inverse=True)
         group = group.reshape(len(levels), -1)[level_of[:, None], level_of[None, :]]
-        self._coeffs = basis.diagonals(initial_state.matrix, group, len(self._omega))
+        coeffs = basis.diagonals(initial_state.matrix, group, len(self._omega))
         # A column's bytes (after + 0.0 turns -0.0 into 0.0) key its class.
         first = {}
         self.classes = np.array(
-            [first.setdefault((c + 0.0).tobytes(), len(first)) for c in self._coeffs.T]
+            [first.setdefault((c + 0.0).tobytes(), len(first)) for c in coeffs.T]
         )
-        self._class_coeffs = self._coeffs[:, np.unique(self.classes, return_index=True)[1]]
+        self._columns = coeffs[:, np.unique(self.classes, return_index=True)[1]]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -157,31 +165,31 @@ class MeasurementModel:
 
     def probability_table(self, xs: np.ndarray) -> np.ndarray:
         """Probabilities on a grid, shape (len(xs), outcomes)."""
-        return np.clip(self._polynomial(xs, self._coeffs), 0.0, None)
+        return self.class_table(xs)[:, self.classes]
 
     def class_table(self, xs: np.ndarray) -> np.ndarray:
         """Probabilities of one outcome of each class, shape (len(xs), classes)."""
-        return np.clip(self._polynomial(xs, self._class_coeffs), 0.0, None)
+        return np.clip(self._polynomial(xs, self._columns), 0.0, None)
 
     def class_counts(self, counts: np.ndarray) -> np.ndarray:
         """Per-outcome counts, one row per experiment, summed into the outcome
         classes: shape (rows, classes), exact for integer counts."""
         counts = np.atleast_2d(counts)
-        size = self._class_coeffs.shape[1]
+        size = self._columns.shape[1]
         keys = (np.arange(len(counts))[:, None] * size + self.classes).ravel()
         sums = np.bincount(keys, counts.ravel(), len(counts) * size)
         return sums.reshape(len(counts), size)
 
     def derivative_table(self, xs: np.ndarray) -> np.ndarray:
         """Exact dp/dx on a grid, shape (len(xs), outcomes)."""
-        return self._polynomial(xs, -1j * self._omega[:, None] * self._coeffs)
+        return self._polynomial(xs, -1j * self._omega[:, None] * self._columns)[:, self.classes]
 
     def fisher_at(
         self, x: float, *, probability_floor: float = Tolerances.probability_floor
     ) -> float:
         """Classical Fisher information of the readout at parameter value x, from
         the model's p and exact dp/dx with the floor rule of ``classical_fisher``."""
-        xs = np.array([x])
+        xs = np.array([_finite("x", x)])
         p, dp = self.probability_table(xs)[0], self.derivative_table(xs)[0]
         return _fisher_sum(self.labels, p, dp, probability_floor)
 
@@ -216,7 +224,8 @@ def _log_likelihoods(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
 def log_likelihood(counts, model: MeasurementModel, x: float) -> float:
     """Multinomial log likelihood sum_outcomes n * ln p(outcome | x)."""
     n = _counts_vector(counts, model.labels)
-    return float(_log_likelihoods(n[None, :], model.probability_table(np.array([x])))[0])
+    p = model.probability_table(np.array([_finite("x", x)]))
+    return float(_log_likelihoods(n[None, :], p)[0])
 
 
 class _LikelihoodMachine:
@@ -236,15 +245,14 @@ class _LikelihoodMachine:
         grid_points: int = GRID_POINTS,
         probability_floor: float = Tolerances.probability_floor,
     ):
-        lo, hi = float(search_interval[0]), float(search_interval[1])
+        lo, hi = (_finite("search interval end", end) for end in search_interval)
         if not hi > lo:
             raise ValidationError("search interval must have positive width")
         self.model = model
         self.xs = np.linspace(lo, hi, grid_points)
         table = model.class_table(self.xs)
         center = model.class_table(np.array([0.5 * (lo + hi)]))
-        flat = float(np.max(np.abs(table - center)))
-        if flat <= 1e-12:
+        if np.max(np.abs(table - center)) <= 1e-12:
             raise DegenerateModelError(
                 "outcome probabilities are constant over the search interval"
             )
@@ -323,10 +331,11 @@ def _fold_free_interval(model: MeasurementModel, x_true: float) -> tuple[float, 
     (negative dot product).  Past a fold the probabilities retrace values
     from before it, so the likelihood has a mirror maximum there.  Raises
     :class:`DegenerateModelError` when a fold lies within one grid step of
-    x_true, and :class:`ValidationError` when float64 cannot resolve the grid
-    (|x_true| past 2^44, about 1.8e13, where the float spacing exceeds the
-    grid step).
+    x_true, and :class:`ValidationError` when x_true is not finite or float64
+    cannot resolve the grid (|x_true| past 2^44, about 1.8e13, where the float
+    spacing exceeds the grid step).
     """
+    x_true = _finite("x_true", x_true)
     xs = np.linspace(x_true - math.pi / 2.0, x_true + math.pi / 2.0, GRID_POINTS)
     if not np.all(xs[1:] > xs[:-1]):
         raise ValidationError(
@@ -382,13 +391,9 @@ def uncertainty_run(
     p(+|x) = (1 - sin x)/2 folds at +/- pi/2, where x and pi - x read the
     same); a fold within one grid step of x_true raises
     :class:`DegenerateModelError`.  ``probability_floor`` applies to the
-    identifiability check as in the Fisher sum.
-
-    Each trial only draws: one sort of its uniforms, one ``searchsorted`` into
-    the cumulative tables built before the loop, and an exact sum of its
-    counts into outcome classes; after the loop one lockstep golden-section
-    search refines all 3 * trials estimates (see the module docstring for the
-    memory rule).
+    identifiability check as in the Fisher sum.  Each trial only draws; one
+    lockstep search after the loop refines all 3 * trials estimates (the
+    module docstring gives the cost and the memory rule).
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -399,7 +404,7 @@ def uncertainty_run(
     cum = _cumulative(
         model.probability_table(np.array([x_true - SLOPE_STEP, x_true, x_true + SLOPE_STEP]))
     )
-    counts = np.empty((3, trials, model._class_coeffs.shape[1]))
+    counts = np.empty((3, trials, model.classes.max() + 1))
     base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(base + [t]))
@@ -410,12 +415,7 @@ def uncertainty_run(
         raise DegenerateModelError("estimator slope vanished; cannot correct units")
     corrected = estimates[1] / abs(slope) - x_true
     delta_x = float(np.sqrt(np.mean(corrected * corrected)))
-    return EstimationResult(
-        x_true=float(x_true),
-        x_hat=float(np.mean(estimates[1])),
-        delta_x=delta_x,
-        slope=slope,
-    )
+    return EstimationResult(float(x_true), float(np.mean(estimates[1])), delta_x, slope)
 
 
 @dataclass(frozen=True)
@@ -463,10 +463,5 @@ def scaling_experiment(
             delta_x = uncertainty_run(
                 model, x_true, shots, trials, [seed, n], probability_floor=tol.probability_floor
             ).delta_x
-        rows.append(
-            ScalingRow(
-                n=n, f_classical=f_classical, f_quantum=f_quantum,
-                bound=bound, delta_x_empirical=delta_x, degenerate=degenerate,
-            )
-        )
+        rows.append(ScalingRow(n, f_classical, f_quantum, bound, delta_x, degenerate))
     return rows

@@ -7,6 +7,8 @@
   either generator of the paper or a random real spectrum.
 * The one-pass coefficient table against the per-frequency masked
   ``diagonal`` loop kept here, bit for bit.
+* The per-outcome p and dp/dx, gathered from the class table, against the
+  per-outcome polynomial kept here, bit for bit.
 * The outcome classes: merged exactly when their coefficient columns are
   equal, and estimates on class counts against estimates on outcome counts.
 * The lockstep golden-section ``_LikelihoodMachine.estimate`` against the
@@ -147,15 +149,50 @@ def test_one_pass_table_equals_per_frequency_table(n, seed, kind, probe, drop_ke
     model = MeasurementModel(generator, rho, basis)
     omega, coeffs = reference_coefficients(generator, rho, basis)
     assert np.array_equal(model._omega, omega)
-    assert np.array_equal(model._coeffs, coeffs)
+    assert np.array_equal(model._columns[:, model.classes], coeffs)
+
+
+def reference_tables(omega, coeffs, xs):
+    """p and dp/dx of every outcome from its own coefficient column."""
+    phases = np.exp(-1j * np.multiply.outer(xs, omega))
+    p = np.clip(np.real(np.einsum("xf,fo->xo", phases, coeffs)), 0.0, None)
+    return p, np.real(np.einsum("xf,fo->xo", phases, -1j * omega[:, None] * coeffs))
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 5),
+    seed=SEEDS,
+    kind=st.sampled_from(GENERATORS),
+    probe=st.sampled_from(PROBES),
+    product_readout=st.booleans(),
+    lo=st.floats(-4.0, 4.0),
+    points=st.sampled_from((1, 3, 7, 1024)),
+)
+def test_gathered_tables_equal_per_outcome_polynomial(
+    n, seed, kind, probe, product_readout, lo, points
+):
+    rng = np.random.default_rng(seed)
+    basis = (
+        dynamics.product_pm_readout(n)
+        if product_readout
+        else dynamics.random_projective_readout(n, rng)
+    )
+    model = MeasurementModel(build_generator(kind, n, rng), build_state(probe, n, rng), basis)
+    omega, coeffs = reference_coefficients(model.generator, model.initial_state, basis)
+    xs = np.linspace(lo, lo + math.pi, points)
+    p, dp = reference_tables(omega, coeffs, xs)
+    assert np.array_equal(model.probability_table(xs), p)
+    assert np.array_equal(model.derivative_table(xs), dp)
+    assert np.array_equal(model.probabilities(lo), p[0])
 
 
 def outcome_route(model):
-    """The same model with the identity class map: every likelihood step
-    then runs on per-outcome counts."""
+    """The same model with the identity class map, its table gathered from
+    the class table: every likelihood step then runs on per-outcome counts."""
     outcomes = copy.copy(model)
     outcomes.classes = np.arange(model.basis.dim)
-    outcomes._class_coeffs = model._coeffs
+    outcomes._columns = model._columns[:, model.classes]
     return outcomes
 
 
@@ -174,12 +211,13 @@ def test_class_estimates_match_outcome_estimates(n, seed, kind, probe, x_true, r
     model = MeasurementModel(
         build_generator(kind, n, rng), build_state(probe, n, rng), dynamics.product_pm_readout(n)
     )
-    coeffs, classes = model._coeffs, model.classes
+    classes = model.classes
+    coeffs = reference_coefficients(model.generator, model.initial_state, model.basis)[1]
     for i in range(len(classes)):
         for j in range(i):
             assert (classes[i] == classes[j]) == np.array_equal(coeffs[:, i], coeffs[:, j])
     assert list(dict.fromkeys(classes.tolist())) == list(range(classes.max() + 1))
-    assert np.array_equal(model._class_coeffs[:, classes], coeffs)
+    assert np.array_equal(model._columns[:, classes], coeffs)
     if probe in ("random_pure", "random_mixed") or kind == "custom" and probe == "tensor":
         assert np.array_equal(classes, np.arange(len(classes)))
     try:

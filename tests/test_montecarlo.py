@@ -123,6 +123,38 @@ def test_negative_or_non_finite_counts_are_refused(bad, as_mapping):
         montecarlo.log_likelihood(counts, model, 0.2)
 
 
+# Each entry point refuses a non-finite x before any arithmetic: the suite's
+# warning filter turns a RuntimeWarning from a NaN or an infinity into a failure.
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_mle_refuses_a_non_finite_interval_end(bad):
+    model = single_qubit_model()
+    message = f"search interval end must be finite, got {bad}"
+    for interval in ((0.0, bad), (bad, 0.0)):
+        with pytest.raises(ValidationError, match=message):
+            montecarlo.mle_estimate({"+": 5, "-": 5}, model, interval)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_fisher_at_refuses_a_non_finite_x(bad):
+    with pytest.raises(ValidationError, match=f"x must be finite, got {bad}"):
+        single_qubit_model().fisher_at(bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_log_likelihood_refuses_a_non_finite_x(bad):
+    with pytest.raises(ValidationError, match=f"x must be finite, got {bad}"):
+        montecarlo.log_likelihood({"+": 5, "-": 5}, single_qubit_model(), bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_uncertainty_run_refuses_a_non_finite_x_true(bad):
+    with pytest.raises(ValidationError, match=f"x_true must be finite, got {bad}"):
+        montecarlo.uncertainty_run(single_qubit_model(), bad, shots=100, trials=10, seed=1)
+
+
 def test_mle_plug_in_consistency():
     model = single_qubit_model()
     p = model.probabilities(0.3)
