@@ -27,7 +27,8 @@ from .config import (
     basis_from_config,
     check_int,
     generator_from_config,
-    parse_config_text,
+    parse_config,
+    read_json,
     state_from_config,
 )
 from .errors import ConfigError, ProbeLabError
@@ -40,22 +41,11 @@ EXIT_ERROR = 2
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    cfg = parse_config_text(text, task=args.command)
+    cfg = parse_config(read_json(args.config, "config"), task=args.command)
     if args.seed is not None:
-        cfg = replace(cfg, seed=check_int(args.seed, "--seed"))
-    if args.format is not None:
-        cfg = replace(cfg, output_format=args.format)
-    if args.out is not None:
-        cfg = replace(cfg, output_path=args.out)
-    return cfg
+        check_int(args.seed, "--seed")
+    given = {"seed": args.seed, "output_format": args.format, "output_path": args.out}
+    return replace(cfg, **{key: value for key, value in given.items() if value is not None})
 
 
 def _emit(cfg: ExperimentConfig, text: str) -> None:
@@ -150,19 +140,18 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     outcome = search_optimal_state(generator, basis, cfg.n_qubits, search_cfg)
     # no probe's QFI exceeds (h_max - h_min)^2 (search_optimal_state)
     ceiling = float(generator.spectrum.max() - generator.spectrum.min()) ** 2
-    solutions = []
-    for sol in outcome.solutions:
-        solutions.append(
-            {
-                "qfi": sol.qfi,
-                "at_ceiling": abs(sol.qfi - ceiling) <= TIE_TOL,
-                "residual": sol.residual,
-                "purity": sol.state.purity(),
-                "provenance": sol.provenance,
-                "pauli_coefficients": sol.state.pauli_coefficients(drop_tol=1e-9),
-                "inv_lambdas": _spectrum_entries(sol.inv_lambdas),
-            }
-        )
+    solutions = [
+        {
+            "qfi": sol.qfi,
+            "at_ceiling": abs(sol.qfi - ceiling) <= TIE_TOL,
+            "residual": sol.residual,
+            "purity": sol.state.purity(),
+            "provenance": sol.provenance,
+            "pauli_coefficients": sol.state.pauli_coefficients(drop_tol=1e-9),
+            "inv_lambdas": _spectrum_entries(sol.inv_lambdas),
+        }
+        for sol in outcome.solutions
+    ]
     result = {
         "feasible": outcome.feasible,
         "n_starts": outcome.n_starts,

@@ -1,15 +1,17 @@
 """Experiment configuration: one JSON document, strictly validated.
 
-Unknown fields are rejected with a dotted field path; JSON syntax errors are
-reported with their line and column.  The ``tolerances`` block overrides the
-defaults of :class:`~probelab.operators.Tolerances`, so every threshold the
-tool applies is inspectable and overridable.
+Every JSON input, the config (a file or stdin) and a state file, is read by
+:func:`read_json`, each failure a ConfigError that names it; unknown fields
+are rejected with a dotted field path.  The ``tolerances`` block overrides
+the defaults of :class:`~probelab.operators.Tolerances`, so every threshold
+the tool applies is inspectable and overridable.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Any, Mapping
@@ -120,16 +122,42 @@ def _check_numbers(value, path: str, shape: tuple[int, ...]) -> None:
         raise ConfigError(f"{path}: expected a list of {shape[0]} entries")
 
 
-def parse_config_text(text: str, task: str | None = None) -> ExperimentConfig:
+def read_json(path: str, what: str) -> Any:
+    """The JSON input ``what`` at ``path`` (``-`` is stdin), decoded as strict
+    UTF-8 and parsed; its bytes are dropped before the parse builds the payload."""
     try:
-        raw = json.loads(text)
+        if path == "-":
+            return _parse_json(sys.stdin.buffer.read().decode("utf-8"), what)
+        with open(path, "rb") as handle:
+            return _parse_json(handle.read().decode("utf-8"), what)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _parse_json(text: str, what: str) -> Any:
+    """``json.loads(text)``, each failure a :class:`ConfigError` naming ``what``."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+            f"{what} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(raw, task)
+    except (RecursionError, ValueError) as exc:  # nesting or digits past Python's limits
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _fields(raw, path: str, known, expected: str = "an object") -> dict:
+    """``raw``, refused unless it is a JSON object with only ``known`` keys."""
+    _require(isinstance(raw, dict), f"{path}: expected {expected}")
+    for key in raw:
+        _require(key in known, f"{path}: unknown field {key!r}")
+    return raw
+
+
+def parse_config_text(text: str, task: str | None = None) -> ExperimentConfig:
+    return parse_config(_parse_json(text, "config"), task)
 
 
 def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentConfig:
@@ -138,9 +166,7 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
     ``task`` (from the CLI subcommand) wins over a ``task`` field in the
     document; a conflicting explicit field is an error.
     """
-    _require(isinstance(raw, dict), "config: expected a JSON object at the top level")
-    for key in raw:
-        _require(key in _TOP_LEVEL_KEYS, f"config: unknown field {key!r}")
+    _fields(raw, "config", _TOP_LEVEL_KEYS, "a JSON object at the top level")
 
     doc_task = raw.get("task")
     if doc_task is not None:
@@ -168,33 +194,22 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
         f"config.readout: must be one of {READOUT_KINDS}",
     )
 
-    shots = check_int(raw.get("shots", defaults.shots), "config.shots", minimum=1)
-    trials = check_int(raw.get("trials", defaults.trials), "config.trials", minimum=1)
-    seed = check_int(raw.get("seed", defaults.seed), "config.seed")
-    x_true = _check_number(raw.get("x_true", defaults.x_true), "config.x_true")
-
-    n_list_raw = raw.get("n_list", list(defaults.n_list))
-    _require(isinstance(n_list_raw, list) and n_list_raw, "config.n_list: expected a nonempty list")
-    n_list = tuple(check_int(v, "config.n_list[*]", minimum=1, cap=max_qubits) for v in n_list_raw)
-
-    solver_opts = _normalize_solver(raw.get("solver"))
-    tolerances = _normalize_tolerances(raw.get("tolerances"))
-
+    n_list = raw.get("n_list", list(defaults.n_list))
+    _require(isinstance(n_list, list) and n_list, "config.n_list: expected a nonempty list")
     output_format, output_path = _normalize_output(raw.get("output"), resolved_task)
-
     return ExperimentConfig(
         task=resolved_task,
         n_qubits=n_qubits,
         max_qubits=max_qubits,
         generator=generator,
         state=state,
-        shots=shots,
-        trials=trials,
-        seed=seed,
-        x_true=x_true,
-        n_list=n_list,
-        solver=solver_opts,
-        tolerances=tolerances,
+        shots=check_int(raw.get("shots", defaults.shots), "config.shots", minimum=1),
+        trials=check_int(raw.get("trials", defaults.trials), "config.trials", minimum=1),
+        seed=check_int(raw.get("seed", defaults.seed), "config.seed"),
+        x_true=_check_number(raw.get("x_true", defaults.x_true), "config.x_true"),
+        n_list=tuple(check_int(v, "config.n_list[*]", minimum=1, cap=max_qubits) for v in n_list),
+        solver=_normalize_solver(raw.get("solver")),
+        tolerances=_normalize_tolerances(raw.get("tolerances")),
         output_format=output_format,
         output_path=output_path,
         raw=dict(raw),
@@ -235,9 +250,7 @@ _SOLVER_KEYS = tuple(f.name for f in fields(SearchConfig) if f.name not in ("res
 def _normalize_solver(raw) -> SearchConfig:
     if raw is None:
         return SearchConfig()
-    _require(isinstance(raw, dict), "config.solver: expected an object")
-    for key in raw:
-        _require(key in _SOLVER_KEYS, f"config.solver: unknown field {key!r}")
+    _fields(raw, "config.solver", _SOLVER_KEYS)
     updates: dict[str, Any] = {}
     for key, value in raw.items():
         # a key with an integer default takes a positive integer
@@ -251,10 +264,7 @@ def _normalize_solver(raw) -> SearchConfig:
 def _normalize_tolerances(raw) -> Tolerances:
     if raw is None:
         return Tolerances()
-    _require(isinstance(raw, dict), "config.tolerances: expected an object")
-    known = {f.name for f in fields(Tolerances)}
-    for key in raw:
-        _require(key in known, f"config.tolerances: unknown field {key!r}")
+    _fields(raw, "config.tolerances", {f.name for f in fields(Tolerances)})
     tolerances = Tolerances(
         **{key: _check_number(value, f"config.tolerances.{key}") for key, value in raw.items()}
     )
@@ -271,9 +281,7 @@ def _normalize_tolerances(raw) -> Tolerances:
 def _normalize_output(raw, task: str) -> tuple[str | None, str | None]:
     if raw is None:
         return None, None
-    _require(isinstance(raw, dict), "config.output: expected an object")
-    for key in raw:
-        _require(key in ("format", "path"), f"config.output: unknown field {key!r}")
+    _fields(raw, "config.output", ("format", "path"))
     fmt = raw.get("format")
     formats = OUTPUT_FORMATS[task]
     _require(fmt is None or fmt in formats, f"config.output.format: must be one of {formats} for {task}")
@@ -334,24 +342,10 @@ def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:
 
 
 def _state_from_file(path: str, n_qubits: int, min_eigenvalue: float) -> states.DensityMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"config.state.path: cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config.state.path: {path!r} is not valid JSON "
-            f"({exc.msg} at line {exc.lineno} column {exc.colno})"
-        ) from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise ConfigError(f"config.state.path: {path!r} is not valid JSON ({exc})") from exc
-    _require(isinstance(payload, dict), "state file: expected a JSON object at the top level")
-    for key in payload:
-        _require(
-            key in ("n_qubits", "matrix_real", "matrix_imag"),
-            f"state file: unknown field {key!r}",
-        )
+    payload = _fields(
+        read_json(path, "config.state.path"),
+        "state file", ("n_qubits", "matrix_real", "matrix_imag"), "a JSON object at the top level",
+    )
     _require("matrix_real" in payload, "state file: matrix_real is required")
     real = _matrix_part(payload["matrix_real"], "matrix_real")
     imag = (

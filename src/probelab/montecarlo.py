@@ -79,6 +79,19 @@ def _finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _search_grid(
+    lo: float, hi: float, subject: str, span: str, points: int = GRID_POINTS
+) -> np.ndarray:
+    """``np.linspace(lo, hi, points)``, refused with an error naming ``subject``
+    when float64 cannot resolve it (its points do not increase)."""
+    xs = np.linspace(lo, hi, points)
+    if not np.all(xs[1:] > xs[:-1]):
+        raise ValidationError(
+            f"{subject}: float64 cannot resolve the {points}-point search grid over {span}"
+        )
+    return xs
+
+
 def _cumulative(probs: np.ndarray) -> np.ndarray:
     """Normalised cumulative table of each row of ``probs``, ending at exactly 1."""
     cum = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
@@ -234,8 +247,9 @@ class _LikelihoodMachine:
     counts (:meth:`MeasurementModel.class_counts`).
 
     The search interval is a declared configuration: the likelihood must not
-    fold inside it, and identifiability at its midpoint is checked once at
-    construction, with ``probability_floor`` as in the Fisher sum.
+    fold inside it, float64 must resolve its grid (``_search_grid``), and
+    identifiability at its midpoint is checked once at construction, with
+    ``probability_floor`` as in the Fisher sum.
     """
 
     def __init__(
@@ -246,17 +260,17 @@ class _LikelihoodMachine:
         probability_floor: float = Tolerances.probability_floor,
     ):
         lo, hi = (_finite("search interval end", end) for end in search_interval)
-        if not hi > lo:
-            raise ValidationError("search interval must have positive width")
+        if not 0.0 < hi - lo < math.inf:
+            raise ValidationError("search interval must have a positive, finite width")
         self.model = model
-        self.xs = np.linspace(lo, hi, grid_points)
+        self.xs = _search_grid(lo, hi, "search interval", f"({lo!r}, {hi!r})", grid_points)
         table = model.class_table(self.xs)
-        center = model.class_table(np.array([0.5 * (lo + hi)]))
-        if np.max(np.abs(table - center)) <= 1e-12:
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) bit for bit, but cannot overflow
+        if np.max(np.abs(table - model.class_table(np.array([mid])))) <= 1e-12:
             raise DegenerateModelError(
                 "outcome probabilities are constant over the search interval"
             )
-        fisher_center = model.fisher_at(0.5 * (lo + hi), probability_floor=probability_floor)
+        fisher_center = model.fisher_at(mid, probability_floor=probability_floor)
         if fisher_center <= FISHER_FLOOR:
             raise DegenerateModelError(
                 f"classical Fisher information {fisher_center:.3e} at the interval "
@@ -300,7 +314,7 @@ class _LikelihoodMachine:
         a = self.xs[np.maximum(peaks - 1, 0)]
         b = self.xs[np.minimum(peaks + 1, len(self.xs) - 1)]
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        result = 0.5 * (a + b)
+        result = 0.5 * a + 0.5 * b
         rows = np.flatnonzero(b - a > xtol)
         counts, a, b, c, d = counts[rows], a[rows], b[rows], c[rows], d[rows]
         state = np.array([a, b, c, d, score(counts, c), score(counts, d)])
@@ -317,7 +331,7 @@ class _LikelihoodMachine:
             keep = (b2 - a2 > xtol) & ~(new == back).all(axis=0)
             back, state = state, new
             if not keep.all():
-                result[rows[~keep]] = 0.5 * (a2 + b2)[~keep]
+                result[rows[~keep]] = (0.5 * a2 + 0.5 * b2)[~keep]
                 rows, counts, state, back = rows[keep], counts[keep], state[:, keep], back[:, keep]
         return result
 
@@ -336,12 +350,8 @@ def _fold_free_interval(model: MeasurementModel, x_true: float) -> tuple[float, 
     spacing exceeds the grid step).
     """
     x_true = _finite("x_true", x_true)
-    xs = np.linspace(x_true - math.pi / 2.0, x_true + math.pi / 2.0, GRID_POINTS)
-    if not np.all(xs[1:] > xs[:-1]):
-        raise ValidationError(
-            f"x_true = {x_true}: float64 cannot resolve the {GRID_POINTS}-point search grid "
-            f"over x_true +/- pi/2"
-        )
+    half = math.pi / 2.0
+    xs = _search_grid(x_true - half, x_true + half, f"x_true = {x_true}", "x_true +/- pi/2")
     dp = model.derivative_table(xs)
     folds = np.flatnonzero(np.einsum("io,io->i", dp[:-1], dp[1:]) < 0.0)
     left, right = folds[xs[folds] < x_true], folds[xs[folds + 1] > x_true]
@@ -358,7 +368,8 @@ def mle_estimate(counts, model: MeasurementModel, search_interval: tuple[float, 
     """Maximum-likelihood estimate: grid scan plus golden-section refinement.
 
     Raises :class:`DegenerateModelError` when the outcome distribution is flat
-    over the interval or carries no local information at its midpoint.
+    over the interval or carries no local information at its midpoint, and
+    :class:`ValidationError` when float64 cannot hold or resolve the interval.
     """
     machine = _LikelihoodMachine(model, search_interval)
     return float(machine.estimate(model.class_counts(_counts_vector(counts, model.labels)))[0])

@@ -36,8 +36,9 @@ class DensityMatrix:
     state with a ket work from the ket (see :func:`probelab.fisher.analyze`).
     ``matrix`` is built by ``_build`` on first use and kept, so
     ``dataclasses.replace(state, ket=None)`` is the same matrix without its
-    ket.  ``eigen``, taken on first use and kept, serves the PSD check of
-    any state without a ket, then the dense SLD.
+    ket; ``purity`` and ``pauli_coefficients`` use it if it is built, else
+    build one they do not keep.  ``eigen``, taken on first use and kept,
+    serves the PSD check of any state without a ket, then the dense SLD.
     """
 
     n_qubits: int
@@ -59,13 +60,17 @@ class DensityMatrix:
         # Hermitian by construction, or checked by density_matrix (itself or its factors)
         return ops.eigen_descending(self.matrix)
 
+    def _dense(self) -> np.ndarray:
+        return self.__dict__["matrix"] if "matrix" in self.__dict__ else self._build()
+
     def purity(self) -> float:
         """tr(rho^2) = ||rho||_F^2, in O(d^2) as :func:`density_matrix` screens it."""
-        return float(np.vdot(self.matrix, self.matrix).real)
+        matrix = self._dense()
+        return float(np.vdot(matrix, matrix).real)
 
     def pauli_coefficients(self, drop_tol: float = 1e-12) -> dict[str, float]:
         """Expansion coefficients over Pauli strings (identity term included)."""
-        return ops.pauli_expand(self.matrix, drop_tol=drop_tol)
+        return ops.pauli_expand(self._dense(), drop_tol=drop_tol)
 
 
 def _check_trace(trace: complex) -> None:

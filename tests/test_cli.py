@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import re
@@ -122,18 +123,50 @@ def test_state_file_rejects_non_finite_entries(tmp_path, capsys, key):
         ({"kind": "file"}, '{"matrix_real": [[1' + "0" * 5000 + "]]}",
          "config.state.path|matrix_real"),
         ({"kind": "file"}, "[[0.5, 0], [0, 0.5]]", "state file"),
+        # nesting past Python's recursion limit, bytes that are not UTF-8
+        # (written by the lone surrogate) and a path that open() refuses
+        pytest.param({"kind": "file"}, "[" * 100_000 + "]" * 100_000,
+                     "config.state.path is not valid JSON", id="deep-state-file"),
+        pytest.param({"kind": "file"}, '{"matrix_real": [[1]]\udcff}',
+                     "config.state.path is not valid UTF-8", id="non-utf8-state-file"),
+        pytest.param({"kind": "file", "path": "state\u0000.json"}, None,
+                     "cannot read config.state.path", id="nul-state-path"),
     ],
 )
 def test_bad_state_inputs_are_config_errors(tmp_path, capsys, state, file_text, field):
     if file_text is not None:
         state_path = tmp_path / "state.json"
-        state_path.write_text(file_text, encoding="utf-8")
+        state_path.write_text(file_text, encoding="utf-8", errors="surrogateescape")
         state = {**state, "path": str(state_path)}
     path = write_config(tmp_path, {"n_qubits": 1, "state": state})
     code, out, err = run_cli(capsys, ["fisher", path])
     assert code == 2 and out == ""
     assert err.startswith("config error:") and "internal error" not in err
     assert any(name in err for name in field.split("|"))
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        pytest.param(b'{"state": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                     "config is not valid JSON: maximum recursion depth", id="deep"),
+        pytest.param(b'{"x\xff": 1}', "config is not valid UTF-8: invalid start byte at byte 3",
+                     id="non-utf8"),
+    ],
+)
+@pytest.mark.parametrize("by_stdin", [False, True])
+def test_bad_config_inputs_are_config_errors(tmp_path, capsys, monkeypatch, data, field, by_stdin):
+    # the config-side twin of the state-file cases above, from a file and from
+    # stdin, which reads as a POSIX-locale stdin would (errors="surrogateescape")
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    if by_stdin:
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", errors="surrogateescape")
+        )
+    code, out, err = run_cli(capsys, ["fisher", "-" if by_stdin else str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {field}") and "internal error" not in err
 
 
 def test_nan_saturation_tolerance_cannot_unsaturate_a_saturated_probe(tmp_path, capsys):

@@ -155,6 +155,21 @@ def test_uncertainty_run_refuses_a_non_finite_x_true(bad):
         montecarlo.uncertainty_run(single_qubit_model(), bad, shots=100, trials=10, seed=1)
 
 
+def test_mle_refuses_an_interval_its_grid_cannot_resolve():
+    # the 1024 points over (1e20, 1e20 + 1e5) collapse onto a few floats
+    model = single_qubit_model()
+    with pytest.raises(ValidationError, match="float64 cannot resolve the 1024-point search grid"):
+        montecarlo.mle_estimate({"+": 5, "-": 5}, model, (1e20, 1e20 + 1e5))
+    with pytest.raises(ValidationError, match="positive, finite width"):
+        montecarlo.mle_estimate({"+": 5, "-": 5}, model, (-1e308, 1e308))
+
+
+def test_mle_midpoints_stay_finite_near_the_float64_maximum():
+    # 0.5 * (lo + hi) overflows here; the suite's warning filter fails on it
+    x_hat = montecarlo.mle_estimate({"+": 5, "-": 5}, single_qubit_model(), (1e308, 1.7e308))
+    assert 1e308 <= x_hat <= 1.7e308
+
+
 def test_mle_plug_in_consistency():
     model = single_qubit_model()
     p = model.probabilities(0.3)

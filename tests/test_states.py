@@ -54,6 +54,16 @@ def test_optimal_single_qubit_states():
     assert abs(abs(np.vdot(vectors[:, -1], ket_i)) - 1.0) < 1e-12
 
 
+def test_purity_and_pauli_coefficients_keep_no_matrix():
+    # a report entry reads both from a state built from its ket; the d x d
+    # matrix they need is built for the call and not kept on the state
+    state = states.tensor_power(states.optimal_single_qubit(1), 3)
+    purity, coefficients = state.purity(), state.pauli_coefficients()
+    assert "matrix" not in vars(state)
+    assert purity == float(np.vdot(state.matrix, state.matrix).real)
+    assert coefficients == operators.pauli_expand(state.matrix)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), pure=st.booleans())
 def test_purity_is_the_trace_of_the_square(n, seed, pure):
