@@ -1,10 +1,12 @@
 """Experiment configuration: one JSON document, strictly validated.
 
 Every JSON input, the config (a file or stdin) and a state file, is read by
-:func:`read_json`, each failure a ConfigError that names it; unknown fields
-are rejected with a dotted field path.  The ``tolerances`` block overrides
-the defaults of :class:`~probelab.operators.Tolerances`, so every threshold
-the tool applies is inspectable and overridable.
+:func:`read_json`, each failure a ConfigError that names it; orjson parses
+it, and ``json.loads`` wherever the two could differ, so every value and
+error text is the stdlib parser's.  Unknown fields are rejected with a dotted
+field path.  The ``tolerances`` block overrides the defaults of
+:class:`~probelab.operators.Tolerances`, so every threshold the tool applies
+is inspectable and overridable.
 """
 
 from __future__ import annotations
@@ -123,23 +125,70 @@ def _check_numbers(value, path: str, shape: tuple[int, ...]) -> None:
 
 
 def read_json(path: str, what: str) -> Any:
-    """The JSON input ``what`` at ``path`` (``-`` is stdin), decoded as strict
-    UTF-8 and parsed; its bytes are dropped before the parse builds the payload."""
+    """The JSON input ``what`` at ``path`` (``-`` is stdin), parsed by
+    :func:`_parse_json` while the file is open: the value and every error
+    text are those of ``json.loads`` on the bytes decoded as strict UTF-8."""
     try:
         if path == "-":
-            return _parse_json(sys.stdin.buffer.read().decode("utf-8"), what)
+            return _parse_json(sys.stdin.buffer.read(), what)
         with open(path, "rb") as handle:
-            return _parse_json(handle.read().decode("utf-8"), what)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} is not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
+            return _parse_json(handle.read(), what)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _parse_json(text: str, what: str) -> Any:
-    """``json.loads(text)``, each failure a :class:`ConfigError` naming ``what``."""
+#: orjson reads an integer literal outside [-2^63, 2^64) as a float, which
+#: json reads as an int: a float this large may be such a literal.
+_ORJSON_FLOAT_LIMIT = 2.0**63
+#: orjson parses any nesting, where json stops at Python's recursion limit.
+_ORJSON_MAX_DEPTH = 32
+
+
+def _orjson_agrees(value, depth: int = 0) -> bool:
+    """Whether ``json.loads`` gives ``value`` for the document orjson read as
+    ``value``: its containers nest at most ``_ORJSON_MAX_DEPTH`` deep and no
+    float reaches ``_ORJSON_FLOAT_LIMIT`` in magnitude, nor does the sum of
+    magnitudes of a list of numbers."""
+    if isinstance(value, float):
+        return -_ORJSON_FLOAT_LIMIT < value < _ORJSON_FLOAT_LIMIT
+    if not isinstance(value, (list, dict)):  # a str, an int in orjson's range, a bool, None
+        return True
+    if depth == _ORJSON_MAX_DEPTH:
+        return False
+    if isinstance(value, dict):
+        return all(_orjson_agrees(item, depth + 1) for item in value.values())
+    # abs and + take only numbers, so a list they sum holds no container, and
+    # the sum of magnitudes bounds each entry: one C-level pass per matrix row
     try:
-        return json.loads(text)
+        return sum(map(abs, value)) < _ORJSON_FLOAT_LIMIT
+    except TypeError:
+        return all(_orjson_agrees(item, depth + 1) for item in value)
+
+
+def _parse_json(data: bytes | str, what: str) -> Any:
+    """``json.loads`` of ``data`` (bytes decoded as strict UTF-8), each failure
+    a :class:`ConfigError` naming ``what``.
+
+    orjson parses first; its value stands when :func:`_orjson_agrees` proves
+    it is json's.  orjson refuses NaN, Infinity, a float past the float range,
+    a lone surrogate escape, a BOM and bytes that are not UTF-8, and words its
+    errors otherwise: those documents, and the ones the guard turns back, go
+    through ``json.loads``.
+    """
+    import orjson
+
+    try:
+        value = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if _orjson_agrees(value):
+            return value
+        del value  # not held through the stdlib parse
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not valid UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{what} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"

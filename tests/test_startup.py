@@ -4,7 +4,8 @@ The package re-exports its submodules' names lazily (PEP 562), and ``cli``
 imports ``solver``, ``montecarlo`` and ``verify`` only inside the handlers
 that run them, so ``import probelab.cli`` loads numpy and nine probelab
 modules.  ``probelab.solver.optimize`` is ``scipy.optimize``, resolved on
-first use, so only a search loads scipy.
+first use, so only a search loads scipy.  ``config`` imports orjson inside
+its JSON reader, so orjson loads with the first config read.
 """
 
 import importlib
@@ -22,12 +23,12 @@ from probelab import fisher, solver
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Imports the CLI in a fresh interpreter, runs the task given on the command
-#: line (if any), then prints the exit code and the loaded probelab and scipy
-#: modules.
+#: line (if any), then prints the exit code and the loaded probelab, scipy and
+#: orjson modules.
 _PROGRAM = (
     "import json, sys, probelab.cli as cli; code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
     "loaded = lambda top: sorted(m for m in sys.modules if m.split('.')[0] == top); "
-    "print(json.dumps([code, loaded('probelab'), loaded('scipy')]))"
+    "print(json.dumps([code, loaded('probelab'), loaded('scipy'), loaded('orjson')]))"
 )
 
 #: What ``import probelab.cli`` loads of probelab.
@@ -40,8 +41,9 @@ ALL_MODULES = STARTUP | {"probelab.montecarlo", "probelab.solver", "probelab.ver
 
 
 def loaded_after(tmp_path, *argv, config=None):
-    """(probelab modules, scipy modules) loaded by a fresh interpreter that
-    imports the CLI and runs ``argv``, with ``config`` as its config file."""
+    """(probelab modules, scipy modules, orjson modules) loaded by a fresh
+    interpreter that imports the CLI and runs ``argv``, with ``config`` as its
+    config file."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
@@ -51,13 +53,13 @@ def loaded_after(tmp_path, *argv, config=None):
         [sys.executable, "-c", _PROGRAM, *argv],
         env=env, capture_output=True, text=True, check=True, cwd=tmp_path,
     ).stdout
-    code, modules, scipy_modules = json.loads(out.splitlines()[-1])
+    code, modules, scipy_modules, orjson_modules = json.loads(out.splitlines()[-1])
     assert code == 0
-    return set(modules), scipy_modules
+    return set(modules), scipy_modules, orjson_modules
 
 
 def test_import_loads_only_the_startup_modules(tmp_path):
-    assert loaded_after(tmp_path) == (STARTUP, [])
+    assert loaded_after(tmp_path) == (STARTUP, [], [])
 
 
 @pytest.mark.parametrize(
@@ -70,17 +72,21 @@ def test_import_loads_only_the_startup_modules(tmp_path):
     ],
 )
 def test_a_task_adds_only_the_modules_it_runs(tmp_path, task, config, added):
-    modules, _ = loaded_after(tmp_path, task, config=config)
+    modules, _, _ = loaded_after(tmp_path, task, config=config)
     assert modules == STARTUP | added
 
 
 def test_verify_loads_every_module(tmp_path):
-    modules, _ = loaded_after(tmp_path, "verify", "--filter", "readout-projectors")
+    modules, _, _ = loaded_after(tmp_path, "verify", "--filter", "readout-projectors")
     assert modules == ALL_MODULES
 
 
 def test_fisher_loads_no_scipy(tmp_path):
     assert loaded_after(tmp_path, "fisher", config={"n_qubits": 2})[1] == []
+
+
+def test_fisher_loads_orjson_with_its_config(tmp_path):
+    assert "orjson" in loaded_after(tmp_path, "fisher", config={"n_qubits": 2})[2]
 
 
 def test_solve_loads_scipy_optimize(tmp_path):
