@@ -128,6 +128,7 @@ def cmd_fisher(cfg: ExperimentConfig) -> int:
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
     """search for probe states that satisfy the optimality equation"""
+    from .operators import pauli_expand_by_type
     from .solver import TIE_TOL, search_optimal_state
 
     generator = generator_from_config(cfg)
@@ -147,7 +148,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             "residual": sol.residual,
             "purity": sol.state.purity(),
             "provenance": sol.provenance,
-            "pauli_coefficients": sol.state.pauli_coefficients(drop_tol=1e-9),
+            "pauli_types": pauli_expand_by_type(sol.state.ket, drop_tol=1e-9),
             "inv_lambdas": _spectrum_entries(sol.inv_lambdas),
         }
         for sol in outcome.solutions

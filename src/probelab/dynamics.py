@@ -68,11 +68,6 @@ class Generator:
         return self.spectrum * ket
 
 
-def _bit_counts(n: int) -> np.ndarray:
-    """popcount(k) for every basis index k < 2**n."""
-    return sum((np.arange(2**n) >> q) & 1 for q in range(n))
-
-
 def nonentangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     """Sum of single-qubit terms, H = (1/2) sum_j Z_j.
 
@@ -80,13 +75,13 @@ def nonentangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     (n - 2k)/2 with binomial multiplicities: <k|H|k> = (n - 2 popcount(k))/2.
     """
     ops.check_cap(n, cap)
-    return Generator(n, 0.5 * (n - 2 * _bit_counts(n)))
+    return Generator(n, 0.5 * (n - 2 * ops.bit_counts(n)))
 
 
 def entangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
     """Single n-body string, H = (1/2) Z^(tensor n); <k|H|k> = (-1)^popcount(k) / 2."""
     ops.check_cap(n, cap)
-    return Generator(n, 0.5 * (-1.0) ** _bit_counts(n))
+    return Generator(n, 0.5 * (-1.0) ** ops.bit_counts(n))
 
 
 def _derivative(generator: Generator, a: np.ndarray) -> np.ndarray:

@@ -247,9 +247,10 @@ class _LikelihoodMachine:
     counts (:meth:`MeasurementModel.class_counts`).
 
     The search interval is a declared configuration: the likelihood must not
-    fold inside it, float64 must resolve its grid (``_search_grid``), and
-    identifiability at its midpoint is checked once at construction, with
-    ``probability_floor`` as in the Fisher sum.
+    fold inside it, float64 must resolve its grid (``_search_grid``) and carry
+    digits of its phases x omega (their spacing at the far end stays below
+    the period 2 pi), and identifiability at its midpoint is checked once at
+    construction, with ``probability_floor`` as in the Fisher sum.
     """
 
     def __init__(
@@ -264,6 +265,12 @@ class _LikelihoodMachine:
             raise ValidationError("search interval must have a positive, finite width")
         self.model = model
         self.xs = _search_grid(lo, hi, "search interval", f"({lo!r}, {hi!r})", grid_points)
+        phase = max(abs(lo), abs(hi)) * float(np.max(np.abs(model._omega)))
+        if not math.ulp(phase) < 2.0 * math.pi:  # an overflow to inf is refused too
+            raise ValidationError(
+                f"search interval ({lo!r}, {hi!r}): float64 carries no digit of the phases "
+                f"x omega there (|x| max|omega| = {phase:.3g})"
+            )
         table = model.class_table(self.xs)
         mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) bit for bit, but cannot overflow
         if np.max(np.abs(table - model.class_table(np.array([mid])))) <= 1e-12:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -107,6 +108,11 @@ def n_qubits_of_dim(dim: int) -> int:
     return n
 
 
+def bit_counts(n: int) -> np.ndarray:
+    """popcount(k) for every basis index k < 2**n."""
+    return sum((np.arange(2**n) >> q) & 1 for q in range(n))
+
+
 def check_cap(n_qubits: int, cap: int = MAX_QUBITS) -> None:
     if n_qubits > cap:
         raise DimensionError(f"{n_qubits} qubits exceeds the cap of {cap}")
@@ -176,6 +182,48 @@ def pauli_expand(matrix: np.ndarray, *, drop_tol: float = 1e-12) -> dict[str, fl
     digits = (kept[:, None] >> np.arange(2 * n - 2, -1, -2)) & 3  # base 4, qubit 1 first
     labels = ("".join(np.take(PAULI_LABELS, row)) for row in digits)
     return {label: float(coefficients[i]) for label, i in zip(labels, kept)}
+
+
+def pauli_expand_by_type(
+    ket: np.ndarray, *, drop_tol: float | None = None
+) -> list[dict[str, int | float]]:
+    """The Pauli expansion of |psi><psi| for a permutation-symmetric ket psi,
+    one row per type of string.
+
+    The strings with a X's, b Y's and c Z's, in any order, share one
+    coefficient tr(P |psi><psi|) / 2**n, so the expansion is binom(n + 3, 3)
+    rows ``{"x": a, "y": b, "z": c, "coefficient": ..., "strings": ...}``,
+    "strings" being their number n! / (a! b! c! (n - a - b - c)!), in the
+    order of (a, b, c); with a ``drop_tol``, less the rows whose coefficient
+    has magnitude at most that.  Each coefficient is <psi|P|psi> / 2**n of the
+    representative X^a Y^b Z^c I^(n-a-b-c): P |k> = i^b (-1)^popcount(k & m)
+    |k XOR f>, with f the mask of its X and Y qubits and m that of its Y and
+    Z qubits, so all rows are one gather of psi and one sum over k.  Raises
+    :class:`ValidationError` unless the amplitudes of psi are a function of
+    popcount within ``MATRIX_ATOL`` (relative to its norm).
+    """
+    ket = np.asarray(ket, dtype=complex).reshape(-1)
+    n = n_qubits_of_dim(ket.size)
+    weights = bit_counts(n)
+    if np.linalg.norm(ket - ket[(1 << weights) - 1]) > MATRIX_ATOL * np.linalg.norm(ket):
+        raise ValidationError("the ket is not permutation-symmetric: its Pauli strings have no types")
+    types = [(a, b, c) for a in range(n + 1) for b in range(n + 1 - a) for c in range(n + 1 - a - b)]
+    a, b, c = np.array(types).T
+
+    def qubits(first, stop):  # the mask of qubits first+1 .. stop, qubit 1 the top bit
+        return ((1 << (stop - first)) - 1) << (n - stop)
+
+    k = np.arange(ket.size)
+    flips, signs = qubits(0, a + b), qubits(a, a + b + c)
+    parity = 1.0 - 2.0 * (weights & 1)
+    expectations = (ket.conj()[k ^ flips[:, None]] * parity[k & signs[:, None]]) @ ket
+    coefficients = (np.array([1, 1j, -1, -1j])[b % 4] * expectations).real / ket.size
+    return [
+        {"x": x, "y": y, "z": z, "coefficient": float(value),
+         "strings": comb(n, x) * comb(n - x, y) * comb(n - x - y, z)}
+        for (x, y, z), value in zip(types, coefficients)
+        if drop_tol is None or abs(value) > drop_tol
+    ]
 
 
 def pauli_terms_dense(terms: Mapping[str, float]) -> np.ndarray:

@@ -18,9 +18,9 @@ of probe:
   classical score, so the diagonal QFI sum_k u_k^2 p_k is the classical
   Fisher information of the readout.  The amplitudes cost one fast
   Walsh-Hadamard transform each on the per-qubit readout, the rest O(d).
-  The search objective feeds the same kernel with V^dagger psi and
-  V^dagger (H psi), two small matvecs in the symmetric sector (two O(d^2)
-  ones elsewhere), and its gradient costs two more.
+  The search objective feeds the same kernel with [V^dagger psi;
+  V^dagger (H psi)], one stacked matvec, small in the symmetric sector
+  (O(d^2) elsewhere), and its gradient costs one more.
 * any other state: with R = V^dagger rho V and T = V^dagger (-i[H, rho]) V
   the operator sum_k u_k E_k is diag(u) and the equation holds entry by
   entry, (u_j + u_k)/2 R_jk = T_jk: d x d normal equations and O(d^2)
@@ -44,9 +44,10 @@ from math import comb
 import numpy as np
 
 from .config import SearchConfig
-from .dynamics import Generator, ReadoutBasis, _bit_counts, _derivative
+from .dynamics import Generator, ReadoutBasis, _derivative
 from .errors import DimensionError
 from .fisher import LambdaSpectrum, pure_sld_residual
+from .operators import bit_counts
 from .states import DensityMatrix, pure_state
 
 
@@ -107,7 +108,14 @@ def _lstsq_lambdas(r: np.ndarray, t: np.ndarray) -> _Fit:
     sum_k Re(conj(R_jk) T_jk).  The square root of the matrix's diagonal is
     ||(E_j rho + rho E_j)/2||_F; an outcome where it vanishes (its projector
     annihilates the state) is unconstrained and gets u = 0.  The rest are
-    solved Jacobi-scaled (unit diagonal) by ``lstsq``.  The residual is
+    solved Jacobi-scaled (unit diagonal) by a Cholesky solve: for a PSD state
+    the kept block is positive definite, x^T G x >= sum_k W_kk x_k^2 with
+    W_kk = R_kk^2 > 0.  A block that Cholesky refuses, or whose smallest pivot
+    squared is at most (kept outcomes) x eps, where ``lstsq``'s cut-off would
+    begin to drop directions, is solved by ``lstsq``, which takes the
+    least-norm solution: only a matrix that is not PSD, or a nearly pure one
+    with outcome probabilities near the unconstrained cut-off, comes near
+    that.  The residual is
     ||(u_j + u_k)/2 R - T||_F and the QFI tr(L^2 rho) = sum_k u_k^2 R_kk.
     """
     w = (r.conj() * r).real
@@ -121,20 +129,32 @@ def _lstsq_lambdas(r: np.ndarray, t: np.ndarray) -> _Fit:
         rhs = (r.conj() * t).real.sum(axis=1)
         scale = 1.0 / norms[kept]
         scaled = normal[np.ix_(kept, kept)] * np.outer(scale, scale)
-        solution, *_ = np.linalg.lstsq(scaled, scale * rhs[kept], rcond=None)
+        from scipy.linalg import cho_factor, cho_solve  # on first use, as ``optimize``
+
+        try:
+            factor = cho_factor(scaled, check_finite=False)
+            if np.min(factor[0].diagonal()) ** 2 <= len(scaled) * np.finfo(float).eps:
+                raise np.linalg.LinAlgError("the kept block is singular in float64")
+            solution = cho_solve(factor, scale * rhs[kept])
+        except np.linalg.LinAlgError:
+            solution, *_ = np.linalg.lstsq(scaled, scale * rhs[kept], rcond=None)
         u[kept] = scale * solution
     residual = float(np.linalg.norm(0.5 * np.add.outer(u, u) * r - t))
     return u, unconstrained, residual, float(u * u @ r.diagonal().real)
 
 
-def _pure_score(phi: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p, the classical score u and the unconstrained mask of :func:`_pure_fit`."""
+def _pure_score(
+    phi: np.ndarray, chi: np.ndarray, s: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p, the classical score u and the unconstrained mask of :func:`_pure_fit`
+    at the amplitudes phi / sqrt(s) and chi / sqrt(s): u does not depend on s."""
     phi_c = phi.conj()
-    p = (phi_c * phi).real
+    q = (phi_c * phi).real
+    p = q / s
     # ||(E_k rho + rho E_k) / 2||_F, the root of the normal matrix's diagonal
     col_norms = np.sqrt(0.5 * (p + p * p))
     unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
-    u = np.divide(2.0 * (phi_c * chi).imag, p, out=np.zeros(len(p)), where=~unconstrained)
+    u = np.divide(2.0 * (phi_c * chi).imag, q, out=np.zeros(len(q)), where=~unconstrained)
     return p, u, unconstrained
 
 
@@ -231,65 +251,76 @@ def _dedup_key(v: np.ndarray) -> tuple[float, ...]:
 
 
 def _search_frame(generator: Generator, basis: ReadoutBasis) -> tuple[tuple, Callable]:
-    """The coordinates the search walks: the frame ``(fwd, bwd, h, mult)`` of
+    """The coordinates the search walks: the frame ``(b, b_adj, h, mult)`` of
     :func:`_search_objective` and the lift of a point to the ket.
 
-    On the per-qubit readout with a spectrum that is a function of popcount
-    (both built-in generators) the objective is invariant under qubit
-    permutations, so a critical point in the permutation-symmetric sector is
-    one of the full search.  The sector's coordinates are the n+1 amplitudes
-    c of the Dicke kets, psi = E c with psi_k = c_w / sqrt(binom(n, w)) at
-    w = popcount(k).  There H psi = E (h_w o c), and V^dagger psi takes one
-    value per outcome weight v, phi_v = (A c)_v with the Krawtchouk matrix
+    b = [fwd; fwd diag(h)] stacks the two amplitude maps of the objective, so
+    b z = [phi; chi] for the point z, and b_adj = b^dagger diag([mult; mult])
+    pulls a stacked amplitude vector back in one product.  On the per-qubit
+    readout with a spectrum that is a function of popcount (both built-in
+    generators) the objective is invariant under qubit permutations, so a
+    critical point in the permutation-symmetric sector is one of the full
+    search.  The sector's coordinates are the n+1 amplitudes c of the Dicke
+    kets, psi = E c with psi_k = c_w / sqrt(binom(n, w)) at w = popcount(k).
+    There H psi = E (h_w o c), and V^dagger psi takes one value per outcome
+    weight v, phi_v = (A c)_v with the Krawtchouk matrix
     A[v, w] = K_w(v) / sqrt(2^n binom(n, w)) of H^(x)n on the sector; each
     phi_v stands for binom(n, v) outcomes, and E^T V pulls an amplitude
-    vector back as A^T diag(binom(n, v)).  Any other readout or spectrum is
-    searched on the 2^n ket, with the frame (V^dagger, V, h, 1).
+    vector back as A^T diag(binom(n, v)).  So fwd = A there, and b is real;
+    it is kept complex, since a complex matvec with a complex vector is the
+    fastest product numpy has for it.  Any other readout or spectrum is
+    searched on the 2^n ket, with fwd = V^dagger and mult = 1.
     """
     n = generator.n_qubits
-    weights = _bit_counts(n)
+    weights = bit_counts(n)
     h_w = generator.spectrum[(1 << np.arange(n + 1)) - 1]
     if not (basis.hadamard and np.array_equal(generator.spectrum, h_w[weights])):
-        kets = basis.kets
-        return (kets.conj().T, kets, generator.spectrum, 1), lambda psi: psi
-    mult = np.array([comb(n, w) for w in range(n + 1)], dtype=float)
-    krawtchouk = np.array(
-        [[sum((-1) ** j * comb(v, j) * comb(n - v, w - j) for j in range(w + 1))
-          for w in range(n + 1)] for v in range(n + 1)],
-        dtype=float,
-    )
-    a, scale = krawtchouk / np.sqrt(2.0**n * mult), np.sqrt(mult)
-    return (a, a.T * mult, h_w, mult), lambda c: (c / scale)[weights]
+        fwd, h, mult, lift = basis.kets.conj().T, generator.spectrum, 1.0, lambda psi: psi
+    else:
+        mult = np.array([comb(n, w) for w in range(n + 1)], dtype=float)
+        krawtchouk = np.array(
+            [[sum((-1) ** j * comb(v, j) * comb(n - v, w - j) for j in range(w + 1))
+              for w in range(n + 1)] for v in range(n + 1)],
+            dtype=float,
+        )
+        scale = np.sqrt(mult)
+        fwd, h, lift = krawtchouk / np.sqrt(2.0**n * mult), h_w, lambda c: (c / scale)[weights]
+    b = np.vstack((fwd, fwd * h)).astype(complex)
+    b_adj = np.ascontiguousarray(b.conj().T * np.resize(mult, len(b)))
+    return (b, b_adj, h, mult), lift
 
 
 def _search_objective(
-    x: np.ndarray, weight: float, fwd: np.ndarray, bwd: np.ndarray, h: np.ndarray, mult
+    x: np.ndarray, weight: float, b: np.ndarray, b_adj: np.ndarray, h: np.ndarray, mult
 ) -> tuple[float, np.ndarray]:
     """-F_C + (weight/2)(F_Q - F_C) at psi = z/||z||, x the real and imaginary
     parts of z interleaved, and its gradient in x: -F_C + weight r^2, since
     r^2 = (F_Q - F_C)/2 at :func:`_pure_fit`, over whose kept outcomes
     F_C = sum_k u_k^2 p_k sums.
 
-    With the frame of :func:`_search_frame`, phi = fwd psi and
-    chi = fwd (h o psi), each for ``mult`` outcomes.  With G = d/dRe + i d/dIm:
-    G_psi F_C = bwd (-4i u chi - 2 u^2 phi) + h o bwd (4i u phi),
-    G_psi F_Q = 8 (h^2 psi - 2 <H> h psi) and
-    G_z = (G_psi - Re(psi^dagger G_psi) psi) / ||z||.
+    With the frame of :func:`_search_frame`, b z = [phi; chi] sqrt(s) at
+    s = ||z||^2 = x.x, each amplitude for ``mult`` outcomes; the score u does
+    not depend on s, and F_C, F_Q and the gradient's projection each divide by
+    s once.  With G = d/dRe + i d/dIm and w the stacked
+    [-4i u chi - 2 u^2 phi; 4i u phi]:
+    G_psi F_C = b_adj w, G_psi F_Q = 8 (h - 2 <H>) o h psi and
+    G_z = (G_psi - Re(psi^dagger G_psi) psi) / ||z||, here all on the
+    unnormalised amplitudes, which scale G_psi by sqrt(s).
     """
     z = x.view(complex)
-    norm = np.linalg.norm(z)
-    psi = z / norm
-    h_psi = h * psi
-    phi, chi = fwd @ psi, fwd @ h_psi
-    p, u, _ = _pure_score(phi, chi)
+    s = x @ x
+    amplitudes = b @ z
+    phi, chi = amplitudes[: z.size], amplitudes[z.size :]
+    p, u, _ = _pure_score(phi, chi, s)
     f_c = mult * u * u @ p
-    mean = (psi.conj() @ h_psi).real
-    f_q = 4.0 * ((h_psi.conj() @ h_psi).real - mean * mean)
-    g_c = bwd @ (-4j * u * chi - 2.0 * u * u * phi) + h * (bwd @ (4j * u * phi))
-    g_q = 8.0 * (h * h_psi - 2.0 * mean * h_psi)
-    g_psi = 0.5 * weight * g_q - (1.0 + 0.5 * weight) * g_c
-    g_z = (g_psi - (psi.conj() @ g_psi).real * psi) / norm
-    return -f_c + 0.5 * weight * (f_q - f_c), g_z.view(float)
+    hz = h * z
+    hx = hz.view(float)
+    mean = (x @ hx) / s
+    f_q = 4.0 * ((hx @ hx) / s - mean * mean)
+    u_phi = u * phi
+    g_c = b_adj @ np.concatenate(((-2.0 * u) * (2j * chi + u_phi), 4j * u_phi))
+    g = ((4.0 * weight) * ((h - 2.0 * mean) * hz) - (1.0 + 0.5 * weight) * g_c).view(float)
+    return -f_c + 0.5 * weight * (f_q - f_c), (g - (x @ g / s) * x) / s
 
 
 def search_optimal_state(

@@ -36,9 +36,10 @@ class DensityMatrix:
     state with a ket work from the ket (see :func:`probelab.fisher.analyze`).
     ``matrix`` is built by ``_build`` on first use and kept, so
     ``dataclasses.replace(state, ket=None)`` is the same matrix without its
-    ket; ``purity`` and ``pauli_coefficients`` use it if it is built, else
-    build one they do not keep.  ``eigen``, taken on first use and kept,
-    serves the PSD check of any state without a ket, then the dense SLD.
+    ket; ``purity`` of a state without a ket and ``pauli_coefficients`` use
+    it if it is built, else build one they do not keep.  ``eigen``, taken on
+    first use and kept, serves the PSD check of any state without a ket, then
+    the dense SLD.
     """
 
     n_qubits: int
@@ -64,7 +65,11 @@ class DensityMatrix:
         return self.__dict__["matrix"] if "matrix" in self.__dict__ else self._build()
 
     def purity(self) -> float:
-        """tr(rho^2) = ||rho||_F^2, in O(d^2) as :func:`density_matrix` screens it."""
+        """tr(rho^2) = ||rho||_F^2, in O(d^2) as :func:`density_matrix` screens
+        it; 1 for a state with a ket, which every analysis takes as the pure
+        |ket><ket| of its unit ket."""
+        if self.ket is not None:
+            return 1.0
         matrix = self._dense()
         return float(np.vdot(matrix, matrix).real)
 

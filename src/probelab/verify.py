@@ -18,6 +18,7 @@ substring of that name, so related groups (e.g. every name containing
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -287,6 +288,23 @@ def dense_lstsq_lambdas(
     l_op = (kets * u) @ kets.conj().T
     residual = float(np.linalg.norm(0.5 * operators.anticommutator(l_op, rho) - target))
     return u, unconstrained, residual
+
+
+def pauli_type_error(ket: np.ndarray) -> float:
+    """How far ``operators.pauli_expand_by_type(ket)`` is from the dense
+    expansion ``pauli_transform(|ket><ket|)``: the largest difference over all
+    4**n strings, each given its type's coefficient, or inf if a row's
+    "strings" is not the number of strings of its type.  O(n 4**n)."""
+    ket = np.asarray(ket, dtype=complex)
+    rows = operators.pauli_expand_by_type(ket)
+    n = operators.n_qubits_of_dim(ket.size)
+    digits = (np.arange(4**n)[:, None] >> (2 * np.arange(n))) & 3  # 1, 2, 3: X, Y, Z
+    types = list(zip(*((digits == label).sum(axis=1).tolist() for label in (1, 2, 3))))
+    table = {(row["x"], row["y"], row["z"]): row for row in rows}
+    if len(table) != len(rows) or Counter(types) != {t: row["strings"] for t, row in table.items()}:
+        return math.inf
+    spread = np.array([table[t]["coefficient"] for t in types])
+    return _close(spread, operators.pauli_transform(np.outer(ket, ket.conj())))
 
 
 def closed_form_solution(generator_kind: str, n: int) -> solver.Solution:
@@ -848,6 +866,23 @@ def _solver_three_qubit_ceiling():
             return False, {"best_residual": result.best_residual}
         worst = max(worst, *(abs(sol.qfi - ceiling) for sol in result.solutions))
     return worst <= 1e-6, {"max_error": worst}
+
+
+@_check("the Pauli expansion by type of a sector solution is its full expansion (n <= 6)")
+def _pauli_types_of_sector_solutions():
+    # every CLI search runs in the permutation-symmetric sector, and its
+    # report gives each solution's expansion by type, read from the ket
+    worst, count = 0.0, 0
+    for build in (dynamics.nonentangling_generator, dynamics.entangling_generator):
+        for n in (3, 6):
+            result = solver.search_optimal_state(
+                build(n), dynamics.product_pm_readout(n), n, solver.SearchConfig(n_starts=2, seed=5)
+            )
+            if not result.feasible:
+                return False, {"best_residual": result.best_residual}
+            count += len(result.solutions)
+            worst = max(worst, *(pauli_type_error(sol.state.ket) for sol in result.solutions))
+    return worst <= 1e-12, {"max_error": worst, "n_solutions": count}
 
 
 @_check("balanced outcome frequencies, identical redraw under the same seed")

@@ -535,6 +535,37 @@ def test_solve_marks_solutions_at_the_qfi_ceiling(tmp_path, capsys, monkeypatch,
     assert code == 0 and sol["qfi"] == pytest.approx(2.0) and sol["at_ceiling"] is False
 
 
+def test_solve_reports_each_solution_by_pauli_type_without_its_matrix(tmp_path, capsys, monkeypatch):
+    # the report reads purity and the expansion by type from each solution's
+    # ket, so no solution forms its d x d matrix, even for the call
+    results, builds, search = [], [], solver.search_optimal_state
+
+    def search_spy(*args):
+        results.append(search(*args))
+        for sol in results[-1].solutions:
+            build = sol.state._build
+            object.__setattr__(sol.state, "_build", lambda build=build: builds.append(1) or build())
+        return results[-1]
+
+    monkeypatch.setattr(solver, "search_optimal_state", search_spy)
+    config = {"n_qubits": 4, "generator": "entangling", "seed": 1, "solver": {"n_starts": 4}}
+    code, out, _ = run_cli(capsys, ["solve", write_config(tmp_path, config)])
+    (result,) = results
+    solutions = json.loads(out)["result"]["solutions"]
+    assert code == 0 and len(solutions) == len(result.solutions) > 0
+    assert builds == []
+    for entry, sol in zip(solutions, result.solutions):
+        assert "matrix" not in sol.state.__dict__
+        assert entry["purity"] == 1.0 and "pauli_coefficients" not in entry
+        # the rows of magnitude at most 1e-9 are left out, as the strings were
+        rows = operators.pauli_expand_by_type(sol.state.ket)
+        assert len(rows) == 35 and sum(row["strings"] for row in rows) == 4**4
+        assert entry["pauli_types"] == [
+            {**row, "coefficient": round_float(row["coefficient"])}
+            for row in rows if abs(row["coefficient"]) > 1e-9
+        ]
+
+
 def test_an_infeasible_search_says_which_budget_to_raise(tmp_path, capsys):
     path = write_config(
         tmp_path, {"n_qubits": 2, "seed": 2, "solver": {"n_starts": 1, "max_evals": 3}}
@@ -889,13 +920,13 @@ def test_verify_reports_a_crashing_check_as_a_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify"])
     lines = out.splitlines()
     assert code == 1
-    assert len(lines) == len(verify._CHECKS) + 1 == 30
+    assert len(lines) == len(verify._CHECKS) + 1 == 31
     assert "FAIL composite-tensor-rule: raised RuntimeError('corrupted')" in lines
 
 
 def test_verify_check_names_are_unique_and_select_one_check(capsys, monkeypatch):
     names = [name for name, _, _ in verify._CHECKS]
-    assert len(names) == len(set(names)) == 29
+    assert len(names) == len(set(names)) == 30
     assert all(re.fullmatch(r"[a-z0-9-]+", name) for name in names)
     # each full name selects its own check alone; stand-ins keep the sweep fast
     stubs = [(name, claim, lambda: (True, {})) for name, claim, _ in verify._CHECKS]

@@ -164,10 +164,19 @@ def test_mle_refuses_an_interval_its_grid_cannot_resolve():
         montecarlo.mle_estimate({"+": 5, "-": 5}, model, (-1e308, 1e308))
 
 
-def test_mle_midpoints_stay_finite_near_the_float64_maximum():
-    # 0.5 * (lo + hi) overflows here; the suite's warning filter fails on it
-    x_hat = montecarlo.mle_estimate({"+": 5, "-": 5}, single_qubit_model(), (1e308, 1.7e308))
-    assert 1e308 <= x_hat <= 1.7e308
+def test_mle_refuses_an_interval_whose_phases_carry_no_digits():
+    # float64 resolves these 1024-point grids, but at |x| past about 2^55 the
+    # spacing of the phase x omega (omega = 1 here) exceeds its period 2 pi:
+    # the probabilities there are rounding noise, and 1.39e308 used to be
+    # returned from them
+    for interval in [(1e308, 1.7e308), (-1.7e308, -1e308), (2.0**55, 2.0**56)]:
+        with pytest.raises(ValidationError, match="float64 carries no digit of the phases x omega"):
+            montecarlo.mle_estimate({"+": 5, "-": 5}, single_qubit_model(), interval)
+
+
+def test_mle_accepts_an_interval_whose_phases_keep_a_digit():
+    x_hat = montecarlo.mle_estimate({"+": 5, "-": 5}, single_qubit_model(), (2.0**51, 2.0**51 + 1e4))
+    assert 2.0**51 <= x_hat <= 2.0**51 + 1e4
 
 
 def test_mle_plug_in_consistency():

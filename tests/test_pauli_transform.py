@@ -3,9 +3,12 @@
 The reference builds every Pauli string as a Kronecker product of the
 single-qubit matrices written out below, independently of ``operators``, and
 contracts it with the matrix (forward) or sums the weighted strings (inverse).
+The expansion by type of a permutation-symmetric ket is held to the forward
+transform of |ket><ket|, string by string.
 """
 
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probelab import operators, solver, states
-from probelab.errors import DimensionError
+from probelab.errors import DimensionError, ValidationError
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -104,3 +107,53 @@ def test_inverse_rejects_a_length_that_is_not_a_power_of_four():
     for size in (1, 2, 8):
         with pytest.raises(DimensionError):
             operators.inverse_pauli_transform(np.ones(size))
+
+
+def _symmetric_ket(rng, n, empty):
+    """A random ket whose amplitude is a function of popcount, with ``empty``
+    weight classes (at most n) set to zero and a random norm."""
+    c = rng.uniform(0.1, 10.0) * random_complex(rng, n + 1)
+    c[rng.permutation(n + 1)[: min(empty, n)]] = 0.0
+    return (c / np.sqrt([comb(n, w) for w in range(n + 1)]))[operators.bit_counts(n)]
+
+
+@SETTINGS
+@given(n=st.integers(1, 6), seed=SEEDS, empty=st.integers(0, 6))
+def test_expansion_by_type_is_the_transform_of_a_symmetric_ket(n, seed, empty):
+    rng = np.random.default_rng(seed)
+    ket = _symmetric_ket(rng, n, empty)
+    rows = operators.pauli_expand_by_type(ket)
+    types = [(row["x"], row["y"], row["z"]) for row in rows]
+    assert len(rows) == comb(n + 3, 3) and types == sorted(types)
+    assert sum(row["strings"] for row in rows) == 4**n
+    assert all(type(row[key]) is int for row in rows for key in ("x", "y", "z", "strings"))
+    assert all(type(row["coefficient"]) is float for row in rows)
+    table = dict(zip(types, (row["coefficient"] for row in rows)))
+    strings = dict.fromkeys(types, 0)
+    transform = operators.pauli_transform(np.outer(ket, ket.conj()))
+    scale = np.vdot(ket, ket).real / 2**n  # the identity's coefficient, the largest
+    for label, value in zip(operators.pauli_labels(n), transform):
+        kind = (label.count("X"), label.count("Y"), label.count("Z"))
+        strings[kind] += 1
+        assert abs(table[kind] - value) <= 1e-13 * scale
+    assert [strings[kind] for kind in types] == [row["strings"] for row in rows]
+    tol = 0.5 * scale
+    assert operators.pauli_expand_by_type(ket, drop_tol=tol) == [
+        row for row in rows if abs(row["coefficient"]) > tol
+    ]
+
+
+@SETTINGS
+@given(n=st.integers(2, 6), seed=SEEDS, empty=st.integers(0, 6))
+def test_expansion_by_type_refuses_a_ket_that_is_not_symmetric(n, seed, empty):
+    rng = np.random.default_rng(seed)
+    ket = _symmetric_ket(rng, n, empty)
+    # an index whose weight class has other members, moved by 1e-6 of the norm
+    index = rng.choice(np.flatnonzero((operators.bit_counts(n) > 0) & (operators.bit_counts(n) < n)))
+    broken = ket.copy()
+    broken[index] += 1e-6 * np.linalg.norm(ket) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    with pytest.raises(ValidationError, match="not permutation-symmetric"):
+        operators.pauli_expand_by_type(broken)
+    # within MATRIX_ATOL of the norm, the ket still counts as symmetric
+    broken[index] = ket[index] + 1e-12 * np.linalg.norm(ket)
+    assert len(operators.pauli_expand_by_type(broken)) == comb(n + 3, 3)

@@ -233,3 +233,36 @@ def test_ten_qubit_tensor_probe_solves_in_the_readout_frame():
     np.testing.assert_allclose(spectrum.real_values(), expected, rtol=0, atol=1e-9)
     assert not any(spectrum.unconstrained)
     assert residual <= 1e-10
+
+
+def test_the_frame_fit_solves_by_cholesky_and_falls_back_to_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def lstsq_spy(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
+    # a full-rank state: the kept block is positive definite
+    n = 3
+    basis, generator = dynamics.product_pm_readout(n), dynamics.nonentangling_generator(n)
+    state = states.random_mixed_state(n, 11)
+    spectrum, residual, _ = solver.solve_lambdas_given_state(state, basis, generator)
+    assert not calls
+    u_ref, _, residual_ref = verify.dense_lstsq_lambdas(state.matrix, basis, generator)
+    calls.clear()
+    np.testing.assert_allclose(spectrum.real_values(), u_ref, rtol=0, atol=1e-9)
+    assert residual == pytest.approx(residual_ref, rel=1e-9, abs=1e-12)
+    # R with a zero diagonal, as no PSD state has, coupling the outcomes in a
+    # chain: the normal matrix is singular, and T = 2 R fixes only the sums
+    # u_j + u_k = 4 along the chain.  Cholesky refuses the first block and
+    # passes the second with a pivot of 1.5e-8 and the solution
+    # (6.66, -2.66, 6.66); both go to lstsq, which takes the least-norm one
+    for r in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.3, 0.0], [0.3, 0.0, 1.7], [0.0, 1.7, 0.0]]):
+        r = np.array(r, dtype=complex)
+        u, unconstrained, residual, _ = solver._lstsq_lambdas(r, 2.0 * r)
+        assert not unconstrained.any()
+        np.testing.assert_allclose(u, np.full(len(r), 2.0), rtol=1e-12)
+        assert residual <= 1e-14
+    assert len(calls) == 2

@@ -2,7 +2,8 @@
 
 ``solver._pure_fit`` scores a pure probe from its readout amplitudes
 phi = V^dagger psi and chi = V^dagger H psi, which the full-space search
-objective takes from the readout kets V, their adjoint and the spectrum h;
+objective takes from one stacked product [V^dagger; V^dagger H] z of its
+frame (``solver._search_frame`` on the readout's kets);
 the references are the dense (2 d^2 x d) real least squares
 ``verify.dense_lstsq_lambdas`` with tr(L^2 rho) from the dense L and, near a
 zero-probability outcome, a 50-digit evaluation of the same least squares.
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probelab import dynamics, solver, verify
-from probelab.dynamics import _bit_counts
+from probelab.operators import bit_counts
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -54,10 +55,18 @@ def _pure_fit(ket, basis, generator):
     return solver._pure_fit(basis.amplitudes(ket), basis.amplitudes(generator.apply(ket)))
 
 
+def _full_frame(basis, generator):
+    """The search's frame on the 2^n ket: ``readout_from_kets`` drops the
+    per-qubit readout's Hadamard structure, so the frame builder takes no
+    sector."""
+    frame, _ = solver._search_frame(generator, dynamics.readout_from_kets(basis.kets))
+    assert frame[0].shape == (2 * basis.dim, basis.dim)
+    return frame
+
+
 def _objective(x, weight, basis, generator):
-    """The objective on the full-space frame (V^dagger, V, h, 1)."""
-    frame = (basis.kets.conj().T, basis.kets, generator.spectrum, 1)
-    return solver._search_objective(x, weight, *frame)
+    """The objective on the full-space frame."""
+    return solver._search_objective(x, weight, *_full_frame(basis, generator))
 
 
 def _ket_with_zero_outcomes(rng, basis, n_zero):
@@ -221,7 +230,7 @@ def test_search_gradient_matches_difference_quotients(
 
 def _dicke_embedding(n):
     """E, the d x (n+1) matrix of the normalised Dicke kets, as columns."""
-    weights = _bit_counts(n)
+    weights = bit_counts(n)
     embedding = np.zeros((2**n, n + 1))
     embedding[np.arange(2**n), weights] = 1.0 / np.sqrt([math.comb(n, w) for w in weights])
     return embedding
@@ -242,7 +251,7 @@ def test_sector_frame_is_the_full_objective_at_the_embedded_ket(
     # gradient is the full gradient pulled back by E^T
     rng, basis, generator = _setup(n, seed, True, generator_kind)
     frame, lift = solver._search_frame(generator, basis)
-    assert frame[0].shape == (n + 1, n + 1)
+    assert frame[0].shape == (2 * (n + 1), n + 1)
     c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     c[rng.permutation(n + 1)[: min(empty_classes, n)]] = 0.0
     embedding = _dicke_embedding(n)
@@ -277,7 +286,7 @@ def test_search_leaves_the_sector_without_its_symmetry(route, monkeypatch):
     else:
         basis = dynamics.readout_from_kets(basis.kets)
     frame, _ = solver._search_frame(generator, basis)
-    assert frame[0].shape == (2**n, 2**n) and np.array_equal(frame[2], generator.spectrum)
+    assert frame[0].shape == (2 * 2**n, 2**n) and np.array_equal(frame[2], generator.spectrum)
 
     sizes, minimize = [], solver.optimize.minimize
 
