@@ -138,7 +138,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         residual_tol=cfg.tolerances.solution_residual,
         seed=cfg.seed,
     )
-    outcome = search_optimal_state(generator, basis, cfg.n_qubits, search_cfg)
+    outcome = search_optimal_state(generator, basis, config=search_cfg)
     # no probe's QFI exceeds (h_max - h_min)^2 (search_optimal_state)
     ceiling = float(generator.spectrum.max() - generator.spectrum.min()) ** 2
     solutions = [

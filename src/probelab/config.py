@@ -26,7 +26,6 @@ from .operators import MAX_QUBITS, Tolerances, n_qubits_of_dim
 
 GENERATOR_KINDS = (dynamics.NONENTANGLING, dynamics.ENTANGLING)
 TASKS = ("verify", "fisher", "solve", "simulate", "scaling")
-READOUT_KINDS = ("product_pm",)
 #: The formats ``output.format`` and ``--format`` accept for each task: only
 #: ``scaling`` writes a CSV table.
 OUTPUT_FORMATS = {task: ("json", "csv") if task == "scaling" else ("json",) for task in TASKS}
@@ -51,7 +50,6 @@ class SearchConfig:
 class ExperimentConfig:
     task: str
     n_qubits: int = 1
-    max_qubits: int = MAX_QUBITS
     generator: str = dynamics.NONENTANGLING
     state: dict | None = None
     shots: int = 10**4
@@ -67,8 +65,8 @@ class ExperimentConfig:
 
 
 _TOP_LEVEL_KEYS = {
-    "task", "n_qubits", "max_qubits", "generator", "state", "readout", "shots",
-    "trials", "seed", "x_true", "n_list", "solver", "tolerances", "output",
+    "task", "n_qubits", "generator", "state", "shots", "trials", "seed", "x_true",
+    "n_list", "solver", "tolerances", "output",
 }
 
 _STATE_KEYS = {
@@ -228,9 +226,8 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
     _require(resolved_task is not None, "config.task: missing (no subcommand context)")
 
     defaults = ExperimentConfig
-    max_qubits = check_int(raw.get("max_qubits", defaults.max_qubits), "config.max_qubits", minimum=1)
     n_qubits = check_int(
-        raw.get("n_qubits", defaults.n_qubits), "config.n_qubits", minimum=1, cap=max_qubits
+        raw.get("n_qubits", defaults.n_qubits), "config.n_qubits", minimum=1, cap=MAX_QUBITS
     )
 
     generator = raw.get("generator", defaults.generator)
@@ -238,25 +235,19 @@ def parse_config(raw: Mapping[str, Any], task: str | None = None) -> ExperimentC
 
     state = _normalize_state(raw.get("state"))
 
-    _require(
-        raw.get("readout", READOUT_KINDS[0]) in READOUT_KINDS,
-        f"config.readout: must be one of {READOUT_KINDS}",
-    )
-
     n_list = raw.get("n_list", list(defaults.n_list))
     _require(isinstance(n_list, list) and n_list, "config.n_list: expected a nonempty list")
     output_format, output_path = _normalize_output(raw.get("output"), resolved_task)
     return ExperimentConfig(
         task=resolved_task,
         n_qubits=n_qubits,
-        max_qubits=max_qubits,
         generator=generator,
         state=state,
         shots=check_int(raw.get("shots", defaults.shots), "config.shots", minimum=1),
         trials=check_int(raw.get("trials", defaults.trials), "config.trials", minimum=1),
         seed=check_int(raw.get("seed", defaults.seed), "config.seed"),
         x_true=_check_number(raw.get("x_true", defaults.x_true), "config.x_true"),
-        n_list=tuple(check_int(v, "config.n_list[*]", minimum=1, cap=max_qubits) for v in n_list),
+        n_list=tuple(check_int(v, "config.n_list[*]", minimum=1, cap=MAX_QUBITS) for v in n_list),
         solver=_normalize_solver(raw.get("solver")),
         tolerances=_normalize_tolerances(raw.get("tolerances")),
         output_format=output_format,
@@ -346,12 +337,12 @@ def _normalize_output(raw, task: str) -> tuple[str | None, str | None]:
 
 def generator_from_config(cfg: ExperimentConfig) -> dynamics.Generator:
     if cfg.generator == dynamics.ENTANGLING:
-        return dynamics.entangling_generator(cfg.n_qubits, cap=cfg.max_qubits)
-    return dynamics.nonentangling_generator(cfg.n_qubits, cap=cfg.max_qubits)
+        return dynamics.entangling_generator(cfg.n_qubits)
+    return dynamics.nonentangling_generator(cfg.n_qubits)
 
 
 def basis_from_config(cfg: ExperimentConfig) -> dynamics.ReadoutBasis:
-    return dynamics.product_pm_readout(cfg.n_qubits, cap=cfg.max_qubits)
+    return dynamics.product_pm_readout(cfg.n_qubits)
 
 
 def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:
@@ -363,9 +354,9 @@ def state_from_config(cfg: ExperimentConfig) -> states.DensityMatrix:
     psd = cfg.tolerances.psd_min_eigenvalue
     if kind == "optimal_single_tensor":
         single = states.optimal_single_qubit(int(spec.get("sign", 1)))
-        return states.tensor_power(single, n, cap=cfg.max_qubits)
+        return states.tensor_power(single, n)
     if kind == "cat":
-        return states.cat_state(n, int(spec.get("sign", 1)), cap=cfg.max_qubits)
+        return states.cat_state(n, int(spec.get("sign", 1)))
     if kind == "two_qubit_entangling":
         _require(n == 2, "config.state: two_qubit_entangling requires n_qubits = 2")
         return states.two_qubit_entangling_candidate(

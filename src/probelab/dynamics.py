@@ -68,19 +68,19 @@ class Generator:
         return self.spectrum * ket
 
 
-def nonentangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
+def nonentangling_generator(n: int) -> Generator:
     """Sum of single-qubit terms, H = (1/2) sum_j Z_j.
 
     Cannot create entanglement between the probe qubits; eigenvalues are
     (n - 2k)/2 with binomial multiplicities: <k|H|k> = (n - 2 popcount(k))/2.
     """
-    ops.check_cap(n, cap)
+    ops.check_cap(n)
     return Generator(n, 0.5 * (n - 2 * ops.bit_counts(n)))
 
 
-def entangling_generator(n: int, cap: int = ops.MAX_QUBITS) -> Generator:
+def entangling_generator(n: int) -> Generator:
     """Single n-body string, H = (1/2) Z^(tensor n); <k|H|k> = (-1)^popcount(k) / 2."""
-    ops.check_cap(n, cap)
+    ops.check_cap(n)
     return Generator(n, 0.5 * (-1.0) ** ops.bit_counts(n))
 
 
@@ -232,14 +232,14 @@ def readout_from_kets(kets: np.ndarray) -> ReadoutBasis:
     return ReadoutBasis(tuple(str(k) for k in range(kets.shape[1])), kets)
 
 
-def product_pm_readout(n: int, cap: int = ops.MAX_QUBITS) -> ReadoutBasis:
+def product_pm_readout(n: int) -> ReadoutBasis:
     """Per-qubit projective readout along |+> and |->.
 
     |+/-> = (|0> +/- |1>)/sqrt(2); the 2**n outcomes are labeled by strings
     over {+,-} in lexicographic order with '+' < '-' (so "++", "+-", "-+",
     "--" for two qubits), qubit 1 leftmost.
     """
-    ops.check_cap(n, cap)
+    ops.check_cap(n)
     return ReadoutBasis(tuple("".join(s) for s in product("+-", repeat=n)))
 
 

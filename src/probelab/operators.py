@@ -113,9 +113,9 @@ def bit_counts(n: int) -> np.ndarray:
     return sum((np.arange(2**n) >> q) & 1 for q in range(n))
 
 
-def check_cap(n_qubits: int, cap: int = MAX_QUBITS) -> None:
-    if n_qubits > cap:
-        raise DimensionError(f"{n_qubits} qubits exceeds the cap of {cap}")
+def check_cap(n_qubits: int) -> None:
+    if n_qubits > MAX_QUBITS:
+        raise DimensionError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
     if n_qubits < 1:
         raise DimensionError(f"need at least one qubit, got {n_qubits}")
 

@@ -72,6 +72,10 @@ NUMERIC_SEARCH = "numeric-search"
 #: Decimals of the density-matrix entries that key duplicate search solutions.
 DEDUP_DECIMALS = 6
 
+#: An outcome is unconstrained (u = 0) when ||(E_k rho + rho E_k)/2||_F is at
+#: most this times max(1, the largest such norm).
+UNCONSTRAINED_RTOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Operator-equation residual and the inner linear solve
@@ -121,7 +125,7 @@ def _lstsq_lambdas(r: np.ndarray, t: np.ndarray) -> _Fit:
     w = (r.conj() * r).real
     row_sums = w.sum(axis=1)
     norms = np.sqrt(0.5 * (row_sums + w.diagonal()))
-    unconstrained = norms <= 1e-12 * max(1.0, float(np.max(norms)))
+    unconstrained = norms <= UNCONSTRAINED_RTOL * max(1.0, float(np.max(norms)))
     kept = ~unconstrained
     u = np.zeros(len(norms))
     if kept.any():
@@ -153,7 +157,7 @@ def _pure_score(
     p = q / s
     # ||(E_k rho + rho E_k) / 2||_F, the root of the normal matrix's diagonal
     col_norms = np.sqrt(0.5 * (p + p * p))
-    unconstrained = col_norms <= 1e-12 * max(1.0, col_norms.max())
+    unconstrained = col_norms <= UNCONSTRAINED_RTOL * max(1.0, col_norms.max())
     u = np.divide(2.0 * (phi_c * chi).imag, q, out=np.zeros(len(q)), where=~unconstrained)
     return p, u, unconstrained
 
@@ -326,7 +330,6 @@ def _search_objective(
 def search_optimal_state(
     generator: Generator,
     basis: ReadoutBasis,
-    n_qubits: int,
     config: SearchConfig | None = None,
 ) -> SearchResult:
     """Maximize tr(L^2 rho) over probe states subject to the equation residual.
@@ -351,8 +354,8 @@ def search_optimal_state(
     its :func:`_dedup_key` alone, so digits below the key's never decide it.
     """
     config = config or SearchConfig()
-    if generator.n_qubits != n_qubits or basis.n_qubits != n_qubits:
-        raise DimensionError("generator/basis do not act on n_qubits qubits")
+    if basis.n_qubits != generator.n_qubits:
+        raise DimensionError("generator and basis act on different numbers of qubits")
     frame, lift = _search_frame(generator, basis)
     # scipy refuses a negative ftol
     gtol, ftol = (config.simplex_tol, SEARCH_FTOL) if config.simplex_tol >= 0 else (0.0, 0.0)

@@ -229,7 +229,7 @@ def optimal_single_qubit(sign: int = +1) -> DensityMatrix:
     return from_bloch([0.0, float(sign), 0.0])
 
 
-def tensor_power(rho: DensityMatrix, n: int, cap: int = ops.MAX_QUBITS) -> DensityMatrix:
+def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     """n-fold tensor power of a state.
 
     Its matrix is ``kron_all`` of n copies of ``rho.matrix``.  A factor with a
@@ -241,7 +241,7 @@ def tensor_power(rho: DensityMatrix, n: int, cap: int = ops.MAX_QUBITS) -> Densi
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
     total = n * rho.n_qubits
-    ops.check_cap(total, cap)
+    ops.check_cap(total)
     factor = rho.matrix
     build = partial(ops.kron_all, [factor] * n)
     if rho.ket is None:
@@ -262,7 +262,7 @@ def tensor_power(rho: DensityMatrix, n: int, cap: int = ops.MAX_QUBITS) -> Densi
     return _ket_state(total, diagonal, j, ops.kron_vectors(factor[:, digits].T), build)
 
 
-def cat_state(n: int, sign: int = +1, cap: int = ops.MAX_QUBITS) -> DensityMatrix:
+def cat_state(n: int, sign: int = +1) -> DensityMatrix:
     """The n-qubit state (|0...0> +/- |1...1>) / sqrt(2).
 
     Note: for the plus sign the Pauli expansion computed from this ket carries
@@ -273,7 +273,7 @@ def cat_state(n: int, sign: int = +1, cap: int = ops.MAX_QUBITS) -> DensityMatri
         raise ValidationError(f"cat states need n >= 2 qubits, got {n}")
     if sign not in (+1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
-    ops.check_cap(n, cap)
+    ops.check_cap(n)
     ket = np.zeros(2**n, dtype=complex)
     ket[0] = 1.0 / np.sqrt(2.0)
     ket[-1] = sign / np.sqrt(2.0)

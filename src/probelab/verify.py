@@ -830,7 +830,6 @@ def _solver_single_qubit_search():
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(1),
         dynamics.product_pm_readout(1),
-        1,
         solver.SearchConfig(n_starts=16, seed=11),
     )
     if not result.feasible:
@@ -859,8 +858,7 @@ def _solver_three_qubit_ceiling():
         (dynamics.nonentangling_generator, 9.0), (dynamics.entangling_generator, 1.0)
     ):
         result = solver.search_optimal_state(
-            build(3), dynamics.product_pm_readout(3), 3,
-            solver.SearchConfig(n_starts=4, seed=3),
+            build(3), dynamics.product_pm_readout(3), solver.SearchConfig(n_starts=4, seed=3)
         )
         if not result.feasible:
             return False, {"best_residual": result.best_residual}
@@ -876,7 +874,7 @@ def _pauli_types_of_sector_solutions():
     for build in (dynamics.nonentangling_generator, dynamics.entangling_generator):
         for n in (3, 6):
             result = solver.search_optimal_state(
-                build(n), dynamics.product_pm_readout(n), n, solver.SearchConfig(n_starts=2, seed=5)
+                build(n), dynamics.product_pm_readout(n), solver.SearchConfig(n_starts=2, seed=5)
             )
             if not result.feasible:
                 return False, {"best_residual": result.best_residual}

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from probelab import cli, dynamics, fisher, montecarlo, operators, solver, states, verify
-from probelab.config import TASKS, ExperimentConfig, parse_config_text
-from probelab.operators import Tolerances
+from probelab.config import TASKS, ExperimentConfig, parse_config, parse_config_text
+from probelab.operators import MAX_QUBITS, Tolerances
 from probelab.report import round_float
-from probelab.errors import ConfigError
+from probelab.errors import ConfigError, DimensionError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -51,21 +53,42 @@ def test_config_rejects_unknown_fields():
 def test_empty_config_takes_the_experiment_config_defaults(task):
     cfg = parse_config_text("{}", task=task)
     assert cfg == ExperimentConfig(task=task, raw={})
-    assert cfg.max_qubits == operators.MAX_QUBITS
 
 
 def test_config_dimension_cap():
-    with pytest.raises(ConfigError, match="exceeds the dimension cap"):
+    with pytest.raises(ConfigError, match="config.n_qubits: 11 exceeds the dimension cap of 10"):
         parse_config_text('{"n_qubits": 11}', task="fisher")
-    cfg = parse_config_text('{"n_qubits": 11, "max_qubits": 12}', task="fisher")
-    assert cfg.n_qubits == 11
+    assert parse_config_text('{"n_qubits": 10}', task="fisher").n_qubits == MAX_QUBITS == 10
 
 
 def test_config_n_list_obeys_the_dimension_cap():
     with pytest.raises(ConfigError, match=r"config.n_list\[\*\]: 11 exceeds the dimension cap of 10"):
         parse_config_text('{"n_list": [2, 11]}', task="scaling")
-    cfg = parse_config_text('{"n_list": [2, 11], "max_qubits": 11}', task="scaling")
-    assert cfg.n_list == (2, 11)
+    assert parse_config_text('{"n_list": [2, 10]}', task="scaling").n_list == (2, 10)
+
+
+@given(n_qubits=st.integers(1, 16), n_list=st.lists(st.integers(1, 16), min_size=1, max_size=6))
+def test_config_accepts_exactly_the_sizes_within_the_qubit_cap(n_qubits, n_list):
+    raw = {"n_qubits": n_qubits, "n_list": n_list}
+    oversized = [("config.n_qubits", n_qubits)] if n_qubits > MAX_QUBITS else []
+    oversized += [("config.n_list[*]", n) for n in n_list if n > MAX_QUBITS]
+    if not oversized:
+        cfg = parse_config(raw, "scaling")
+        assert (cfg.n_qubits, cfg.n_list) == (n_qubits, tuple(n_list))
+        return
+    # n_qubits is checked first, then the n_list entries in order
+    path, n = oversized[0]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(raw, "scaling")
+    assert str(excinfo.value) == f"{path}: {n} exceeds the dimension cap of {MAX_QUBITS}"
+
+
+@pytest.mark.parametrize("key, value", [("max_qubits", 12), ("readout", "product_pm")])
+def test_config_refuses_the_removed_cap_and_readout_keys(key, value):
+    # the qubit cap is operators.MAX_QUBITS, and the readout is always the
+    # per-qubit |+>/|-> one: neither is a config field
+    with pytest.raises(ConfigError, match=f"^config: unknown field '{key}'$"):
+        parse_config({key: value}, "fisher")
 
 
 @pytest.mark.parametrize(
@@ -233,33 +256,21 @@ def test_config_rejects_a_boolean_sign():
 
 
 @pytest.mark.parametrize(
-    "family, generator", [("optimal_single_tensor", "nonentangling"), ("cat", "entangling")]
+    "build",
+    [
+        dynamics.nonentangling_generator,
+        dynamics.entangling_generator,
+        dynamics.product_pm_readout,
+        lambda n: states.tensor_power(states.optimal_single_qubit(+1), n),
+        states.cat_state,
+    ],
+    ids=["nonentangling_generator", "entangling_generator", "product_pm_readout",
+         "tensor_power", "cat_state"],
 )
-def test_scaling_passes_max_qubits_to_every_constructor(
-    tmp_path, capsys, monkeypatch, family, generator
-):
-    caps = {}
-    for module, name in ((dynamics, "nonentangling_generator"), (dynamics, "entangling_generator"),
-                         (dynamics, "product_pm_readout"), (states, "tensor_power"),
-                         (states, "cat_state")):
-        original = getattr(module, name)
-
-        def spy(*args, cap, _name=name, _original=original):
-            caps.setdefault(_name, set()).add(cap)
-            return _original(*args, cap=cap)
-
-        monkeypatch.setattr(module, name, spy)
-    path = write_config(
-        tmp_path,
-        {"n_list": [2, 3], "max_qubits": 12, "generator": generator, "state": family,
-         "shots": 200, "trials": 10, "seed": 4},
-    )
-    code, _, err = run_cli(capsys, ["scaling", path])
-    assert code == 0, err
-    family_constructor = "tensor_power" if family == "optimal_single_tensor" else "cat_state"
-    assert caps == {
-        f"{generator}_generator": {12}, "product_pm_readout": {12}, family_constructor: {12}
-    }
+def test_every_constructor_stops_at_the_qubit_cap(build):
+    assert build(MAX_QUBITS).n_qubits == MAX_QUBITS
+    with pytest.raises(DimensionError, match=f"{MAX_QUBITS + 1} qubits exceeds the cap of {MAX_QUBITS}"):
+        build(MAX_QUBITS + 1)
 
 
 def test_config_tolerance_overrides():
@@ -527,7 +538,8 @@ def test_solve_marks_solutions_at_the_qfi_ceiling(tmp_path, capsys, monkeypatch,
     # the product state reaches 2 of the non-entangling ceiling 4
     below = verify.closed_form_solution(dynamics.NONENTANGLING, 2)
     monkeypatch.setattr(
-        solver, "search_optimal_state", lambda *args: solver.SearchResult((below,), 1, below.residual)
+        solver, "search_optimal_state",
+        lambda *args, **kwargs: solver.SearchResult((below,), 1, below.residual),
     )
     config["generator"] = "nonentangling"
     code, out, _ = run_cli(capsys, ["solve", write_config(tmp_path, config)])
@@ -540,8 +552,8 @@ def test_solve_reports_each_solution_by_pauli_type_without_its_matrix(tmp_path, 
     # ket, so no solution forms its d x d matrix, even for the call
     results, builds, search = [], [], solver.search_optimal_state
 
-    def search_spy(*args):
-        results.append(search(*args))
+    def search_spy(*args, **kwargs):
+        results.append(search(*args, **kwargs))
         for sol in results[-1].solutions:
             build = sol.state._build
             object.__setattr__(sol.state, "_build", lambda build=build: builds.append(1) or build())

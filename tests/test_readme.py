@@ -1,12 +1,14 @@
 """The README's "Library sketch" runs and returns the values its comments
-state, and its example config parses."""
+state, its example config parses, and it gives the size of the golden suite."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from probelab import verify
 from probelab.config import TASKS, ExperimentConfig, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,5 +69,10 @@ def test_example_config_parses(task):
     cfg = parse_config(example, task)
     assert cfg.raw == example
     # the fields the README says are shown at their defaults
-    for key in ("max_qubits", "generator", "shots", "trials", "x_true", "n_list"):
+    for key in ("generator", "shots", "trials", "x_true", "n_list"):
         assert getattr(cfg, key) == getattr(ExperimentConfig, key), key
+
+
+def test_readme_states_the_number_of_verify_checks():
+    (stated,) = re.findall(r"golden suite of (\d+) checks", README.read_text(encoding="utf-8"))
+    assert int(stated) == len(verify._CHECKS)

@@ -195,7 +195,7 @@ def test_a_state_with_a_ket_never_reaches_the_readout_frame(monkeypatch):
     assert residual <= 1e-10 and qfi == pytest.approx(n)
     assert verify.closed_form_solution(dynamics.NONENTANGLING, n).qfi == pytest.approx(n)
     result = solver.search_optimal_state(
-        dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2), 2,
+        dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2),
         solver.SearchConfig(n_starts=2, max_evals=300, seed=5),
     )
     assert np.isfinite(result.best_residual)

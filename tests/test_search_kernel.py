@@ -296,7 +296,7 @@ def test_search_leaves_the_sector_without_its_symmetry(route, monkeypatch):
 
     monkeypatch.setattr(solver.optimize, "minimize", minimize_spy)
     config = solver.SearchConfig(n_starts=2, max_evals=20, seed=1)
-    solver.search_optimal_state(generator, basis, n, config)
+    solver.search_optimal_state(generator, basis, config)
     assert sizes and set(sizes) == {2 * 2**n}
 
 
@@ -324,7 +324,7 @@ def test_search_keeps_the_instrumented_calls(monkeypatch):
     monkeypatch.setattr(solver, "solve_lambdas_given_state", check_spy)
     config = solver.SearchConfig(n_starts=3, max_evals=150, simplex_tol=-1.0, seed=4)
     solver.search_optimal_state(
-        dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2), 2, config
+        dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2), config
     )
 
     assert events.count(None) == config.n_starts and events[-1] is None
@@ -350,7 +350,7 @@ def test_pure_search_reports_the_closed_form_score():
     # forms rho; a pure solution carries its ket and reports the closed form
     basis, generator = dynamics.product_pm_readout(2), dynamics.nonentangling_generator(2)
     config = solver.SearchConfig(n_starts=4, max_evals=400, seed=5)
-    result = solver.search_optimal_state(generator, basis, 2, config)
+    result = solver.search_optimal_state(generator, basis, config)
     assert result.feasible
     for sol in result.solutions:
         ket = sol.state.ket

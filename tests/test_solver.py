@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from probelab import dynamics, fisher, solver, states, verify
-from probelab.errors import UnsupportedClosedFormError
+from probelab.errors import DimensionError, UnsupportedClosedFormError
 
 
 def test_k_values_round_trip():
@@ -240,7 +240,6 @@ def test_search_single_qubit_finds_equator():
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(1),
         dynamics.product_pm_readout(1),
-        1,
         solver.SearchConfig(n_starts=12, seed=3),
     )
     assert result.feasible
@@ -256,7 +255,6 @@ def test_search_two_qubit_entangling_qfi_one():
     result = solver.search_optimal_state(
         dynamics.entangling_generator(2),
         dynamics.product_pm_readout(2),
-        2,
         solver.SearchConfig(n_starts=16, seed=5),
     )
     assert result.feasible
@@ -271,7 +269,6 @@ def test_search_two_qubit_nonentangling_beats_product_state():
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(2),
         dynamics.product_pm_readout(2),
-        2,
         solver.SearchConfig(n_starts=16, seed=5),
     )
     assert result.feasible
@@ -289,12 +286,20 @@ def test_search_determinism():
     cfg = solver.SearchConfig(n_starts=6, seed=21)
     gen = dynamics.nonentangling_generator(1)
     basis = dynamics.product_pm_readout(1)
-    a = solver.search_optimal_state(gen, basis, 1, cfg)
-    b = solver.search_optimal_state(gen, basis, 1, cfg)
+    a = solver.search_optimal_state(gen, basis, cfg)
+    b = solver.search_optimal_state(gen, basis, cfg)
     assert len(a.solutions) == len(b.solutions)
     for sa, sb in zip(a.solutions, b.solutions):
         assert np.array_equal(sa.state.matrix, sb.state.matrix)
         assert sa.qfi == sb.qfi
+
+
+def test_search_refuses_a_basis_of_another_size():
+    # the search reads its size from the generator
+    with pytest.raises(DimensionError, match="different numbers of qubits"):
+        solver.search_optimal_state(
+            dynamics.nonentangling_generator(2), dynamics.product_pm_readout(3)
+        )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -307,7 +312,7 @@ def test_pure_search_reaches_the_qfi_ceiling(n, build):
     gen = build(n)
     ceiling = float(gen.spectrum.max() - gen.spectrum.min()) ** 2
     result = solver.search_optimal_state(
-        gen, dynamics.product_pm_readout(n), n,
+        gen, dynamics.product_pm_readout(n),
         solver.SearchConfig(n_starts=4, max_evals=2000, seed=1),
     )
     assert result.feasible
@@ -327,7 +332,6 @@ def test_search_drops_end_points_that_commute_with_the_generator(monkeypatch):
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(1),
         dynamics.product_pm_readout(1),
-        1,
         solver.SearchConfig(n_starts=3, seed=1),
     )
     assert not result.feasible
@@ -340,7 +344,6 @@ def test_search_reports_no_qfi_free_solutions():
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(2),
         dynamics.product_pm_readout(2),
-        2,
         solver.SearchConfig(n_starts=10, max_evals=1000, simplex_tol=-1.0, seed=594192489),
     )
     assert all(sol.qfi > 1e-9 for sol in result.solutions)
@@ -353,7 +356,6 @@ def test_search_orders_tied_solutions_by_their_dedup_key_alone():
     result = solver.search_optimal_state(
         dynamics.nonentangling_generator(2),
         dynamics.product_pm_readout(2),
-        2,
         solver.SearchConfig(n_starts=6, max_evals=600, seed=16),
     )
     qfis = [sol.qfi for sol in result.solutions]
