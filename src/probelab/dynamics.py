@@ -31,6 +31,10 @@ from .states import DensityMatrix, density_matrix
 NONENTANGLING = "nonentangling"
 ENTANGLING = "entangling"
 
+#: Entries of one block of columns that :meth:`ReadoutBasis.diagonals`
+#: transforms at once.
+_TRANSFORM_BLOCK = 2**16
+
 #: Most negative readout probability that :func:`probability_vector` clips
 #: to 0 as round-off rather than rejecting.  Fixed, not a ``Tolerances`` field.
 CLIP_FLOOR = -1e-12
@@ -170,9 +174,9 @@ class ReadoutBasis:
 
         For the Hadamard readout every row comes from one pass over A: the
         XOR gather of :meth:`diagonal`, then per real and imaginary part one
-        ``bincount`` keyed by (XOR offset, j) and one batched transform; the
-        rows equal :meth:`diagonal` of each masked A bit for bit.  Any other
-        basis takes one :meth:`diagonal` per mask.
+        ``bincount`` keyed by (XOR offset, j) and one transform per block of
+        its columns; the rows equal :meth:`diagonal` of each masked A bit for
+        bit.  Any other basis takes one :meth:`diagonal` per mask.
         """
         a = np.asarray(a)
         if not self.hadamard:
@@ -183,8 +187,7 @@ class ReadoutBasis:
         gathered = a[rows[:, None], offsets].ravel()
         out = np.empty((size, self.dim), dtype=complex)
         for part, values in ((out.real, gathered.real), (out.imag, gathered.imag)):
-            sums = np.bincount(keys, values, out.size).reshape(self.dim, size)
-            part[...] = _walsh_hadamard(sums).T / self.dim
+            _transform_columns(np.bincount(keys, values, out.size).reshape(self.dim, size), part)
         return out
 
     def amplitudes(self, kets: np.ndarray) -> np.ndarray:
@@ -212,6 +215,18 @@ def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
         )
         half *= 2
     return x.reshape(shape)
+
+
+def _transform_columns(sums: np.ndarray, out: np.ndarray) -> None:
+    """Row j of ``out`` is the transform of column j of ``sums`` over its d
+    entries, divided by d: a block of columns at a time, so that the stage
+    copies stay small next to ``out`` when there are many columns.  The
+    caller passes ``sums`` as a temporary, so that it is freed before the
+    next part's sums are built."""
+    dim = len(sums)
+    step = max(1, _TRANSFORM_BLOCK // dim)
+    for j in range(0, sums.shape[1], step):
+        out[j : j + step] = _walsh_hadamard(sums[:, j : j + step]).T / dim
 
 
 def readout_from_kets(kets: np.ndarray) -> ReadoutBasis:

@@ -156,12 +156,8 @@ class MeasurementModel:
         self._omega, group = np.unique(np.subtract.outer(levels, levels), return_inverse=True)
         group = group.reshape(len(levels), -1)[level_of[:, None], level_of[None, :]]
         coeffs = basis.diagonals(initial_state.matrix, group, len(self._omega))
-        # A column's bytes (after + 0.0 turns -0.0 into 0.0) key its class.
-        first = {}
-        self.classes = np.array(
-            [first.setdefault((c + 0.0).tobytes(), len(first)) for c in coeffs.T]
-        )
-        self._columns = coeffs[:, np.unique(self.classes, return_index=True)[1]]
+        self.classes, firsts = _column_classes(coeffs)
+        self._columns = coeffs if len(firsts) == len(self.classes) else coeffs[:, firsts]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -205,6 +201,32 @@ class MeasurementModel:
         xs = np.array([_finite("x", x)])
         p, dp = self.probability_table(xs)[0], self.derivative_table(xs)[0]
         return _fisher_sum(self.labels, p, dp, probability_floor)
+
+
+def _column_classes(coeffs: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The class of each column of ``coeffs``, numbered in order of first
+    appearance, and the index of each class's first column.
+
+    Columns share a class exactly when their bytes are equal, after + 0.0
+    turns -0.0 into 0.0.  Classes are found by the hash of those bytes and
+    confirmed by comparing them, so the bytes of only one column at a time
+    are held, not those of the whole table.
+    """
+    by_hash: dict[int, list[int]] = {}
+    firsts: list[int] = []
+    classes = np.empty(coeffs.shape[1], dtype=int)
+    for k, column in enumerate(coeffs.T):
+        key = (column + 0.0).tobytes()
+        candidates = by_hash.setdefault(hash(key), [])
+        for c in candidates:
+            if (coeffs[:, firsts[c]] + 0.0).tobytes() == key:
+                break
+        else:
+            c = len(firsts)
+            candidates.append(c)
+            firsts.append(k)
+        classes[k] = c
+    return classes, firsts
 
 
 def _counts_vector(counts, labels: Sequence[str]) -> np.ndarray:

@@ -637,6 +637,57 @@ def _pure_probe_closed_form_route():
     return passed, {"max_error": worst, "missing_kets": missing_kets}
 
 
+@_check("the eigenframe analysis of a state without a ket matches the generic SLD, QFI, "
+        "spectrum and saturation (n <= 6)")
+def _dense_route_matches_generic_parts():
+    # analyze reads a state without a ket in its eigenframe, in two d^3
+    # products; sld_from_state, quantum_fisher, lambda_spectrum and
+    # check_saturation are the generic parts it no longer composes, for any
+    # derivative.  Full-rank states and states of rank d/2, whose SLD has
+    # kernel pairs, on both generators and a random diagonal one.
+    rng = np.random.default_rng(1994)
+    worst = 0.0
+    flags_agree = True
+    for n in range(1, 7):
+        d = 2**n
+        generators = (
+            dynamics.nonentangling_generator(n),
+            dynamics.entangling_generator(n),
+            dynamics.Generator(n, rng.standard_normal(d)),
+        )
+        readouts = (dynamics.product_pm_readout(n), dynamics.random_projective_readout(n, rng))
+        kets = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        weights = rng.uniform(0.1, 1.0, d // 2)
+        half = (kets[:, : d // 2] * (weights / weights.sum())) @ kets[:, : d // 2].conj().T
+        probes = (states.random_mixed_state(n, rng), replace(states.density_matrix(half), ket=None))
+        for gen in generators:
+            for basis in readouts:
+                for rho in probes:
+                    analysis = fisher.analyze(gen, rho, basis)
+                    rho_prime = dynamics.state_derivative(gen, rho)
+                    sld = fisher.sld_from_state(rho, rho_prime)
+                    spectrum = fisher.lambda_spectrum(basis, rho, rho_prime, sld.operator)
+                    saturation = fisher.check_saturation(basis, rho, rho_prime, sld=sld)
+                    f_quantum = fisher.quantum_fisher(rho, rho_prime, sld=sld)
+                    scale = max(1.0, float(np.max(np.abs(spectrum.values))), f_quantum)
+                    worst = max(
+                        worst,
+                        abs(analysis.classical_fisher
+                            - fisher.classical_fisher(basis, rho, rho_prime)) / scale,
+                        abs(analysis.quantum_fisher - f_quantum) / scale,
+                        _close(analysis.spectrum.values, spectrum.values) / scale,
+                        abs(analysis.saturation.im_condition_max
+                            - saturation.im_condition_max) / scale,
+                        abs(analysis.saturation.diagonal_residual
+                            - saturation.diagonal_residual) / scale,
+                    )
+                    flags_agree &= (
+                        analysis.spectrum.unconstrained == spectrum.unconstrained
+                        and analysis.saturation.saturated == saturation.saturated
+                    )
+    return worst <= 1e-12 and flags_agree, {"max_error": worst}
+
+
 def _zero_outcome_ket(basis: dynamics.ReadoutBasis, rng: np.random.Generator) -> np.ndarray:
     """A random ket with zero amplitude on a random half of the readout outcomes."""
     phi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)

@@ -932,13 +932,13 @@ def test_verify_reports_a_crashing_check_as_a_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify"])
     lines = out.splitlines()
     assert code == 1
-    assert len(lines) == len(verify._CHECKS) + 1 == 31
+    assert len(lines) == len(verify._CHECKS) + 1 == 32
     assert "FAIL composite-tensor-rule: raised RuntimeError('corrupted')" in lines
 
 
 def test_verify_check_names_are_unique_and_select_one_check(capsys, monkeypatch):
     names = [name for name, _, _ in verify._CHECKS]
-    assert len(names) == len(set(names)) == 30
+    assert len(names) == len(set(names)) == 31
     assert all(re.fullmatch(r"[a-z0-9-]+", name) for name in names)
     # each full name selects its own check alone; stand-ins keep the sweep fast
     stubs = [(name, claim, lambda: (True, {})) for name, claim, _ in verify._CHECKS]

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from probelab import dynamics, fisher, states
 from probelab.operators import Tolerances
-from probelab.errors import SingularOutcomeError, SLDInconsistencyError, ValidationError
+from probelab.errors import (
+    ProbeLabError,
+    SingularOutcomeError,
+    SLDInconsistencyError,
+    ValidationError,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -250,12 +255,144 @@ def test_analyze_matches_its_parts(seed):
     rho_prime = dynamics.state_derivative(gen, rho)
     sld = fisher.sld_from_state(rho, rho_prime)
     spectrum = fisher.lambda_spectrum(basis, rho, rho_prime, sld.operator)
+    saturation = fisher.check_saturation(basis, rho, rho_prime)
     analysis = fisher.analyze(gen, rho, basis)
+    # F_C reads the same readout diagonals, bit for bit; the rest comes from
+    # the state's eigenframe, not from these parts, and agrees to rounding
     assert analysis.classical_fisher == fisher.classical_fisher(basis, rho, rho_prime)
-    assert analysis.quantum_fisher == fisher.quantum_fisher(rho, rho_prime)
-    assert np.array_equal(analysis.spectrum.values, spectrum.values)
+    assert abs(analysis.quantum_fisher - fisher.quantum_fisher(rho, rho_prime)) <= 1e-12
+    assert np.max(np.abs(analysis.spectrum.values - spectrum.values)) <= 1e-12
     assert analysis.spectrum.unconstrained == spectrum.unconstrained
-    assert analysis.saturation == fisher.check_saturation(basis, rho, rho_prime)
+    assert abs(analysis.saturation.im_condition_max - saturation.im_condition_max) <= 1e-12
+    assert abs(analysis.saturation.diagonal_residual - saturation.diagonal_residual) <= 1e-12
+    assert analysis.saturation.saturated == saturation.saturated
+
+
+def _parts_or_error(generator, rho, basis, tol):
+    """F_C, F_Q, the spectrum and (with the default floor, or no outcome at
+    or below ``tol``'s) the saturation from the generic parts, composed in
+    the order of :func:`fisher.analyze`; or the class of the first error."""
+    rho_prime = dynamics.state_derivative(generator, rho)
+    floor = tol.probability_floor
+    try:
+        f_classical = fisher.classical_fisher(basis, rho, rho_prime, probability_floor=floor)
+        sld = fisher.sld_from_state(
+            rho, rho_prime, tol.kernel_tol, residual_tol=tol.sld_residual
+        )
+        spectrum = fisher.lambda_spectrum(
+            basis, rho, rho_prime, sld.operator, probability_floor=floor
+        )
+    except ProbeLabError as exc:
+        return type(exc)
+    # check_saturation takes its ratios with the default floor: the same
+    # ratios as analyze's when no outcome is at or below the given floor
+    saturation = (
+        fisher.check_saturation(basis, rho, rho_prime, tol=tol.saturation, sld=sld)
+        if floor == Tolerances.probability_floor or not any(spectrum.unconstrained)
+        else None
+    )
+    return f_classical, fisher.quantum_fisher(rho, rho_prime, sld=sld), spectrum, saturation
+
+
+#: A rank-deficient probe with an eigenvalue of 1e-5 beside its kernel, at
+#: kernel_tol 1e-3: its SLD drops the (1e-5, 0) pairs, where the derivative
+#: lives, so the defining equation fails (the derivative has support outside
+#: what the SLD can reach).
+_OUTSIDE = dict(n=2, rank=2, small=True, generator="nonentangling", hadamard=True,
+                thresholds=(1e-3, Tolerances.sld_residual),
+                floor=Tolerances.probability_floor, seed=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    rank=st.sampled_from([1, 2, 3, None]),
+    small=st.booleans(),
+    generator=st.sampled_from(["nonentangling", "entangling", "random"]),
+    hadamard=st.booleans(),
+    # (kernel_tol, sld_residual): repeats weight the draw, so that most
+    # examples pass every rule
+    thresholds=st.sampled_from(
+        [(Tolerances.kernel_tol, Tolerances.sld_residual)] * 2
+        + [(1e-3, Tolerances.sld_residual)] * 2
+        + [(1e-3, 1.0), (Tolerances.kernel_tol, 1.0)]
+        + [(-1.0, Tolerances.sld_residual), (Tolerances.kernel_tol, -1.0)]
+    ),
+    floor=st.sampled_from([Tolerances.probability_floor] * 3 + [0.25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(**_OUTSIDE)
+@example(**{**_OUTSIDE, "thresholds": (-1.0, Tolerances.sld_residual)})
+def test_dense_analyze_matches_the_generic_parts(
+    n, rank, small, generator, hadamard, thresholds, floor, seed
+):
+    # a random spectrum of weights in [0.1, 1] on `rank` random orthonormal
+    # kets (all d when None), with one more eigenvalue of 1e-5 when `small`:
+    # a rank below d leaves kernel pairs, and the 1e-5 eigenvalue falls into
+    # the kernel at kernel_tol 1e-3
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    weights = rng.uniform(0.1, 1.0, d if rank is None else min(rank, d - 1))
+    weights = weights / weights.sum()
+    if small and len(weights) < d:
+        weights = np.append((1.0 - 1e-5) * weights, 1e-5)
+    kets = unitary[:, : len(weights)]
+    rho = dataclasses.replace(
+        states.density_matrix((kets * weights) @ kets.conj().T), ket=None
+    )
+    gen = {
+        "nonentangling": dynamics.nonentangling_generator(n),
+        "entangling": dynamics.entangling_generator(n),
+        "random": dynamics.Generator(n, rng.standard_normal(d)),
+    }[generator]
+    basis = dynamics.product_pm_readout(n) if hadamard else dynamics.random_projective_readout(n, rng)
+    # a ratio's rounding error grows as 1/p_k: from p_k = 1e-3 on, no rule
+    # of either route is decided by it
+    probs = np.real(basis.diagonal(rho.matrix))
+    assume(probs.min() >= 1e-3)
+    kernel_tol, sld_residual = thresholds
+    tol = Tolerances(kernel_tol=kernel_tol, sld_residual=sld_residual, probability_floor=floor)
+
+    expected = _parts_or_error(gen, rho, basis, tol)
+    try:
+        analysis = fisher.analyze(gen, rho, basis, tol)
+    except ProbeLabError as exc:
+        assert type(exc) is expected
+        return
+    assert not isinstance(expected, type), expected
+    f_classical, f_quantum, spectrum, saturation = expected
+    assert analysis.classical_fisher == f_classical
+    assert abs(analysis.quantum_fisher - f_quantum) <= 1e-12 * max(1.0, f_quantum)
+    assert analysis.spectrum.unconstrained == spectrum.unconstrained
+    assert np.max(np.abs(analysis.spectrum.values - spectrum.values) * probs) <= 1e-12
+    if saturation is not None:
+        assert abs(analysis.saturation.im_condition_max - saturation.im_condition_max) <= 1e-12
+        assert abs(analysis.saturation.diagonal_residual - saturation.diagonal_residual) <= 1e-12
+        assert analysis.saturation.saturated == saturation.saturated
+
+
+def test_dense_analyze_keeps_the_order_of_its_checks():
+    # a rank-3 probe with an eigenvalue of 1e-5 beside its kernel, as in
+    # _OUTSIDE: at kernel_tol 1e-3 the derivative is outside the SLD's reach,
+    # an SLDInconsistencyError; a negative threshold is refused before that,
+    # and a divergent Fisher sum before both
+    rng = np.random.default_rng(3)
+    unitary, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    kets = unitary[:, :3]
+    weights = np.array([0.6, 0.4 - 1e-5, 1e-5])
+    rho = dataclasses.replace(states.density_matrix((kets * weights) @ kets.conj().T), ket=None)
+    gen, basis = dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2)
+    cases = [
+        (Tolerances(kernel_tol=1e-3), SLDInconsistencyError, "defining-equation residual"),
+        (Tolerances(kernel_tol=-1.0), ValidationError, "^sld_from_state: tol must be >= 0"),
+        (Tolerances(kernel_tol=1e-3, sld_residual=-1.0), ValidationError,
+         "^sld_from_state: residual_tol must be >= 0"),
+        (Tolerances(kernel_tol=-1.0, probability_floor=1.0), SingularOutcomeError, "outcome"),
+    ]
+    for tol, error, message in cases:
+        with pytest.raises(error, match=message):
+            fisher.analyze(gen, rho, basis, tol)
 
 
 def _dense_reference(generator, rho, basis, kernel_tol):

@@ -6,7 +6,8 @@
   spectral ``state_derivative`` against the dense -i (H rho - rho H).  H is
   either generator of the paper or a random real spectrum.
 * The one-pass coefficient table against the per-frequency masked
-  ``diagonal`` loop kept here, bit for bit.
+  ``diagonal`` loop kept here, bit for bit, and the build's memory peak on a
+  generic spectrum.
 * The per-outcome p and dp/dx, gathered from the class table, against the
   per-outcome polynomial kept here, bit for bit.
 * The outcome classes: merged exactly when their coefficient columns are
@@ -19,12 +20,14 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from probelab import dynamics, states
+from probelab import dynamics, montecarlo, states
 from probelab.errors import DegenerateModelError
 from probelab.montecarlo import (
     MeasurementModel,
@@ -150,6 +153,46 @@ def test_one_pass_table_equals_per_frequency_table(n, seed, kind, probe, drop_ke
     omega, coeffs = reference_coefficients(generator, rho, basis)
     assert np.array_equal(model._omega, omega)
     assert np.array_equal(model._columns[:, model.classes], coeffs)
+
+
+def test_a_generic_spectrum_builds_in_blocks_below_two_and_a_half_tables():
+    # n=6 on a random spectrum: 4,033 frequencies, so the one-pass build
+    # transforms its sums in four blocks of columns into a 4.1 MB table.  It
+    # equals the per-frequency build bit for bit, no two outcomes of the
+    # random state share a class, and the build peaks at about 1.95 tables,
+    # below 2.5 (3.1 when the sums were transformed all at once and every
+    # column's bytes were held as a class key).
+    rng = np.random.default_rng(6)
+    generator = dynamics.Generator(6, rng.standard_normal(64))
+    rho = states.random_mixed_state(6, rng)
+    basis = dynamics.product_pm_readout(6)
+    tracemalloc.start()
+    try:
+        model = MeasurementModel(generator, rho, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    omega, coeffs = reference_coefficients(generator, rho, basis)
+    assert len(omega) == 4033
+    assert np.array_equal(model._omega, omega)
+    assert np.array_equal(model.classes, np.arange(64))
+    assert model._columns.tobytes() == coeffs.tobytes()
+    assert peak <= 2.5 * model._columns.nbytes
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_classes_do_not_depend_on_the_hash_of_a_column(probe, monkeypatch):
+    # every column's bytes hash alike: the byte comparison alone tells the
+    # classes apart, in the same order of first appearance
+    rng = np.random.default_rng(3)
+    model = MeasurementModel(
+        dynamics.nonentangling_generator(3), build_state(probe, 3, rng), dynamics.product_pm_readout(3)
+    )
+    monkeypatch.setattr(montecarlo, "hash", lambda key: 0, raising=False)
+    coeffs = model._columns[:, model.classes]
+    classes, firsts = montecarlo._column_classes(coeffs)
+    assert np.array_equal(classes, model.classes)
+    assert np.array_equal(coeffs[:, firsts], model._columns)
 
 
 def reference_tables(omega, coeffs, xs):
