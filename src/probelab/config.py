@@ -36,8 +36,10 @@ class SearchConfig:
     """Settings of :func:`probelab.solver.search_optimal_state`: the config's
     ``solver`` block, plus ``residual_tol`` (``tolerances.solution_residual``)
     and the config seed.  ``simplex_tol``, named after the search's first
-    method, is L-BFGS-B's ``gtol``; a negative value switches the convergence
-    tests off."""
+    method, is L-BFGS-B's ``gtol``; a negative value sets ``gtol`` and
+    ``ftol`` to 0, and a stage then ends when an iteration leaves f unchanged
+    in float64 (the relative-reduction test at ``factr = 0``), when its line
+    search fails, or when its budget is spent."""
 
     n_starts: int = 64
     max_evals: int = 5000

@@ -147,10 +147,18 @@ def sld_from_state(
     return SLDResult(l_op, int(np.sum(kernel)), rho_l)
 
 
-def _check_sld_thresholds(tol: float, residual_tol: float) -> None:
-    for name, value in (("tol", tol), ("residual_tol", residual_tol)):
+def _check_sld_thresholds(
+    tol: float,
+    residual_tol: float,
+    names: tuple[str, str, str] = ("sld_from_state", "tol", "residual_tol"),
+) -> None:
+    """Refuse a negative or NaN threshold, naming the caller and the setting
+    as ``names`` = (caller, name of ``tol``, name of ``residual_tol``) give
+    them."""
+    caller, *settings = names
+    for name, value in zip(settings, (tol, residual_tol)):
         if not value >= 0:  # NaN too
-            raise ValidationError(f"sld_from_state: {name} must be >= 0, got {value!r}")
+            raise ValidationError(f"{caller}: {name} must be >= 0, got {value!r}")
 
 
 def _check_derivative(rho_prime: np.ndarray) -> None:
@@ -430,7 +438,10 @@ def _analyze_dense(
     probs, dprobs = np.real(basis.diagonal(state.matrix)), np.real(basis.diagonal(rho_prime))
     floor = tol.probability_floor
     f_classical = _fisher_sum(basis.labels, probs, dprobs, floor)
-    _check_sld_thresholds(tol.kernel_tol, tol.sld_residual)
+    _check_sld_thresholds(
+        tol.kernel_tol, tol.sld_residual,
+        ("analyze", "tolerances.kernel_tol", "tolerances.sld_residual"),
+    )
     _check_derivative(rho_prime)
     lam, v = state.eigen.values, state.eigen.vectors
     drho = v.conj().T @ (generator.spectrum[:, None] * v)

@@ -22,15 +22,17 @@ gathered from it.  The likelihood grid, the grid peaks and the refinement
 run on class counts; sampling, the Fisher information, the fold scan and
 :func:`log_likelihood` sum per outcome over the gathered values.
 
-Estimator cost per trial: one sort of the ``shots`` uniforms, one
-``searchsorted`` of the 3 x d cumulative tables (built once) into them, and
-one exact sum of the integer counts into classes.  After the trial loop the
-grid peaks of all 3 * trials count rows are found a block of about 200 KB of
-scores at a time, and one lockstep golden-section search refines all
-3 * trials brackets together, about 30 batched likelihood evaluations over
-the rows still active.  Memory stays at one trial's uniforms plus the
-(3 * trials x classes) counts: neither a (3 * trials x grid) score matrix nor
-a (trials x shots) uniform matrix is ever formed.
+Estimator cost per trial: one in-place sort of the ``shots`` uniforms and
+one ``searchsorted`` of the 3 x d cumulative tables (built once) into them.
+The counts between the edges, and their exact sums into classes, are taken
+once per block of trials whose (3 x trials x d) edges fill about 200 KB.
+After the trial loop the grid peaks of all 3 * trials count rows are found a
+block of about 200 KB of scores at a time, and one lockstep golden-section
+search refines all 3 * trials brackets together, about 30 batched
+likelihood evaluations over the rows still active.  Memory stays at one
+trial's uniforms, one block of edges and the (3 * trials x classes) counts:
+no (3 * trials x grid) score matrix, no (trials x d) count table and no
+(trials x shots) uniform matrix is ever formed.
 
 Randomness contract: every trial draws from its own substream derived from
 (seed, trial index) via :class:`numpy.random.SeedSequence`, so results are
@@ -70,6 +72,8 @@ _LOG_FLOOR = 1e-300
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: Scores (grid points x count rows) formed at once by ``grid_peaks``: 200 KB.
 _PEAK_BLOCK = 25_000
+#: Edges (count rows x trials x outcomes) the trial loop holds at once: 200 KB.
+_COUNT_BLOCK = 25_000
 
 
 def _finite(name: str, value: float) -> float:
@@ -106,7 +110,12 @@ def _draw_counts(cum: np.ndarray, u_sorted: np.ndarray) -> np.ndarray:
     ``cum`` may hold one table per row; each row is counted against the same
     uniforms.
     """
-    edges = np.searchsorted(u_sorted, cum, side="left")
+    return _edge_counts(np.searchsorted(u_sorted, cum, side="left"))
+
+
+def _edge_counts(edges: np.ndarray) -> np.ndarray:
+    """The counts between consecutive ``searchsorted`` edges along the last
+    axis, in place: edges[k] - edges[k-1], and edges[0] for the first."""
     edges[..., 1:] -= edges[..., :-1].copy()
     return edges
 
@@ -404,6 +413,35 @@ def mle_estimate(counts, model: MeasurementModel, search_interval: tuple[float, 
     return float(machine.estimate(model.class_counts(_counts_vector(counts, model.labels)))[0])
 
 
+def _trial_counts(
+    model: MeasurementModel, cum: np.ndarray, shots: int, trials: int,
+    seed: int | Sequence[int],
+) -> np.ndarray:
+    """Class counts of every trial against each row of ``cum``, shape
+    (len(cum), trials, classes).
+
+    Trial t sorts the ``shots`` uniforms of its own substream (seed, t) in
+    place and finds the edges of every row of ``cum`` among them with one
+    ``searchsorted``; the counts between the edges (:func:`_edge_counts`)
+    and their class sums are taken once per block of trials, whose edges fill
+    about ``_COUNT_BLOCK`` entries, so no (trials x outcomes) table is formed.
+    """
+    rows, d = cum.shape
+    step = max(1, _COUNT_BLOCK // (rows * d))
+    edges = np.empty((rows, min(step, trials), d), dtype=np.intp)
+    counts = np.empty((rows, trials, model.classes.max() + 1))
+    base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    for start in range(0, trials, step):
+        block = edges[:, : min(step, trials - start)]
+        for j in range(block.shape[1]):
+            u = np.random.default_rng(np.random.SeedSequence(base + [start + j])).random(shots)
+            u.sort()
+            block[:, j] = np.searchsorted(u, cum, side="left")
+        sums = model.class_counts(_edge_counts(block).reshape(-1, d))
+        counts[:, start : start + block.shape[1]] = sums.reshape(rows, block.shape[1], -1)
+    return counts
+
+
 @dataclass(frozen=True)
 class EstimationResult:
     """Uncertainty of the estimate over repeated simulated experiments."""
@@ -444,11 +482,7 @@ def uncertainty_run(
     cum = _cumulative(
         model.probability_table(np.array([x_true - SLOPE_STEP, x_true, x_true + SLOPE_STEP]))
     )
-    counts = np.empty((3, trials, model.classes.max() + 1))
-    base = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(base + [t]))
-        counts[:, t] = model.class_counts(_draw_counts(cum, np.sort(rng.random(shots))))
+    counts = _trial_counts(model, cum, shots, trials, seed)
     estimates = machine.estimate(counts.reshape(3 * trials, -1)).reshape(3, trials)
     slope = float((np.mean(estimates[2]) - np.mean(estimates[0])) / (2.0 * SLOPE_STEP))
     if abs(slope) < 1e-12:

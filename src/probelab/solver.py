@@ -327,6 +327,34 @@ def _search_objective(
     return -f_c + 0.5 * weight * (f_q - f_c), (g - (x @ g / s) * x) / s
 
 
+def _held_objective() -> tuple[Callable, Callable]:
+    """L-BFGS-B's value and gradient functions for one ``minimize`` call,
+    both read from the last :func:`_search_objective` evaluation, which the
+    pair holds.
+
+    The value function evaluates and keeps the gradient with the bytes of its
+    point; the gradient function returns it when called at the same bytes
+    and evaluates afresh at any other point, so the pair is right in any
+    call order.  Only the point is keyed: a pair serves one call, whose
+    ``args`` (the stage's weight and the frame) do not change.  scipy's
+    ``jac=True`` does the same through ``MemoizeJac`` with one more array
+    comparison, a copy and a tuple unpack per evaluation.
+    """
+    held: list = [None, None]
+
+    def value(x: np.ndarray, *args) -> float:
+        f, held[1] = _search_objective(x, *args)
+        held[0] = x.tobytes()
+        return f
+
+    def gradient(x: np.ndarray, *args) -> np.ndarray:
+        if x.tobytes() != held[0]:
+            value(x, *args)
+        return held[1]
+
+    return value, gradient
+
+
 def search_optimal_state(
     generator: Generator,
     basis: ReadoutBasis,
@@ -372,9 +400,9 @@ def search_optimal_state(
             if evals >= config.max_evals:
                 break
             weight = fraction * PENALTY_WEIGHT
+            value, gradient = _held_objective()
             result = optimize.minimize(
-                _search_objective, x, args=(weight, *frame),
-                method="L-BFGS-B", jac=True,
+                value, x, args=(weight, *frame), method="L-BFGS-B", jac=gradient,
                 options={"maxfun": config.max_evals - evals, "gtol": gtol, "ftol": ftol},
             )
             x, evals = result.x, evals + result.nfev

@@ -385,9 +385,10 @@ def test_dense_analyze_keeps_the_order_of_its_checks():
     gen, basis = dynamics.nonentangling_generator(2), dynamics.product_pm_readout(2)
     cases = [
         (Tolerances(kernel_tol=1e-3), SLDInconsistencyError, "defining-equation residual"),
-        (Tolerances(kernel_tol=-1.0), ValidationError, "^sld_from_state: tol must be >= 0"),
+        (Tolerances(kernel_tol=-1.0), ValidationError,
+         r"^analyze: tolerances\.kernel_tol must be >= 0, got -1\.0$"),
         (Tolerances(kernel_tol=1e-3, sld_residual=-1.0), ValidationError,
-         "^sld_from_state: residual_tol must be >= 0"),
+         r"^analyze: tolerances\.sld_residual must be >= 0, got -1\.0$"),
         (Tolerances(kernel_tol=-1.0, probability_floor=1.0), SingularOutcomeError, "outcome"),
     ]
     for tol, error, message in cases:

@@ -15,6 +15,9 @@
 * The lockstep golden-section ``_LikelihoodMachine.estimate`` against the
   scalar golden-section search kept here.
 * The sorted-uniform sampler against ``searchsorted(cum, u, side="right")``.
+* The trial loop's class counts, taken a block of trials at a time, against
+  each trial's own ``class_counts(_draw_counts(...))``, and ``uncertainty_run``
+  against itself at other block sizes.
 """
 
 import copy
@@ -35,6 +38,7 @@ from probelab.montecarlo import (
     _draw_counts,
     _fold_free_interval,
     _LikelihoodMachine,
+    _trial_counts,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -368,3 +372,51 @@ def test_sorted_uniform_counts_equal_searchsorted_counts(d, seed, shots, zeros, 
     assert np.array_equal(_draw_counts(_cumulative(probs), u_sorted), expected)
     for p, e in zip(probs, expected):
         assert np.array_equal(_draw_counts(_cumulative(p), u_sorted), e)
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    seed=SEEDS,
+    kind=st.sampled_from(GENERATORS),
+    shots=st.integers(1, 500),
+    trials=st.integers(1, 12),
+    block=st.integers(1, 5),
+    x_true=st.floats(-2.0, 2.0),
+)
+def test_blocked_trial_counts_are_each_trials_own(n, seed, kind, shots, trials, block, x_true):
+    model = build_model(kind, n, seed, True)
+    xs = np.array([x_true - montecarlo.SLOPE_STEP, x_true, x_true + montecarlo.SLOPE_STEP])
+    cum = _cumulative(model.probability_table(xs))
+    trial_seed = [seed, n]
+    with pytest.MonkeyPatch.context() as patch:  # ``block`` trials at a time
+        patch.setattr(montecarlo, "_COUNT_BLOCK", block * cum.size)
+        counts = _trial_counts(model, cum, shots, trials, trial_seed)
+    assert counts.shape == (3, trials, model.classes.max() + 1)
+    for t in range(trials):
+        u = np.random.default_rng(np.random.SeedSequence(trial_seed + [t])).random(shots)
+        own = model.class_counts(_draw_counts(cum, np.sort(u)))
+        assert np.array_equal(counts[:, t], own)
+        assert np.all(counts[:, t].sum(axis=1) == shots)
+
+
+@pytest.mark.parametrize("probe", ["tensor", "random"])
+def test_uncertainty_run_does_not_depend_on_the_count_block(probe, monkeypatch):
+    # 7 and 11 trials are no multiple of 2 or 3; a budget below one trial's
+    # edges still counts one trial at a time
+    if probe == "tensor":
+        model = MeasurementModel(
+            dynamics.nonentangling_generator(3),
+            states.tensor_power(states.optimal_single_qubit(+1), 3),
+            dynamics.product_pm_readout(3),
+        )
+    else:
+        model = build_model("custom", 2, 4, True)
+    d = model.basis.dim
+    assert 11 < montecarlo._COUNT_BLOCK // (3 * d)  # one block by default
+    for trials in (7, 11):
+        monkeypatch.undo()
+        default = montecarlo.uncertainty_run(model, 0.3, 300, trials, seed=[5, 2])
+        for budget in (1, 3 * d, 2 * 3 * d, 3 * 3 * d + 1):
+            monkeypatch.setattr(montecarlo, "_COUNT_BLOCK", budget)
+            assert montecarlo.uncertainty_run(model, 0.3, 300, trials, seed=[5, 2]) == default

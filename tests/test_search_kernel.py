@@ -361,3 +361,134 @@ def test_pure_search_reports_the_closed_form_score():
         assert np.array_equal(sol.inv_lambdas.real_values(), u)
         assert sol.inv_lambdas.unconstrained == tuple(unconstrained)
         assert sol.residual == residual
+
+
+def _search_point(n, generator_kind, seed):
+    rng, basis, generator = _setup(n, seed, True, generator_kind)
+    frame, _ = solver._search_frame(generator, basis)
+    return rng.standard_normal(2 * frame[2].size), frame
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    seed=SEEDS,
+    generator_kind=GENERATORS,
+    weight=st.sampled_from([0.0, 1.0, 100.0, solver.PENALTY_WEIGHT]),
+)
+def test_held_evaluation_is_the_objective_bit_for_bit(n, seed, generator_kind, weight):
+    x, frame = _search_point(n, generator_kind, seed)
+    value, gradient = solver._held_objective()
+    f, g = value(x.copy(), weight, *frame), gradient(x.copy(), weight, *frame)
+    f_ref, g_ref = solver._search_objective(x, weight, *frame)
+    assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
+    assert g.tobytes() == g_ref.tobytes()
+
+
+def test_held_gradient_evaluates_afresh_at_a_point_it_has_not_seen(monkeypatch):
+    x, frame = _search_point(3, "nonentangling", 2)
+    y = x.copy()
+    y[1] = np.nextafter(y[1], np.inf)  # one ulp away
+    calls, objective = [], solver._search_objective
+
+    def counted(x, *args):
+        calls.append(x.copy())
+        return objective(x, *args)
+
+    monkeypatch.setattr(solver, "_search_objective", counted)
+    value, gradient = solver._held_objective()
+    # before any value call
+    assert gradient(y, 1.0, *frame).tobytes() == objective(y, 1.0, *frame)[1].tobytes()
+    assert len(calls) == 1
+    # at the held point, without a second evaluation
+    value(x, 1.0, *frame)
+    assert gradient(x.copy(), 1.0, *frame).tobytes() == objective(x, 1.0, *frame)[1].tobytes()
+    assert len(calls) == 2
+    # a point one ulp away is not the held point
+    assert gradient(y, 1.0, *frame).tobytes() == objective(y, 1.0, *frame)[1].tobytes()
+    assert len(calls) == 3 and np.array_equal(calls[-1], y)
+
+
+def test_search_evaluates_the_objective_once_per_counted_evaluation(monkeypatch):
+    calls, objective, minimize = [0], solver._search_objective, solver.optimize.minimize
+    nfev = []
+
+    def counted(x, *args):
+        calls[0] += 1
+        return objective(x, *args)
+
+    def minimize_spy(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        nfev.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(solver, "_search_objective", counted)
+    monkeypatch.setattr(solver.optimize, "minimize", minimize_spy)
+    for generator in (dynamics.nonentangling_generator(3), dynamics.entangling_generator(2)):
+        n = generator.n_qubits
+        config = solver.SearchConfig(n_starts=3, max_evals=300, seed=2)
+        solver.search_optimal_state(generator, dynamics.product_pm_readout(n), config)
+    assert len(nfev) >= 6 and calls[0] == sum(nfev)
+
+
+def _assert_same_search(result, reference):
+    assert (result.n_starts, result.best_residual) == (reference.n_starts, reference.best_residual)
+    assert len(result.solutions) == len(reference.solutions)
+    for sol, ref in zip(result.solutions, reference.solutions):
+        assert sol.state.ket.tobytes() == ref.state.ket.tobytes()
+        assert sol.state.matrix.tobytes() == ref.state.matrix.tobytes()
+        assert sol.inv_lambdas.values.tobytes() == ref.inv_lambdas.values.tobytes()
+        assert sol.inv_lambdas.labels == ref.inv_lambdas.labels
+        assert sol.inv_lambdas.unconstrained == ref.inv_lambdas.unconstrained
+        assert (sol.residual, sol.qfi, sol.provenance) == (ref.residual, ref.qfi, ref.provenance)
+
+
+@pytest.mark.parametrize(
+    "n, kind, readout, simplex_tol",
+    [
+        (2, "nonentangling", "product", 1e-9),
+        (2, "entangling", "product", -1.0),
+        (4, "nonentangling", "product", -1.0),
+        (4, "entangling", "product", 1e-9),
+        (2, "nonentangling", "random", 1e-9),
+    ],
+)
+def test_search_matches_the_memoized_reference(n, kind, readout, simplex_tol, monkeypatch):
+    # the reference hands L-BFGS-B the objective's (value, gradient) pair
+    # through scipy's jac=True; the held pair must walk the same points
+    from scipy import optimize
+
+    _, basis, generator = _setup(n, 5, readout == "product", kind)
+    config = solver.SearchConfig(n_starts=4, max_evals=400, simplex_tol=simplex_tol, seed=11)
+    result = solver.search_optimal_state(generator, basis, config)
+
+    def reference_minimize(fun, x0, *, args, method, jac, options):
+        return optimize.minimize(
+            solver._search_objective, x0, args=args, method=method, jac=True, options=options
+        )
+
+    shim = type("Shim", (), {"minimize": staticmethod(reference_minimize)})
+    monkeypatch.setattr(solver, "optimize", shim, raising=False)
+    reference = solver.search_optimal_state(generator, basis, config)
+    # no start is feasible on the random readout: best_residual still pins the end points
+    assert result.solutions or readout == "random"
+    _assert_same_search(result, reference)
+
+
+def test_each_stage_reads_its_own_gradient_in_any_call_order(monkeypatch):
+    # an optimizer that asks for the gradient at its start point before any
+    # value: each stage's pair must answer at that stage's weight, although
+    # the start point is the previous stage's end point
+    minimize, stages = solver.optimize.minimize, []
+
+    def gradient_first(fun, x0, *, args, method, jac, options):
+        stages.append(args[0])
+        assert jac(x0.copy(), *args).tobytes() == solver._search_objective(x0, *args)[1].tobytes()
+        return minimize(fun, x0, args=args, method=method, jac=jac, options=options)
+
+    monkeypatch.setattr(solver.optimize, "minimize", gradient_first)
+    config = solver.SearchConfig(n_starts=2, max_evals=300, seed=3)
+    solver.search_optimal_state(
+        dynamics.nonentangling_generator(3), dynamics.product_pm_readout(3), config
+    )
+    assert len(stages) == 2 * len(solver.PENALTY_STAGES)
