@@ -7,7 +7,9 @@ E(outcome) and the per-outcome inverse eigenvalues u = 1/lambda together:
 
 For a fixed state the equation is linear in the u, so the inner problem is an
 exact least-squares solve; the outer search over pure states is a seeded
-multi-start L-BFGS-B descent with an exact gradient (:func:`_search_frame`).
+multi-start L-BFGS-B descent with an exact gradient (:func:`_search_frame`),
+driven by :func:`_lbfgsb`, which runs scipy's L-BFGS-B kernel without its
+per-evaluation wrapper.
 
 The readout is fixed, so the inner solve (``_fit``, which
 ``solve_lambdas_given_state`` and the search view) takes one route per kind
@@ -327,32 +329,57 @@ def _search_objective(
     return -f_c + 0.5 * weight * (f_q - f_c), (g - (x @ g / s) * x) / s
 
 
-def _held_objective() -> tuple[Callable, Callable]:
-    """L-BFGS-B's value and gradient functions for one ``minimize`` call,
-    both read from the last :func:`_search_objective` evaluation, which the
-    pair holds.
+def _lbfgsb(fun, x0, args=(), *, maxfun, gtol, ftol, **_):
+    """L-BFGS-B without bounds, as a ``scipy.optimize.minimize`` custom
+    method: ``fun(x, *args)`` returns the value and the gradient together.
 
-    The value function evaluates and keeps the gradient with the bytes of its
-    point; the gradient function returns it when called at the same bytes
-    and evaluates afresh at any other point, so the pair is right in any
-    call order.  Only the point is keyed: a pair serves one call, whose
-    ``args`` (the stage's weight and the frame) do not change.  scipy's
-    ``jac=True`` does the same through ``MemoizeJac`` with one more array
-    comparison, a copy and a tuple unpack per evaluation.
+    This is the reverse-communication loop of scipy's ``_minimize_lbfgsb``
+    on its ``setulb`` (m = 10 corrections, maxls = 20 line-search steps,
+    maxiter = 15000, factr = ftol / eps; the ``maxfun`` budget is tested at
+    each new iteration) with the bookkeeping of its ``ScalarFunction``: the
+    start point is evaluated once, a point is evaluated again only when it
+    differs from the last evaluated one (``np.array_equal``'s test), and
+    ``setulb`` gets a fresh float64 copy of the gradient.  So it walks the
+    points of ``minimize(fun, x0, args, method="L-BFGS-B", jac=True)`` bit
+    for bit, without that driver's per-evaluation copies, array-API
+    conversions and per-call set-up.  ``fun`` must not write to its point.
+    ``setulb`` is scipy's private extension (its arguments since scipy 1.15);
+    ``tests/test_search_kernel.py`` pins this loop to the public driver.
     """
-    held: list = [None, None]
+    from scipy.optimize import OptimizeResult
+    from scipy.optimize._lbfgsb import setulb
 
-    def value(x: np.ndarray, *args) -> float:
-        f, held[1] = _search_objective(x, *args)
-        held[0] = x.tobytes()
-        return f
-
-    def gradient(x: np.ndarray, *args) -> np.ndarray:
-        if x.tobytes() != held[0]:
-            value(x, *args)
-        return held[1]
-
-    return value, gradient
+    m, maxls, maxiter = 10, 20, 15000
+    n = x0.size
+    x = np.array(x0, dtype=np.float64)
+    at = x.copy()
+    held, nfev, nit = fun(at, *args), 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    nbd, bound = np.zeros(n, np.int32), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task)
+        if task[0] == 3:  # f and g at x
+            if not (x == at).all():
+                at = x.copy()
+                held = fun(at, *args)
+                nfev += 1
+            f, g = held
+        elif task[0] == 1:  # a new iteration
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    return OptimizeResult(x=x, fun=f, nfev=nfev, nit=nit, success=bool(task[0] == 4))
 
 
 def search_optimal_state(
@@ -366,8 +393,10 @@ def search_optimal_state(
     and imaginary parts of an unnormalised point in the coordinates of
     :func:`_search_frame` on :func:`_search_objective` (its inner least
     squares is exact, in closed form), once per stage of ``PENALTY_STAGES``,
-    each stage from the last one's end point, within ``max_evals``
-    evaluations per start in all.  Mixed states are not searched: the QFI
+    each stage from the last one's end point.  A start's stages share
+    ``max_evals`` evaluations; :func:`_lbfgsb` tests the budget between
+    iterations, so a start may pass it by one line search (at most 20
+    evaluations).  Mixed states are not searched: the QFI
     is convex and a pure state's is 4 Var(H), so no state exceeds the ceiling
     (h_max - h_min)**2; a solution within ``TIE_TOL`` of it is a global
     optimum up to ``residual_tol``, and the defaults reach it up to n = 10.
@@ -385,7 +414,7 @@ def search_optimal_state(
     if basis.n_qubits != generator.n_qubits:
         raise DimensionError("generator and basis act on different numbers of qubits")
     frame, lift = _search_frame(generator, basis)
-    # scipy refuses a negative ftol
+    # L-BFGS-B refuses a negative factr
     gtol, ftol = (config.simplex_tol, SEARCH_FTOL) if config.simplex_tol >= 0 else (0.0, 0.0)
 
     # through the module object, so a replaced ``solver.optimize`` is seen
@@ -400,9 +429,8 @@ def search_optimal_state(
             if evals >= config.max_evals:
                 break
             weight = fraction * PENALTY_WEIGHT
-            value, gradient = _held_objective()
             result = optimize.minimize(
-                value, x, args=(weight, *frame), method="L-BFGS-B", jac=gradient,
+                _search_objective, x, args=(weight, *frame), method=_lbfgsb,
                 options={"maxfun": config.max_evals - evals, "gtol": gtol, "ftol": ftol},
             )
             x, evals = result.x, evals + result.nfev

@@ -10,7 +10,8 @@ zero-probability outcome, a 50-digit evaluation of the same least squares.
 The objective ``solver._search_objective`` is checked against the fit's
 residual through r^2 = (F_Q - F_C)/2, and its gradient against difference
 quotients; its Krawtchouk frame on the permutation-symmetric sector is
-checked against the full objective at the embedded ket.  The generator is
+checked against the full objective at the embedded ket, and the search's
+L-BFGS-B driver ``solver._lbfgsb`` against scipy's own.  The generator is
 either of the paper's diagonal ones or a random real spectrum, and the
 readout the per-qubit |+>/|-> one or a Haar-random one, under which the
 gradient's h (V G_chi) term mixes every outcome.
@@ -305,9 +306,8 @@ def test_search_keeps_the_instrumented_calls(monkeypatch):
     # per penalty stage, and checks each start's end point with one
     # solve_lambdas_given_state call.  max_evals bounds each start's
     # evaluations over its stages: L-BFGS-B tests its budget between
-    # iterations, so it may pass it by its last line search (at most scipy's
-    # default maxls = 20 evaluations), and a start that ends early has spent
-    # its budget.
+    # iterations, so it may pass it by its last line search (at most maxls = 20
+    # evaluations), and a start that ends early has spent its budget.
     events = []
     minimize, check = solver.optimize.minimize, solver.solve_lambdas_given_state
 
@@ -373,40 +373,39 @@ def _search_point(n, generator_kind, seed):
 @given(
     n=st.integers(1, 4),
     seed=SEEDS,
-    generator_kind=GENERATORS,
-    weight=st.sampled_from([0.0, 1.0, 100.0, solver.PENALTY_WEIGHT]),
+    generator_kind=st.sampled_from(["nonentangling", "entangling"]),
+    fraction=st.sampled_from(solver.PENALTY_STAGES),
+    setting=st.sampled_from(["zero tolerance", "default tolerance", "budget"]),
+    budget=st.integers(1, 5),
 )
-def test_held_evaluation_is_the_objective_bit_for_bit(n, seed, generator_kind, weight):
-    x, frame = _search_point(n, generator_kind, seed)
-    value, gradient = solver._held_objective()
-    f, g = value(x.copy(), weight, *frame), gradient(x.copy(), weight, *frame)
-    f_ref, g_ref = solver._search_objective(x, weight, *frame)
-    assert np.float64(f).tobytes() == np.float64(f_ref).tobytes()
-    assert g.tobytes() == g_ref.tobytes()
+def test_lbfgsb_walks_the_points_of_scipys_driver(
+    n, seed, generator_kind, fraction, setting, budget
+):
+    # solver._lbfgsb drives scipy's private setulb itself; it must end where
+    # the public minimize(method="L-BFGS-B", jac=True) ends, bit for bit, with
+    # the same counts, so a scipy release that changes setulb fails here
+    from scipy import optimize
 
-
-def test_held_gradient_evaluates_afresh_at_a_point_it_has_not_seen(monkeypatch):
-    x, frame = _search_point(3, "nonentangling", 2)
-    y = x.copy()
-    y[1] = np.nextafter(y[1], np.inf)  # one ulp away
-    calls, objective = [], solver._search_objective
-
-    def counted(x, *args):
-        calls.append(x.copy())
-        return objective(x, *args)
-
-    monkeypatch.setattr(solver, "_search_objective", counted)
-    value, gradient = solver._held_objective()
-    # before any value call
-    assert gradient(y, 1.0, *frame).tobytes() == objective(y, 1.0, *frame)[1].tobytes()
-    assert len(calls) == 1
-    # at the held point, without a second evaluation
-    value(x, 1.0, *frame)
-    assert gradient(x.copy(), 1.0, *frame).tobytes() == objective(x, 1.0, *frame)[1].tobytes()
-    assert len(calls) == 2
-    # a point one ulp away is not the held point
-    assert gradient(y, 1.0, *frame).tobytes() == objective(y, 1.0, *frame)[1].tobytes()
-    assert len(calls) == 3 and np.array_equal(calls[-1], y)
+    x0, frame = _search_point(n, generator_kind, seed)
+    options = {
+        "zero tolerance": {"maxfun": 1000, "gtol": 0.0, "ftol": 0.0},
+        "default tolerance": {"maxfun": 1000, "gtol": 1e-9, "ftol": solver.SEARCH_FTOL},
+        "budget": {"maxfun": budget, "gtol": 0.0, "ftol": 0.0},
+    }[setting]
+    args = (fraction * solver.PENALTY_WEIGHT, *frame)
+    result = optimize.minimize(
+        solver._search_objective, x0, args=args, method=solver._lbfgsb, options=options
+    )
+    reference = optimize.minimize(
+        solver._search_objective, x0, args=args, method="L-BFGS-B", jac=True, options=options
+    )
+    assert result.x.tobytes() == reference.x.tobytes()
+    assert np.float64(result.fun).tobytes() == np.float64(reference.fun).tobytes()
+    assert (result.nfev, result.nit, result.success) == (
+        reference.nfev, reference.nit, reference.success
+    )
+    if setting == "budget":
+        assert reference.message.endswith("TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT")
 
 
 def test_search_evaluates_the_objective_once_per_counted_evaluation(monkeypatch):
@@ -454,17 +453,17 @@ def _assert_same_search(result, reference):
     ],
 )
 def test_search_matches_the_memoized_reference(n, kind, readout, simplex_tol, monkeypatch):
-    # the reference hands L-BFGS-B the objective's (value, gradient) pair
-    # through scipy's jac=True; the held pair must walk the same points
+    # the reference hands the objective to scipy's own L-BFGS-B driver
+    # through jac=True; the search's driver must walk the same points
     from scipy import optimize
 
     _, basis, generator = _setup(n, 5, readout == "product", kind)
     config = solver.SearchConfig(n_starts=4, max_evals=400, simplex_tol=simplex_tol, seed=11)
     result = solver.search_optimal_state(generator, basis, config)
 
-    def reference_minimize(fun, x0, *, args, method, jac, options):
+    def reference_minimize(fun, x0, *, args, method, options):
         return optimize.minimize(
-            solver._search_objective, x0, args=args, method=method, jac=True, options=options
+            solver._search_objective, x0, args=args, method="L-BFGS-B", jac=True, options=options
         )
 
     shim = type("Shim", (), {"minimize": staticmethod(reference_minimize)})
@@ -473,22 +472,3 @@ def test_search_matches_the_memoized_reference(n, kind, readout, simplex_tol, mo
     # no start is feasible on the random readout: best_residual still pins the end points
     assert result.solutions or readout == "random"
     _assert_same_search(result, reference)
-
-
-def test_each_stage_reads_its_own_gradient_in_any_call_order(monkeypatch):
-    # an optimizer that asks for the gradient at its start point before any
-    # value: each stage's pair must answer at that stage's weight, although
-    # the start point is the previous stage's end point
-    minimize, stages = solver.optimize.minimize, []
-
-    def gradient_first(fun, x0, *, args, method, jac, options):
-        stages.append(args[0])
-        assert jac(x0.copy(), *args).tobytes() == solver._search_objective(x0, *args)[1].tobytes()
-        return minimize(fun, x0, args=args, method=method, jac=jac, options=options)
-
-    monkeypatch.setattr(solver.optimize, "minimize", gradient_first)
-    config = solver.SearchConfig(n_starts=2, max_evals=300, seed=3)
-    solver.search_optimal_state(
-        dynamics.nonentangling_generator(3), dynamics.product_pm_readout(3), config
-    )
-    assert len(stages) == 2 * len(solver.PENALTY_STAGES)
