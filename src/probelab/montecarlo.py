@@ -22,17 +22,24 @@ gathered from it.  The likelihood grid, the grid peaks and the refinement
 run on class counts; sampling, the Fisher information, the fold scan and
 :func:`log_likelihood` sum per outcome over the gathered values.
 
-Estimator cost per trial: one in-place sort of the ``shots`` uniforms and
-one ``searchsorted`` of the 3 x d cumulative tables (built once) into them.
-The counts between the edges, and their exact sums into classes, are taken
-once per block of trials whose (3 x trials x d) edges fill about 200 KB.
-After the trial loop the grid peaks of all 3 * trials count rows are found a
-block of about 200 KB of scores at a time, and one lockstep golden-section
-search refines all 3 * trials brackets together, about 30 batched
-likelihood evaluations over the rows still active.  Memory stays at one
-trial's uniforms, one block of edges and the (3 * trials x classes) counts:
-no (3 * trials x grid) score matrix, no (trials x d) count table and no
-(trials x shots) uniform matrix is ever formed.
+Estimator cost per trial: the ``shots`` uniforms of its substream, and the
+rank among them of each of the 3(d - 1) interior edges of the 3 x d
+cumulative tables, built once (:func:`_edge_ranks`).  A table with few edges
+for its ``shots`` is ranked by one comparison pass per edge, any other by
+one in-place sort and one ``searchsorted`` (:func:`_rank_by_comparison`): at
+10^4 shots the passes rank n = 1 and 2 and the sort n >= 3, and a one-qubit
+trial takes about 55 us where its sort took about 90.  The counts between
+the edges, and their exact sums into classes, are taken once per block of
+trials whose (3 x trials x d) edges fill about 200 KB.  After the trial loop
+only the distinct count rows are searched (about 290 of the 1,500 of a
+500-trial one-qubit run): their grid peaks are found a block of about
+200 KB of scores at a time, one lockstep golden-section search refines them
+together, about 30 batched likelihood evaluations over the rows still
+active, and each estimate is scattered back to its equal rows.  Memory
+stays at one trial's uniforms, one block of edges and the
+(3 * trials x classes) counts: no (3 * trials x grid) score matrix, no
+(trials x d) count table and no (trials x shots) uniform matrix is ever
+formed.
 
 Randomness contract: every trial draws from its own substream derived from
 (seed, trial index) via :class:`numpy.random.SeedSequence`, so results are
@@ -103,19 +110,43 @@ def _cumulative(probs: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _draw_counts(cum: np.ndarray, u_sorted: np.ndarray) -> np.ndarray:
-    """Outcome counts of the sorted uniforms ``u_sorted``: outcome k for each
-    u in [cum[k-1], cum[k]) of the cumulative table ``cum``.
+def _rank_by_comparison(edges: int, shots: int) -> bool:
+    """Whether :func:`_edge_ranks` ranks ``edges`` interior edges among
+    ``shots`` uniforms by one comparison pass each (True) or by a sort (False).
 
-    ``cum`` may hold one table per row; each row is counted against the same
-    uniforms.
+    On one thread of an Intel Xeon the passes cost about 4.5 us plus, per
+    edge, 0.75 us and 0.165 ns a shot; the sort and its ``searchsorted``
+    about 2 us plus 0.29 ns a shot times log2(shots).  So the passes win
+    while edges * (shots + 4500) < 1.75 * shots * log2(shots) - 15000: up to
+    6 edges at 3,000 shots, 15 at 10^4, 22 at 3 * 10^4 and 27 at 10^5, and
+    none at 1,000 shots or fewer.
     """
-    return _edge_counts(np.searchsorted(u_sorted, cum, side="left"))
+    return edges * (shots + 4500) < 1.75 * shots * math.log2(shots) - 15000
+
+
+def _edge_ranks(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The rank of every entry of the cumulative table ``cum`` among the
+    uniforms ``u``, that is how many u lie below it, shape of ``cum``.
+
+    ``cum`` may hold one table per row.  The last entry of a row is exactly 1,
+    above every uniform, so its rank is len(u).  The E interior entries are
+    ranked by one pass ``count_nonzero(u < e)`` each, or, where
+    :func:`_rank_by_comparison` finds a sort cheaper, by sorting ``u`` in
+    place and one ``searchsorted(u, cum, side="left")``.  The two are equal
+    exactly, for a u lying on an edge and for repeated edges too.
+    """
+    interior = cum[..., :-1]
+    if not _rank_by_comparison(interior.size, len(u)):
+        u.sort()
+        return np.searchsorted(u, cum, side="left")
+    ranks = np.full(cum.shape, len(u), dtype=np.intp)
+    ranks[..., :-1].flat = [np.count_nonzero(u < e) for e in interior.flat]
+    return ranks
 
 
 def _edge_counts(edges: np.ndarray) -> np.ndarray:
-    """The counts between consecutive ``searchsorted`` edges along the last
-    axis, in place: edges[k] - edges[k-1], and edges[0] for the first."""
+    """The counts between consecutive edge ranks (:func:`_edge_ranks`) along
+    the last axis, in place: edges[k] - edges[k-1], and edges[0] for the first."""
     edges[..., 1:] -= edges[..., :-1].copy()
     return edges
 
@@ -129,7 +160,7 @@ def sample_readout(
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     cum = _cumulative(probability_vector(basis, state_at_x))
-    drawn = _draw_counts(cum, np.sort(np.random.default_rng(seed).random(shots)))
+    drawn = _edge_counts(_edge_ranks(cum, np.random.default_rng(seed).random(shots)))
     return {label: int(c) for label, c in zip(basis.labels, drawn)}
 
 
@@ -318,32 +349,53 @@ class _LikelihoodMachine:
 
     def grid_peaks(self, counts: np.ndarray) -> np.ndarray:
         """Index of the best grid point for each row of class ``counts``, found
-        a block of about ``_PEAK_BLOCK`` scores at a time."""
-        step = max(1, _PEAK_BLOCK // len(self.xs))
+        a block of about ``_PEAK_BLOCK`` scores at a time.
+
+        No block is one row: a lone last row is scored beside a copy of
+        itself.  OpenBLAS's matrix product gives each column the same bits
+        whatever the other columns, but a one-column product goes to gemv,
+        which sums in another order; so a row's scores, and its peak, do not
+        depend on the batch around it.
+        """
+        rows = len(counts)
+        step = max(2, _PEAK_BLOCK // len(self.xs))
+        if rows % step == 1:
+            counts = np.concatenate([counts, counts[-1:]])
         return np.concatenate([
             np.argmax(self.log_table @ counts[i : i + step].T, axis=0)
             for i in range(0, len(counts), step)
-        ])
+        ])[:rows]
 
     def estimate(self, counts: np.ndarray, xtol: float = 1e-8) -> np.ndarray:
         """Maximum-likelihood estimates, one per row of class ``counts``; a
         single count vector is a batch of one.
 
-        All rows run the scalar golden-section search in lockstep on the grid
-        bracket around their peak, with the same comparison and the same stop
-        at width ``xtol``; a row stops once its bracket is that narrow (edge
-        brackets start half as wide, so they stop first), or once its state
-        (bracket, points and scores) is the one of two steps before.  That
-        happens past |x| of about 2^26, where the float spacing exceeds
+        Equal rows have equal estimates, so only the distinct rows are
+        searched and their results scattered back: the 1,500 rows of a
+        500-trial one-qubit run hold about 290 distinct ones.  A row's bytes
+        are its key (``np.unique`` on one void item per row takes a fifth of
+        the time of ``np.unique(axis=0)``).  This rests on each row's search
+        being independent of the rest of its batch: ``grid_peaks`` scores a
+        row the same in any block, and the refinement's sums run per row
+        (``einsum``, never a BLAS product).
+
+        The distinct rows run the scalar golden-section search in lockstep on
+        the grid bracket around their peak, with the same comparison and the
+        same stop at width ``xtol``; a row stops once its bracket is that
+        narrow (edge brackets start half as wide, so they stop first), or once
+        its state (bracket, points and scores) is the one of two steps before.
+        That happens past |x| of about 2^26, where the float spacing exceeds
         ``xtol``: a bracket between adjacent floats cannot shrink, and its
-        golden points round onto its ends and cycle.  A repeated state
-        repeats for ever, so every search that stopped at ``xtol`` stops
-        there still.
+        golden points round onto its ends and cycle.  A repeated state repeats
+        for ever, so every search that stopped at ``xtol`` stops there still.
 
         Only the active rows are kept: a round updates them with ``np.where``
         and writes the rows that stop into the result.
         """
-        counts = np.atleast_2d(np.asarray(counts, dtype=float))
+        counts = np.ascontiguousarray(np.atleast_2d(np.asarray(counts, dtype=float)))
+        keys = counts.view(np.dtype((np.void, counts[0].nbytes))).ravel()
+        keys, inverse = np.unique(keys, return_inverse=True)
+        counts = keys.view(float).reshape(len(keys), -1)
 
         def score(counts, xs):
             return _log_likelihoods(counts, self.model.class_table(xs))
@@ -371,7 +423,7 @@ class _LikelihoodMachine:
             if not keep.all():
                 result[rows[~keep]] = (0.5 * a2 + 0.5 * b2)[~keep]
                 rows, counts, state, back = rows[keep], counts[keep], state[:, keep], back[:, keep]
-        return result
+        return result[inverse]
 
 
 def _fold_free_interval(model: MeasurementModel, x_true: float) -> tuple[float, float]:
@@ -420,11 +472,13 @@ def _trial_counts(
     """Class counts of every trial against each row of ``cum``, shape
     (len(cum), trials, classes).
 
-    Trial t sorts the ``shots`` uniforms of its own substream (seed, t) in
-    place and finds the edges of every row of ``cum`` among them with one
-    ``searchsorted``; the counts between the edges (:func:`_edge_counts`)
-    and their class sums are taken once per block of trials, whose edges fill
-    about ``_COUNT_BLOCK`` entries, so no (trials x outcomes) table is formed.
+    Trial t draws the ``shots`` uniforms of its own substream (seed, t) and
+    ranks every edge of every row of ``cum`` among them with one
+    :func:`_edge_ranks`: a comparison pass per interior edge where the rule
+    finds that cheaper, else an in-place sort and one ``searchsorted``.  The
+    counts between the edges (:func:`_edge_counts`) and their class sums are
+    taken once per block of trials, whose edges fill about ``_COUNT_BLOCK``
+    entries, so no (trials x outcomes) table is formed.
     """
     rows, d = cum.shape
     step = max(1, _COUNT_BLOCK // (rows * d))
@@ -435,8 +489,7 @@ def _trial_counts(
         block = edges[:, : min(step, trials - start)]
         for j in range(block.shape[1]):
             u = np.random.default_rng(np.random.SeedSequence(base + [start + j])).random(shots)
-            u.sort()
-            block[:, j] = np.searchsorted(u, cum, side="left")
+            block[:, j] = _edge_ranks(cum, u)
         sums = model.class_counts(_edge_counts(block).reshape(-1, d))
         counts[:, start : start + block.shape[1]] = sums.reshape(rows, block.shape[1], -1)
     return counts

@@ -13,11 +13,15 @@
 * The outcome classes: merged exactly when their coefficient columns are
   equal, and estimates on class counts against estimates on outcome counts.
 * The lockstep golden-section ``_LikelihoodMachine.estimate`` against the
-  scalar golden-section search kept here.
-* The sorted-uniform sampler against ``searchsorted(cum, u, side="right")``.
-* The trial loop's class counts, taken a block of trials at a time, against
-  each trial's own ``class_counts(_draw_counts(...))``, and ``uncertainty_run``
-  against itself at other block sizes.
+  scalar golden-section search kept here, and each row's estimate and grid
+  peak in a batch (searched once per distinct row) against its batch-of-one
+  ones, bit for bit, with the BLAS property ``grid_peaks`` rests on.
+* Both routes of the edge ranks, comparison passes and the sort, against
+  ``searchsorted(cum, u, side="right")``, uniforms on an edge included, and
+  the rule that picks between them.
+* The trial loop's class counts, taken a block of trials at a time on either
+  route, against each trial's own ``searchsorted`` counts, and
+  ``uncertainty_run`` against itself at other block sizes and on either route.
 """
 
 import copy
@@ -27,15 +31,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from probelab import dynamics, montecarlo, states
-from probelab.errors import DegenerateModelError
+from probelab.errors import DegenerateModelError, SingularOutcomeError
 from probelab.montecarlo import (
     MeasurementModel,
     _cumulative,
-    _draw_counts,
+    _edge_counts,
+    _edge_ranks,
     _fold_free_interval,
     _LikelihoodMachine,
     _trial_counts,
@@ -348,13 +353,99 @@ def test_lockstep_estimate_matches_scalar_golden_section(
 
 @SETTINGS
 @given(
+    kind_n=st.sampled_from(
+        [("nonentangling", 1), ("nonentangling", 2), ("nonentangling", 3),
+         ("entangling", 1), ("entangling", 3)]
+    ),
+    seed=SEEDS,
+    center=st.floats(-1.0, 1.0),
+    far=st.booleans(),
+    width=st.floats(0.2, 1.5),
+    distinct=st.integers(1, 12),
+    size=st.integers(1, 60),  # grid_peaks takes 24 rows of the 1,024-point grid at a time
+    xtol=st.sampled_from((1e-8, 1e-6)),
+)
+# 49 rows leave a lone row in the last block of grid_peaks; past 2^26 every
+# search stops on the repeated-state rule, and most of these rows peak on an
+# edge of the grid
+@example(kind_n=("nonentangling", 1), seed=0, center=0.3, far=True, width=0.2,
+         distinct=6, size=49, xtol=1e-8)
+@example(kind_n=("nonentangling", 2), seed=1, center=0.0, far=False, width=0.2,
+         distinct=8, size=25, xtol=1e-8)
+def test_each_rows_estimate_is_its_batch_of_one_estimate(
+    kind_n, seed, center, far, width, distinct, size, xtol
+):
+    kind, n = kind_n
+    rng = np.random.default_rng(seed)
+    model = MeasurementModel(
+        build_generator(kind, n, rng),
+        states.tensor_power(states.optimal_single_qubit(+1), n),
+        dynamics.product_pm_readout(n),
+    )
+    if far:  # the float spacing there, 2^-22, exceeds xtol
+        center += 2.0**30
+    try:
+        machine = _LikelihoodMachine(model, (center - width, center + width))
+    except (DegenerateModelError, SingularOutcomeError):
+        assume(False)
+    xs = center + rng.uniform(-1.5, 1.5, distinct)  # some maxima sit on an edge of the grid
+    rows = model.class_counts(
+        np.array([rng.multinomial(500, p / p.sum()) for p in model.probability_table(xs)], float)
+    )
+    batch = rows[rng.integers(distinct, size=size)]  # repeated rows in any order
+    # The premise of grid_peaks: a product of two or more rows gives each row
+    # the same bits, and grid_peaks forms no product of one row.
+    table = machine.log_table
+    scores = table @ batch.T if size > 1 else table @ np.concatenate([batch, batch]).T
+    for i, row in enumerate(batch):
+        assert (table @ np.stack([row, row]).T)[:, 0].tobytes() == scores[:, i].tobytes()
+    widths = []
+
+    class Recorded(np.ndarray):
+        def __matmul__(self, other):
+            widths.append(other.shape[1])
+            return np.asarray(self) @ other
+
+    machine.log_table = table.view(Recorded)
+    peaks, estimates = machine.grid_peaks(batch), machine.estimate(batch, xtol)
+    for i, row in enumerate(batch):
+        assert machine.grid_peaks(row[None]).tobytes() == peaks[i : i + 1].tobytes()
+        assert machine.estimate(row, xtol).tobytes() == estimates[i : i + 1].tobytes()
+    # the same rows in other block neighbourhoods
+    for shift in (1, int(rng.integers(size + 1)), size // 2):
+        rolled = np.roll(batch, shift, axis=0)
+        assert machine.grid_peaks(rolled).tobytes() == np.roll(peaks, shift).tobytes()
+        assert machine.estimate(rolled, xtol).tobytes() == np.roll(estimates, shift).tobytes()
+    assert machine.grid_peaks(batch[::-1]).tobytes() == peaks[::-1].tobytes()
+    assert min(widths) >= 2
+
+
+def forced_route(patch, route):
+    """Force ``_edge_ranks`` onto one route: comparison passes (True) or the
+    sort (False); the rule's calls are recorded and returned."""
+    calls = []
+
+    def rule(edges, shots):
+        calls.append((edges, shots))
+        return route
+
+    patch.setattr(montecarlo, "_rank_by_comparison", rule)
+    return calls
+
+
+@SETTINGS
+@given(
     d=st.integers(1, 16),
     seed=SEEDS,
     shots=st.integers(1, 3000),
     zeros=st.floats(0.0, 0.75),
     ties=st.booleans(),
 )
-def test_sorted_uniform_counts_equal_searchsorted_counts(d, seed, shots, zeros, ties):
+@example(d=1, seed=0, shots=1, zeros=0.0, ties=False)
+@example(d=1, seed=1, shots=200, zeros=0.0, ties=False)
+@example(d=5, seed=2, shots=1, zeros=0.5, ties=True)
+@example(d=8, seed=3, shots=40, zeros=0.75, ties=True)
+def test_both_rank_routes_count_as_searchsorted(d, seed, shots, zeros, ties):
     rng = np.random.default_rng(seed)
     probs = rng.random((3, d)) * (rng.random((3, d)) >= zeros)
     probs[:, rng.integers(d)] += 0.1  # at least one outcome is possible
@@ -364,14 +455,34 @@ def test_sorted_uniform_counts_equal_searchsorted_counts(d, seed, shots, zeros, 
         cum = np.cumsum(p / p.sum())
         cum[-1] = 1.0
         cums.append(cum)
-    if ties:  # uniforms (always < 1) exactly on an edge go to the next outcome
-        edges = cums[0][cums[0] < 1.0][:shots]
+    if ties:  # uniforms (always < 1) exactly on an edge, repeated ones too, go to the next outcome
+        edges = np.concatenate(cums)
+        edges = edges[edges < 1.0][:shots]
         u[: len(edges)] = edges
     expected = [np.bincount(np.searchsorted(c, u, side="right"), minlength=d) for c in cums]
-    u_sorted = np.sort(u)
-    assert np.array_equal(_draw_counts(_cumulative(probs), u_sorted), expected)
-    for p, e in zip(probs, expected):
-        assert np.array_equal(_draw_counts(_cumulative(p), u_sorted), e)
+    ranks = []
+    for route in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = forced_route(patch, route)
+            ranks.append(_edge_ranks(_cumulative(probs), u.copy()))
+            assert np.array_equal(_edge_counts(ranks[-1].copy()), expected)
+            for p, e in zip(probs, expected):
+                assert np.array_equal(_edge_counts(_edge_ranks(_cumulative(p), u.copy())), e)
+        assert calls == [(3 * (d - 1), shots)] + [(d - 1, shots)] * 3
+    assert np.array_equal(ranks[0], ranks[1])
+    assert np.array_equal(_edge_ranks(_cumulative(probs), u.copy()), ranks[0])
+
+
+def test_the_rank_rule_reads_edges_and_shots():
+    rule = montecarlo._rank_by_comparison
+    # the counts of the built-in probes at the default 10^4 shots: n = 1 and 2
+    # by comparison passes, n = 3 by the sort
+    assert rule(3, 10**4) and rule(9, 10**4) and not rule(21, 10**4)
+    assert not any(rule(edges, shots) for edges in (1, 3) for shots in (1, 2, 100, 1000))
+    assert rule(21, 10**5) and not rule(30, 10**5)
+    for shots in (3000, 10**4, 3 * 10**4, 10**5, 10**6):  # fewer edges never turn to the sort
+        limit = max(edges for edges in range(100) if rule(edges, shots))
+        assert all(rule(edges, shots) for edges in range(limit))
 
 
 @SETTINGS
@@ -386,18 +497,22 @@ def test_sorted_uniform_counts_equal_searchsorted_counts(d, seed, shots, zeros, 
 )
 def test_blocked_trial_counts_are_each_trials_own(n, seed, kind, shots, trials, block, x_true):
     model = build_model(kind, n, seed, True)
+    d = model.basis.dim
     xs = np.array([x_true - montecarlo.SLOPE_STEP, x_true, x_true + montecarlo.SLOPE_STEP])
     cum = _cumulative(model.probability_table(xs))
     trial_seed = [seed, n]
-    with pytest.MonkeyPatch.context() as patch:  # ``block`` trials at a time
-        patch.setattr(montecarlo, "_COUNT_BLOCK", block * cum.size)
-        counts = _trial_counts(model, cum, shots, trials, trial_seed)
-    assert counts.shape == (3, trials, model.classes.max() + 1)
-    for t in range(trials):
-        u = np.random.default_rng(np.random.SeedSequence(trial_seed + [t])).random(shots)
-        own = model.class_counts(_draw_counts(cum, np.sort(u)))
-        assert np.array_equal(counts[:, t], own)
-        assert np.all(counts[:, t].sum(axis=1) == shots)
+    for route in (False, True):  # each side of the rule, whatever it picks here
+        with pytest.MonkeyPatch.context() as patch:  # ``block`` trials at a time
+            patch.setattr(montecarlo, "_COUNT_BLOCK", block * cum.size)
+            calls = forced_route(patch, route)
+            counts = _trial_counts(model, cum, shots, trials, trial_seed)
+        assert calls == [(3 * (d - 1), shots)] * trials
+        assert counts.shape == (3, trials, model.classes.max() + 1)
+        for t in range(trials):
+            u = np.random.default_rng(np.random.SeedSequence(trial_seed + [t])).random(shots)
+            own = [np.bincount(np.searchsorted(c, u, side="right"), minlength=d) for c in cum]
+            assert np.array_equal(counts[:, t], model.class_counts(np.array(own)))
+            assert np.all(counts[:, t].sum(axis=1) == shots)
 
 
 @pytest.mark.parametrize("probe", ["tensor", "random"])
@@ -420,3 +535,19 @@ def test_uncertainty_run_does_not_depend_on_the_count_block(probe, monkeypatch):
         for budget in (1, 3 * d, 2 * 3 * d, 3 * 3 * d + 1):
             monkeypatch.setattr(montecarlo, "_COUNT_BLOCK", budget)
             assert montecarlo.uncertainty_run(model, 0.3, 300, trials, seed=[5, 2]) == default
+
+
+@pytest.mark.parametrize("n, generator", [(1, "nonentangling"), (2, "nonentangling"), (3, "entangling")])
+def test_uncertainty_run_does_not_depend_on_the_rank_route(n, generator, monkeypatch):
+    model = MeasurementModel(
+        build_generator(generator, n, None),
+        states.tensor_power(states.optimal_single_qubit(+1), n),
+        dynamics.product_pm_readout(n),
+    )
+    for shots in (300, 10**4):
+        monkeypatch.undo()
+        default = montecarlo.uncertainty_run(model, 0.3, shots, 40, seed=[6, n])
+        for route in (False, True):
+            calls = forced_route(monkeypatch, route)
+            assert montecarlo.uncertainty_run(model, 0.3, shots, 40, seed=[6, n]) == default
+            assert calls == [(3 * (2**n - 1), shots)] * 40
